@@ -2,77 +2,26 @@
 hyperplane rounding, candidate-set local flips, exact brute-force oracle, and
 a verification suite for the supporting analytic facts."""
 
-from .instance import (
-    InstanceError,
-    Max2LinInstance,
-    evaluate,
-    gen_random_regular,
-    parse_instance,
-    violated_weight,
-    write_instance,
-)
-from .localsearch import (
-    CandidateAnalysis,
-    Epsilon,
-    RunReport,
-    analyze_candidates,
-    apply_flips,
-    best_of,
-    default_epsilon,
-    run_once,
-)
-from .numerics import (
-    alpha_gw,
-    arcsin_coeff,
-    arcsin_form,
-    arcsin_partial,
-    estimate_local_gain,
-    rho_star,
-    run_verification,
-    sheppard,
-    sheppard_mc,
-)
-from .oracle import OracleResult, brute_force_opt, ratio
-from .rounding import GaussianSample, hyperplane_round, sample_gaussian
-from .sdp import (
-    SdpConfig,
-    SdpEmbedding,
-    SdpReport,
-    enumerate_triples,
-    sdp_objective,
-    solve_sdp,
-    triangle_violation,
-)
+from .instance import evaluate, gen_random_regular
+from .localsearch import analyze_candidates, apply_flips, best_of, default_epsilon, run_once
+from .numerics import alpha_gw, rho_star, run_verification, sheppard, sheppard_mc
+from .oracle import brute_force_opt
+from .rounding import hyperplane_round, sample_gaussian
+from .sdp import SdpConfig, sdp_objective, solve_sdp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateAnalysis",
-    "Epsilon",
-    "GaussianSample",
-    "InstanceError",
-    "Max2LinInstance",
-    "OracleResult",
-    "RunReport",
     "SdpConfig",
-    "SdpEmbedding",
-    "SdpReport",
     "alpha_gw",
     "analyze_candidates",
     "apply_flips",
-    "arcsin_coeff",
-    "arcsin_form",
-    "arcsin_partial",
     "best_of",
     "brute_force_opt",
     "default_epsilon",
-    "enumerate_triples",
-    "estimate_local_gain",
     "evaluate",
     "gen_random_regular",
     "hyperplane_round",
-    "parse_instance",
-    "ratio",
     "rho_star",
     "run_once",
     "run_verification",
@@ -81,7 +30,4 @@ __all__ = [
     "sheppard",
     "sheppard_mc",
     "solve_sdp",
-    "triangle_violation",
-    "violated_weight",
-    "write_instance",
 ]

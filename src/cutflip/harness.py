@@ -16,7 +16,7 @@ import json
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,23 @@ def derive_seed(*parts: int) -> int:
 # Experiment spec
 
 
+_SPEC_KEYS = {
+    "spec": {"instances", "trials", "epsilon_c", "triangle_mode", "seed", "csv", "json", "sdp"},
+    "instances": {"files", "generator"},
+    "generator": {"n", "d", "count", "sign_bias", "weight_law"},
+}
+
+
+def _checked(obj, where: str) -> dict:
+    """obj as a JSON object holding only the keys known at where."""
+    if not isinstance(obj, dict):
+        raise InstanceError(f"experiment spec: '{where}' must be a JSON object")
+    unknown = sorted(set(obj) - _SPEC_KEYS[where])
+    if unknown:
+        raise InstanceError(f"experiment spec: unknown key(s) in '{where}': {', '.join(unknown)}")
+    return obj
+
+
 @dataclass
 class ExperimentSpec:
     files: list
@@ -60,21 +77,26 @@ class ExperimentSpec:
     weight_law: object
     trials: int
     epsilon_c: float
-    triangle_mode: str
     seed: int
     csv_path: str | None
     json_path: str | None
-    sdp_overrides: dict
+    sdp: SdpConfig  # per-instance solves replace only its seed
 
     @classmethod
     def from_json(cls, text: str, base_dir: Path) -> "ExperimentSpec":
-        raw = json.loads(text)
-        inst = raw.get("instances", {})
+        raw = _checked(json.loads(text), "spec")
+        inst = _checked(raw.get("instances", {}), "instances")
         files = inst.get("files", [])
-        gen = inst.get("generator", {})
+        gen = _checked(inst.get("generator", {}), "generator")
         weight_law = gen.get("weight_law", "unit")
         if isinstance(weight_law, list):
             weight_law = tuple(weight_law)
+        try:
+            # the seed is derived per instance, so "sdp" may not set it either
+            sdp = SdpConfig(triangle_mode=str(raw.get("triangle_mode", "neighborhood")),
+                            seed=0, **raw.get("sdp", {}))
+        except (TypeError, ValueError) as exc:
+            raise InstanceError(f"experiment spec: bad 'sdp' settings: {exc}") from None
         spec = cls(
             files=[str(base_dir / f) for f in files],
             gen_n=list(gen.get("n", [])),
@@ -84,11 +106,10 @@ class ExperimentSpec:
             weight_law=weight_law,
             trials=int(raw.get("trials", 1)),
             epsilon_c=float(raw.get("epsilon_c", 2.0)),
-            triangle_mode=str(raw.get("triangle_mode", "neighborhood")),
             seed=int(raw.get("seed", 0)),
             csv_path=raw.get("csv"),
             json_path=raw.get("json"),
-            sdp_overrides=dict(raw.get("sdp", {})),
+            sdp=sdp,
         )
         if spec.trials < 1 or spec.gen_count < 1:
             raise InstanceError("trials and generator count must be >= 1")
@@ -104,7 +125,7 @@ def _make_tasks(spec: ExperimentSpec) -> list[dict]:
     tasks = []
     idx = 0
     for f in spec.files:
-        tasks.append({"idx": idx, "kind": "file", "path": f})
+        tasks.append({"idx": idx, "kind": "file", "path": f, "source": f})
         idx += 1
     for n in spec.gen_n:
         for d in spec.gen_d:
@@ -115,7 +136,7 @@ def _make_tasks(spec: ExperimentSpec) -> list[dict]:
                         "kind": "gen",
                         "n": int(n),
                         "d": int(d),
-                        "rep": rep,
+                        "source": f"gen(n={int(n)},d={int(d)},rep={rep})",
                         "gen_seed": derive_seed(spec.seed, 1, idx),
                     }
                 )
@@ -124,33 +145,25 @@ def _make_tasks(spec: ExperimentSpec) -> list[dict]:
         t.update(
             trials=spec.trials,
             epsilon_c=spec.epsilon_c,
-            triangle_mode=spec.triangle_mode,
             base_seed=spec.seed,
             sign_bias=spec.sign_bias,
             weight_law=spec.weight_law,
-            sdp_overrides=spec.sdp_overrides,
+            sdp=replace(spec.sdp, seed=derive_seed(spec.seed, 0, t["idx"])),
         )
     return tasks
 
 
 def _experiment_task(task: dict) -> list[dict]:
-    idx = task["idx"]
+    idx, source = task["idx"], task["source"]
     try:
         if task["kind"] == "file":
-            source = task["path"]
             inst = parse_instance(Path(task["path"]).read_text(encoding="utf-8"))
         else:
-            source = f"gen(n={task['n']},d={task['d']},rep={task['rep']})"
             inst = gen_random_regular(
                 task["n"], task["d"], task["sign_bias"], task["weight_law"],
                 seed=task["gen_seed"],
             )
-        cfg = SdpConfig(
-            triangle_mode=task["triangle_mode"],
-            seed=derive_seed(task["base_seed"], 0, idx),
-            **task["sdp_overrides"],
-        )
-        emb, rep = solve_sdp(inst, cfg)
+        emb, rep = solve_sdp(inst, task["sdp"])
         eps = default_epsilon(max(inst.max_degree, 1), task["epsilon_c"])
         rows = []
         for t in range(task["trials"]):
@@ -177,8 +190,10 @@ def _experiment_task(task: dict) -> list[dict]:
                 }
             )
         return rows
-    except Exception as exc:  # per-row failure; the sweep continues
-        return [{"kind": "error", "instance_id": idx, "source": task.get("path", ""),
+    # per-row input or numerical failure; the sweep continues (InstanceError
+    # and LinAlgError are ValueErrors). Anything else is a bug and propagates.
+    except (ValueError, ArithmeticError) as exc:
+        return [{"kind": "error", "instance_id": idx, "source": source,
                  "error": f"{type(exc).__name__}: {exc}"}]
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "evaluate",
     "gen_random_regular",
     "parse_instance",
-    "violated_weight",
     "write_instance",
 ]
 
@@ -46,11 +45,13 @@ class Max2LinInstance:
     edge_j: np.ndarray
     sign: np.ndarray
     weight: np.ndarray
-    # derived, filled in __post_init__
+    # derived CSR adjacency, filled in __post_init__: the neighbors of vertex
+    # i are nbr[indptr[i]:indptr[i + 1]], in stored edge order
     max_degree: int = field(init=False, compare=False, repr=False)
-    _nbr: list = field(init=False, compare=False, repr=False)
-    _nbr_sign: list = field(init=False, compare=False, repr=False)
-    _nbr_weight: list = field(init=False, compare=False, repr=False)
+    indptr: np.ndarray = field(init=False, compare=False, repr=False)
+    nbr: np.ndarray = field(init=False, compare=False, repr=False)
+    nbr_sign: np.ndarray = field(init=False, compare=False, repr=False)
+    nbr_weight: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -70,35 +71,26 @@ class Max2LinInstance:
             raise InstanceError("edge signs must be -1 or +1")
         if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
             raise InstanceError("edge weights must be finite and > 0")
-        pairs = set(zip(ei.tolist(), ej.tolist()))
-        if len(pairs) != len(ei):
+        if len(np.unique(ei * n + ej)) != len(ei):
             raise InstanceError("duplicate edge")
 
-        nbr = [[] for _ in range(n)]
-        nbr_sign = [[] for _ in range(n)]
-        nbr_weight = [[] for _ in range(n)]
-        for i, j, s, wt in zip(ei.tolist(), ej.tolist(), b.tolist(), w.tolist()):
-            nbr[i].append(j)
-            nbr_sign[i].append(s)
-            nbr_weight[i].append(wt)
-            nbr[j].append(i)
-            nbr_sign[j].append(s)
-            nbr_weight[j].append(wt)
-        degrees = [len(a) for a in nbr]
-
-        for arr in (ei, ej, b, w):
+        # each edge appears once under each endpoint; a stable sort by vertex
+        # keeps every adjacency list in stored edge order
+        ends = np.column_stack([ei, ej]).ravel()
+        order = np.argsort(ends, kind="stable")
+        edge_of = order // 2
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        derived = {
+            "indptr": indptr,
+            "nbr": np.column_stack([ej, ei]).ravel()[order],
+            "nbr_sign": b[edge_of],
+            "nbr_weight": w[edge_of],
+        }
+        for name, arr in {"edge_i": ei, "edge_j": ej, "sign": b, "weight": w, **derived}.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "edge_i", ei)
-        object.__setattr__(self, "edge_j", ej)
-        object.__setattr__(self, "sign", b)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "max_degree", max(degrees) if degrees else 0)
-        object.__setattr__(self, "_nbr", [np.array(a, dtype=np.int64) for a in nbr])
-        object.__setattr__(self, "_nbr_sign", [np.array(a, dtype=np.int8) for a in nbr_sign])
-        object.__setattr__(self, "_nbr_weight", [np.array(a, dtype=np.float64) for a in nbr_weight])
-        for lst in (self._nbr, self._nbr_sign, self._nbr_weight):
-            for a in lst:
-                a.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "max_degree", int(np.diff(indptr).max()))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Max2LinInstance":
@@ -131,11 +123,12 @@ class Max2LinInstance:
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self._nbr], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def neighbors(self, i: int):
         """(neighbor ids, signs, weights) of vertex i, as read-only arrays."""
-        return self._nbr[i], self._nbr_sign[i], self._nbr_weight[i]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.nbr[lo:hi], self.nbr_sign[lo:hi], self.nbr_weight[lo:hi]
 
     def edges(self):
         """Iterate (i, j, b, w) in stored order."""
@@ -173,13 +166,6 @@ def evaluate(inst: Max2LinInstance, x) -> float:
     xs = as_assignment(inst, x)
     prod = xs[inst.edge_i].astype(np.int32) * xs[inst.edge_j]
     return float(inst.weight[prod == inst.sign].sum())
-
-
-def violated_weight(inst: Max2LinInstance, x) -> float:
-    """Total weight of violated constraints, computed directly (not as W - evaluate)."""
-    xs = as_assignment(inst, x)
-    prod = xs[inst.edge_i].astype(np.int32) * xs[inst.edge_j]
-    return float(inst.weight[prod != inst.sign].sum())
 
 
 def parse_instance(text: str) -> Max2LinInstance:

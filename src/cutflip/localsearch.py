@@ -11,24 +11,22 @@ b_ij * x_i * <g, v_j>:
                   so it will not itself flip),
   * satisfied  -- margin >= +eps: currently satisfied, lost if we flip.
 
-A candidate flips when the violated weight strictly exceeds the rest. One
-flip pass is the measured semantic; an optional greedy 1-opt polish is
-available behind a flag and reported separately. All functions are pure in
+A candidate flips when the violated weight strictly exceeds the rest; one
+flip pass is the measured semantic. All functions are pure in
 (instance, embedding, g); trials parallelize across seeds.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .instance import Max2LinInstance, as_assignment, evaluate
 from .numerics import rho_star
 from .rounding import GENERATOR_NAME, GaussianSample, hyperplane_round, sample_gaussian
-from .sdp import SdpConfig, SdpEmbedding, SdpReport, sdp_objective, solve_sdp
+from .sdp import SdpEmbedding, SdpReport, sdp_objective
 
 __all__ = [
     "CandidateAnalysis",
@@ -38,7 +36,6 @@ __all__ = [
     "apply_flips",
     "best_of",
     "default_epsilon",
-    "greedy_one_opt",
     "rho_window_fraction",
     "run_once",
 ]
@@ -141,26 +138,6 @@ def apply_flips(
     return flipped, float(gain)
 
 
-def greedy_one_opt(inst: Max2LinInstance, x: np.ndarray, max_passes: int = 100) -> np.ndarray:
-    """Optional polish: single-vertex flips to a local optimum. Not part of
-    the measured pipeline; report it separately."""
-    xs = as_assignment(inst, x).copy()
-    for _ in range(max_passes):
-        improved = False
-        for i in range(inst.n):
-            nbrs, signs, weights = inst.neighbors(i)
-            if len(nbrs) == 0:
-                continue
-            agree = (xs[i] * xs[nbrs]).astype(np.int32) == signs
-            delta = float(weights[~agree].sum() - weights[agree].sum())
-            if delta > 0.0:
-                xs[i] = -xs[i]
-                improved = True
-        if not improved:
-            break
-    return xs
-
-
 def rho_window_fraction(inst: Max2LinInstance, emb: SdpEmbedding, width: float = 0.01) -> float:
     """Weighted fraction of edges whose signed correlation b<v_i, v_j> lies in
     the worst-rounding window [rho* - width, rho* + width]."""
@@ -187,81 +164,25 @@ class RunReport:
     seeds: dict
     converged: bool | None
     generator: str = GENERATOR_NAME
-    polished_value: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "sdp_value": self.sdp_value,
-            "rounded_value": self.rounded_value,
-            "flipped_value": self.flipped_value,
-            "gain": self.gain,
-            "s_size": self.s_size,
-            "flip_count": self.flip_count,
-            "rho_window_fraction": self.rho_window_fraction,
-            "seeds": self.seeds,
-            "converged": self.converged,
-            "generator": self.generator,
-            "polished_value": self.polished_value,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _resolve_embedding(inst, sdp) -> tuple[SdpEmbedding, bool | None, int | None]:
-    if isinstance(sdp, SdpConfig):
-        emb, rep = solve_sdp(inst, sdp)
-        return emb, rep.converged, sdp.seed
-    if isinstance(sdp, SdpEmbedding):
-        return sdp, None, None
-    if isinstance(sdp, tuple) and len(sdp) == 2 and isinstance(sdp[0], SdpEmbedding):
-        rep = sdp[1]
-        return sdp[0], (rep.converged if isinstance(rep, SdpReport) else None), None
-    raise TypeError("sdp must be an SdpConfig, an SdpEmbedding, or (SdpEmbedding, SdpReport)")
-
-
-def _run_trial(inst, emb, seed, eps, polish):
-    g = sample_gaussian(emb.rank, seed)
-    x = hyperplane_round(emb, g)
-    rounded = evaluate(inst, x)
-    analysis = analyze_candidates(inst, emb, g, x, eps)
-    x_flip, gain = apply_flips(inst, x, analysis)
-    flipped = rounded + gain
-    polished = None
-    if polish:
-        polished = evaluate(inst, greedy_one_opt(inst, x_flip))
-    return x_flip, rounded, flipped, gain, analysis, polished
+        return asdict(self)
 
 
 def run_once(
     inst: Max2LinInstance,
-    sdp,
+    sdp: tuple[SdpEmbedding, SdpReport],
     seed: int,
     eps: Epsilon | None = None,
     epsilon_c: float = 2.0,
-    polish: bool = False,
 ) -> RunReport:
-    """Full pipeline: embed (or reuse), round with the given seed, flip once.
-
-    sdp is an SdpConfig (solved here), a cached SdpEmbedding, or an
-    (SdpEmbedding, SdpReport) pair carrying the convergence flag.
-    """
-    emb, converged, sdp_seed = _resolve_embedding(inst, sdp)
-    if eps is None:
-        eps = default_epsilon(max(inst.max_degree, 1), epsilon_c)
-    _, rounded, flipped, gain, analysis, polished = _run_trial(inst, emb, seed, eps, polish)
-    return RunReport(
-        sdp_value=sdp_objective(inst, emb),
-        rounded_value=rounded,
-        flipped_value=flipped,
-        gain=gain,
-        s_size=int(len(analysis.candidates)),
-        flip_count=int(sum(analysis.flip.values())),
-        rho_window_fraction=rho_window_fraction(inst, emb),
-        seeds={"sdp": sdp_seed, "rounding": seed},
-        converged=converged,
-        polished_value=polished,
+    """One trial on a solved (SdpEmbedding, SdpReport) pair: round with the
+    given seed, flip once, and report."""
+    emb, rep = sdp
+    _, _, reports = best_of(
+        inst, emb, 1, base_seed=seed, eps=eps, epsilon_c=epsilon_c, converged=rep.converged
     )
+    return reports[0]
 
 
 def best_of(
@@ -289,7 +210,12 @@ def best_of(
     reports = []
     for t in range(trials):
         seed = base_seed + t
-        x_flip, rounded, flipped, gain, analysis, _ = _run_trial(inst, emb, seed, eps, False)
+        g = sample_gaussian(emb.rank, seed)
+        x = hyperplane_round(emb, g)
+        rounded = evaluate(inst, x)
+        analysis = analyze_candidates(inst, emb, g, x, eps)
+        x_flip, gain = apply_flips(inst, x, analysis)
+        flipped = rounded + gain
         reports.append(
             RunReport(
                 sdp_value=sdp_value,
@@ -299,7 +225,7 @@ def best_of(
                 s_size=int(len(analysis.candidates)),
                 flip_count=int(sum(analysis.flip.values())),
                 rho_window_fraction=rho_frac,
-                seeds={"sdp": None, "rounding": seed},
+                seeds={"rounding": seed},
                 converged=converged,
             )
         )

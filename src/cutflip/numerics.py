@@ -11,7 +11,7 @@ operations are pure; Monte-Carlo routines are deterministic in their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +21,6 @@ from scipy.special import ndtr, ndtri
 __all__ = [
     "CheckResult",
     "LocalGainEstimate",
-    "TaylorSeries",
     "alpha_gw",
     "arcsin_coeff",
     "arcsin_coeffs",
@@ -93,20 +92,6 @@ def arcsin_coeff(k: int) -> float:
     if k < 0:
         raise ValueError("k must be >= 0")
     return float(arcsin_coeffs(k)[-1])
-
-
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Truncated arcsin expansion: index tau and coefficients c_0..c_tau."""
-
-    tau: int
-    coefficients: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, tau: int) -> "TaylorSeries":
-        c = arcsin_coeffs(tau)
-        c.setflags(write=False)
-        return cls(tau=tau, coefficients=c)
 
 
 def arcsin_partial(x: float, tau: int, coeffs: np.ndarray | None = None) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .instance import Max2LinInstance, evaluate
 
-__all__ = ["OracleResult", "brute_force_opt", "ratio"]
+__all__ = ["OracleResult", "brute_force_opt"]
 
 DEFAULT_CAP = 26
 
@@ -46,7 +46,8 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
 
     chunk = max(1024, (1 << 22) // max(inst.m, 1))
     best_fast = -np.inf
-    candidates: list[np.ndarray] = []
+    # (rows, fast values) per block of near-maximal assignments
+    candidates: list[tuple[np.ndarray, np.ndarray]] = []
 
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
@@ -61,26 +62,18 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
         if hi >= best_fast - _RETIE_SLACK * max(1.0, w_tot):
             best_fast = max(best_fast, hi)
             near = vals >= best_fast - _RETIE_SLACK * max(1.0, w_tot)
-            candidates.append(x[near])
-            if sum(len(c) for c in candidates) > _RETIE_LIMIT:
+            candidates.append((x[near], vals[near]))
+            if sum(len(v) for _, v in candidates) > _RETIE_LIMIT:
                 # keep only the single best row per block; exactness is then
                 # limited to the fast path, which is still ~1e-13 * W accurate
-                candidates = [c[-1:] for c in candidates]
+                candidates = [(c[[v.argmax()]], v[[v.argmax()]]) for c, v in candidates]
 
     opt = -np.inf
     argmax = None
-    for block in candidates:
+    for block, _ in candidates:
         for row in block:
             v = evaluate(inst, row)
             if v > opt:
                 opt, argmax = v, row.copy()
     return OracleResult(opt=float(opt), argmax=argmax, enumerated=total)
 
-
-def ratio(inst: Max2LinInstance, value: float, cap: int = DEFAULT_CAP, opt: float | None = None) -> float:
-    """value / OPT, with OPT from brute force unless supplied."""
-    if opt is None:
-        opt = brute_force_opt(inst, cap=cap).opt
-    if opt <= 0.0:
-        raise ValueError("optimum is zero; ratio undefined (instance has no edges?)")
-    return value / opt

@@ -39,11 +39,9 @@ __all__ = [
     "default_rank",
     "enumerate_triples",
     "max_triangle_violation",
-    "parse_embedding",
     "sdp_objective",
     "solve_sdp",
     "triangle_violation",
-    "write_embedding",
 ]
 
 TRIANGLE_MODES = ("none", "neighborhood", "all")
@@ -54,6 +52,10 @@ _PATTERNS = np.array(
 )
 
 _SCAN_CHUNK = 200_000
+
+# mode="all" refuses instances whose C(n, 3) triple array would exceed ~100 MB
+# (24 bytes per triple); n = 289 is the largest instance it accepts
+_ALL_TRIPLES_CAP = 4_000_000
 
 
 def default_rank(n: int) -> int:
@@ -142,17 +144,24 @@ def sdp_objective(inst: Max2LinInstance, emb: SdpEmbedding) -> float:
 def enumerate_triples(inst: Max2LinInstance, mode: str) -> np.ndarray:
     """Triple family as an (t, 3) array of sorted vertex ids.
 
-    mode="all": every C(n, 3) triple. mode="neighborhood": every {i, j, k}
+    mode="all": every C(n, 3) triple, refused (ValueError) above
+    _ALL_TRIPLES_CAP triples. mode="neighborhood": every {i, j, k}
     with j, k neighbors of a common center, deduplicated as unordered sets
     (the family the local-gain analysis actually invokes).
     """
     if mode == "all":
-        out = np.array(list(itertools.combinations(range(inst.n), 3)), dtype=np.int64)
-        return out.reshape(-1, 3)
+        t = math.comb(inst.n, 3)
+        if t > _ALL_TRIPLES_CAP:
+            raise ValueError(
+                f"triangle mode 'all' refused: C({inst.n}, 3) = {t} triples exceeds "
+                f"the cap of {_ALL_TRIPLES_CAP}; use 'neighborhood'"
+            )
+        flat = itertools.chain.from_iterable(itertools.combinations(range(inst.n), 3))
+        return np.fromiter(flat, dtype=np.int64, count=3 * t).reshape(-1, 3)
     if mode == "neighborhood":
         seen: set[tuple[int, int, int]] = set()
         for center in range(inst.n):
-            nbrs = inst._nbr[center]
+            nbrs = inst.neighbors(center)[0]
             for a, b in itertools.combinations(sorted(nbrs.tolist()), 2):
                 seen.add(tuple(sorted((center, a, b))))
         if not seen:
@@ -197,23 +206,6 @@ def max_triangle_violation(emb: SdpEmbedding, triples: np.ndarray) -> float:
     for _, c in _scan_constraints(emb.vectors, triples):
         cmin = min(cmin, float(c.min()))
     return max(0.0, -2.0 * cmin)
-
-
-def write_embedding(emb: SdpEmbedding) -> str:
-    lines = [f"{emb.n} {emb.rank}"]
-    for row in emb.vectors:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_embedding(text: str) -> SdpEmbedding:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, r = (int(tok) for tok in lines[0].split())
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
-    vectors = np.array(rows, dtype=np.float64)
-    if vectors.shape != (n, r):
-        raise ValueError(f"embedding dump shape mismatch: header ({n}, {r}), body {vectors.shape}")
-    return SdpEmbedding(vectors=vectors)
 
 
 class _ActiveSet:

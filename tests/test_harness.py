@@ -49,6 +49,12 @@ class TestSolveCommand:
         assert main(["solve", "/nonexistent/path.txt"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_all_triples_refused_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "empty1000.txt"
+        p.write_text("1000 0\n")
+        assert main(["solve", str(p), "--triangle-mode", "all"]) == 3
+        assert "refused" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_five_cycle(self, tmp_path, capsys):
@@ -167,6 +173,36 @@ class TestExperimentCommand:
         p.write_text(json.dumps({"trials": 2}))
         with pytest.raises(InstanceError):
             ExperimentSpec.from_json(p.read_text(), base_dir=tmp_path)
+
+    @pytest.mark.parametrize("where", ["top", "instances", "generator"])
+    def test_unknown_spec_key_exit_3(self, tmp_path, capsys, where):
+        spec = self.spec_dict(tmp_path / "out.csv")
+        target = {"top": spec, "instances": spec["instances"],
+                  "generator": spec["instances"]["generator"]}[where]
+        target["trails"] = 5
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        assert main(["experiment", str(p)]) == 3
+        assert "trails" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_bad_sdp_key_exit_3(self, tmp_path, capsys):
+        spec = self.spec_dict(tmp_path / "out.csv")
+        spec["sdp"] = {"max_outr": 3}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        assert main(["experiment", str(p)]) == 3
+        assert "max_outr" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_generated_error_row_names_source(self, tmp_path):
+        spec = self.spec_dict(tmp_path / "out.csv")
+        spec["instances"]["generator"].update(n=[13], count=1)  # 13 * 3 is odd
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        assert main(["experiment", str(p)]) == 0
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[2].startswith("error,0,\"gen(n=13,d=3,rep=0)\",")
 
     def test_mean_gain_nonnegative_in_summary(self, tmp_path):
         spec_path = tmp_path / "spec.json"

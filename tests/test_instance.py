@@ -11,7 +11,6 @@ from cutflip.instance import (
     evaluate,
     gen_random_regular,
     parse_instance,
-    violated_weight,
     write_instance,
 )
 
@@ -67,6 +66,36 @@ class TestParse:
     def test_reversed_endpoints_normalized(self):
         inst = parse_instance("3 1\n2 0 1 1.0")
         assert list(inst.edges()) == [(0, 2, 1, 1.0)]
+
+
+class TestAdjacency:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        raw=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from([-1, 1]),
+                      st.floats(0.1, 4.0)),
+            max_size=40,
+        ),
+    )
+    def test_neighbors_follow_stored_edge_order(self, n, raw):
+        edges, seen = [], set()
+        for i, j, b, w in raw:
+            i, j = i % n, j % n
+            if i != j and frozenset((i, j)) not in seen:
+                seen.add(frozenset((i, j)))
+                edges.append((i, j, b, w))
+        inst = Max2LinInstance.from_edges(n, edges)
+        ref = [[] for _ in range(n)]
+        for i, j, b, w in inst.edges():
+            ref[i].append((j, b, w))
+            ref[j].append((i, b, w))
+        for v in range(n):
+            nbrs, signs, weights = inst.neighbors(v)
+            assert list(zip(nbrs.tolist(), signs.tolist(), weights.tolist())) == ref[v]
+            assert not nbrs.flags.writeable
+        assert inst.degrees.tolist() == [len(r) for r in ref]
+        assert inst.max_degree == max(len(r) for r in ref)
 
 
 class TestWrite:
@@ -158,7 +187,8 @@ class TestEvaluate:
         inst = random_instance(rng, n)
         x = rng.choice([-1, 1], size=n).astype(np.int8)
         sat = evaluate(inst, x)
-        vio = violated_weight(inst, x)
+        # violated weight computed directly, not as W - evaluate
+        vio = sum(w for i, j, b, w in inst.edges() if x[i] * x[j] != b)
         assert abs(sat + vio - inst.total_weight) <= 1e-12
 
     @settings(max_examples=40, deadline=None)

@@ -12,7 +12,6 @@ from cutflip.localsearch import (
     apply_flips,
     best_of,
     default_epsilon,
-    greedy_one_opt,
     rho_window_fraction,
     run_once,
 )
@@ -172,7 +171,8 @@ class TestRunOnce:
     def test_flipped_never_below_rounded(self):
         for seed in range(10):
             inst = gen_random_regular(30, 4, 1.0, "unit", seed=seed)
-            r = run_once(inst, SdpConfig(max_outer=2, max_inner=60), seed=seed)
+            sdp = solve_sdp(inst, SdpConfig(max_outer=2, max_inner=60))
+            r = run_once(inst, sdp, seed=seed)
             assert r.flipped_value >= r.rounded_value - 1e-12
 
     def test_single_edge_reaches_opt(self, single_edge):
@@ -184,38 +184,25 @@ class TestRunOnce:
         emb, rep = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
         a = run_once(triangle, (emb, rep), seed=3)
         b = run_once(triangle, (emb, rep), seed=3)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_report_fields(self, triangle):
         emb, rep = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
         r = run_once(triangle, (emb, rep), seed=3)
-        assert r.seeds == {"sdp": None, "rounding": 3}
+        assert r.seeds == {"rounding": 3}
         assert 0.0 <= r.rho_window_fraction <= 1.0
         assert r.converged is True
-        assert r.polished_value is None
-        keys = set(r.to_dict())
-        assert {"sdp_value", "rounded_value", "flipped_value", "gain",
-                "s_size", "flip_count", "seeds", "converged"} <= keys
-
-    def test_polish_reported_separately(self):
-        inst = gen_random_regular(20, 3, 1.0, "unit", seed=2)
-        emb, rep = solve_sdp(inst, SdpConfig(max_outer=2, max_inner=60))
-        r = run_once(inst, (emb, rep), seed=1, polish=True)
-        assert r.polished_value is not None
-        assert r.polished_value >= r.flipped_value - 1e-12
-
-    def test_accepts_config(self, single_edge):
-        r = run_once(single_edge, SdpConfig(), seed=1)
-        assert r.seeds["sdp"] == 0
-        with pytest.raises(TypeError):
-            run_once(single_edge, "nonsense", seed=1)
+        assert set(r.to_dict()) == {
+            "sdp_value", "rounded_value", "flipped_value", "gain", "s_size",
+            "flip_count", "rho_window_fraction", "seeds", "converged", "generator",
+        }
 
 
 class TestBestOf:
     def test_single_trial_matches_run_once(self, triangle):
         emb, rep = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
         _, val, reports = best_of(triangle, emb, trials=1, base_seed=9)
-        r = run_once(triangle, emb, seed=9)
+        r = run_once(triangle, (emb, rep), seed=9)
         assert val == r.flipped_value
         assert reports[0].rounded_value == r.rounded_value
 
@@ -234,14 +221,6 @@ class TestBestOf:
         emb, _ = solve_sdp(triangle)
         with pytest.raises(ValueError):
             best_of(triangle, emb, trials=0)
-
-
-def test_greedy_one_opt_never_hurts():
-    inst = gen_random_regular(24, 3, 1.0, "unit", seed=8)
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        x = rng.choice([-1, 1], size=24).astype(np.int8)
-        assert evaluate(inst, greedy_one_opt(inst, x)) >= evaluate(inst, x)
 
 
 def test_rho_window_fraction_bounds(triangle):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cutflip.numerics import (
-    TaylorSeries,
     alpha_gw,
     arcsin_coeff,
     arcsin_coeffs,
@@ -59,10 +58,11 @@ class TestArcsinCoefficients:
         assert np.all(arcsin_coeffs(2000) > 0)
 
     def test_taylor_series_type(self):
-        ts = TaylorSeries.build(64)
-        assert ts.tau == 64 and len(ts.coefficients) == 65
+        # c_0..c_tau as one array, and tau < 0 is rejected
+        cs = arcsin_coeffs(64)
+        assert isinstance(cs, np.ndarray) and len(cs) == 65
         with pytest.raises(ValueError):
-            TaylorSeries.build(-1)
+            arcsin_coeffs(-1)
 
 
 class TestArcsinPartial:

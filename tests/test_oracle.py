@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from cutflip.instance import Max2LinInstance, evaluate, gen_random_regular
-from cutflip.oracle import brute_force_opt, ratio
+import cutflip.oracle as oracle
+from cutflip.harness import main
+from cutflip.oracle import brute_force_opt
 
 from conftest import random_instance
 
@@ -70,13 +72,23 @@ def test_cap_refusal():
     brute_force_opt(gen_random_regular(14, 3, seed=0))  # below cap: fine
 
 
-def test_ratio(triangle):
-    assert ratio(triangle, 2.0) == 1.0
-    assert ratio(triangle, 1.0) == 0.5
-    assert ratio(triangle, 2.0, opt=2.0) == 1.0
+def test_near_ties_keep_the_best_row(monkeypatch):
+    # five unit cut edges give many exact ties; a 1e-10 cut edge on the last
+    # two vertices separates them by far less than the re-tie slack, and the
+    # last near-tie row in enumeration order (x_10 = x_11 = +1) violates it
+    edges = [(2 * k, 2 * k + 1, -1, 1.0) for k in range(5)] + [(10, 11, -1, 1e-10)]
+    inst = Max2LinInstance.from_edges(12, edges)
+    exact = brute_force_opt(inst)
+    assert exact.opt == 5.0 + 1e-10
+    monkeypatch.setattr(oracle, "_RETIE_LIMIT", 4)
+    capped = brute_force_opt(inst)
+    assert capped.opt == exact.opt
+    assert evaluate(inst, capped.argmax) == exact.opt
 
 
-def test_ratio_zero_opt_flagged():
-    inst = Max2LinInstance.from_edges(2, [])
-    with pytest.raises(ValueError, match="ratio undefined"):
-        ratio(inst, 0.0)
+def test_ratio_zero_opt_flagged(tmp_path, capsys):
+    # an edgeless instance has OPT = 0: the ratio is reported as None
+    p = tmp_path / "empty.txt"
+    p.write_text("3 0\n")
+    assert main(["solve", str(p), "--oracle"]) == 0
+    assert "oracle_opt=0.0 ratio_vs_opt=None" in capsys.readouterr().out

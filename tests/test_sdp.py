@@ -13,11 +13,9 @@ from cutflip.sdp import (
     default_rank,
     enumerate_triples,
     max_triangle_violation,
-    parse_embedding,
     sdp_objective,
     solve_sdp,
     triangle_violation,
-    write_embedding,
 )
 
 from conftest import random_instance
@@ -65,6 +63,12 @@ class TestTriples:
     def test_all_counts(self):
         inst = random_instance(np.random.default_rng(0), 7)
         assert len(enumerate_triples(inst, "all")) == math.comb(7, 3)
+
+    def test_all_refused_above_cap(self):
+        # C(1000, 3) ~ 1.66e8 triples; refused before anything is allocated
+        inst = Max2LinInstance.from_edges(1000, [])
+        with pytest.raises(ValueError, match="refused"):
+            enumerate_triples(inst, "all")
 
     def test_bad_mode(self, triangle):
         with pytest.raises(ValueError):
@@ -195,14 +199,3 @@ class TestSolveProperties:
         with pytest.raises(ValueError):
             SdpConfig(penalty_growth=1.0)
 
-
-class TestEmbeddingDump:
-    def test_roundtrip(self):
-        inst = random_instance(np.random.default_rng(15), 8)
-        emb, _ = solve_sdp(inst)
-        back = parse_embedding(write_embedding(emb))
-        assert np.array_equal(back.vectors, emb.vectors)
-
-    def test_header_mismatch(self):
-        with pytest.raises(ValueError):
-            parse_embedding("2 3\n1.0 0.0 0.0\n")
