@@ -156,7 +156,7 @@ def as_assignment(inst: Max2LinInstance, x) -> np.ndarray:
     if arr.shape != (inst.n,):
         raise ValueError(f"assignment length {arr.shape} does not match n={inst.n}")
     out = arr.astype(np.int8)
-    if np.any(out.astype(arr.dtype) != arr) or not np.all(np.isin(out, (-1, 1))):
+    if np.any(out.astype(arr.dtype) != arr) or not np.all((out == 1) | (out == -1)):
         raise ValueError("assignment entries must be exactly -1 or +1")
     return out
 

@@ -12,14 +12,15 @@ b_ij * x_i * <g, v_j>:
   * satisfied  -- margin >= +eps: currently satisfied, lost if we flip.
 
 A candidate flips when the violated weight strictly exceeds the rest; one
-flip pass is the measured semantic. All functions are pure in
-(instance, embedding, g); trials parallelize across seeds.
+flip pass is the measured semantic, computed as whole-array numpy over the
+instance's CSR adjacency (see CandidateAnalysis for the flat layout). All
+functions are pure in (instance, embedding, g); trials parallelize across seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,19 +67,19 @@ def default_epsilon(d: int, constant: float = 2.0) -> Epsilon:
 
 @dataclass
 class CandidateAnalysis:
-    """The candidate set and the per-candidate neighborhood partition."""
+    """Sorted candidate ids; flip, incident_weight and local_gain as length-n
+    arrays by vertex id (False / 0 off the candidates); part, one int8 code per
+    inst.nbr slot: -1 outside candidate rows, 0 in band, 1 violated, 2 satisfied."""
 
     candidates: np.ndarray
-    in_band: dict = field(default_factory=dict)
-    violated: dict = field(default_factory=dict)
-    satisfied: dict = field(default_factory=dict)
-    incident_weight: dict = field(default_factory=dict)
-    local_gain: dict = field(default_factory=dict)
-    flip: dict = field(default_factory=dict)
+    flip: np.ndarray
+    incident_weight: np.ndarray
+    local_gain: np.ndarray
+    part: np.ndarray
 
     @property
-    def flipped(self) -> list:
-        return [i for i in self.candidates.tolist() if self.flip[i]]
+    def flipped(self) -> np.ndarray:
+        return np.flatnonzero(self.flip)
 
 
 def analyze_candidates(
@@ -102,22 +103,23 @@ def analyze_candidates(
 
     proj = emb.vectors @ gvec
     band = np.abs(proj) < eps.value
-    out = CandidateAnalysis(candidates=np.flatnonzero(band))
-    for i in out.candidates.tolist():
-        nbrs, signs, weights = inst.neighbors(i)
-        margin = signs * int(xs[i]) * proj[nbrs]
-        a_mask = band[nbrs]
-        b_mask = ~a_mask & (margin <= -eps.value)
-        c_mask = ~a_mask & (margin >= eps.value)
-        w_total = float(weights.sum())
-        w_gain = float(weights[b_mask].sum())
-        out.in_band[i] = nbrs[a_mask]
-        out.violated[i] = nbrs[b_mask]
-        out.satisfied[i] = nbrs[c_mask]
-        out.incident_weight[i] = w_total
-        out.local_gain[i] = max(0.0, 2.0 * w_gain - w_total)
-        out.flip[i] = w_gain > w_total - w_gain
-    return out
+    cand = np.flatnonzero(band)
+    # the adjacency slots of the candidate rows, row after row
+    lo = inst.indptr[cand]
+    deg = inst.indptr[cand + 1] - lo
+    owner = np.repeat(cand, deg)
+    slots = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(len(owner))
+    margin = inst.nbr_sign[slots] * xs[owner] * proj[inst.nbr[slots]]
+    # |margin| = |<g, v_j>|, so a violated or satisfied neighbor is outside the band
+    violated = margin <= -eps.value
+    part = np.full(len(inst.nbr), -1, dtype=np.int8)
+    part[slots] = violated + 2 * (margin >= eps.value)
+    # bincount sums each row in slot order, as ndarray.sum does below 8 terms
+    w = inst.nbr_weight[slots]
+    w_total = np.bincount(owner, w, inst.n)
+    w_gain = np.bincount(owner, np.where(violated, w, 0.0), inst.n)
+    local_gain = np.maximum(0.0, 2.0 * w_gain - w_total)
+    return CandidateAnalysis(cand, w_gain > w_total - w_gain, w_total, local_gain, part)
 
 
 def apply_flips(
@@ -130,10 +132,7 @@ def apply_flips(
     and an in-band edge is double-counted as a loss on both endpoints.
     """
     xs = as_assignment(inst, x)
-    flipped = xs.copy()
-    for i, do_flip in analysis.flip.items():
-        if do_flip:
-            flipped[i] = -xs[i]
+    flipped = np.where(analysis.flip, -xs, xs)
     gain = evaluate(inst, flipped) - evaluate(inst, xs)
     return flipped, float(gain)
 
@@ -223,7 +222,7 @@ def best_of(
                 flipped_value=flipped,
                 gain=gain,
                 s_size=int(len(analysis.candidates)),
-                flip_count=int(sum(analysis.flip.values())),
+                flip_count=int(np.count_nonzero(analysis.flip)),
                 rho_window_fraction=rho_frac,
                 seeds={"rounding": seed},
                 converged=converged,

@@ -122,7 +122,7 @@ class SdpEmbedding:
     def validate(self, tol: float = 1e-8) -> None:
         norms = np.linalg.norm(self.vectors, axis=1)
         err = float(np.max(np.abs(norms - 1.0))) if len(norms) else 0.0
-        if err > tol:
+        if not err <= tol:  # NaN rows fail too
             raise ValueError(f"embedding rows are not unit vectors (max error {err:.2e})")
         if not 1 <= self.rank <= self.n:
             raise ValueError(f"rank must lie in [1, n], got {self.rank} with n={self.n}")

@@ -1,14 +1,18 @@
-"""Every name a demo imports from cutflip resolves, without running the demo."""
+"""Every name a demo imports from cutflip resolves; the quickstart demo runs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -27,3 +31,13 @@ def test_demo_imports_resolve(path):
 
 def test_demos_found():
     assert DEMOS, "no demos/*.py next to tests/"
+
+
+def test_pipeline_quickstart_runs():
+    # the quickstart reads CandidateAnalysis attributes an import check cannot see
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "pipeline_quickstart.py")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

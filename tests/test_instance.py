@@ -177,8 +177,10 @@ class TestEvaluate:
             evaluate(triangle, [1, 1])
 
     def test_non_pm1_rejected(self, triangle):
-        with pytest.raises(ValueError, match="-1 or \\+1"):
-            evaluate(triangle, [1, 0, 1])
+        for bad in ([1, 0, 1], [1, 2, 1], [1, -1, 0.5], [1.0, np.nan, 1.0]):
+            with pytest.raises(ValueError, match="-1 or \\+1"):
+                evaluate(triangle, bad)
+        assert evaluate(triangle, [-1.0, 1.0, 1.0]) == 2.0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 20))

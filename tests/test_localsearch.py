@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutflip.instance import Max2LinInstance, evaluate, gen_random_regular
 from cutflip.localsearch import (
@@ -62,6 +64,35 @@ def make_star(margins, center_proj=0.05, weights=None):
     return inst, emb, g, x
 
 
+def partition(inst, ana, i):
+    """(in_band, violated, satisfied) neighbor ids of vertex i, read from ana.part."""
+    lo, hi = inst.indptr[i], inst.indptr[i + 1]
+    nbrs, code = inst.nbr[lo:hi], ana.part[lo:hi]
+    return nbrs[code == 0], nbrs[code == 1], nbrs[code == 2]
+
+
+def reference_analysis(inst, emb, g, x, eps):
+    """The per-candidate loop the vectorized analysis replaced.
+
+    Returns (candidates, {i: (in_band, violated, satisfied, incident weight,
+    local gain, flip)}).
+    """
+    proj = emb.vectors @ g.g
+    band = np.abs(proj) < eps.value
+    rows = {}
+    for i in np.flatnonzero(band).tolist():
+        nbrs, signs, weights = inst.neighbors(i)
+        margin = signs * int(x[i]) * proj[nbrs]
+        a_mask = band[nbrs]
+        b_mask = ~a_mask & (margin <= -eps.value)
+        c_mask = ~a_mask & (margin >= eps.value)
+        w_total = float(weights.sum())
+        w_gain = float(weights[b_mask].sum())
+        rows[i] = (nbrs[a_mask], nbrs[b_mask], nbrs[c_mask], w_total,
+                   max(0.0, 2.0 * w_gain - w_total), w_gain > w_total - w_gain)
+    return np.flatnonzero(band), rows
+
+
 class TestAnalyze:
     def test_constructed_star_partition(self):
         # margins (-0.2, +0.2, 0.05) with eps 0.1: first neighbor violated,
@@ -69,9 +100,10 @@ class TestAnalyze:
         inst, emb, g, x = make_star([-0.2, 0.2, 0.05])
         ana = analyze_candidates(inst, emb, g, x, Epsilon(0.1, 2.0, 3))
         assert 0 in ana.candidates
-        assert ana.violated[0].tolist() == [1]
-        assert ana.satisfied[0].tolist() == [2]
-        assert ana.in_band[0].tolist() == [3]
+        in_band, violated, satisfied = partition(inst, ana, 0)
+        assert violated.tolist() == [1]
+        assert satisfied.tolist() == [2]
+        assert in_band.tolist() == [3]
         assert not ana.flip[0] and ana.local_gain[0] == 0.0
 
     def test_no_candidates_when_projections_large(self):
@@ -92,9 +124,10 @@ class TestAnalyze:
         # |<g, v_j>| == eps exactly: the band is open, so j joins B or C
         inst, emb, g, x = make_star([-0.125, 0.125], center_proj=0.0625)
         ana = analyze_candidates(inst, emb, g, x, Epsilon(0.125, 2.0, 2))
-        assert ana.violated[0].tolist() == [1]
-        assert ana.satisfied[0].tolist() == [2]
-        assert ana.in_band[0].tolist() == []
+        in_band, violated, satisfied = partition(inst, ana, 0)
+        assert violated.tolist() == [1]
+        assert satisfied.tolist() == [2]
+        assert in_band.tolist() == []
 
     @pytest.mark.parametrize("seed", range(8))
     def test_partition_covers_neighborhood(self, seed):
@@ -106,13 +139,55 @@ class TestAnalyze:
         ana = analyze_candidates(inst, emb, g, x, default_epsilon(inst.max_degree))
         for i in ana.candidates.tolist():
             nbrs = set(inst.neighbors(i)[0].tolist())
-            a = set(ana.in_band[i].tolist())
-            b = set(ana.violated[i].tolist())
-            c = set(ana.satisfied[i].tolist())
+            a, b, c = (set(part.tolist()) for part in partition(inst, ana, i))
             assert a | b | c == nbrs
             assert not (a & b) and not (a & c) and not (b & c)
             # in-band neighbors are exactly the candidate neighbors
             assert a == nbrs & set(ana.candidates.tolist())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 24),
+        isolated=st.integers(0, 3),
+        edgeless=st.booleans(),
+        rank=st.integers(2, 6),
+        boundary=st.integers(0, 10_000),
+    )
+    def test_matches_reference_loop(self, seed, n, isolated, edgeless, rank, boundary):
+        rng = np.random.default_rng(seed)
+        edges = [] if edgeless else list(random_instance(rng, n).edges())
+        inst = Max2LinInstance.from_edges(n + isolated, edges)
+        rows = rng.standard_normal((inst.n, rank))
+        emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        g = GaussianSample(g=rng.standard_normal(rank), seed=None)
+        x = hyperplane_round(emb, g)
+        # eps equal to one |<g, v_j>| puts j exactly on the open band's edge
+        eps_value = float(np.abs(emb.vectors @ g.g)[boundary % inst.n])
+        eps = Epsilon(eps_value, 2.0, max(inst.max_degree, 1))
+
+        ana = analyze_candidates(inst, emb, g, x, eps)
+        cands, ref = reference_analysis(inst, emb, g, x, eps)
+        assert np.array_equal(ana.candidates, cands)
+        for i, (a, b, c, w_total, local_gain, flip) in ref.items():
+            got = partition(inst, ana, i)
+            assert [p.tolist() for p in got] == [a.tolist(), b.tolist(), c.tolist()]
+            assert ana.incident_weight[i] == w_total
+            assert ana.local_gain[i] == local_gain
+            assert ana.flip[i] == flip
+        outside = np.setdiff1d(np.arange(inst.n), cands)
+        assert not ana.flip[outside].any()
+        assert not ana.incident_weight[outside].any() and not ana.local_gain[outside].any()
+        in_rows = np.zeros(len(inst.nbr), dtype=bool)
+        for i in cands.tolist():
+            in_rows[inst.indptr[i]:inst.indptr[i + 1]] = True
+        assert np.all(ana.part[~in_rows] == -1)
+
+        # flip safety
+        x2, gain = apply_flips(inst, x, ana)
+        assert gain >= 0.0
+        assert np.array_equal(x2[outside], x[outside])
+        assert gain == evaluate(inst, x2) - evaluate(inst, x)
 
 
 class TestApplyFlips:
@@ -133,14 +208,15 @@ class TestApplyFlips:
             ana = analyze_candidates(inst, emb, g, x, default_epsilon(inst.max_degree))
             x2, gain = apply_flips(inst, x, ana)
             bound = sum(
-                2.0 * float(inst.neighbors(i)[2][np.isin(inst.neighbors(i)[0], ana.violated[i])].sum())
+                2.0 * float(inst.neighbors(i)[2][
+                    np.isin(inst.neighbors(i)[0], partition(inst, ana, i)[1])].sum())
                 - ana.incident_weight[i]
                 for i in ana.candidates.tolist()
                 if ana.flip[i]
             )
             assert gain >= bound - 1e-9
             assert gain >= -1e-9
-            if any(ana.flip.values()):
+            if ana.flip.any():
                 assert gain > 0.0
             # non-candidates never move
             outside = np.setdiff1d(np.arange(inst.n), ana.candidates)

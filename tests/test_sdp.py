@@ -169,6 +169,11 @@ class TestSolveProperties:
         norms = np.linalg.norm(emb.vectors, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-8
         emb.validate()
+        for bad_row in (2.0, np.nan):  # NaN compares false against any tolerance
+            bad = emb.vectors.copy()
+            bad[0] = bad_row
+            with pytest.raises(ValueError, match="not unit vectors"):
+                SdpEmbedding(bad).validate()
 
     def test_monotone_and_bounded(self):
         inst = random_instance(np.random.default_rng(10), 15)
