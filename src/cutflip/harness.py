@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 verification failure, 3 input error. Experiment
 rows are computed in a worker pool (one task per instance, deterministic
 derived seeds) and sorted before writing, so output bytes do not depend on
 the worker count. Every ratio printed names its denominator: ratio_vs_sdp
-divides by the SDP bound, ratio_vs_opt by the brute-force optimum.
+divides by the relaxation value found (the objective of the solver's
+iterate, not a certified upper bound) and is None when the solve did not
+converge; ratio_vs_opt divides by the brute-force optimum.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .instance import InstanceError, gen_random_regular, parse_instance, write_instance
+from .instance import (InstanceError, check_generator_laws, gen_random_regular, parse_instance,
+                       write_instance)
 from .localsearch import best_of, default_epsilon, run_once
 from .numerics import run_verification
 from .oracle import DEFAULT_CAP, brute_force_opt
@@ -113,6 +116,13 @@ class ExperimentSpec:
         )
         if spec.trials < 1 or spec.gen_count < 1:
             raise InstanceError("trials and generator count must be >= 1")
+        # settings every instance shares are checked once, here, by the
+        # functions that use them
+        try:
+            default_epsilon(1, spec.epsilon_c)
+            check_generator_laws(spec.sign_bias, spec.weight_law)
+        except ValueError as exc:
+            raise InstanceError(f"experiment spec: {exc}") from None
         if not spec.files and not (spec.gen_n and spec.gen_d):
             raise InstanceError("experiment spec names no instance source")
         for f in spec.files:
@@ -311,7 +321,8 @@ def _cmd_solve(args) -> int:
         "sdp_converged": rep.converged,
         "sdp_max_violation": rep.max_violation,
         "best_value": best_val,
-        "ratio_vs_sdp": best_val / sdp_val if sdp_val > 0 else None,
+        # the value of an unconverged iterate bounds nothing
+        "ratio_vs_sdp": best_val / sdp_val if rep.converged and sdp_val > 0 else None,
         "best_assignment": [int(v) for v in best_x],
         "reports": [r.to_dict() for r in reports],
     }

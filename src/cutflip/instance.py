@@ -21,6 +21,7 @@ __all__ = [
     "InstanceError",
     "Max2LinInstance",
     "as_assignment",
+    "check_generator_laws",
     "evaluate",
     "gen_random_regular",
     "parse_instance",
@@ -155,9 +156,13 @@ def as_assignment(inst: Max2LinInstance, x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.shape != (inst.n,):
         raise ValueError(f"assignment length {arr.shape} does not match n={inst.n}")
+    not_pm1 = "assignment entries must be exactly -1 or +1"
+    # NaN and +-inf have no int8 value, so they are refused before the cast
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(not_pm1)
     out = arr.astype(np.int8)
     if np.any(out.astype(arr.dtype) != arr) or not np.all((out == 1) | (out == -1)):
-        raise ValueError("assignment entries must be exactly -1 or +1")
+        raise ValueError(not_pm1)
     return out
 
 
@@ -273,6 +278,27 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator, max_rounds: int) -> se
     return edges
 
 
+def check_generator_laws(sign_bias: float, weight_law) -> tuple[float, float] | None:
+    """Validate gen_random_regular's sign_bias and weight_law.
+
+    Returns (lo, hi) for ("uniform", lo, hi) and None for "unit"; raises
+    InstanceError for a sign_bias outside [0, 1] or any other weight law.
+    """
+    if not 0.0 <= sign_bias <= 1.0:
+        raise InstanceError(f"sign_bias must be in [0, 1], got {sign_bias}")
+    if weight_law == "unit":
+        return None
+    if isinstance(weight_law, (tuple, list)) and len(weight_law) == 3 and weight_law[0] == "uniform":
+        try:
+            lo, hi = float(weight_law[1]), float(weight_law[2])
+        except (TypeError, ValueError):
+            raise InstanceError(f"unknown weight law: {weight_law!r}") from None
+        if not (0.0 < lo <= hi):
+            raise InstanceError(f"uniform weight law needs 0 < lo <= hi, got ({lo}, {hi})")
+        return lo, hi
+    raise InstanceError(f"unknown weight law: {weight_law!r}")
+
+
 def gen_random_regular(
     n: int,
     d: int,
@@ -292,8 +318,7 @@ def gen_random_regular(
         raise InstanceError(f"need 1 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise InstanceError(f"n*d must be even, got n={n}, d={d}")
-    if not 0.0 <= sign_bias <= 1.0:
-        raise InstanceError(f"sign_bias must be in [0, 1], got {sign_bias}")
+    bounds = check_generator_laws(sign_bias, weight_law)
 
     rng = np.random.default_rng(seed)
     edges = None
@@ -315,15 +340,7 @@ def gen_random_regular(
     else:
         signs = np.where(rng.random(m) < sign_bias, -1, 1).astype(np.int8)
 
-    if weight_law == "unit":
-        weights = np.ones(m, dtype=np.float64)
-    elif isinstance(weight_law, (tuple, list)) and len(weight_law) == 3 and weight_law[0] == "uniform":
-        lo, hi = float(weight_law[1]), float(weight_law[2])
-        if not (0.0 < lo <= hi):
-            raise InstanceError(f"uniform weight law needs 0 < lo <= hi, got ({lo}, {hi})")
-        weights = rng.uniform(lo, hi, m)
-    else:
-        raise InstanceError(f"unknown weight law: {weight_law!r}")
+    weights = np.ones(m, dtype=np.float64) if bounds is None else rng.uniform(*bounds, m)
 
     ei = np.array([e[0] for e in ordered], dtype=np.int64)
     ej = np.array([e[1] for e in ordered], dtype=np.int64)

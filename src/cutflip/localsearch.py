@@ -26,7 +26,7 @@ import numpy as np
 
 from .instance import Max2LinInstance, as_assignment, evaluate
 from .numerics import rho_star
-from .rounding import GENERATOR_NAME, GaussianSample, hyperplane_round, sample_gaussian
+from .rounding import GENERATOR_NAME, hyperplane_round, sample_gaussian
 from .sdp import SdpEmbedding, SdpReport, sdp_objective
 
 __all__ = [
@@ -55,7 +55,7 @@ def default_epsilon(d: int, constant: float = 2.0) -> Epsilon:
     """Band width for max degree d; d' = max(d, 2) guards ln(1) = 0."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if constant <= 0:
+    if not constant > 0:  # NaN too
         raise ValueError(f"constant must be > 0, got {constant}")
     d_eff = max(d, 2)
     return Epsilon(
@@ -85,7 +85,7 @@ class CandidateAnalysis:
 def analyze_candidates(
     inst: Max2LinInstance,
     emb: SdpEmbedding,
-    g: GaussianSample,
+    g: np.ndarray,
     x: np.ndarray,
     eps: Epsilon,
 ) -> CandidateAnalysis:
@@ -95,7 +95,7 @@ def analyze_candidates(
     partition can be tested on fabricated configurations.
     """
     xs = as_assignment(inst, x)
-    gvec = g.g if isinstance(g, GaussianSample) else np.asarray(g, dtype=np.float64)
+    gvec = np.asarray(g, dtype=np.float64)
     if gvec.shape != (emb.rank,):
         raise ValueError(f"direction has shape {gvec.shape}, embedding rank is {emb.rank}")
     if emb.n != inst.n:
@@ -173,14 +173,11 @@ def run_once(
     sdp: tuple[SdpEmbedding, SdpReport],
     seed: int,
     eps: Epsilon | None = None,
-    epsilon_c: float = 2.0,
 ) -> RunReport:
     """One trial on a solved (SdpEmbedding, SdpReport) pair: round with the
     given seed, flip once, and report."""
     emb, rep = sdp
-    _, _, reports = best_of(
-        inst, emb, 1, base_seed=seed, eps=eps, epsilon_c=epsilon_c, converged=rep.converged
-    )
+    _, _, reports = best_of(inst, emb, 1, base_seed=seed, eps=eps, converged=rep.converged)
     return reports[0]
 
 
@@ -190,18 +187,18 @@ def best_of(
     trials: int,
     base_seed: int = 0,
     eps: Epsilon | None = None,
-    epsilon_c: float = 2.0,
     converged: bool | None = None,
 ) -> tuple[np.ndarray, float, list[RunReport]]:
     """Best post-flip assignment over trials rounding seeds base_seed + t.
 
     The seed stream is a fixed prefix: the best value is nondecreasing in
-    trials for a fixed base_seed.
+    trials for a fixed base_seed. eps defaults to default_epsilon's band for
+    the instance's max degree.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if eps is None:
-        eps = default_epsilon(max(inst.max_degree, 1), epsilon_c)
+        eps = default_epsilon(max(inst.max_degree, 1))
     sdp_value = sdp_objective(inst, emb)
     rho_frac = rho_window_fraction(inst, emb)
     best_x = None

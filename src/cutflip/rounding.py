@@ -9,41 +9,31 @@ seed); trials across seeds are embarrassingly parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sdp import SdpEmbedding
 
-__all__ = ["GENERATOR_NAME", "GaussianSample", "hyperplane_round", "sample_gaussian"]
+__all__ = ["GENERATOR_NAME", "hyperplane_round", "sample_gaussian"]
 
 # Counter-based stream (Philox) feeding numpy's ziggurat normal sampler;
 # recorded in run reports so trials can be reproduced bit-exactly.
 GENERATOR_NAME = "philox4x64-ziggurat"
 
 
-@dataclass(frozen=True)
-class GaussianSample:
-    """A rounding direction: i.i.d. standard normal entries."""
-
-    g: np.ndarray
-    seed: int | None = None
-    generator: str = GENERATOR_NAME
-
-
-def sample_gaussian(r: int, seed: int) -> GaussianSample:
-    """Deterministic r-dimensional standard Gaussian for the given seed."""
+def sample_gaussian(r: int, seed: int) -> np.ndarray:
+    """Deterministic r-dimensional standard Gaussian for the given seed, as a
+    read-only float64 array."""
     if r < 1:
         raise ValueError(f"dimension must be >= 1, got {r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     g = rng.standard_normal(r)
     g.setflags(write=False)
-    return GaussianSample(g=g, seed=seed)
+    return g
 
 
-def hyperplane_round(emb: SdpEmbedding, g: GaussianSample | np.ndarray) -> np.ndarray:
+def hyperplane_round(emb: SdpEmbedding, g: np.ndarray) -> np.ndarray:
     """x_i = sign(<g, v_i>) with sign(0) := +1, as an int8 array."""
-    vec = g.g if isinstance(g, GaussianSample) else np.asarray(g, dtype=np.float64)
+    vec = np.asarray(g, dtype=np.float64)
     if vec.shape != (emb.rank,):
         raise ValueError(f"direction has shape {vec.shape}, embedding rank is {emb.rank}")
     proj = emb.vectors @ vec

@@ -13,18 +13,21 @@ collapse into the same family):
     1 + e1 r_ij + e2 r_jk + e3 r_ik >= 0   for e1*e2*e3 = +1.
 
 The iterate is an n x r matrix of unit rows (a Burer-Monteiro factorization).
-Which solver runs depends only on whether the triple family is empty:
+Both solvers read one sparse matrix, the signed adjacency A with
+A_ij = w_ij b_ij (_signed_adjacency), and solve_sdp only picks between them,
+depending on whether the triple family is empty:
 
 - Empty family (triangle_mode="none", or a graph with no triples): the
-  mixing method, block-coordinate ascent on the product of spheres. A greedy
-  colouring splits the vertices into at most max_degree + 1 independent
-  sets, and one sweep sets every row of each class in turn to its
-  normalized neighbour sum, the exact maximizer over that class.
-- Otherwise: an augmented Lagrangian over the inequality constraints. Each
-  inner subproblem runs scipy's L-BFGS-B on an unnormalized factor U with
-  V = U row-normalized, so the sphere constraints vanish. Violated triples
-  enter the working set lazily; the full family is only scanned between
-  inner phases.
+  mixing method (_solve_mixing), block-coordinate ascent on the product of
+  spheres. A greedy colouring splits the vertices into at most
+  max_degree + 1 independent sets, and one sweep sets every row of each
+  class in turn to its normalized neighbour sum, the exact maximizer over
+  that class.
+- Otherwise (_solve_alm): an augmented Lagrangian over the inequality
+  constraints. Each inner subproblem runs scipy's L-BFGS-B on an
+  unnormalized factor U with V = U row-normalized, so the sphere constraints
+  vanish. Violated triples enter the working set lazily; the full family is
+  only scanned between inner phases.
 
 Independent solves are safe to run concurrently; one solve mutates only its
 own iterate.
@@ -52,7 +55,6 @@ __all__ = [
     "max_triangle_violation",
     "sdp_objective",
     "solve_sdp",
-    "triangle_violation",
 ]
 
 TRIANGLE_MODES = ("none", "neighborhood", "all")
@@ -69,6 +71,9 @@ _SCAN_CHUNK = 200_000
 # assumes a fixed rate, and in the tail the rate drifts toward 1, so it runs
 # up to about 2x low (random 4-regular graphs, n=2000)
 _MIXING_STOP_SHARE = 0.1
+
+# the ALM multiplies its penalty by this factor when feasibility stalls
+_PENALTY_GROWTH = 5.0
 
 # mode="all" refuses instances whose C(n, 3) triple array would exceed ~100 MB
 # (24 bytes per triple); n = 289 is the largest instance it accepts
@@ -88,8 +93,6 @@ class SdpConfig:
     max_inner: int = 600
     objective_tol: float = 1e-6
     constraint_tol: float = 1e-6
-    penalty_growth: float = 5.0
-    penalty_init: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -99,8 +102,6 @@ class SdpConfig:
             raise ValueError("tolerances must be > 0")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration budgets must be >= 1")
-        if self.penalty_growth <= 1.0:
-            raise ValueError("penalty growth factor must be > 1")
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank must be >= 1")
 
@@ -203,23 +204,6 @@ def enumerate_triples(inst: Max2LinInstance, mode: str) -> np.ndarray:
     raise ValueError(f"mode must be 'neighborhood' or 'all', got {mode!r}")
 
 
-def triangle_violation(emb: SdpEmbedding, triple, sign_pattern) -> float:
-    """Norm-form violation of one signed triangle inequality (middle = second vertex).
-
-    Returns max(0, ||a_i v_i - a_k v_k||^2 - ||a_i v_i - a_j v_j||^2
-                   - ||a_j v_j - a_k v_k||^2).
-    """
-    i, j, k = triple
-    ai, aj, ak = sign_pattern
-    if not all(a in (-1, 1) for a in (ai, aj, ak)):
-        raise ValueError("sign pattern entries must be -1 or +1")
-    vi, vj, vk = ai * emb.vectors[i], aj * emb.vectors[j], ak * emb.vectors[k]
-    d_ij = float(np.sum((vi - vj) ** 2))
-    d_jk = float(np.sum((vj - vk) ** 2))
-    d_ik = float(np.sum((vi - vk) ** 2))
-    return max(0.0, d_ik - d_ij - d_jk)
-
-
 def _scan_constraints(v: np.ndarray, triples: np.ndarray, chunk: int = _SCAN_CHUNK):
     """Yield (offset, c) blocks: c[t, p] = 1 + sum_q pattern[p, q] * r_q(t)."""
     for start in range(0, len(triples), chunk):
@@ -242,10 +226,12 @@ def max_triangle_violation(emb: SdpEmbedding, triples: np.ndarray) -> float:
 
 
 class _ActiveSet:
-    """Lazily activated (triple, sign-class) constraints with multipliers."""
+    """Lazily activated (triple, sign-class) constraints with multipliers,
+    kept in activation order."""
 
-    def __init__(self) -> None:
-        self.keys: set[int] = set()
+    def __init__(self, triples: np.ndarray) -> None:
+        self.triples = triples
+        self.seen = np.zeros((len(triples), len(_PATTERNS)), dtype=bool)
         self.idx = np.empty((0, 3), dtype=np.int64)
         self.pattern = np.empty((0, 3))
         self.lam = np.empty(0)
@@ -253,20 +239,16 @@ class _ActiveSet:
     def __len__(self) -> int:
         return len(self.lam)
 
-    def add(self, triples: np.ndarray, t_idx: np.ndarray, p_idx: np.ndarray) -> int:
-        fresh = [
-            (t, p) for t, p in zip(t_idx.tolist(), p_idx.tolist()) if (t * 4 + p) not in self.keys
-        ]
-        if not fresh:
+    def add(self, t_idx: np.ndarray, p_idx: np.ndarray) -> int:
+        fresh = ~self.seen[t_idx, p_idx]
+        t_new, p_new = t_idx[fresh], p_idx[fresh]
+        if not len(t_new):
             return 0
-        for t, p in fresh:
-            self.keys.add(t * 4 + p)
-        t_new = np.array([t for t, _ in fresh], dtype=np.int64)
-        p_new = np.array([p for _, p in fresh], dtype=np.int64)
-        self.idx = np.vstack([self.idx, triples[t_new]])
+        self.seen[t_new, p_new] = True
+        self.idx = np.vstack([self.idx, self.triples[t_new]])
         self.pattern = np.vstack([self.pattern, _PATTERNS[p_new]])
-        self.lam = np.concatenate([self.lam, np.zeros(len(fresh))])
-        return len(fresh)
+        self.lam = np.concatenate([self.lam, np.zeros(len(t_new))])
+        return len(t_new)
 
     def cvals(self, v: np.ndarray) -> np.ndarray:
         if not len(self.lam):
@@ -277,12 +259,13 @@ class _ActiveSet:
         return 1.0 + self.pattern[:, 0] * r0 + self.pattern[:, 1] * r1 + self.pattern[:, 2] * r2
 
 
-def _smooth_grad_matrix(inst: Max2LinInstance) -> sp.csr_matrix:
-    half = 0.5 * inst.weight * inst.sign
-    rows = np.concatenate([inst.edge_i, inst.edge_j])
-    cols = np.concatenate([inst.edge_j, inst.edge_i])
-    data = np.concatenate([half, half])
-    return sp.csr_matrix((data, (rows, cols)), shape=(inst.n, inst.n))
+def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
+    """A with A_ij = A_ji = w_ij b_ij, from the instance's CSR arrays, sorted indices."""
+    adj = sp.csr_matrix(
+        (inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(inst.n, inst.n)
+    )
+    adj.sort_indices()
+    return adj
 
 
 def _colour_classes(inst: Max2LinInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -320,11 +303,8 @@ def _solve_mixing(
     to come, extrapolated from the last two gains at a fixed rate, falls
     below _MIXING_STOP_SHARE * objective_tol * max(1, |objective|).
     """
-    n = inst.n
     order, sizes = _colour_classes(inst)
-    adj = sp.csr_matrix(
-        (inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n)
-    )[order][:, order]
+    adj = _signed_adjacency(inst)[order][:, order]
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     blocks = [(lo, hi, adj[lo:hi, :lo], adj[lo:hi, hi:]) for lo, hi in zip(bounds, bounds[1:])]
     u = v[order]
@@ -376,49 +356,30 @@ def _solve_mixing(
     return emb, report
 
 
-def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpEmbedding, SdpReport]:
-    """Solve the relaxation; non-convergence returns the last iterate flagged.
+def _solve_alm(
+    inst: Max2LinInstance,
+    cfg: SdpConfig,
+    v: np.ndarray,
+    rng: np.random.Generator,
+    triples: np.ndarray,
+) -> tuple[SdpEmbedding, SdpReport]:
+    """Augmented Lagrangian over the signed triangle inequalities of triples.
 
-    With an empty triple family the mixing method runs (see _solve_mixing)
-    for at most max_outer * max_inner sweeps. Otherwise convergence means
-    the relative objective change over an outer round fell below
-    objective_tol while the max norm-form violation over the configured
-    triple family is below constraint_tol.
+    Converges once the relative objective change over an outer round falls
+    below objective_tol while the max norm-form violation over the family is
+    below constraint_tol. The penalty starts at max(1e-2, W/m); rng nudges
+    the iterate off stationary but infeasible points.
     """
-    cfg = cfg or SdpConfig()
-    n = inst.n
-    rank = default_rank(n) if cfg.rank is None else cfg.rank
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must lie in [1, n]=[1, {n}], got {rank}")
-
+    n, rank = v.shape
     w_tot = inst.total_weight
     scale = max(1.0, w_tot)
-    rng = np.random.default_rng(cfg.seed)
-    v = _normalize_rows(rng.standard_normal((n, rank)))
-
-    triples = (
-        np.empty((0, 3), dtype=np.int64)
-        if cfg.triangle_mode == "none"
-        else enumerate_triples(inst, cfg.triangle_mode)
-    )
-    if len(triples) == 0:
-        return _solve_mixing(inst, cfg, v)
-
-    a_half = _smooth_grad_matrix(inst)
-    signed_w = inst.weight * inst.sign
-    active = _ActiveSet()
-    mu = cfg.penalty_init if cfg.penalty_init is not None else max(
-        1e-2, w_tot / max(inst.m, 1)
-    )
+    a_half = 0.5 * _signed_adjacency(inst)
+    active = _ActiveSet(triples)
+    mu = max(1e-2, w_tot / max(inst.m, 1))
     # c-form threshold: norm-form violation is -2c, keep activation strictly
     # inside the reporting tolerance
     c_tol = 0.5 * cfg.constraint_tol
     act_thresh = 0.25 * c_tol
-
-    def smooth_obj(mat: np.ndarray) -> float:
-        if inst.m == 0:
-            return 0.0
-        return float(0.5 * (w_tot + signed_w @ _rowdot(mat[inst.edge_i], mat[inst.edge_j])))
 
     def al_and_grad(mat: np.ndarray) -> tuple[float, np.ndarray]:
         """Augmented objective and its ambient gradient, one constraint pass.
@@ -443,12 +404,6 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
                 dat = np.concatenate([fe[:, 0], fe[:, 2], fe[:, 0], fe[:, 1], fe[:, 1], fe[:, 2]])
                 g = g + sp.csr_matrix((dat, (rows, cols)), shape=(n, n)) @ mat
         return val, g
-
-    def al_value(mat: np.ndarray) -> float:
-        return al_and_grad(mat)[0]
-
-    def gradient(mat: np.ndarray) -> np.ndarray:
-        return al_and_grad(mat)[1]
 
     def scan_full(mat: np.ndarray):
         """(min c over the family, activation candidates)."""
@@ -487,10 +442,10 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
     cmin, hits = scan_full(v)
     for _ in range(cfg.max_outer):
         if hits is not None:
-            active.add(triples, hits[0], hits[1])
+            active.add(hits[0], hits[1])
 
         if len(active) and float(active.cvals(v).min()) < -c_tol:
-            g = gradient(v)
+            g = al_and_grad(v)[1]
             gt = g - _rowdot(g, v)[:, None] * v
             if float(np.sum(gt * gt)) <= gtol_floor * gtol_floor * 1e4:
                 # stationary but infeasible: symmetric configurations are
@@ -502,7 +457,7 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
         gtol = float(np.clip(prev_viol * 1e-2, gtol_floor, 1e-5 * scale)) if math.isfinite(
             prev_viol
         ) else 1e-5 * scale
-        al_start = al_value(v)
+        al_start = al_and_grad(v)[0]
         res = minimize(
             negative_al,
             v.ravel(),
@@ -515,7 +470,7 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
         if -res.fun < al_start - 1e-9 * scale:
             monotone = False
 
-        obj = smooth_obj(v)
+        obj = sdp_objective(inst, SdpEmbedding(vectors=v))
         history.append(obj)
 
         cmin, hits = scan_full(v)
@@ -531,17 +486,16 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
         if len(active):
             active.lam = np.maximum(0.0, active.lam - mu * active.cvals(v))
             if viol > cfg.constraint_tol and viol > 0.5 * prev_viol:
-                mu = min(mu * cfg.penalty_growth, mu_cap)
+                mu = min(mu * _PENALTY_GROWTH, mu_cap)
 
         stagnant = stagnant + 1 if rel_change == 0.0 else 0
         if stagnant >= 3:
             break
         prev_obj, prev_viol = obj, viol
 
-    v = _normalize_rows(v)
-    emb = SdpEmbedding(vectors=v)
+    emb = SdpEmbedding(vectors=_normalize_rows(v))
     report = SdpReport(
-        objective=smooth_obj(v),
+        objective=sdp_objective(inst, emb),
         max_violation=max_triangle_violation(emb, triples),
         iterations=total_inner,
         converged=converged,
@@ -551,3 +505,26 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
         objective_history=history,
     )
     return emb, report
+
+
+def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpEmbedding, SdpReport]:
+    """Solve the relaxation; non-convergence returns the last iterate flagged.
+
+    Both solvers start from the same seeded random unit rows. With an empty
+    triple family the mixing method runs (see _solve_mixing) for at most
+    max_outer * max_inner sweeps; otherwise the augmented Lagrangian (see
+    _solve_alm) runs for at most max_outer rounds.
+    """
+    cfg = cfg or SdpConfig()
+    n = inst.n
+    rank = default_rank(n) if cfg.rank is None else cfg.rank
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank must lie in [1, n]=[1, {n}], got {rank}")
+
+    rng = np.random.default_rng(cfg.seed)
+    v = _normalize_rows(rng.standard_normal((n, rank)))
+    mode = cfg.triangle_mode
+    triples = np.empty((0, 3), dtype=np.int64) if mode == "none" else enumerate_triples(inst, mode)
+    if len(triples) == 0:
+        return _solve_mixing(inst, cfg, v)
+    return _solve_alm(inst, cfg, v, rng, triples)

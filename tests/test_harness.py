@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,23 @@ class TestSolveCommand:
         assert main(["solve", triangle_file, "--trials", "10", "--seed", "3", "--json", str(a)]) == 0
         assert main(["solve", triangle_file, "--trials", "10", "--seed", "3", "--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unconverged_ratio_vs_sdp_is_none(self, triangle_file, tmp_path, capsys, monkeypatch):
+        # an unconverged iterate's value bounds nothing, so no ratio is printed
+        solve = harness.solve_sdp
+
+        def unconverged(inst, cfg):
+            emb, rep = solve(inst, cfg)
+            return emb, replace(rep, converged=False)
+
+        monkeypatch.setattr(harness, "solve_sdp", unconverged)
+        out = tmp_path / "out.json"
+        assert main(["solve", triangle_file, "--trials", "5", "--json", str(out)]) == 0
+        assert "ratio_vs_sdp=None" in capsys.readouterr().out
+        payload = json.loads(out.read_text())
+        assert payload["sdp_converged"] is False
+        assert payload["ratio_vs_sdp"] is None
+        assert payload["sdp_value"] > 0 and payload["best_value"] > 0
 
     def test_missing_file_exit_3(self, capsys):
         assert main(["solve", "/nonexistent/path.txt"]) == 3
@@ -195,20 +213,35 @@ class TestExperimentCommand:
         assert "max_outr" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("bad", ["all_triples", "rank"])
+    @pytest.mark.parametrize(
+        "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law"]
+    )
     def test_unrunnable_spec_exit_3(self, tmp_path, capsys, bad):
         # refused up front, not as one error row per instance
         spec = self.spec_dict(tmp_path / "out.csv")
         spec["instances"]["generator"]["n"] = [12, 300]
-        if bad == "all_triples":  # C(300, 3) is above the cap
-            spec["triangle_mode"] = "all"
-        else:  # above the smallest generated n
-            spec["sdp"]["rank"] = 50
-        p = tmp_path / "spec.json"
-        p.write_text(json.dumps(spec))
-        assert main(["experiment", str(p)]) == 3
-        assert ("refused" if bad == "all_triples" else "rank 50") in capsys.readouterr().err
-        assert not (tmp_path / "out.csv").exists()
+        gen = spec["instances"]["generator"]
+        variants = {  # (spec edits, expected stderr text) per variant
+            "all_triples": [({"triangle_mode": "all"}, {}, "refused")],  # C(300, 3) > cap
+            "rank": [({"sdp": {**spec["sdp"], "rank": 50}}, {}, "rank 50")],  # above the smallest n
+            "epsilon_c": [({"epsilon_c": 0.0}, {}, "constant must be > 0"),
+                          ({"epsilon_c": -1.0}, {}, "constant must be > 0"),
+                          ({"epsilon_c": float("nan")}, {}, "constant must be > 0")],
+            "sign_bias": [({}, {"sign_bias": 1.5}, "sign_bias"),
+                          ({}, {"sign_bias": -0.1}, "sign_bias")],
+            "weight_law": [({}, {"weight_law": ["uniform", 2, 1]}, "lo <= hi"),
+                           ({}, {"weight_law": "bogus"}, "unknown weight law"),
+                           ({}, {"weight_law": ["uniform", "a", 1]}, "unknown weight law")],
+        }[bad]
+        for top, generator, expected in variants:
+            case = json.loads(json.dumps(spec))
+            case.update(top)
+            case["instances"]["generator"] = {**gen, **generator}
+            p = tmp_path / "spec.json"
+            p.write_text(json.dumps(case))
+            assert main(["experiment", str(p)]) == 3
+            assert expected in capsys.readouterr().err
+            assert not (tmp_path / "out.csv").exists()
 
     def test_generated_error_row_names_source(self, tmp_path):
         spec = self.spec_dict(tmp_path / "out.csv")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,9 +179,13 @@ class TestEvaluate:
             evaluate(triangle, [1, 1])
 
     def test_non_pm1_rejected(self, triangle):
-        for bad in ([1, 0, 1], [1, 2, 1], [1, -1, 0.5], [1.0, np.nan, 1.0]):
-            with pytest.raises(ValueError, match="-1 or \\+1"):
-                evaluate(triangle, bad)
+        bads = ([1, 0, 1], [1, 2, 1], [1, -1, 0.5], [1.0, np.nan, 1.0],
+                [1.0, np.inf, 1.0], [-np.inf, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a non-finite entry is refused, not cast
+            for bad in bads:
+                with pytest.raises(ValueError, match="-1 or \\+1"):
+                    evaluate(triangle, bad)
         assert evaluate(triangle, [-1.0, 1.0, 1.0]) == 2.0
 
     @settings(max_examples=40, deadline=None)

@@ -19,7 +19,7 @@ from cutflip.localsearch import (
 )
 from cutflip.numerics import gaussian_band_bounds
 from cutflip.oracle import brute_force_opt
-from cutflip.rounding import GaussianSample, hyperplane_round, sample_gaussian
+from cutflip.rounding import hyperplane_round, sample_gaussian
 from cutflip.sdp import SdpConfig, SdpEmbedding, solve_sdp
 
 from conftest import random_instance
@@ -42,6 +42,8 @@ class TestEpsilon:
             default_epsilon(0)
         with pytest.raises(ValueError):
             default_epsilon(3, 0.0)
+        with pytest.raises(ValueError):
+            default_epsilon(3, float("nan"))
 
 
 def make_star(margins, center_proj=0.05, weights=None):
@@ -59,7 +61,7 @@ def make_star(margins, center_proj=0.05, weights=None):
         row[2 + k] = math.sqrt(1 - m * m)
         rows.append(row)
     emb = SdpEmbedding(np.array(rows))
-    g = GaussianSample(g=np.array([1.0] + [0.0] * (d + 1)), seed=None)
+    g = np.array([1.0] + [0.0] * (d + 1))
     x = hyperplane_round(emb, g)
     return inst, emb, g, x
 
@@ -77,7 +79,7 @@ def reference_analysis(inst, emb, g, x, eps):
     Returns (candidates, {i: (in_band, violated, satisfied, incident weight,
     local gain, flip)}).
     """
-    proj = emb.vectors @ g.g
+    proj = emb.vectors @ g
     band = np.abs(proj) < eps.value
     rows = {}
     for i in np.flatnonzero(band).tolist():
@@ -160,10 +162,10 @@ class TestAnalyze:
         inst = Max2LinInstance.from_edges(n + isolated, edges)
         rows = rng.standard_normal((inst.n, rank))
         emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-        g = GaussianSample(g=rng.standard_normal(rank), seed=None)
+        g = rng.standard_normal(rank)
         x = hyperplane_round(emb, g)
         # eps equal to one |<g, v_j>| puts j exactly on the open band's edge
-        eps_value = float(np.abs(emb.vectors @ g.g)[boundary % inst.n])
+        eps_value = float(np.abs(emb.vectors @ g)[boundary % inst.n])
         eps = Epsilon(eps_value, 2.0, max(inst.max_degree, 1))
 
         ana = analyze_candidates(inst, emb, g, x, eps)
@@ -236,7 +238,7 @@ class TestBandOccupancy:
         fracs = np.empty(1500)
         for s in range(len(fracs)):
             g = sample_gaussian(r, s)
-            proj = emb.vectors @ g.g
+            proj = emb.vectors @ g
             fracs[s] = np.mean(np.abs(proj) < eps.value)
         lower, upper = gaussian_band_bounds(eps.value)
         se = fracs.std(ddof=1) / math.sqrt(len(fracs))

@@ -15,7 +15,6 @@ from cutflip.sdp import (
     max_triangle_violation,
     sdp_objective,
     solve_sdp,
-    triangle_violation,
 )
 
 from conftest import random_instance
@@ -77,22 +76,16 @@ class TestTriples:
 
 class TestTriangleViolation:
     def test_orthonormal_never_violates(self):
+        # every sign class has 1 + e1 r01 + e2 r12 + e3 r02 = 1
         emb = SdpEmbedding(np.eye(3))
-        for pattern in [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, -1)]:
-            assert triangle_violation(emb, (0, 1, 2), pattern) == 0.0
-
-    def test_planar_120_all_plus(self):
-        assert triangle_violation(planar_120_embedding(), (0, 1, 2), (1, 1, 1)) == 0.0
+        assert max_triangle_violation(emb, np.array([[0, 1, 2]])) == 0.0
 
     def test_planar_120_mixed_pattern_violates(self):
         # inner-product form: 1 + r01 + r12 + r02 = -0.5, so the norm-form
-        # violation is 1.0; this is the constraint that bites on K3
-        v = triangle_violation(planar_120_embedding(), (0, 1, 2), (1, -1, 1))
+        # violation is 1.0; this is the constraint that bites on K3 (the
+        # other three sign classes give 1 + 0.5 = 1.5 > 0)
+        v = max_triangle_violation(planar_120_embedding(), np.array([[0, 1, 2]]))
         assert v == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_pattern(self):
-        with pytest.raises(ValueError):
-            triangle_violation(planar_120_embedding(), (0, 1, 2), (1, 0, 1))
 
     def test_integral_embeddings_always_feasible(self):
         # +-1 rank-1 points satisfy every signed triangle inequality exactly
@@ -227,6 +220,4 @@ class TestSolveProperties:
             SdpConfig(triangle_mode="some")
         with pytest.raises(ValueError):
             SdpConfig(objective_tol=0.0)
-        with pytest.raises(ValueError):
-            SdpConfig(penalty_growth=1.0)
 
