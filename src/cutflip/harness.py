@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .instance import (InstanceError, check_generator_laws, gen_random_regular, parse_instance,
-                       write_instance)
+from .instance import (InstanceError, check_generator_laws, check_regular_size,
+                       gen_random_regular, parse_instance, write_instance)
 from .localsearch import best_of, default_epsilon, run_once
 from .numerics import run_verification
 from .oracle import DEFAULT_CAP, brute_force_opt
@@ -70,6 +70,13 @@ def _checked(obj, where: str) -> dict:
     return obj
 
 
+def _spec_int(value, key: str) -> int:
+    """value itself if it is a JSON integer; a float, string or boolean is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"experiment spec: '{key}' must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentSpec:
     files: list
@@ -100,16 +107,20 @@ class ExperimentSpec:
                             seed=0, **raw.get("sdp", {}))
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"experiment spec: bad 'sdp' settings: {exc}") from None
+        sizes = {key: gen.get(key, []) for key in ("n", "d")}
+        for key, values in sizes.items():
+            if not isinstance(values, list):
+                raise InstanceError(f"experiment spec: 'generator.{key}' must be a list")
         spec = cls(
             files=[str(base_dir / f) for f in files],
-            gen_n=list(gen.get("n", [])),
-            gen_d=list(gen.get("d", [])),
-            gen_count=int(gen.get("count", 1)),
+            gen_n=[_spec_int(n, "generator.n") for n in sizes["n"]],
+            gen_d=[_spec_int(d, "generator.d") for d in sizes["d"]],
+            gen_count=_spec_int(gen.get("count", 1), "generator.count"),
             sign_bias=float(gen.get("sign_bias", 1.0)),
             weight_law=weight_law,
-            trials=int(raw.get("trials", 1)),
+            trials=_spec_int(raw.get("trials", 1), "trials"),
             epsilon_c=float(raw.get("epsilon_c", 2.0)),
-            seed=int(raw.get("seed", 0)),
+            seed=_spec_int(raw.get("seed", 0), "seed"),
             csv_path=raw.get("csv"),
             json_path=raw.get("json"),
             sdp=sdp,
@@ -121,6 +132,9 @@ class ExperimentSpec:
         try:
             default_epsilon(1, spec.epsilon_c)
             check_generator_laws(spec.sign_bias, spec.weight_law)
+            for n in spec.gen_n:
+                for d in spec.gen_d:
+                    check_regular_size(n, d)
         except ValueError as exc:
             raise InstanceError(f"experiment spec: {exc}") from None
         if not spec.files and not (spec.gen_n and spec.gen_d):
@@ -130,7 +144,7 @@ class ExperimentSpec:
                 raise InstanceError(f"instance file not found: {f}")
         # generated sizes are known now; file instances are checked per
         # instance once parsed
-        generated = [int(n) for n in spec.gen_n] if spec.gen_d else []
+        generated = spec.gen_n if spec.gen_d else []
         if generated and sdp.rank is not None and sdp.rank > min(generated):
             raise InstanceError(
                 f"experiment spec: sdp rank {sdp.rank} exceeds the smallest generated n={min(generated)}"
@@ -156,9 +170,9 @@ def _make_tasks(spec: ExperimentSpec) -> list[dict]:
                     {
                         "idx": idx,
                         "kind": "gen",
-                        "n": int(n),
-                        "d": int(d),
-                        "source": f"gen(n={int(n)},d={int(d)},rep={rep})",
+                        "n": n,
+                        "d": d,
+                        "source": f"gen(n={n},d={d},rep={rep})",
                         "gen_seed": derive_seed(spec.seed, 1, idx),
                     }
                 )

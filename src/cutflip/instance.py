@@ -22,6 +22,7 @@ __all__ = [
     "Max2LinInstance",
     "as_assignment",
     "check_generator_laws",
+    "check_regular_size",
     "evaluate",
     "gen_random_regular",
     "parse_instance",
@@ -299,6 +300,13 @@ def check_generator_laws(sign_bias: float, weight_law) -> tuple[float, float] | 
     raise InstanceError(f"unknown weight law: {weight_law!r}")
 
 
+def check_regular_size(n: int, d: int) -> None:
+    """Refuse (InstanceError) a size with no simple d-regular graph on n vertices
+    for a reason other than parity: d < 1 or d >= n."""
+    if not 1 <= d < n:
+        raise InstanceError(f"a {d}-regular graph on {n} vertices needs 1 <= d < n")
+
+
 def gen_random_regular(
     n: int,
     d: int,
@@ -314,8 +322,7 @@ def gen_random_regular(
     raises InstanceError when n*d is odd, parameters are infeasible, or the
     rejection budget is exceeded.
     """
-    if d < 1 or d >= n:
-        raise InstanceError(f"need 1 <= d < n, got d={d}, n={n}")
+    check_regular_size(n, d)
     if (n * d) % 2 != 0:
         raise InstanceError(f"n*d must be even, got n={n}, d={d}")
     bounds = check_generator_laws(sign_bias, weight_law)

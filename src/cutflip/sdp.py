@@ -367,8 +367,11 @@ def _solve_alm(
 
     Converges once the relative objective change over an outer round falls
     below objective_tol while the max norm-form violation over the family is
-    below constraint_tol. The penalty starts at max(1e-2, W/m); rng nudges
-    the iterate off stationary but infeasible points.
+    below constraint_tol; otherwise it stops after max_outer rounds. The
+    penalty starts at max(1e-2, W/m) and grows by _PENALTY_GROWTH whenever a
+    round leaves the violation above constraint_tol without halving it; it
+    has no ceiling. rng nudges the iterate off stationary but infeasible
+    points.
     """
     n, rank = v.shape
     w_tot = inst.total_weight
@@ -430,14 +433,12 @@ def _solve_alm(
         return -val, -gt.ravel()
 
     gtol_floor = 1e-9 * scale
-    mu_cap = 1e3 * max(w_tot / max(inst.m, 1), 1e-2)
     total_inner = 0
     monotone = True
     history: list[float] = []
     prev_obj = -math.inf
     prev_viol = math.inf
     converged = False
-    stagnant = 0
 
     cmin, hits = scan_full(v)
     for _ in range(cfg.max_outer):
@@ -481,16 +482,13 @@ def _solve_alm(
             break
 
         # inexact ALM: multiplier step every round (the dual proximal update
-        # tolerates inexact subproblems at moderate mu); capped penalty growth
-        # when feasibility stalls
+        # tolerates inexact subproblems at moderate mu); penalty growth when
+        # feasibility stalls
         if len(active):
             active.lam = np.maximum(0.0, active.lam - mu * active.cvals(v))
             if viol > cfg.constraint_tol and viol > 0.5 * prev_viol:
-                mu = min(mu * _PENALTY_GROWTH, mu_cap)
+                mu *= _PENALTY_GROWTH
 
-        stagnant = stagnant + 1 if rel_change == 0.0 else 0
-        if stagnant >= 3:
-            break
         prev_obj, prev_viol = obj, viol
 
     emb = SdpEmbedding(vectors=_normalize_rows(v))

@@ -214,7 +214,7 @@ class TestExperimentCommand:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
-        "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law"]
+        "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law", "degree", "integers"]
     )
     def test_unrunnable_spec_exit_3(self, tmp_path, capsys, bad):
         # refused up front, not as one error row per instance
@@ -232,6 +232,13 @@ class TestExperimentCommand:
             "weight_law": [({}, {"weight_law": ["uniform", 2, 1]}, "lo <= hi"),
                            ({}, {"weight_law": "bogus"}, "unknown weight law"),
                            ({}, {"weight_law": ["uniform", "a", 1]}, "unknown weight law")],
+            "degree": [({}, {"d": [13]}, "1 <= d < n"),  # 13 >= 12 for the smaller n only
+                       ({}, {"d": [0]}, "1 <= d < n")],
+            "integers": [({"trials": 2.7}, {}, "'trials'"),  # int() would run 2 trials
+                         ({}, {"count": 1.5}, "'generator.count'"),
+                         ({}, {"n": [12.5]}, "'generator.n'"),
+                         ({}, {"n": 12}, "'generator.n'"),
+                         ({}, {"d": [True]}, "'generator.d'")],
         }[bad]
         for top, generator, expected in variants:
             case = json.loads(json.dumps(spec))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cutflip.instance import Max2LinInstance, parse_instance
+from cutflip.instance import Max2LinInstance, gen_random_regular, parse_instance
 from cutflip.oracle import brute_force_opt
 from cutflip.sdp import (
     SdpConfig,
@@ -206,6 +206,29 @@ class TestSolveProperties:
         # the mixing method's budget is max_outer * max_inner sweeps
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", max_outer=1, max_inner=5))
         assert not rep.converged and rep.iterations == 5
+        emb.validate()
+
+    @pytest.mark.parametrize(
+        "n, d, gen_seed, sdp_seed",
+        [(14, 4, 861956771, 65), (16, 6, 1191371726120884936, 0)],
+        ids=["c2_graph_65", "desk_10"],
+    )
+    def test_penalty_schedule_converges_with_margin(self, n, d, gen_seed, sdp_seed):
+        # a capped penalty left the first unconverged after 60 rounds and the
+        # second converged only at round 59
+        inst = gen_random_regular(n, d, 0.8, "unit", seed=gen_seed)
+        _, rep = solve_sdp(inst, SdpConfig(seed=sdp_seed))
+        assert rep.converged
+        assert len(rep.objective_history) <= 30
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_unbounded_penalty_stays_finite(self, seed):
+        # 5 inner iterations never reach feasibility, so the penalty grows
+        # 5x in most of the 60 rounds (past 1e30); the iterate stays usable
+        inst = gen_random_regular(16, 6, 0.8, ("uniform", 0.3, 2.0), seed=seed)
+        emb, rep = solve_sdp(inst, SdpConfig(max_inner=5, seed=seed))
+        assert not rep.converged and len(rep.objective_history) == 60
+        assert math.isfinite(rep.objective) and math.isfinite(rep.max_violation)
         emb.validate()
 
     def test_rank_default_and_bounds(self):
