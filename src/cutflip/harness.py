@@ -70,10 +70,27 @@ def _checked(obj, where: str) -> dict:
     return obj
 
 
-def _spec_int(value, key: str) -> int:
-    """value itself if it is a JSON integer; a float, string or boolean is refused."""
+def _spec_int(value, key: str, minimum: int | None = None) -> int:
+    """value itself if it is a JSON integer, at least minimum if one is given;
+    a float, string or boolean is refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InstanceError(f"experiment spec: '{key}' must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InstanceError(f"experiment spec: '{key}' must be >= {minimum}, got {value}")
+    return value
+
+
+def _spec_float(value, key: str) -> float:
+    """value as a float if it is a JSON number; a string or boolean is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"experiment spec: '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _spec_path(value, key: str) -> str | None:
+    """value itself if it is absent (None) or a JSON string."""
+    if value is not None and not isinstance(value, str):
+        raise InstanceError(f"experiment spec: '{key}' must be a path string, got {value!r}")
     return value
 
 
@@ -115,18 +132,16 @@ class ExperimentSpec:
             files=[str(base_dir / f) for f in files],
             gen_n=[_spec_int(n, "generator.n") for n in sizes["n"]],
             gen_d=[_spec_int(d, "generator.d") for d in sizes["d"]],
-            gen_count=_spec_int(gen.get("count", 1), "generator.count"),
-            sign_bias=float(gen.get("sign_bias", 1.0)),
+            gen_count=_spec_int(gen.get("count", 1), "generator.count", minimum=1),
+            sign_bias=_spec_float(gen.get("sign_bias", 1.0), "generator.sign_bias"),
             weight_law=weight_law,
-            trials=_spec_int(raw.get("trials", 1), "trials"),
-            epsilon_c=float(raw.get("epsilon_c", 2.0)),
-            seed=_spec_int(raw.get("seed", 0), "seed"),
-            csv_path=raw.get("csv"),
-            json_path=raw.get("json"),
+            trials=_spec_int(raw.get("trials", 1), "trials", minimum=1),
+            epsilon_c=_spec_float(raw.get("epsilon_c", 2.0), "epsilon_c"),
+            seed=_spec_int(raw.get("seed", 0), "seed", minimum=0),
+            csv_path=_spec_path(raw.get("csv"), "csv"),
+            json_path=_spec_path(raw.get("json"), "json"),
             sdp=sdp,
         )
-        if spec.trials < 1 or spec.gen_count < 1:
-            raise InstanceError("trials and generator count must be >= 1")
         # settings every instance shares are checked once, here, by the
         # functions that use them
         try:

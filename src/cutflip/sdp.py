@@ -27,7 +27,10 @@ depending on whether the triple family is empty:
   constraints. Each inner subproblem runs scipy's L-BFGS-B on an
   unnormalized factor U with V = U row-normalized, so the sphere constraints
   vanish. Violated triples enter the working set lazily; the full family is
-  only scanned between inner phases.
+  only scanned between inner phases. The constraint layer's sparsity
+  pattern (the vertex pairs the active constraints touch, as one symmetric
+  CSR matrix) is built once per active-set change; each evaluation only
+  refills its values.
 
 Independent solves are safe to run concurrently; one solve mutates only its
 own iterate.
@@ -193,14 +196,14 @@ def enumerate_triples(inst: Max2LinInstance, mode: str) -> np.ndarray:
         flat = itertools.chain.from_iterable(itertools.combinations(range(inst.n), 3))
         return np.fromiter(flat, dtype=np.int64, count=3 * t).reshape(-1, 3)
     if mode == "neighborhood":
-        seen: set[tuple[int, int, int]] = set()
-        for center in range(inst.n):
-            nbrs = inst.neighbors(center)[0]
-            for a, b in itertools.combinations(sorted(nbrs.tolist()), 2):
-                seen.add(tuple(sorted((center, a, b))))
-        if not seen:
-            return np.empty((0, 3), dtype=np.int64)
-        return np.array(sorted(seen), dtype=np.int64)
+        # CSR slot s pairs with every later slot of its centre's row
+        deg = np.diff(inst.indptr)
+        later = np.repeat(inst.indptr[1:], deg) - 1 - np.arange(len(inst.nbr))
+        first = np.repeat(np.arange(len(inst.nbr)), later)
+        step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+        centre = np.repeat(np.arange(inst.n), deg)[first]
+        rows = np.stack([centre, inst.nbr[first], inst.nbr[first + 1 + step]], axis=1)
+        return np.unique(np.sort(rows, axis=1), axis=0).astype(np.int64, copy=False)
     raise ValueError(f"mode must be 'neighborhood' or 'all', got {mode!r}")
 
 
@@ -227,14 +230,24 @@ def max_triangle_violation(emb: SdpEmbedding, triples: np.ndarray) -> float:
 
 class _ActiveSet:
     """Lazily activated (triple, sign-class) constraints with multipliers,
-    kept in activation order."""
+    kept in activation order, and the fixed-pattern layer that evaluates them.
 
-    def __init__(self, triples: np.ndarray) -> None:
+    Constraint t reads the inner products r_ij, r_jk, r_ik of its sorted
+    triple. Every add() that admits constraints rebuilds the layer: pair_i,
+    pair_j list the unique vertex pairs the active constraints touch, slot[t]
+    holds the pair indices of constraint t's three inner products, and
+    penalty_matrix is one symmetric CSR matrix over those pairs. An
+    evaluation only refills penalty_matrix.data; explicit zeros stay.
+    """
+
+    def __init__(self, triples: np.ndarray, n: int) -> None:
         self.triples = triples
+        self.n = n
         self.seen = np.zeros((len(triples), len(_PATTERNS)), dtype=bool)
         self.idx = np.empty((0, 3), dtype=np.int64)
         self.pattern = np.empty((0, 3))
         self.lam = np.empty(0)
+        self._build_layer()
 
     def __len__(self) -> int:
         return len(self.lam)
@@ -248,15 +261,46 @@ class _ActiveSet:
         self.idx = np.vstack([self.idx, self.triples[t_new]])
         self.pattern = np.vstack([self.pattern, _PATTERNS[p_new]])
         self.lam = np.concatenate([self.lam, np.zeros(len(t_new))])
+        self._build_layer()
         return len(t_new)
 
+    def _build_layer(self) -> None:
+        n = self.n
+        i, j, k = self.idx.T
+        keys = np.stack([i * n + j, j * n + k, i * n + k], axis=1)
+        pair_keys, slot = np.unique(keys.ravel(), return_inverse=True)
+        self.slot = slot.reshape(-1, 3)
+        self.pair_i, self.pair_j = np.divmod(pair_keys, n)
+        # entry (i, j) and its mirror (j, i) both read pair p's value
+        rows = np.concatenate([self.pair_i, self.pair_j])
+        cols = np.concatenate([self.pair_j, self.pair_i])
+        order = np.lexsort((cols, rows))
+        self._entry_pair = np.tile(np.arange(len(pair_keys)), 2)[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        self.penalty_matrix = sp.csr_matrix(
+            (np.zeros(len(order)), cols[order], indptr), shape=(n, n)
+        )
+
     def cvals(self, v: np.ndarray) -> np.ndarray:
-        if not len(self.lam):
-            return np.empty(0)
-        r0 = _rowdot(v[self.idx[:, 0]], v[self.idx[:, 1]])
-        r1 = _rowdot(v[self.idx[:, 1]], v[self.idx[:, 2]])
-        r2 = _rowdot(v[self.idx[:, 0]], v[self.idx[:, 2]])
-        return 1.0 + self.pattern[:, 0] * r0 + self.pattern[:, 1] * r1 + self.pattern[:, 2] * r2
+        """c[t] = 1 + e1 r_ij + e2 r_jk + e3 r_ik, one row-dot per active pair."""
+        r = _rowdot(v[self.pair_i], v[self.pair_j])[self.slot]
+        return 1.0 + self.pattern[:, 0] * r[:, 0] + self.pattern[:, 1] * r[:, 1] + self.pattern[:, 2] * r[:, 2]
+
+    def penalty(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+        """The augmented objective's penalty term -mu/2 ||max(0, lam/mu - c)||^2
+        and its gradient in v.
+
+        With f = mu * max(0, lam/mu - c), the gradient is M v for the
+        symmetric M with M_ij = sum of f_t e_t over the constraints reading
+        r_ij.
+        """
+        q = np.maximum(0.0, self.lam / mu - self.cvals(v))
+        f = mu * q
+        m_pair = np.bincount(
+            self.slot.ravel(), weights=(f[:, None] * self.pattern).ravel(), minlength=len(self.pair_i)
+        )
+        self.penalty_matrix.data[:] = m_pair[self._entry_pair]
+        return -0.5 * mu * float(q @ q), self.penalty_matrix @ v
 
 
 def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
@@ -377,7 +421,7 @@ def _solve_alm(
     w_tot = inst.total_weight
     scale = max(1.0, w_tot)
     a_half = 0.5 * _signed_adjacency(inst)
-    active = _ActiveSet(triples)
+    active = _ActiveSet(triples, n)
     mu = max(1e-2, w_tot / max(inst.m, 1))
     # c-form threshold: norm-form violation is -2c, keep activation strictly
     # inside the reporting tolerance
@@ -391,22 +435,9 @@ def _solve_alm(
         byproduct of the gradient matrix.
         """
         g = a_half @ mat
-        val = 0.5 * w_tot + 0.5 * float(np.sum(mat * g))
-        if len(active):
-            c = active.cvals(mat)
-            q = np.maximum(0.0, active.lam / mu - c)
-            val -= 0.5 * mu * float(q @ q)
-            f = mu * q
-            nz = f > 0.0
-            if np.any(nz):
-                idx = active.idx[nz]
-                e = active.pattern[nz]
-                fe = f[nz][:, None] * e
-                rows = np.concatenate([idx[:, 0], idx[:, 0], idx[:, 1], idx[:, 1], idx[:, 2], idx[:, 2]])
-                cols = np.concatenate([idx[:, 1], idx[:, 2], idx[:, 0], idx[:, 2], idx[:, 1], idx[:, 0]])
-                dat = np.concatenate([fe[:, 0], fe[:, 2], fe[:, 0], fe[:, 1], fe[:, 1], fe[:, 2]])
-                g = g + sp.csr_matrix((dat, (rows, cols)), shape=(n, n)) @ mat
-        return val, g
+        pen, pen_grad = active.penalty(mat, mu)
+        val = 0.5 * w_tot + 0.5 * float(np.sum(mat * g)) + pen
+        return val, g + pen_grad
 
     def scan_full(mat: np.ndarray):
         """(min c over the family, activation candidates)."""

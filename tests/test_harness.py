@@ -214,7 +214,8 @@ class TestExperimentCommand:
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
-        "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law", "degree", "integers"]
+        "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law", "degree", "integers",
+                "numbers", "paths"]
     )
     def test_unrunnable_spec_exit_3(self, tmp_path, capsys, bad):
         # refused up front, not as one error row per instance
@@ -239,6 +240,15 @@ class TestExperimentCommand:
                          ({}, {"n": [12.5]}, "'generator.n'"),
                          ({}, {"n": 12}, "'generator.n'"),
                          ({}, {"d": [True]}, "'generator.d'")],
+            "numbers": [({"epsilon_c": True}, {}, "'epsilon_c'"),  # float() would run C = 1.0
+                        ({"epsilon_c": "2"}, {}, "'epsilon_c'"),
+                        ({}, {"sign_bias": "0.5"}, "'generator.sign_bias'"),
+                        ({}, {"sign_bias": False}, "'generator.sign_bias'"),
+                        ({"seed": -1}, {}, "'seed' must be >= 0"),
+                        ({"trials": 0}, {}, "'trials' must be >= 1"),
+                        ({}, {"count": 0}, "'generator.count' must be >= 1")],
+            "paths": [({"csv": 5}, {}, "'csv'"),  # the sweep ran, then the write raised TypeError
+                      ({"json": ["out.json"]}, {}, "'json'")],
         }[bad]
         for top, generator, expected in variants:
             case = json.loads(json.dumps(spec))

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutflip.instance import Max2LinInstance, gen_random_regular, parse_instance
 from cutflip.oracle import brute_force_opt
 from cutflip.sdp import (
+    _PATTERNS,
     SdpConfig,
     SdpEmbedding,
+    _ActiveSet,
+    _signed_adjacency,
     default_rank,
     enumerate_triples,
     max_triangle_violation,
@@ -18,6 +25,17 @@ from cutflip.sdp import (
 )
 
 from conftest import random_instance
+
+
+@st.composite
+def simple_graphs(draw):
+    """(n, edges): any simple graph on 1-12 vertices, edges in any stored
+    order and orientation, so some vertices may be isolated."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
 
 
 def planar_120_embedding() -> SdpEmbedding:
@@ -73,6 +91,30 @@ class TestTriples:
         with pytest.raises(ValueError):
             enumerate_triples(triangle, "none")
 
+    @staticmethod
+    def neighborhood_reference(inst: Max2LinInstance) -> np.ndarray:
+        """The set-based loop enumerate_triples(mode="neighborhood") replaced."""
+        seen = set()
+        for center in range(inst.n):
+            nbrs = inst.neighbors(center)[0]
+            for a, b in itertools.combinations(sorted(nbrs.tolist()), 2):
+                seen.add(tuple(sorted((center, a, b))))
+        if not seen:
+            return np.empty((0, 3), dtype=np.int64)
+        return np.array(sorted(seen), dtype=np.int64)
+
+    @given(graph=simple_graphs())
+    @example(graph=(5, []))  # edgeless
+    @example(graph=(7, [(2, 1), (1, 0), (3, 1)]))  # a star; 4, 5, 6 isolated
+    @settings(max_examples=150, deadline=None)
+    def test_neighborhood_matches_set_loop(self, graph):
+        n, edges = graph
+        inst = Max2LinInstance.from_edges(n, [(i, j, 1, 1.0) for i, j in edges])
+        got = enumerate_triples(inst, "neighborhood")
+        want = self.neighborhood_reference(inst)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
 
 class TestTriangleViolation:
     def test_orthonormal_never_violates(self):
@@ -96,6 +138,113 @@ class TestTriangleViolation:
             x = rng.choice([-1.0, 1.0], size=12)
             emb = SdpEmbedding(x[:, None])
             assert max_triangle_violation(emb, triples) == 0.0
+
+
+def coo_penalty_reference(active: _ActiveSet, v: np.ndarray, mu: float):
+    """The per-evaluation COO -> CSR penalty build the fixed-pattern layer replaced."""
+    n, idx, e = len(v), active.idx, active.pattern
+    r = [np.einsum("ij,ij->i", v[idx[:, a]], v[idx[:, b]]) for a, b in ((0, 1), (1, 2), (0, 2))]
+    c = 1.0 + e[:, 0] * r[0] + e[:, 1] * r[1] + e[:, 2] * r[2]
+    q = np.maximum(0.0, active.lam / mu - c)
+    f = mu * q
+    grad = np.zeros_like(v)
+    nz = f > 0.0
+    if np.any(nz):
+        idx, fe = idx[nz], f[nz][:, None] * e[nz]
+        rows = np.concatenate([idx[:, 0], idx[:, 0], idx[:, 1], idx[:, 1], idx[:, 2], idx[:, 2]])
+        cols = np.concatenate([idx[:, 1], idx[:, 2], idx[:, 0], idx[:, 2], idx[:, 1], idx[:, 0]])
+        dat = np.concatenate([fe[:, 0], fe[:, 2], fe[:, 0], fe[:, 1], fe[:, 1], fe[:, 2]])
+        grad = sp.csr_matrix((dat, (rows, cols)), shape=(n, n)) @ v
+    return -0.5 * mu * float(q @ q), grad, f
+
+
+class TestConstraintLayer:
+    """_ActiveSet.penalty: the fixed-pattern constraint layer of the ALM."""
+
+    @staticmethod
+    def grown_active_set(seed: int):
+        """An active set over a random 14-vertex graph, built by two adds, and
+        its pair count after the first."""
+        inst = gen_random_regular(14, 4, 0.5, ("uniform", 0.3, 2.0), seed=seed)
+        triples = enumerate_triples(inst, "neighborhood")
+        rng = np.random.default_rng(seed)
+        t_idx = rng.integers(len(triples), size=60)
+        p_idx = rng.integers(len(_PATTERNS), size=60)
+        active = _ActiveSet(triples, inst.n)
+        active.add(t_idx[:20], p_idx[:20])
+        first_pairs = len(active.pair_i)
+        active.add(t_idx[20:], p_idx[20:])
+        return inst, active, first_pairs, rng
+
+    @staticmethod
+    def set_multipliers(active: _ActiveSet, rng: np.random.Generator) -> None:
+        # half the constraints keep lam = 0, so any with c > 0 get f = 0
+        active.lam = rng.uniform(0.0, 2.0, len(active)) * (rng.random(len(active)) < 0.5)
+
+    def assert_matches_reference(self, active, v, mu):
+        val, grad = active.penalty(v, mu)
+        ref_val, ref_grad, f = coo_penalty_reference(active, v, mu)
+        assert val == pytest.approx(ref_val, rel=1e-12, abs=0.0)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+        return f
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_coo_build(self, seed):
+        inst, active, first_pairs, rng = self.grown_active_set(seed)
+        # the second add grew the pattern, and constraints share pairs
+        assert len(active.pair_i) > first_pairs
+        assert np.bincount(active.slot.ravel()).max() > 1
+        self.set_multipliers(active, rng)
+        for mu in (0.3, 4.0):
+            v = rng.standard_normal((inst.n, 4))
+            f = self.assert_matches_reference(active, v, mu)
+            assert np.any(f == 0.0) and np.any(f > 0.0)
+
+    def test_matches_coo_build_before_and_after_add(self):
+        inst, active, _, rng = self.grown_active_set(3)
+        v = rng.standard_normal((inst.n, 3))
+        self.set_multipliers(active, rng)
+        self.assert_matches_reference(active, v, 2.0)
+        before = len(active.pair_i)
+        # all four sign classes of every triple: the pattern grows again
+        t_all = np.repeat(np.arange(len(active.triples)), len(_PATTERNS))
+        p_all = np.tile(np.arange(len(_PATTERNS)), len(active.triples))
+        added = active.add(t_all, p_all)
+        assert added > 0 and len(active.pair_i) > before
+        active.lam = np.concatenate([active.lam[:-added], np.zeros(added)])
+        self.assert_matches_reference(active, v, 2.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gradient_matches_central_differences(self, seed):
+        # augmented value W/2 + tr(V^T A V)/4 + penalty, at an arbitrary
+        # (not unit-row) V, along random directions
+        inst, active, _, rng = self.grown_active_set(seed)
+        self.set_multipliers(active, rng)
+        a_half = 0.5 * _signed_adjacency(inst)
+        mu = 1.5
+
+        def augmented(v):
+            pen, pen_grad = active.penalty(v, mu)
+            g = a_half @ v
+            return 0.5 * inst.total_weight + 0.5 * float(np.sum(v * g)) + pen, g + pen_grad
+
+        v = rng.standard_normal((inst.n, 4))
+        grad = augmented(v)[1]
+        h = 1e-6
+        for _ in range(5):
+            d = rng.standard_normal(v.shape)
+            fd = (augmented(v + h * d)[0] - augmented(v - h * d)[0]) / (2 * h)
+            assert fd == pytest.approx(float(np.sum(grad * d)), rel=1e-6, abs=1e-6)
+
+    def test_empty_active_set(self):
+        triples = np.array([[0, 1, 2]])
+        active = _ActiveSet(triples, 3)
+        val, grad = active.penalty(np.eye(3), 1.0)
+        assert val == 0.0 and not np.any(grad)
+        assert active.add(np.array([0]), np.array([1])) == 1
+        assert active.add(np.array([0]), np.array([1])) == 0  # already active
+        # pairs (0, 1), (0, 2), (1, 2) in key order; slots follow r_ij, r_jk, r_ik
+        assert active.slot.tolist() == [[0, 2, 1]]
 
 
 class TestSolveAnchors:
