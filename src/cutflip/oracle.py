@@ -1,9 +1,13 @@
 """Exact brute-force Max-2LIN optimum for small instances.
 
 Enumerates all 2^(n-1) sign classes (x_0 pinned to +1 by global-flip
-symmetry) with a vectorized chunked scan. Chunk arithmetic can reorder float
-sums, so every near-maximal assignment is re-scored with evaluate() and the
-reported optimum is exact in evaluate()'s arithmetic.
+symmetry) by a meet-in-the-middle split (Horowitz-Sahni). Assignment mask =
+l + 2^k h sets x_v = +1 iff bit v-1 is set; vertices 0..k form half L, the
+rest half H, and its value is (W + f_L[l] + f_H[h] + x_H(h)^T C x_L(l)) / 2,
+where f_L, f_H sum the signed edges inside each half and C holds those across.
+A block of H rows is one GEMM plus two broadcast adds, in mask order when
+flattened. Block arithmetic reorders float sums, so every near-maximal
+assignment is re-scored with evaluate(): the optimum is exact in its arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ DEFAULT_CAP = 26
 # maximum might be the true argmax under evaluate()'s summation order
 _RETIE_SLACK = 1e-9
 _RETIE_LIMIT = 1 << 20
+# float64 entries in one block of assignment values; 2^k <= _BLOCK keeps
+# every block within it
+_BLOCK = 1 << 22
 
 
 @dataclass
@@ -31,38 +38,53 @@ class OracleResult:
     enumerated: int
 
 
+def _signs(masks: np.ndarray, nbits: int) -> np.ndarray:
+    """(len(masks), nbits) matrix of +-1.0, column b from bit b of each mask."""
+    return ((masks[:, None] >> np.arange(nbits)) & 1) * 2.0 - 1.0
+
+
 def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResult:
-    """Exact optimum by bitmask enumeration; refuses instances with n > cap."""
+    """Exact optimum by split enumeration; refuses instances with n > cap."""
     n = inst.n
     if n > cap:
         raise ValueError(
             f"brute force refused: n={n} exceeds the cap of {cap} "
             f"(2^{n - 1} assignments); raise cap explicitly if you mean it"
         )
-    total = 1 << (n - 1)
-    signed_w = inst.weight * inst.sign
     w_tot = inst.total_weight
-    bits = np.arange(max(n - 1, 1), dtype=np.uint64)
+    slack = _RETIE_SLACK * max(1.0, w_tot)
+    sw, ei, ej = 0.5 * inst.weight * inst.sign, inst.edge_i, inst.edge_j
 
-    chunk = max(1024, (1 << 22) // max(inst.m, 1))
+    # L = {0..k} holds x_0 = +1 as its first column; edges have i < j, so an
+    # edge is inside L, inside H or crosses with i in L and j in H. With the
+    # halved weights sw a value is W/2 + sum of sw_e x_i x_j
+    k =min(n // 2, _BLOCK.bit_length() - 1)
+    h_bits, rows = n - 1 - k, max(1, _BLOCK >> k)
+    x_l = np.hstack([np.ones((1 << k, 1)), _signs(np.arange(1 << k), k)])
+    in_l, in_h = ej <= k, ei > k
+    f_l = 0.5 * w_tot + (x_l[:, ei[in_l]] * x_l[:, ej[in_l]]) @ sw[in_l]
+    ei_h, ej_h = ei[in_h] - k - 1, ej[in_h] - k - 1
+    cross, across = np.zeros((h_bits, k + 1)), ~in_l & ~in_h
+    cross[ej[across] - k - 1, ei[across]] = sw[across]
+    cross_l = cross @ x_l.T
+
     best_fast = -np.inf
-    # (rows, fast values) per block of near-maximal assignments
+    # (masks, fast values) per block of near-maximal assignments
     candidates: list[tuple[np.ndarray, np.ndarray]] = []
 
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        x = np.ones((len(masks), n), dtype=np.int8)
-        if n > 1:
-            x[:, 1:] = (((masks[:, None] >> bits[None, :]) & np.uint64(1)) * 2 - 1).astype(np.int8)
-        prod = (x[:, inst.edge_i] * x[:, inst.edge_j]).astype(np.float64)
-        vals = 0.5 * (w_tot + prod @ signed_w)
+    for h0 in range(0, 1 << h_bits, rows):
+        x_h = _signs(np.arange(h0, min(h0 + rows, 1 << h_bits)), h_bits)
+        vals = x_h @ cross_l
+        vals += f_l
+        vals += ((x_h[:, ei_h] * x_h[:, ej_h]) @ sw[in_h])[:, None]
+        vals = vals.ravel()
         hi = float(vals.max())
-        if hi > best_fast + _RETIE_SLACK * max(1.0, w_tot):
+        if hi > best_fast + slack:
             candidates = []
-        if hi >= best_fast - _RETIE_SLACK * max(1.0, w_tot):
+        if hi >= best_fast - slack:
             best_fast = max(best_fast, hi)
-            near = vals >= best_fast - _RETIE_SLACK * max(1.0, w_tot)
-            candidates.append((x[near], vals[near]))
+            near = np.flatnonzero(vals >= best_fast - slack)
+            candidates.append(((h0 << k) + near, vals[near]))
             if sum(len(v) for _, v in candidates) > _RETIE_LIMIT:
                 # keep only the single best row per block; exactness is then
                 # limited to the fast path, which is still ~1e-13 * W accurate
@@ -70,10 +92,11 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
 
     opt = -np.inf
     argmax = None
-    for block, _ in candidates:
-        for row in block:
+    for masks, _ in candidates:
+        for mask in masks:
+            row = np.ones(n, dtype=np.int8)
+            row[1:] = _signs(mask[None], n - 1)[0]
             v = evaluate(inst, row)
             if v > opt:
-                opt, argmax = v, row.copy()
-    return OracleResult(opt=float(opt), argmax=argmax, enumerated=total)
-
+                opt, argmax = v, row
+    return OracleResult(opt=float(opt), argmax=argmax, enumerated=1 << (n - 1))

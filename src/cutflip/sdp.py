@@ -255,6 +255,9 @@ class _ActiveSet:
     def add(self, t_idx: np.ndarray, p_idx: np.ndarray) -> int:
         fresh = ~self.seen[t_idx, p_idx]
         t_new, p_new = t_idx[fresh], p_idx[fresh]
+        # a pair listed twice in one call is admitted once, at its first place
+        first = np.sort(np.unique(t_new * len(_PATTERNS) + p_new, return_index=True)[1])
+        t_new, p_new = t_new[first], p_new[first]
         if not len(t_new):
             return 0
         self.seen[t_new, p_new] = True

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutflip.instance import Max2LinInstance, evaluate, gen_random_regular
 import cutflip.oracle as oracle
@@ -20,6 +23,35 @@ def naive_opt(inst):
         x = np.array((1,) + tail, dtype=np.int8)
         best = max(best, evaluate(inst, x))
     return best
+
+
+def in_mask_order(n):
+    """Every assignment with x_0 = +1, in the oracle's mask order: x_v = +1
+    iff bit v-1 of the mask is set."""
+    for mask in range(1 << (n - 1)):
+        yield np.array([1] + [1 if mask >> b & 1 else -1 for b in range(n - 1)], dtype=np.int8)
+
+
+DYADIC = (0.25, 0.5, 1.0, 1.75)
+NON_DYADIC = (0.1, 0.3, 0.7, 1 / 3)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(instance, block bits, retie limit or None for the default).
+
+    n runs from 1 to 13, edgeless graphs and isolated vertices included, with
+    mixed signs. A small retie limit draws dyadic weights only: collapsed
+    blocks keep their fast maximum, which is the first exact maximizer only
+    when block sums are exact.
+    """
+    n = draw(st.integers(1, 13))
+    retie = draw(st.sampled_from([None, 1, 5]))
+    weights = DYADIC if retie else DYADIC + NON_DYADIC
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    edges = [(i, j, draw(st.sampled_from((-1, 1))), draw(st.sampled_from(weights))) for i, j in chosen]
+    return Max2LinInstance.from_edges(n, edges), draw(st.integers(2, 6)), retie
 
 
 def test_single_edge(single_edge):
@@ -51,6 +83,54 @@ def test_agrees_with_naive_enumeration(seed):
     n = int(rng.integers(4, 13))
     inst = random_instance(rng, n)
     assert brute_force_opt(inst).opt == naive_opt(inst)
+
+
+@given(case=oracle_cases())
+# the only satisfiable edge needs the top mask bit: later blocks reset the
+# candidates of the first ones
+@example(case=(Max2LinInstance.from_edges(13, [(0, 12, 1, 0.3)]), 2, None))
+# every assignment ties at 0: the candidates overflow the retie limit
+@example(case=(Max2LinInstance.from_edges(13, []), 6, 5))
+@settings(max_examples=60, deadline=None)
+def test_split_enumeration_matches_naive(case):
+    inst, block_bits, retie = case
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of at most 2^block_bits values, so several blocks run
+        mp.setattr(oracle, "_BLOCK", 1 << block_bits)
+        if retie is not None:
+            mp.setattr(oracle, "_RETIE_LIMIT", retie)
+        res = brute_force_opt(inst)
+    assert res.opt == naive_opt(inst)
+    assert res.enumerated == 1 << (inst.n - 1)
+    first = next(x for x in in_mask_order(inst.n) if evaluate(inst, x) == res.opt)
+    assert res.argmax.tolist() == first.tolist()
+
+
+def test_bipartite_cycle_at_the_cap():
+    # the 26-cycle with unit cut edges is bipartite, so every edge is cut
+    n = oracle.DEFAULT_CAP
+    inst = Max2LinInstance.from_edges(n, [(v, (v + 1) % n, -1, 1.0) for v in range(n)])
+    res = brute_force_opt(inst)
+    assert res.opt == inst.m
+    assert evaluate(inst, res.argmax) == inst.m
+    assert res.enumerated == 1 << (n - 1)
+
+
+def test_all_ties_at_the_cap_stay_in_bounded_memory():
+    # all 2^25 assignments tie at 0; near-maximal candidates are kept as mask
+    # integers, not as one +-1 row of n bytes (and wider temporaries) per tie
+    inst = Max2LinInstance.from_edges(oracle.DEFAULT_CAP, [])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = brute_force_opt(inst)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.opt == 0.0
+    assert res.argmax.tolist() == [1] + [-1] * (inst.n - 1)
+    assert peak <= 8 * 8 * oracle._BLOCK  # eight blocks of float64
 
 
 @pytest.mark.parametrize("seed", range(6))

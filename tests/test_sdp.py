@@ -246,6 +246,15 @@ class TestConstraintLayer:
         # pairs (0, 1), (0, 2), (1, 2) in key order; slots follow r_ij, r_jk, r_ik
         assert active.slot.tolist() == [[0, 2, 1]]
 
+    def test_pair_repeated_in_one_call_admitted_once(self):
+        active = _ActiveSet(np.array([[0, 1, 2], [0, 1, 3]]), 4)
+        assert active.add(np.array([0, 0]), np.array([1, 1])) == 1
+        assert len(active) == 1
+        # later duplicates drop out; the survivors keep their first-seen order
+        assert active.add(np.array([1, 0, 1, 0]), np.array([2, 3, 2, 1])) == 2
+        assert active.idx.tolist() == [[0, 1, 2], [0, 1, 3], [0, 1, 2]]
+        assert active.pattern.tolist() == _PATTERNS[[1, 2, 3]].tolist()
+
 
 class TestSolveAnchors:
     def test_single_cut_edge(self, single_edge):
