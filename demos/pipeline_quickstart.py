@@ -51,7 +51,7 @@ print(f"\nrounded value (seed 7): {rounded}  ratio vs OPT: {rounded / opt:.4f}")
 # and flips when violated weight strictly dominates the rest.
 eps = default_epsilon(inst.max_degree)
 analysis = analyze_candidates(inst, emb, g, x, eps)
-print(f"eps = {eps.value:.4f}; candidate band holds {len(analysis.candidates)} vertices, "
+print(f"eps = {eps:.4f}; candidate band holds {len(analysis.candidates)} vertices, "
       f"{len(analysis.flipped)} of them flip")
 x2, gain = apply_flips(inst, x, analysis)
 print(f"post-flip value: {evaluate(inst, x2)}  (gain {gain}; never negative)")

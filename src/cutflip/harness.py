@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import statistics
@@ -172,53 +173,29 @@ class ExperimentSpec:
         return spec
 
 
-def _make_tasks(spec: ExperimentSpec) -> list[dict]:
-    tasks = []
-    idx = 0
-    for f in spec.files:
-        tasks.append({"idx": idx, "kind": "file", "path": f, "source": f})
-        idx += 1
-    for n in spec.gen_n:
-        for d in spec.gen_d:
-            for rep in range(spec.gen_count):
-                tasks.append(
-                    {
-                        "idx": idx,
-                        "kind": "gen",
-                        "n": n,
-                        "d": d,
-                        "source": f"gen(n={n},d={d},rep={rep})",
-                        "gen_seed": derive_seed(spec.seed, 1, idx),
-                    }
-                )
-                idx += 1
-    for t in tasks:
-        t.update(
-            trials=spec.trials,
-            epsilon_c=spec.epsilon_c,
-            base_seed=spec.seed,
-            sign_bias=spec.sign_bias,
-            weight_law=spec.weight_law,
-            sdp=replace(spec.sdp, seed=derive_seed(spec.seed, 0, t["idx"])),
-        )
-    return tasks
+def _make_tasks(spec: ExperimentSpec) -> list[tuple]:
+    """(idx, source, file path or generated (n, d)) per instance."""
+    where = [(f, f) for f in spec.files] + [
+        (f"gen(n={n},d={d},rep={rep})", (n, d))
+        for n in spec.gen_n for d in spec.gen_d for rep in range(spec.gen_count)
+    ]
+    return [(idx, source, w) for idx, (source, w) in enumerate(where)]
 
 
-def _experiment_task(task: dict) -> list[dict]:
-    idx, source = task["idx"], task["source"]
+def _experiment_task(spec: ExperimentSpec, task: tuple) -> list[dict]:
+    """Trial rows for one instance; every seed derives from spec.seed and idx."""
+    idx, source, where = task
     try:
-        if task["kind"] == "file":
-            inst = parse_instance(Path(task["path"]).read_text(encoding="utf-8"))
+        if isinstance(where, str):
+            inst = parse_instance(Path(where).read_text(encoding="utf-8"))
         else:
-            inst = gen_random_regular(
-                task["n"], task["d"], task["sign_bias"], task["weight_law"],
-                seed=task["gen_seed"],
-            )
-        emb, rep = solve_sdp(inst, task["sdp"])
-        eps = default_epsilon(max(inst.max_degree, 1), task["epsilon_c"])
+            inst = gen_random_regular(*where, spec.sign_bias, spec.weight_law,
+                                      seed=derive_seed(spec.seed, 1, idx))
+        emb, rep = solve_sdp(inst, replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx)))
+        eps = default_epsilon(max(inst.max_degree, 1), spec.epsilon_c)
         rows = []
-        for t in range(task["trials"]):
-            seed = derive_seed(task["base_seed"], 2, idx, t)
+        for t in range(spec.trials):
+            seed = derive_seed(spec.seed, 2, idx, t)
             r = run_once(inst, (emb, rep), seed=seed, eps=eps)
             rows.append(
                 {
@@ -286,15 +263,16 @@ def _rows_to_csv(rows: list[dict]) -> str:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
     """Execute the sweep and return the CSV text (also written to spec paths)."""
     tasks = _make_tasks(spec)
+    task = functools.partial(_experiment_task, spec)
     if workers > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                nested = list(pool.map(_experiment_task, tasks))
+                nested = list(pool.map(task, tasks))
         except (OSError, PermissionError) as exc:
             print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
-            nested = [_experiment_task(t) for t in tasks]
+            nested = [task(t) for t in tasks]
     else:
-        nested = [_experiment_task(t) for t in tasks]
+        nested = [task(t) for t in tasks]
     rows = [r for block in nested for r in block]
     rows.sort(key=lambda r: (r.get("instance_id", 0), r.get("trial", -1)))
     rows.extend(_summaries(rows))
@@ -345,7 +323,7 @@ def _cmd_solve(args) -> int:
         "max_degree": inst.max_degree,
         "trials": args.trials,
         "base_seed": args.seed,
-        "epsilon": eps.value,
+        "epsilon": eps,
         "sdp_value": sdp_val,
         "sdp_converged": rep.converged,
         "sdp_max_violation": rep.max_violation,
@@ -381,18 +359,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # --taus drives every tau-dependent check (including the x=1 tail);
-    # --tail-taus overrides just the tail list
-    taus = tuple(int(t) for t in args.taus.split(",")) if args.taus else (16, 64, 256)
-    if args.tail_taus:
-        tail = tuple(int(t) for t in args.tail_taus.split(","))
-    elif args.taus:
-        tail = taus
-    else:
-        tail = (100, 400, 1600)
-    checks = run_verification(
-        seed=args.seed, taus=taus, tail_taus=tail, samples=args.samples
-    )
+    taus = tuple(int(t) for t in args.taus.split(",")) if args.taus else None
+    kwargs = {"taus": taus, "tail_taus": taus} if taus else {}
+    checks = run_verification(seed=args.seed, samples=args.samples, **kwargs)
     all_ok = all(c.passed for c in checks)
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name}")
@@ -439,10 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cutflip", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", metavar="PATH", default=None)
-
     p = sub.add_parser("solve", help="solve + round + flip an instance file")
     p.add_argument("instance")
     p.add_argument("--trials", type=int, default=1)
@@ -452,20 +417,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("oracle", help="exact brute-force optimum")
     p.add_argument("instance")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    common(p)
+    p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("verify", help="run the analytic verification suite")
-    p.add_argument("--taus", default=None, help="comma list for the lower-bound grid")
-    p.add_argument("--tail-taus", default=None, help="comma list for the x=1 tail check")
+    p.add_argument("--taus", default=None, help="comma list of taus for every check, x=1 tail too")
     p.add_argument("--samples", type=int, default=100_000)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("experiment", help="run a sweep from a JSON spec")
@@ -480,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign-bias", type=float, default=1.0)
     p.add_argument("--weights", default="unit")
     p.add_argument("--out", default=None)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)
     return parser
 

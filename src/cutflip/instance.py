@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+_GEN_ATTEMPTS = 200  # pairing-model attempts before gen_random_regular gives up
+
+
 class InstanceError(ValueError):
     """Malformed instance file or invalid instance data."""
 
@@ -313,7 +316,6 @@ def gen_random_regular(
     sign_bias: float = 1.0,
     weight_law="unit",
     seed: int = 0,
-    max_attempts: int = 200,
 ) -> Max2LinInstance:
     """Random simple d-regular Max-2LIN instance via the pairing model.
 
@@ -329,7 +331,7 @@ def gen_random_regular(
 
     rng = np.random.default_rng(seed)
     edges = None
-    for _ in range(max_attempts):
+    for _ in range(_GEN_ATTEMPTS):
         edges = _pair_stubs(n, d, rng, max_rounds=50 * d)
         if edges is not None:
             break

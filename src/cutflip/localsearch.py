@@ -1,9 +1,9 @@
 """Candidate-set local flips applied after hyperplane rounding.
 
-Vertices whose projection <g, v_i> lands in the open band (-eps, eps) are
-cheap to flip: their own rounding margin is small. Each candidate's
-neighborhood splits into three disjoint sets by the signed margin
-b_ij * x_i * <g, v_j>:
+Vertices whose projection <g, v_i> lands in the open band (-eps, eps), eps a
+float half-width (default_epsilon), are cheap to flip: their own rounding
+margin is small. Each candidate's neighborhood splits into three disjoint sets
+by the signed margin b_ij * x_i * <g, v_j>:
 
   * in_band    -- neighbors that are themselves candidates (|<g, v_j>| < eps),
   * violated   -- margin <= -eps: the edge is currently violated and flipping
@@ -31,7 +31,6 @@ from .sdp import SdpEmbedding, SdpReport, sdp_objective
 
 __all__ = [
     "CandidateAnalysis",
-    "Epsilon",
     "RunReport",
     "analyze_candidates",
     "apply_flips",
@@ -42,27 +41,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    """Candidate band half-width 1/(C * d' * sqrt(ln d')) with d' = max(d, 2)."""
-
-    value: float
-    constant: float
-    degree: int
+_RHO_WINDOW = 0.01  # half-width of rho_window_fraction's window around rho*
 
 
-def default_epsilon(d: int, constant: float = 2.0) -> Epsilon:
-    """Band width for max degree d; d' = max(d, 2) guards ln(1) = 0."""
+def default_epsilon(d: int, constant: float = 2.0) -> float:
+    """Candidate band half-width 1/(C * d' * sqrt(ln d')) for max degree d and
+    C = constant, with d' = max(d, 2) guarding ln(1) = 0."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if not constant > 0:  # NaN too
         raise ValueError(f"constant must be > 0, got {constant}")
     d_eff = max(d, 2)
-    return Epsilon(
-        value=1.0 / (constant * d_eff * math.sqrt(math.log(d_eff))),
-        constant=constant,
-        degree=d,
-    )
+    return 1.0 / (constant * d_eff * math.sqrt(math.log(d_eff)))
 
 
 @dataclass
@@ -87,7 +77,7 @@ def analyze_candidates(
     emb: SdpEmbedding,
     g: np.ndarray,
     x: np.ndarray,
-    eps: Epsilon,
+    eps: float,
 ) -> CandidateAnalysis:
     """Partition each candidate's neighborhood and decide flips.
 
@@ -102,7 +92,7 @@ def analyze_candidates(
         raise ValueError(f"embedding has {emb.n} rows but instance has n={inst.n}")
 
     proj = emb.vectors @ gvec
-    band = np.abs(proj) < eps.value
+    band = np.abs(proj) < eps
     cand = np.flatnonzero(band)
     # the adjacency slots of the candidate rows, row after row
     lo = inst.indptr[cand]
@@ -111,9 +101,9 @@ def analyze_candidates(
     slots = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(len(owner))
     margin = inst.nbr_sign[slots] * xs[owner] * proj[inst.nbr[slots]]
     # |margin| = |<g, v_j>|, so a violated or satisfied neighbor is outside the band
-    violated = margin <= -eps.value
+    violated = margin <= -eps
     part = np.full(len(inst.nbr), -1, dtype=np.int8)
-    part[slots] = violated + 2 * (margin >= eps.value)
+    part[slots] = violated + 2 * (margin >= eps)
     # bincount sums each row in slot order, as ndarray.sum does below 8 terms
     w = inst.nbr_weight[slots]
     w_total = np.bincount(owner, w, inst.n)
@@ -137,15 +127,15 @@ def apply_flips(
     return flipped, float(gain)
 
 
-def rho_window_fraction(inst: Max2LinInstance, emb: SdpEmbedding, width: float = 0.01) -> float:
+def rho_window_fraction(inst: Max2LinInstance, emb: SdpEmbedding) -> float:
     """Weighted fraction of edges whose signed correlation b<v_i, v_j> lies in
-    the worst-rounding window [rho* - width, rho* + width]."""
+    the worst-rounding window [rho* - _RHO_WINDOW, rho* + _RHO_WINDOW]."""
     if inst.m == 0:
         return 0.0
     r = np.einsum("ij,ij->i", emb.vectors[inst.edge_i], emb.vectors[inst.edge_j])
     s = inst.sign * r
     target = rho_star()
-    mask = (s >= target - width) & (s <= target + width)
+    mask = (s >= target - _RHO_WINDOW) & (s <= target + _RHO_WINDOW)
     return float(inst.weight[mask].sum() / inst.total_weight)
 
 
@@ -172,7 +162,7 @@ def run_once(
     inst: Max2LinInstance,
     sdp: tuple[SdpEmbedding, SdpReport],
     seed: int,
-    eps: Epsilon | None = None,
+    eps: float | None = None,
 ) -> RunReport:
     """One trial on a solved (SdpEmbedding, SdpReport) pair: round with the
     given seed, flip once, and report."""
@@ -186,7 +176,7 @@ def best_of(
     emb: SdpEmbedding,
     trials: int,
     base_seed: int = 0,
-    eps: Epsilon | None = None,
+    eps: float | None = None,
     converged: bool | None = None,
 ) -> tuple[np.ndarray, float, list[RunReport]]:
     """Best post-flip assignment over trials rounding seeds base_seed + t.

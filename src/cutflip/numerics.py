@@ -143,8 +143,15 @@ def sheppard_mc(sigma: float, samples: int, seed: int = 0) -> float:
 # PSD closure and the weighted arcsin form
 
 
-def validate_correlation(a: np.ndarray, eig_tol: float = 1e-8) -> np.ndarray:
-    """Check symmetry, unit diagonal, entries in [-1, 1], PSD up to -eig_tol."""
+# validate_correlation accepts a smallest eigenvalue down to -_EIG_TOL;
+# random_bounded_correlation's entry floor and row-rejection budget
+_EIG_TOL = 1e-8
+_MIN_ENTRY = -0.5
+_MAX_TRIES = 10_000
+
+
+def validate_correlation(a: np.ndarray) -> np.ndarray:
+    """Check symmetry, unit diagonal, entries in [-1, 1], PSD up to -_EIG_TOL."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("correlation matrix must be square")
@@ -154,7 +161,7 @@ def validate_correlation(a: np.ndarray, eig_tol: float = 1e-8) -> np.ndarray:
         raise ValueError("correlation matrix must have unit diagonal")
     if np.any(np.abs(a) > 1.0 + 1e-12):
         raise ValueError("correlation entries must lie in [-1, 1]")
-    if float(np.linalg.eigvalsh(a)[0]) < -eig_tol:
+    if float(np.linalg.eigvalsh(a)[0]) < -_EIG_TOL:
         raise ValueError("correlation matrix is not PSD within tolerance")
     return a
 
@@ -187,10 +194,8 @@ def arcsin_form(a: np.ndarray, w: np.ndarray) -> float:
     return float(w @ s @ w)
 
 
-def random_bounded_correlation(
-    d: int, rng: np.random.Generator, min_entry: float = -0.5, max_tries: int = 10_000
-) -> np.ndarray:
-    """Gram matrix of d random unit vectors with all pairwise inner products >= min_entry.
+def random_bounded_correlation(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Gram matrix of d random unit vectors with all pairwise inner products >= _MIN_ENTRY.
 
     Rows violating the bound are redrawn whole, so the result is an exact Gram
     matrix (PSD by construction) rather than a clipped one.
@@ -200,11 +205,11 @@ def random_bounded_correlation(
     tries = 0
     while k < d:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise RuntimeError("row-rejection budget exceeded building bounded correlation")
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        if k and np.min(rows[:k] @ v) < min_entry:
+        if k and np.min(rows[:k] @ v) < _MIN_ENTRY:
             continue
         rows[k] = v
         k += 1
@@ -239,11 +244,18 @@ _ULP_SLACK = 5e-16
 # doubles; the check degrades to "gap is at float-noise level".
 _FIT_SCALE_FLOOR = 1e-13
 
+# check_arcsin_taylor's evaluation points x = 0.01, 0.02, ..., 1.0
+_X_GRID = np.round(np.arange(0.01, 1.0 + 1e-9, 0.01), 10)
+
+# run_verification's Gram matrix count for the PSD-closure check and trials
+# per degree for the arcsin-form check
+_PSD_MATRICES = 200
+_FORM_TRIALS = 50
+
 
 def check_arcsin_taylor(
     taus: tuple[int, ...] = (16, 64, 256),
     tail_taus: tuple[int, ...] = (100, 400, 1600),
-    x_grid: np.ndarray | None = None,
 ) -> CheckResult:
     """Verify the three truncation facts for the arcsin expansion.
 
@@ -253,8 +265,6 @@ def check_arcsin_taylor(
     (3) the x = 1 tail (pi/2 - sum of coefficients) scales like tau^-1/2:
         the normalized gap is stable within a factor of 2 across tail_taus.
     """
-    if x_grid is None:
-        x_grid = np.round(np.arange(0.01, 1.0 + 1e-9, 0.01), 10)
     if min(taus) < 16 or min(tail_taus) < 16:
         raise ValueError("taus must be >= 16")
 
@@ -265,9 +275,7 @@ def check_arcsin_taylor(
     worst_margin = -math.inf
     for tau in taus:
         c = arcsin_coeffs(tau)
-        for x in x_grid:
-            if x <= 0.0:
-                continue
+        for x in _X_GRID:
             gap = math.asin(x) - arcsin_partial(float(x), tau, c)
             worst_margin = max(worst_margin, -gap)
             if gap < -_ULP_SLACK:
@@ -282,7 +290,7 @@ def check_arcsin_taylor(
         c = arcsin_coeffs(tau)
         scale = tau ** -0.5 * 4.0 ** -float(tau)
         worst = 0.0
-        for x in x_grid:
+        for x in _X_GRID:
             if x > 0.5:
                 continue
             for sx in (x, -x):
@@ -533,15 +541,13 @@ def run_verification(
     taus: tuple[int, ...] = (16, 64, 256),
     tail_taus: tuple[int, ...] = (100, 400, 1600),
     samples: int = 100_000,
-    psd_matrices: int = 200,
-    form_trials: int = 50,
 ) -> list[CheckResult]:
     """Run every analytic check; all are hard except recorded constants."""
     return [
         check_arcsin_taylor(taus=taus, tail_taus=tail_taus),
         _check_coefficient_asymptotics(),
         _check_sheppard(samples, seed),
-        _check_psd_closure(psd_matrices, seed + 1),
-        check_arcsin_form_bound(form_trials, (4, 16, 64), seed + 2),
+        _check_psd_closure(_PSD_MATRICES, seed + 1),
+        check_arcsin_form_bound(_FORM_TRIALS, (4, 16, 64), seed + 2),
         _check_local_gain(samples, seed + 3),
     ]

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,8 @@ _PATTERNS = np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
 )
 
-_SCAN_CHUNK = 200_000
+_SCAN_CHUNK = 200_000  # triples per block of the full-family scan, bounding its memory
+_UNIT_TOL = 1e-8  # SdpEmbedding.validate's tolerance on row norms
 
 # the mixing method stops once its estimate of the ascent still to come is
 # below this share of objective_tol * max(1, |objective|): the estimate
@@ -101,12 +103,18 @@ class SdpConfig:
     def __post_init__(self) -> None:
         if self.triangle_mode not in TRIANGLE_MODES:
             raise ValueError(f"triangle_mode must be one of {TRIANGLE_MODES}")
-        if self.objective_tol <= 0 or self.constraint_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration budgets must be >= 1")
-        if self.rank is not None and self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        for name, minimum in (("rank", 1), ("max_outer", 1), ("max_inner", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is None and name == "rank":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        for name in ("objective_tol", "constraint_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -123,10 +131,10 @@ class SdpEmbedding:
     def rank(self) -> int:
         return self.vectors.shape[1]
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         norms = np.linalg.norm(self.vectors, axis=1)
         err = float(np.max(np.abs(norms - 1.0))) if len(norms) else 0.0
-        if not err <= tol:  # NaN rows fail too
+        if not err <= _UNIT_TOL:  # NaN rows fail too
             raise ValueError(f"embedding rows are not unit vectors (max error {err:.2e})")
         if not 1 <= self.rank <= self.n:
             raise ValueError(f"rank must lie in [1, n], got {self.rank} with n={self.n}")
@@ -150,7 +158,6 @@ class SdpReport:
     converged: bool
     monotone: bool = True
     n_active: int = 0
-    rank: int = 0
     objective_history: list = field(default_factory=list)
 
 
@@ -207,10 +214,10 @@ def enumerate_triples(inst: Max2LinInstance, mode: str) -> np.ndarray:
     raise ValueError(f"mode must be 'neighborhood' or 'all', got {mode!r}")
 
 
-def _scan_constraints(v: np.ndarray, triples: np.ndarray, chunk: int = _SCAN_CHUNK):
+def _scan_constraints(v: np.ndarray, triples: np.ndarray):
     """Yield (offset, c) blocks: c[t, p] = 1 + sum_q pattern[p, q] * r_q(t)."""
-    for start in range(0, len(triples), chunk):
-        t = triples[start : start + chunk]
+    for start in range(0, len(triples), _SCAN_CHUNK):
+        t = triples[start : start + _SCAN_CHUNK]
         r = np.empty((len(t), 3))
         r[:, 0] = _rowdot(v[t[:, 0]], v[t[:, 1]])
         r[:, 1] = _rowdot(v[t[:, 1]], v[t[:, 2]])
@@ -397,7 +404,6 @@ def _solve_mixing(
         iterations=len(history),
         converged=converged,
         monotone=monotone,
-        rank=v.shape[1],
         objective_history=history,
     )
     return emb, report
@@ -533,7 +539,6 @@ def _solve_alm(
         converged=converged,
         monotone=monotone,
         n_active=len(active),
-        rank=rank,
         objective_history=history,
     )
     return emb, report

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +69,13 @@ class TestSolveCommand:
         assert main(["solve", "/nonexistent/path.txt"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [(["--tol", "nan"], "objective_tol"),
+                                              (["--tol", "inf"], "objective_tol"),
+                                              (["--seed", "-1"], "seed")])
+    def test_bad_sdp_setting_exit_3(self, triangle_file, capsys, flags, field):
+        assert main(["solve", triangle_file, *flags]) == 3
+        assert field in capsys.readouterr().err
+
     def test_all_triples_refused_exit_3(self, tmp_path, capsys):
         p = tmp_path / "empty1000.txt"
         p.write_text("1000 0\n")
@@ -121,6 +130,12 @@ class TestVerifyCommand:
         assert payload["all_passed"] is True
         names = {c["name"] for c in payload["checks"]}
         assert "arcsin_taylor" in names and "expected_local_gain" in names
+
+    def test_taus_drive_the_tail_check(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert main(["verify", "--samples", "20000", "--taus", "16,64", "--json", str(out)]) == 0
+        taylor = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "arcsin_taylor")
+        assert taylor["details"]["taus"] == taylor["details"]["tail_taus"] == [16, 64]
 
     def test_failure_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(
@@ -215,7 +230,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law", "degree", "integers",
-                "numbers", "paths"]
+                "numbers", "paths", "sdp_settings"]
     )
     def test_unrunnable_spec_exit_3(self, tmp_path, capsys, bad):
         # refused up front, not as one error row per instance
@@ -249,6 +264,11 @@ class TestExperimentCommand:
                         ({}, {"count": 0}, "'generator.count' must be >= 1")],
             "paths": [({"csv": 5}, {}, "'csv'"),  # the sweep ran, then the write raised TypeError
                       ({"json": ["out.json"]}, {}, "'json'")],
+            "sdp_settings": [({"sdp": {"max_outer": 1.5}}, {}, "max_outer"),  # a TypeError traceback
+                             ({"sdp": {"rank": 2.5}}, {}, "rank"),
+                             ({"sdp": {"max_inner": 2.5}}, {}, "max_inner"),  # ran silently
+                             ({"sdp": {"max_outer": True}}, {}, "max_outer"),
+                             ({"sdp": {"objective_tol": math.nan}}, {}, "objective_tol")],
         }[bad]
         for top, generator, expected in variants:
             case = json.loads(json.dumps(spec))
@@ -277,3 +297,23 @@ class TestExperimentCommand:
         summary = [l for l in csv_path.read_text().splitlines() if l.startswith("summary,")][0]
         mean_gain = float(summary.split(",")[-1])
         assert mean_gain >= 0.0
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("argv", [["gen", "--n", "10", "--d", "3", "--json", "x.json"],
+                                      ["oracle", "g.txt", "--seed", "3"],
+                                      ["verify", "--tail-taus", "100"]])
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("cutflip ")]
+        assert len(lines) >= 5
+        for line in lines:
+            args = harness._build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            assert callable(args.func)

@@ -122,6 +122,69 @@ class TestWrite:
         assert parse_instance(write_instance(inst)) == inst
 
 
+_BLANKS = st.text(" \t", max_size=3)
+_GAPS = st.text(" \t", min_size=1, max_size=3)
+# tokens no edge line on at most 12 vertices accepts at positions i, j, b, w
+# ("" drops the field, "1 2" adds one)
+_BAD_TOKENS = [["x", "", "1 2", "1.5", "-1", "99", "nan"]] * 2 + [
+    ["x", "", "1 2", "0", "2", "1.0", "nan"],
+    ["x", "", "1 2", "0", "-1", "-0.5", "nan", "inf", "1e400"],
+]
+
+
+@st.composite
+def instance_and_text(draw):
+    """A random instance with arbitrary positive finite weights, and valid text
+    for it: comment and blank lines, uneven whitespace, CRLF or LF line ends,
+    reversed endpoints, weights in exponent form."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)) if pairs else []
+    weight = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    edges = [(i, j, draw(st.sampled_from([-1, 1])), draw(weight)) for i, j in chosen]
+    inst = Max2LinInstance.from_edges(n, edges)
+
+    def line(tokens):
+        sep = [draw(_GAPS) for _ in tokens[1:]] + [draw(_BLANKS)]
+        return draw(_BLANKS) + "".join(t + g for t, g in zip(tokens, sep))
+
+    def filler():
+        return [draw(_BLANKS) + "#" + draw(st.text("abc 0123#\t.-", max_size=8)) if draw(st.booleans())
+                else draw(_BLANKS) for _ in range(draw(st.integers(0, 2)))]
+
+    lines = filler() + [line([str(n), str(len(edges))])]
+    for i, j, b, w in edges:
+        if draw(st.booleans()):
+            i, j = j, i
+        sign = "+1" if b == 1 and draw(st.booleans()) else str(b)
+        w_text = draw(st.sampled_from([repr(w), f"{w:.17e}", f"{w:.16E}"]))
+        lines += filler() + [line([str(i), str(j), sign, w_text])]
+    lines += filler()
+    return inst, draw(st.sampled_from(["\n", "\r\n"])).join(lines), len(edges)
+
+
+class TestTextRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(case=instance_and_text(), data=st.data())
+    def test_adversarial_text(self, case, data):
+        inst, text, m = case
+        assert parse_instance(text) == inst
+        written = write_instance(inst)
+        assert parse_instance(written) == inst
+        assert write_instance(parse_instance(written)) == written
+        if not m:
+            return
+        # one corrupted token on one edge line: InstanceError and nothing else
+        rows = written.splitlines()
+        k = data.draw(st.integers(1, m))
+        tokens = rows[k].split()
+        pos = data.draw(st.integers(0, 3))
+        tokens[pos] = data.draw(st.sampled_from(_BAD_TOKENS[pos]))
+        rows[k] = " ".join(tokens)
+        with pytest.raises(InstanceError):
+            parse_instance("\n".join(rows))
+
+
 class TestGenerator:
     def test_k4_is_unique_cubic_graph(self):
         inst = gen_random_regular(4, 3, sign_bias=1.0, weight_law="unit", seed=7)

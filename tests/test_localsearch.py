@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cutflip.instance import Max2LinInstance, evaluate, gen_random_regular
 from cutflip.localsearch import (
-    Epsilon,
     analyze_candidates,
     apply_flips,
     best_of,
@@ -28,14 +27,14 @@ from conftest import random_instance
 class TestEpsilon:
     def test_d2_c2_value(self):
         eps = default_epsilon(2, 2.0)
-        assert eps.value == pytest.approx(1.0 / (4.0 * math.sqrt(math.log(2))), rel=1e-12)
-        assert eps.value == pytest.approx(0.3003, abs=2e-4)
+        assert eps == pytest.approx(1.0 / (4.0 * math.sqrt(math.log(2))), rel=1e-12)
+        assert eps == pytest.approx(0.3003, abs=2e-4)
 
     def test_d1_uses_degree_two(self):
-        assert default_epsilon(1).value == default_epsilon(2).value
+        assert default_epsilon(1) == default_epsilon(2)
 
     def test_constant_scaling_exact(self):
-        assert default_epsilon(5, 4.0).value == default_epsilon(5, 2.0).value / 2.0
+        assert default_epsilon(5, 4.0) == default_epsilon(5, 2.0) / 2.0
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -80,14 +79,14 @@ def reference_analysis(inst, emb, g, x, eps):
     local gain, flip)}).
     """
     proj = emb.vectors @ g
-    band = np.abs(proj) < eps.value
+    band = np.abs(proj) < eps
     rows = {}
     for i in np.flatnonzero(band).tolist():
         nbrs, signs, weights = inst.neighbors(i)
         margin = signs * int(x[i]) * proj[nbrs]
         a_mask = band[nbrs]
-        b_mask = ~a_mask & (margin <= -eps.value)
-        c_mask = ~a_mask & (margin >= eps.value)
+        b_mask = ~a_mask & (margin <= -eps)
+        c_mask = ~a_mask & (margin >= eps)
         w_total = float(weights.sum())
         w_gain = float(weights[b_mask].sum())
         rows[i] = (nbrs[a_mask], nbrs[b_mask], nbrs[c_mask], w_total,
@@ -100,7 +99,7 @@ class TestAnalyze:
         # margins (-0.2, +0.2, 0.05) with eps 0.1: first neighbor violated,
         # second satisfied, third inside the band (itself a candidate)
         inst, emb, g, x = make_star([-0.2, 0.2, 0.05])
-        ana = analyze_candidates(inst, emb, g, x, Epsilon(0.1, 2.0, 3))
+        ana = analyze_candidates(inst, emb, g, x, 0.1)
         assert 0 in ana.candidates
         in_band, violated, satisfied = partition(inst, ana, 0)
         assert violated.tolist() == [1]
@@ -110,13 +109,13 @@ class TestAnalyze:
 
     def test_no_candidates_when_projections_large(self):
         inst, emb, g, x = make_star([-0.5, 0.5], center_proj=0.4)
-        ana = analyze_candidates(inst, emb, g, x, Epsilon(0.1, 2.0, 2))
+        ana = analyze_candidates(inst, emb, g, x, 0.1)
         assert len(ana.candidates) == 0
 
     def test_majority_violated_star_flips(self):
         # |B| = 3 of 4 unit edges: local gain 2*3 - 4 = 2, flip fires
         inst, emb, g, x = make_star([-0.3, -0.3, -0.3, 0.3])
-        ana = analyze_candidates(inst, emb, g, x, Epsilon(0.1, 2.0, 4))
+        ana = analyze_candidates(inst, emb, g, x, 0.1)
         assert ana.flip[0] and ana.local_gain[0] == pytest.approx(2.0)
         x2, gain = apply_flips(inst, x, ana)
         assert gain >= 2.0 - 1e-12
@@ -125,7 +124,7 @@ class TestAnalyze:
     def test_boundary_lands_outside_band(self):
         # |<g, v_j>| == eps exactly: the band is open, so j joins B or C
         inst, emb, g, x = make_star([-0.125, 0.125], center_proj=0.0625)
-        ana = analyze_candidates(inst, emb, g, x, Epsilon(0.125, 2.0, 2))
+        ana = analyze_candidates(inst, emb, g, x, 0.125)
         in_band, violated, satisfied = partition(inst, ana, 0)
         assert violated.tolist() == [1]
         assert satisfied.tolist() == [2]
@@ -165,8 +164,7 @@ class TestAnalyze:
         g = rng.standard_normal(rank)
         x = hyperplane_round(emb, g)
         # eps equal to one |<g, v_j>| puts j exactly on the open band's edge
-        eps_value = float(np.abs(emb.vectors @ g)[boundary % inst.n])
-        eps = Epsilon(eps_value, 2.0, max(inst.max_degree, 1))
+        eps = float(np.abs(emb.vectors @ g)[boundary % inst.n])
 
         ana = analyze_candidates(inst, emb, g, x, eps)
         cands, ref = reference_analysis(inst, emb, g, x, eps)
@@ -195,7 +193,7 @@ class TestAnalyze:
 class TestApplyFlips:
     def test_no_flip_no_change(self):
         inst, emb, g, x = make_star([-0.2, 0.2, 0.05])
-        ana = analyze_candidates(inst, emb, g, x, Epsilon(0.1, 2.0, 3))
+        ana = analyze_candidates(inst, emb, g, x, 0.1)
         x2, gain = apply_flips(inst, x, ana)
         assert gain == 0.0 and np.array_equal(x2, x)
 
@@ -234,13 +232,13 @@ class TestBandOccupancy:
         rows = rng.standard_normal((n, r))
         emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
         inst = Max2LinInstance.from_edges(n, [(0, 1, -1, 1.0)])
-        eps = Epsilon(0.3, 2.0, 2)
+        eps = 0.3
         fracs = np.empty(1500)
         for s in range(len(fracs)):
             g = sample_gaussian(r, s)
             proj = emb.vectors @ g
-            fracs[s] = np.mean(np.abs(proj) < eps.value)
-        lower, upper = gaussian_band_bounds(eps.value)
+            fracs[s] = np.mean(np.abs(proj) < eps)
+        lower, upper = gaussian_band_bounds(eps)
         se = fracs.std(ddof=1) / math.sqrt(len(fracs))
         assert lower - 3 * se <= fracs.mean() <= upper + 3 * se
 

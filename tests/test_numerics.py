@@ -281,5 +281,5 @@ class TestLocalGain:
 
 
 def test_full_verification_suite_quick():
-    checks = run_verification(seed=0, samples=20_000, psd_matrices=40, form_trials=10)
+    checks = run_verification(seed=0, samples=20_000)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]

@@ -401,4 +401,15 @@ class TestSolveProperties:
             SdpConfig(triangle_mode="some")
         with pytest.raises(ValueError):
             SdpConfig(objective_tol=0.0)
+        # each refusal names its field
+        bad = [("rank", 2.5), ("rank", 0), ("rank", True), ("max_outer", 1.5),
+               ("max_outer", True), ("max_outer", 0), ("max_inner", 2.5), ("seed", -1),
+               ("seed", 1.0), ("objective_tol", math.nan), ("objective_tol", math.inf),
+               ("objective_tol", -1e-6), ("objective_tol", "1e-6"), ("constraint_tol", math.nan),
+               ("constraint_tol", math.inf), ("constraint_tol", 0.0), ("constraint_tol", True)]
+        for name, value in bad:
+            with pytest.raises(ValueError, match=name):
+                SdpConfig(**{name: value})
+        ok = SdpConfig(rank=np.int64(3), seed=np.int64(0), objective_tol=np.float64(1e-4))
+        assert ok.rank == 3 and SdpConfig(rank=None).rank is None
 
