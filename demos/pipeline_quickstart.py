@@ -36,9 +36,10 @@ print(f"exact optimum (oracle): {opt}")
 # Step 1: the relaxation. Unit vectors replace labels; each edge contributes
 # w * (1 + b <v_i, v_j>)/2, and signed triangle inequalities tighten the set.
 emb, rep = solve_sdp(inst, SdpConfig(seed=0))
-print(f"\nSDP bound: {rep.objective:.4f} (converged={rep.converged}, "
+print(f"\nSDP value: {rep.objective:.4f} (converged={rep.converged}, "
       f"max triangle violation={rep.max_violation:.1e})")
-print(f"bound / OPT = {rep.objective / opt:.4f}  (the relaxation sits above the optimum)")
+print(f"certified SDP upper bound: {rep.upper_bound:.4f}")
+print(f"bound / OPT = {rep.upper_bound / opt:.4f}  (the relaxation sits above the optimum)")
 
 # Step 2: one hyperplane rounding.
 g = sample_gaussian(emb.rank, seed=7)

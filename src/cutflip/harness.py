@@ -4,9 +4,11 @@ Exit codes: 0 success, 2 verification failure, 3 input error. Experiment
 rows are computed in a worker pool (one task per instance, deterministic
 derived seeds) and sorted before writing, so output bytes do not depend on
 the worker count. Every ratio printed names its denominator: ratio_vs_sdp
-divides by the relaxation value found (the objective of the solver's
-iterate, not a certified upper bound) and is None when the solve did not
-converge; ratio_vs_opt divides by the brute-force optimum.
+divides by sdp_upper_bound, the solver's certified upper bound on the
+relaxation's optimum (sdp_value is the objective of its iterate, a lower
+bound), and is None when the solve did not converge; the experiment
+summaries' mean_*_ratio columns divide by it too, over converged solves
+only; ratio_vs_opt divides by the brute-force optimum.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ CSV_HEADER_LINE = f"# cutflip experiment v1 package={__version__}"
 
 _CSV_FIELDS = [
     "kind", "instance_id", "source", "n", "d", "trial", "rounding_seed",
-    "sdp_value", "rounded_value", "flipped_value", "gain", "s_size",
+    "sdp_value", "sdp_upper_bound", "rounded_value", "flipped_value", "gain", "s_size",
     "flip_count", "rho_window_fraction", "converged", "error",
     "mean_rounded_ratio", "std_rounded_ratio", "mean_flipped_ratio",
     "std_flipped_ratio", "mean_gain",
@@ -207,6 +209,7 @@ def _experiment_task(spec: ExperimentSpec, task: tuple) -> list[dict]:
                     "trial": t,
                     "rounding_seed": seed,
                     "sdp_value": r.sdp_value,
+                    "sdp_upper_bound": rep.upper_bound,
                     "rounded_value": r.rounded_value,
                     "flipped_value": r.flipped_value,
                     "gain": r.gain,
@@ -233,8 +236,10 @@ def _summaries(rows: list[dict]) -> list[dict]:
     out = []
     for d in sorted(by_d):
         grp = by_d[d]
-        r_ratio = [g["rounded_value"] / g["sdp_value"] for g in grp if g["sdp_value"] > 0]
-        f_ratio = [g["flipped_value"] / g["sdp_value"] for g in grp if g["sdp_value"] > 0]
+        # like ratio_vs_sdp: against the bound, over converged solves only
+        ub = [g for g in grp if g["converged"] and g["sdp_upper_bound"] > 0]
+        r_ratio = [g["rounded_value"] / g["sdp_upper_bound"] for g in ub]
+        f_ratio = [g["flipped_value"] / g["sdp_upper_bound"] for g in ub]
         gains = [g["gain"] for g in grp]
         out.append(
             {
@@ -315,7 +320,7 @@ def _cmd_solve(args) -> int:
     best_x, best_val, reports = best_of(
         inst, emb, args.trials, base_seed=args.seed, eps=eps, converged=rep.converged
     )
-    sdp_val = reports[0].sdp_value
+    sdp_val, sdp_ub = reports[0].sdp_value, rep.upper_bound
     out = {
         "instance": args.instance,
         "n": inst.n,
@@ -325,16 +330,17 @@ def _cmd_solve(args) -> int:
         "base_seed": args.seed,
         "epsilon": eps,
         "sdp_value": sdp_val,
+        "sdp_upper_bound": sdp_ub,
         "sdp_converged": rep.converged,
         "sdp_max_violation": rep.max_violation,
         "best_value": best_val,
-        # the value of an unconverged iterate bounds nothing
-        "ratio_vs_sdp": best_val / sdp_val if rep.converged and sdp_val > 0 else None,
+        # an unconverged solve's bound can sit far above the optimum
+        "ratio_vs_sdp": best_val / sdp_ub if rep.converged and sdp_ub > 0 else None,
         "best_assignment": [int(v) for v in best_x],
         "reports": [r.to_dict() for r in reports],
     }
     print(f"best_value={best_val!r}")
-    print(f"sdp_value={sdp_val!r} ratio_vs_sdp={out['ratio_vs_sdp']!r}")
+    print(f"sdp_value={sdp_val!r} sdp_upper_bound={sdp_ub!r} ratio_vs_sdp={out['ratio_vs_sdp']!r}")
     if args.oracle:
         res = brute_force_opt(inst, cap=args.cap)
         out["oracle_opt"] = res.opt

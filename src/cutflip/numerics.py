@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 __all__ = [
@@ -47,8 +46,20 @@ __all__ = [
 
 @lru_cache(maxsize=1)
 def _gw_root() -> float:
-    # Stationarity of theta / (1 - cos theta): (1 - cos t) - t sin t = 0 on (0, pi).
-    return float(brentq(lambda t: (1.0 - math.cos(t)) - t * math.sin(t), 1.6, 3.1, xtol=1e-15))
+    """Stationarity of theta / (1 - cos theta): the root of
+    f(t) = (1 - cos t) - t sin t on (1.6, 3.1), bisected down to two adjacent
+    doubles; of those, the one with the smaller |f|."""
+
+    def f(t: float) -> float:
+        return (1.0 - math.cos(t)) - t * math.sin(t)
+
+    lo, hi = 1.6, 3.1  # f(lo) < 0 < f(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if -f(lo) < f(hi) else hi
 
 
 def alpha_gw() -> float:
@@ -267,6 +278,9 @@ def check_arcsin_taylor(
     """
     if min(taus) < 16 or min(tail_taus) < 16:
         raise ValueError("taus must be >= 16")
+    if len(set(tail_taus)) < 2:
+        # (3) compares normalized gaps between taus; one tau checks nothing
+        raise ValueError(f"the x = 1 tail check needs at least two distinct taus, got {sorted(set(tail_taus))}")
 
     details: dict = {"taus": list(taus), "tail_taus": list(tail_taus)}
     ok = True

@@ -22,7 +22,8 @@ depending on whether the triple family is empty:
   spheres. A greedy colouring splits the vertices into at most
   max_degree + 1 independent sets, and one sweep sets every row of each
   class in turn to its normalized neighbour sum, the exact maximizer over
-  that class.
+  that class. It runs as a rank staircase: it starts at a low rank and adds
+  a column only when the dual certificate below refuses the iterate.
 - Otherwise (_solve_alm): an augmented Lagrangian over the inequality
   constraints. Each inner subproblem runs scipy's L-BFGS-B on an
   unnormalized factor U with V = U row-normalized, so the sphere constraints
@@ -31,6 +32,19 @@ depending on whether the triple family is empty:
   pattern (the vertex pairs the active constraints touch, as one symmetric
   CSR matrix) is built once per active-set change; each evaluation only
   refills its values.
+
+Every solve reports a certified upper bound on its relaxation's optimum
+(SdpReport.upper_bound). Weak duality gives one from any y with
+Diag(y) - A' positive semidefinite: the optimum is at most
+W/2 + sum(lam) + (sum(y) + n delta)/4 when Diag(y) - A' + delta I is, where
+A' = A + 2 sum_t lam_t e_t folds multipliers lam >= 0 of the triangle
+constraints into A (A' = A without them). y_i = <(A' V)_i, v_i> makes the
+bound equal the objective plus n delta / 4 at a stationary iterate.
+Positive definiteness is certified by one sparse LDL^T-style factorization
+(_shift_certificate), or, above _FACTOR_MAX_N vertices, where its fill
+costs too much, by the Gershgorin shift, which needs none but gives a loose
+bound. The bound is capped by W, which no objective exceeds; in none mode the
+Gershgorin bound is never below W, so there the cap is the bound.
 
 Independent solves are safe to run concurrently; one solve mutates only its
 own iterate.
@@ -45,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
+from scipy.sparse.linalg import splu
 
 from .instance import Max2LinInstance
 
@@ -76,6 +90,22 @@ _UNIT_TOL = 1e-8  # SdpEmbedding.validate's tolerance on row norms
 # assumes a fixed rate, and in the tail the rate drifts toward 1, so it runs
 # up to about 2x low (random 4-regular graphs, n=2000)
 _MIXING_STOP_SHARE = 0.1
+
+# the mixing method starts at rank min(default_rank(n), _RANK_START) and
+# climbs one column at a time, up to default_rank(n), while the certificate
+# refuses its converged iterate
+_RANK_START = 24
+
+# the certificate's first shift delta gives an upper bound within this share
+# of max(1, objective) above the objective; refused shifts double
+_GAP_TOL = 1e-5
+
+# the largest n whose certificate is factored. Fill grows about as n^2 on
+# random regular graphs (one factorization at d=4: 0.18 s and 41 MB at
+# n=4000, 2.2 s and 243 MB at n=10000, on a 2-vCPU Xeon box); above it the
+# bound takes the Gershgorin shift, and the mixing method runs at the fixed
+# rank default_rank(n) since nothing tells it to climb
+_FACTOR_MAX_N = 5000
 
 # the ALM multiplies its penalty by this factor when feasibility stalls
 _PENALTY_GROWTH = 5.0
@@ -144,18 +174,23 @@ class SdpEmbedding:
 class SdpReport:
     """Outcome of one solve.
 
-    Mixing method (empty triple family): iterations counts sweeps,
-    objective_history holds the objective after each sweep, and monotone
-    says no sweep lowered it (beyond 1e-9 * max(1, W) of rounding).
-    Augmented Lagrangian: iterations counts L-BFGS-B iterations over all
-    rounds, objective_history holds the objective after each outer round,
-    and monotone says no inner solve lowered the augmented objective.
+    upper_bound is a certified upper bound on the relaxation's optimum (see
+    the module docstring); the objective is a lower bound on it when the
+    iterate is feasible. Mixing method (empty triple family): iterations
+    counts sweeps over every rank of the staircase, objective_history holds
+    the objective after each sweep, and monotone says no sweep lowered it
+    (beyond 1e-9 * max(1, W) of rounding; the column a climb appends may
+    lower it). Augmented Lagrangian: iterations
+    counts L-BFGS-B iterations over all rounds, objective_history holds the
+    objective after each outer round, and monotone says no inner solve
+    lowered the augmented objective.
     """
 
     objective: float
     max_violation: float
     iterations: int
     converged: bool
+    upper_bound: float
     monotone: bool = True
     n_active: int = 0
     objective_history: list = field(default_factory=list)
@@ -296,6 +331,15 @@ class _ActiveSet:
         r = _rowdot(v[self.pair_i], v[self.pair_j])[self.slot]
         return 1.0 + self.pattern[:, 0] * r[:, 0] + self.pattern[:, 1] * r[:, 1] + self.pattern[:, 2] * r[:, 2]
 
+    def pair_matrix(self, f: np.ndarray) -> sp.csr_matrix:
+        """penalty_matrix, refilled as the symmetric M with M_ij = sum of
+        f_t e_t over the constraints reading r_ij."""
+        m_pair = np.bincount(
+            self.slot.ravel(), weights=(f[:, None] * self.pattern).ravel(), minlength=len(self.pair_i)
+        )
+        self.penalty_matrix.data[:] = m_pair[self._entry_pair]
+        return self.penalty_matrix
+
     def penalty(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
         """The augmented objective's penalty term -mu/2 ||max(0, lam/mu - c)||^2
         and its gradient in v.
@@ -305,12 +349,7 @@ class _ActiveSet:
         r_ij.
         """
         q = np.maximum(0.0, self.lam / mu - self.cvals(v))
-        f = mu * q
-        m_pair = np.bincount(
-            self.slot.ravel(), weights=(f[:, None] * self.pattern).ravel(), minlength=len(self.pair_i)
-        )
-        self.penalty_matrix.data[:] = m_pair[self._entry_pair]
-        return -0.5 * mu * float(q @ q), self.penalty_matrix @ v
+        return -0.5 * mu * float(q @ q), self.pair_matrix(mu * q) @ v
 
 
 def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
@@ -320,6 +359,64 @@ def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
     )
     adj.sort_indices()
     return adj
+
+
+def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
+    """Is S = Diag(y) - adj + delta I positive definite? One sparse factorization.
+
+    SuperLU in symmetric mode with a zero pivot threshold keeps every nonzero
+    diagonal pivot, so perm_r == perm_c and P S P^T = L D L^T with
+    D = diag(U): S is positive definite iff every pivot is positive. A
+    pivoting that leaves the diagonal, or an exactly zero pivot, refuses.
+    """
+    s = (sp.diags(y + delta) - adj).tocsc()
+    try:
+        lu = splu(s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
+
+
+def _certified_shift(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> float:
+    """The first of delta, 2 delta, 4 delta, ... that _shift_certificate
+    accepts, capped by the Gershgorin shift max_i (sum_j |adj_ij| - y_i):
+    with it, Diag(y) - adj is diagonally dominant, so positive semidefinite
+    without a factorization. Above _FACTOR_MAX_N rows it is the cap."""
+    radius = np.asarray(abs(adj).sum(axis=1)).ravel()
+    cap = float(np.max(radius - y, initial=0.0))
+    if len(y) > _FACTOR_MAX_N:
+        return cap
+    while delta < cap and not _shift_certificate(adj, y, delta):
+        delta *= 2.0
+    return min(delta, cap)
+
+
+def _first_shift(objective: float, n: int) -> float:
+    """The shift delta with n delta / 4 = 0.99 * _GAP_TOL * max(1, objective);
+    the 1% keeps roundoff in the bound from pushing its gap past _GAP_TOL."""
+    return 3.96 * _GAP_TOL * max(1.0, objective) / n
+
+
+def _upper_bound(w_tot: float, lam_sum: float, y: np.ndarray, shift: float) -> float:
+    """W/2 + sum(lam) + (sum(y) + n shift) / 4, the dual bound of the module
+    docstring for y_i = <(A' V)_i, v_i> and a shift that certifies
+    Diag(y) - A', or W if that is smaller: no edge term of the objective
+    exceeds its weight."""
+    return min(w_tot, 0.5 * w_tot + lam_sum + 0.25 * (float(np.sum(y)) + len(y) * shift))
+
+
+def _climb(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """u with one more column of standard normal entries, row-normalized.
+
+    The new coordinate has unit variance, so the rows move far (34 degrees
+    on average) and the sweeps that follow settle anew. Smaller steps fail:
+    a column at 1% of that scale, or one along the direction of negative
+    curvature that the refused factorization gives (P^T L^-T e_k at its most
+    negative pivot k), leaves the sweeps near the same saddle, and the stop
+    rule fires there again (random 4-regular graphs, n=2000, start rank 12
+    or 16).
+    """
+    return _normalize_rows(np.hstack([u, rng.standard_normal((len(u), 1))]))
 
 
 def _colour_classes(inst: Max2LinInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -341,9 +438,10 @@ def _colour_classes(inst: Max2LinInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_mixing(
-    inst: Max2LinInstance, cfg: SdpConfig, v: np.ndarray
+    inst: Max2LinInstance, cfg: SdpConfig, v: np.ndarray, rng: np.random.Generator
 ) -> tuple[SdpEmbedding, SdpReport]:
-    """Mixing method: sweeps of exact block updates over the colour classes.
+    """Mixing method: sweeps of exact block updates over the colour classes,
+    as a certified rank staircase.
 
     Rows are permuted so that each class is a contiguous block. A class is
     an independent set, so v_i <- g_i / ||g_i|| with g_i = sum_j w_ij b_ij v_j
@@ -353,10 +451,18 @@ def _solve_mixing(
     w_ij b_ij <v_i, v_j> over just those edges, class by class, counts every
     edge once and gives the exact objective after the sweep.
 
-    The solve converges once a sweep gains nothing, or once the ascent still
-    to come, extrapolated from the last two gains at a fixed rate, falls
-    below _MIXING_STOP_SHARE * objective_tol * max(1, |objective|).
+    A rank stops once a sweep gains nothing, or once the ascent still to
+    come, extrapolated from the last two gains at a fixed rate, falls below
+    _MIXING_STOP_SHARE * objective_tol * max(1, |objective|). The solve then
+    factors S = Diag(y) - A + delta I (_shift_certificate). It converges
+    when S is positive definite, or at rank max(default_rank(n), start
+    rank); otherwise it appends a random column (_climb) and sweeps on.
+    Above _FACTOR_MAX_N vertices it factors nothing and converges at the
+    first stop. Sweeps over every rank share the budget of
+    max_outer * max_inner.
     """
+    n = inst.n
+    max_rank = max(v.shape[1], default_rank(n)) if n <= _FACTOR_MAX_N else v.shape[1]
     order, sizes = _colour_classes(inst)
     adj = _signed_adjacency(inst)[order][:, order]
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
@@ -367,10 +473,12 @@ def _solve_mixing(
     slack = 1e-9 * max(1.0, w_tot)
     obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
     prev_gain = 0.0  # no rate estimate yet
+    fresh = True  # the next sweep is the first at this rank
     history: list[float] = []
     monotone = True
     converged = False
-    for _ in range(cfg.max_outer * cfg.max_inner):
+    shift = None  # set once the final iterate's shift is found
+    while len(history) < cfg.max_outer * cfg.max_inner:
         edge_sum = 0.0
         for lo, hi, earlier, later in blocks:
             g_earlier = earlier @ u[:lo]
@@ -390,11 +498,26 @@ def _solve_mixing(
         # at rate rho = gain / prev_gain, gain * rho / (1 - rho) is still to come
         rest = gain * gain / (prev_gain - gain) if gain < prev_gain else math.inf
         if gain <= 0.0 or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * max(1.0, abs(obj)):
-            converged = True
-            break
-        # the first sweep leaves the random start; its gain says nothing of the rate
-        prev_gain = gain if len(history) > 1 else 0.0
+            y, delta = _rowdot(adj @ u, u), _first_shift(obj, n)
+            if n <= _FACTOR_MAX_N and _shift_certificate(adj, y, delta):
+                shift = delta
+            elif u.shape[1] >= max_rank:
+                shift = _certified_shift(adj, y, 2.0 * delta)
+            if shift is not None:
+                converged = True
+                break
+            u = _climb(u, rng)
+            obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
+            prev_gain, fresh = 0.0, True
+            continue
+        # the first sweep at a rank leaves a start point; its gain says
+        # nothing of the rate
+        prev_gain = 0.0 if fresh else gain
+        fresh = False
 
+    if shift is None:  # the sweep budget ran out
+        y = _rowdot(adj @ u, u)
+        shift = _certified_shift(adj, y, _first_shift(obj, n))
     v = np.empty_like(u)
     v[order] = u
     emb = SdpEmbedding(vectors=v)
@@ -403,6 +526,7 @@ def _solve_mixing(
         max_violation=0.0,
         iterations=len(history),
         converged=converged,
+        upper_bound=_upper_bound(w_tot, 0.0, y, shift),
         monotone=monotone,
         objective_history=history,
     )
@@ -426,6 +550,8 @@ def _solve_alm(
     has no ceiling. rng nudges the iterate off stationary but infeasible
     points.
     """
+    from scipy.optimize import minimize  # only this solver needs it; slow to import
+
     n, rank = v.shape
     w_tot = inst.total_weight
     scale = max(1.0, w_tot)
@@ -532,11 +658,20 @@ def _solve_alm(
         prev_obj, prev_viol = obj, viol
 
     emb = SdpEmbedding(vectors=_normalize_rows(v))
+    objective = sdp_objective(inst, emb)
+    # the multipliers fold into A' = A + 2 sum_t lam_t e_t (module docstring);
+    # with the step the next round would take, the final iterate is
+    # stationary for A' up to the inner tolerance
+    lam = np.maximum(0.0, active.lam - mu * active.cvals(emb.vectors))
+    a_lam = _signed_adjacency(inst) + 2.0 * active.pair_matrix(lam)
+    y = _rowdot(a_lam @ emb.vectors, emb.vectors)
+    upper = _upper_bound(w_tot, float(np.sum(lam)), y, _certified_shift(a_lam, y, _first_shift(objective, n)))
     report = SdpReport(
-        objective=sdp_objective(inst, emb),
+        objective=objective,
         max_violation=max_triangle_violation(emb, triples),
         iterations=total_inner,
         converged=converged,
+        upper_bound=upper,
         monotone=monotone,
         n_active=len(active),
         objective_history=history,
@@ -547,10 +682,13 @@ def _solve_alm(
 def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpEmbedding, SdpReport]:
     """Solve the relaxation; non-convergence returns the last iterate flagged.
 
-    Both solvers start from the same seeded random unit rows. With an empty
-    triple family the mixing method runs (see _solve_mixing) for at most
-    max_outer * max_inner sweeps; otherwise the augmented Lagrangian (see
-    _solve_alm) runs for at most max_outer rounds.
+    Both solvers start from seeded random unit rows: the augmented
+    Lagrangian (see _solve_alm) at rank default_rank(n), for at most
+    max_outer rounds; with an empty triple family the mixing method (see
+    _solve_mixing) at rank min(default_rank(n), _RANK_START), or
+    default_rank(n) above _FACTOR_MAX_N vertices, for at most
+    max_outer * max_inner sweeps. cfg.rank, when set, is the start rank of
+    either. The returned embedding is validated (SdpEmbedding.validate).
     """
     cfg = cfg or SdpConfig()
     n = inst.n
@@ -559,9 +697,13 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
         raise ValueError(f"rank must lie in [1, n]=[1, {n}], got {rank}")
 
     rng = np.random.default_rng(cfg.seed)
-    v = _normalize_rows(rng.standard_normal((n, rank)))
     mode = cfg.triangle_mode
     triples = np.empty((0, 3), dtype=np.int64) if mode == "none" else enumerate_triples(inst, mode)
     if len(triples) == 0:
-        return _solve_mixing(inst, cfg, v)
-    return _solve_alm(inst, cfg, v, rng, triples)
+        start = min(rank, _RANK_START) if cfg.rank is None and n <= _FACTOR_MAX_N else rank
+        emb, report = _solve_mixing(inst, cfg, _normalize_rows(rng.standard_normal((n, start))), rng)
+    else:
+        v = _normalize_rows(rng.standard_normal((n, rank)))
+        emb, report = _solve_alm(inst, cfg, v, rng, triples)
+    emb.validate()
+    return emb, report

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import cutflip
 import cutflip.harness as harness
 from cutflip.harness import ExperimentSpec, derive_seed, main, run_experiment
 from cutflip.instance import InstanceError
@@ -41,6 +47,18 @@ class TestSolveCommand:
         assert payload["best_value"] == 2.0
         assert payload["oracle_opt"] == 2.0
         assert len(payload["reports"]) == 50
+
+    @pytest.mark.parametrize("mode", ["none", "all"])
+    def test_ratio_divides_by_the_certified_bound(self, triangle_file, tmp_path, capsys, mode):
+        out = tmp_path / "out.json"
+        assert main(["solve", triangle_file, "--trials", "5", "--triangle-mode", mode,
+                     "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        # K3: SDP optimum 2.25 without triangles, 2 with them
+        anchor = 2.25 if mode == "none" else 2.0
+        assert payload["sdp_value"] <= anchor + 1e-9 <= payload["sdp_upper_bound"] + 1e-9
+        assert payload["ratio_vs_sdp"] == payload["best_value"] / payload["sdp_upper_bound"]
+        assert f"sdp_upper_bound={payload['sdp_upper_bound']!r}" in capsys.readouterr().out
 
     def test_json_byte_identical_across_runs(self, triangle_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -137,6 +155,12 @@ class TestVerifyCommand:
         taylor = next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "arcsin_taylor")
         assert taylor["details"]["taus"] == taylor["details"]["tail_taus"] == [16, 64]
 
+    @pytest.mark.parametrize("taus", ["16", "100,100"])
+    def test_single_tail_tau_exit_3(self, taus, capsys):
+        # the x = 1 tail check compares taus; with one it would pass on nothing
+        assert main(["verify", "--samples", "2000", "--taus", taus]) == 3
+        assert "two distinct taus" in capsys.readouterr().err
+
     def test_failure_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(
             harness, "run_verification",
@@ -171,6 +195,20 @@ class TestExperimentCommand:
         assert len(trial_rows) == 2 * 4
         assert len(summary_rows) == 1
 
+    def test_summary_ratios_divide_by_the_bound_of_converged_solves(self):
+        def trial(value, sdp_value, bound, converged):
+            return {"kind": "trial", "d": 3, "rounded_value": value, "flipped_value": value + 1.0,
+                    "gain": 1.0, "sdp_value": sdp_value, "sdp_upper_bound": bound,
+                    "converged": converged}
+
+        # the unconverged solve's iterate sits above its bound
+        rows = [trial(8.0, 9.5, 10.0, True), trial(4.0, 16.0, 5.0, True),
+                trial(1.0, 16.5, 16.0, False)]
+        (summary,) = harness._summaries(rows)
+        assert summary["mean_rounded_ratio"] == pytest.approx(0.8)
+        assert summary["mean_flipped_ratio"] == pytest.approx(0.95)
+        assert summary["mean_gain"] == 1.0
+
     def test_byte_identical_at_any_worker_count(self, tmp_path):
         outs = []
         for tag, workers in (("a", 1), ("b", 2)):
@@ -180,6 +218,26 @@ class TestExperimentCommand:
             assert main(["experiment", str(spec_path), "--workers", str(workers)]) == 0
             outs.append(csv_path.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("mode", ["none", "neighborhood"])
+    def test_upper_bound_column_identical_at_workers_1_and_3(self, tmp_path, mode):
+        outs = []
+        for workers in (1, 3):
+            spec = dict(self.spec_dict(tmp_path / f"out_{workers}.csv"), triangle_mode=mode)
+            spec["instances"]["generator"].update(n=[12, 30], count=2)
+            # converged solves: an infeasible iterate's value may exceed the bound
+            del spec["sdp"]
+            spec_path = tmp_path / f"spec_{workers}.json"
+            spec_path.write_text(json.dumps(spec))
+            assert main(["experiment", str(spec_path), "--workers", str(workers)]) == 0
+            outs.append((tmp_path / f"out_{workers}.csv").read_bytes())
+        assert outs[0] == outs[1]
+        rows = list(csv.DictReader(io.StringIO(outs[0].decode().split("\n", 1)[1])))
+        trials = [r for r in rows if r["kind"] == "trial"]
+        assert len(trials) == 4 * 4
+        for r in trials:
+            assert r["converged"] == "True"
+            assert float(r["sdp_upper_bound"]) >= float(r["sdp_value"])
 
     def test_file_instances_and_error_rows(self, tmp_path, triangle_file):
         bad = tmp_path / "bad.txt"
@@ -297,6 +355,16 @@ class TestExperimentCommand:
         summary = [l for l in csv_path.read_text().splitlines() if l.startswith("summary,")][0]
         mean_gain = float(summary.split(",")[-1])
         assert mean_gain >= 0.0
+
+
+def test_import_leaves_out_scipy_optimize():
+    # only the triangle-mode solver needs scipy.optimize; the CLI imports
+    # without it
+    src = str(Path(cutflip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cutflip.harness; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 class TestCliSurface:

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import brentq
+
 from cutflip.numerics import (
+    _gw_root,
     alpha_gw,
     arcsin_coeff,
     arcsin_coeffs,
@@ -33,6 +36,11 @@ class TestWorstCaseConstants:
     def test_defining_identity(self):
         r = rho_star()
         assert abs((1 + (2 / math.pi) * math.asin(r)) / (1 + r) - alpha_gw()) < 1e-12
+
+    def test_bisected_root_matches_brentq(self):
+        # the bisection that replaced brentq lands on the same double
+        f = lambda t: (1.0 - math.cos(t)) - t * math.sin(t)
+        assert _gw_root() == brentq(f, 1.6, 3.1, xtol=1e-15)
 
     def test_rho_star_is_the_minimizer(self):
         f = lambda r: (1 + (2 / math.pi) * math.asin(r)) / (1 + r)
@@ -112,6 +120,11 @@ class TestTaylorCheck:
         res = check_arcsin_taylor(tail_taus=(100, 400, 1600))
         for r in res.details["tail_ratios"]:
             assert 0.5 <= r <= 2.0
+
+    @pytest.mark.parametrize("tail_taus", [(100,), (400, 400)])
+    def test_one_tail_tau_refused(self, tail_taus):
+        with pytest.raises(ValueError, match="two distinct taus"):
+            check_arcsin_taylor(tail_taus=tail_taus)
 
     def test_fitted_constant_recorded_small_tau(self):
         res = check_arcsin_taylor(taus=(16,))

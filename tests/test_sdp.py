@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 
 from cutflip.instance import Max2LinInstance, gen_random_regular, parse_instance
 from cutflip.oracle import brute_force_opt
+import cutflip.sdp as sdp_module
 from cutflip.sdp import (
     _PATTERNS,
+    _RANK_START,
     SdpConfig,
     SdpEmbedding,
     _ActiveSet,
+    _certified_shift,
+    _shift_certificate,
     _signed_adjacency,
     default_rank,
     enumerate_triples,
@@ -261,6 +265,7 @@ class TestSolveAnchors:
         emb, rep = solve_sdp(single_edge)
         assert abs(rep.objective - 1.0) <= 1e-6
         assert rep.converged
+        assert 1.0 <= rep.upper_bound <= 1.0 + 1e-4
 
     def test_single_equality_edge(self):
         inst = parse_instance("2 1\n0 1 1 1.0")
@@ -274,6 +279,8 @@ class TestSolveAnchors:
         emb, rep = solve_sdp(triangle, SdpConfig(triangle_mode="none"))
         assert abs(rep.objective - 2.25) <= 1e-4
         assert rep.converged and rep.max_violation == 0.0
+        # the certified bound brackets the optimum from above
+        assert rep.objective <= 2.25 <= rep.upper_bound <= 2.25 + 1e-3
         r = emb.vectors @ emb.vectors.T
         assert np.allclose(r[np.triu_indices(3, 1)], -0.5, atol=1e-3)
 
@@ -285,11 +292,13 @@ class TestSolveAnchors:
         assert abs(rep.objective - 2.0) <= 1e-4
         assert rep.converged
         assert rep.max_violation <= 1e-6
+        assert 2.0 <= rep.upper_bound <= 2.0 + 1e-3
 
     def test_empty_instance(self):
         inst = Max2LinInstance.from_edges(3, [])
         _, rep = solve_sdp(inst)
         assert rep.objective == 0.0 and rep.converged
+        assert 0.0 <= rep.upper_bound <= 1e-4
 
     @pytest.mark.parametrize("mode", ["neighborhood", "none"])
     def test_isolated_vertex(self, mode):
@@ -313,6 +322,10 @@ class TestSolveProperties:
         _, rep_none = solve_sdp(inst, SdpConfig(triangle_mode="none"))
         assert rep_none.objective >= opt - 1e-4
         assert rep_none.objective >= rep.objective - 1e-6 * inst.total_weight
+        # each certified bound lies above its relaxation's optimum, so above
+        # OPT and the objective
+        for r in (rep, rep_none):
+            assert r.upper_bound >= max(opt, r.objective)
 
     def test_unit_rows(self):
         inst = random_instance(np.random.default_rng(9), 15)
@@ -361,9 +374,13 @@ class TestSolveProperties:
         emb, rep = solve_sdp(inst, SdpConfig(max_outer=1, max_inner=5))
         assert not rep.converged
         emb.validate()  # best iterate still a valid embedding
+        # the bound holds whether or not the solve converged (above the
+        # value of a feasible iterate; this one need not be feasible)
+        assert rep.upper_bound >= brute_force_opt(inst).opt
         # the mixing method's budget is max_outer * max_inner sweeps
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", max_outer=1, max_inner=5))
         assert not rep.converged and rep.iterations == 5
+        assert rep.upper_bound >= rep.objective
         emb.validate()
 
     @pytest.mark.parametrize(
@@ -387,6 +404,7 @@ class TestSolveProperties:
         emb, rep = solve_sdp(inst, SdpConfig(max_inner=5, seed=seed))
         assert not rep.converged and len(rep.objective_history) == 60
         assert math.isfinite(rep.objective) and math.isfinite(rep.max_violation)
+        assert math.isfinite(rep.upper_bound)
         emb.validate()
 
     def test_rank_default_and_bounds(self):
@@ -413,3 +431,144 @@ class TestSolveProperties:
         ok = SdpConfig(rank=np.int64(3), seed=np.int64(0), objective_tol=np.float64(1e-4))
         assert ok.rank == 3 and SdpConfig(rank=None).rank is None
 
+
+
+def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(adj, y) for a signed weighted graph with y_i = sum_j |adj_ij|, so
+    that Diag(y) - adj is diagonally dominant: positive semidefinite."""
+    inst = Max2LinInstance.from_edges(
+        n, [(i, j, 1 if k % 2 else -1, 1.0 + 0.25 * (k % 3)) for k, (i, j) in enumerate(edges)]
+    )
+    adj = _signed_adjacency(inst)
+    return adj, np.asarray(abs(adj).sum(axis=1)).ravel()
+
+
+class TestCertificate:
+    """_shift_certificate (one factorization) and _certified_shift (its ladder)."""
+
+    @given(
+        graph=simple_graphs(),
+        margin=st.floats(1e-3, 2.0),
+        eta=st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_known_negative_eigenvalue_refused(self, graph, margin, eta, seed):
+        n, edges = graph
+        adj, y = dominant_dual(n, edges)
+        s = np.diag(y + margin) - adj.toarray()  # strictly dominant: definite
+        assert _shift_certificate(adj, y, margin)
+        # S - eps u u^T with u^T S u - eps = -eta: lambda_min <= -eta
+        u = np.random.default_rng(seed).standard_normal(n)
+        u /= np.linalg.norm(u)
+        eps = float(u @ s @ u) + eta
+        lowered = s - eps * np.outer(u, u)
+        assert np.linalg.eigvalsh(lowered)[0] <= -eta * (1 - 1e-9)
+        adj_lowered = sp.csr_matrix(adj.toarray() + eps * np.outer(u, u))
+        assert not _shift_certificate(adj_lowered, y, margin)
+
+    @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_shift_is_psd_and_capped(self, graph, seed, delta):
+        # y anywhere: the ladder ends at a shift that makes S positive
+        # semidefinite, at most the Gershgorin shift
+        n, edges = graph
+        adj, radius = dominant_dual(n, edges)
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
+        shift = _certified_shift(adj, y, delta)
+        assert 0.0 <= shift <= max(0.0, float(np.max(radius - y)))
+        s = np.diag(y + shift) - adj.toarray()
+        assert np.linalg.eigvalsh(s)[0] >= -1e-9 * (1.0 + np.abs(s).max())
+
+
+DESK_LIKE = [  # (n, d, sign bias, weights, generator seed)
+    (16, 6, 0.8, "unit", 1191371726120884936),  # loose multipliers: UB ~ OPT + 6
+    (14, 4, 0.8, "unit", 861956771),
+    (18, 3, 0.5, ("uniform", 0.3, 2.0), 1),
+    (20, 5, 1.0, "unit", 2),
+    (22, 4, 0.5, ("uniform", 0.3, 2.0), 3),
+    (16, 3, 1.0, ("uniform", 0.3, 2.0), 4),
+]
+
+
+class TestUpperBound:
+    @pytest.mark.parametrize("n, d, bias, law, gen_seed", DESK_LIKE)
+    @pytest.mark.parametrize("mode", ["neighborhood", "none"])
+    def test_bound_above_opt_and_objective(self, n, d, bias, law, gen_seed, mode):
+        inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
+        _, rep = solve_sdp(inst, SdpConfig(triangle_mode=mode))
+        opt = brute_force_opt(inst).opt
+        assert rep.converged
+        assert rep.upper_bound >= opt and rep.upper_bound >= rep.objective
+
+    def test_default_start_rank_certifies(self):
+        # default_rank(400) = 30: the mixing method starts below it, at 24
+        inst = gen_random_regular(400, 3, 1.0, "unit", seed=0)
+        emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
+        assert default_rank(inst.n) > _RANK_START
+        assert emb.rank >= _RANK_START
+        assert rep.converged
+        assert 0.0 < rep.upper_bound - rep.objective <= 1e-5 * rep.objective
+
+    def test_low_start_rank_climbs_and_certifies(self):
+        inst = gen_random_regular(200, 4, 1.0, "unit", seed=0)
+        emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
+        _, rep_default = solve_sdp(inst, SdpConfig(triangle_mode="none"))
+        assert 4 < emb.rank < default_rank(inst.n)
+        assert rep.converged and rep.monotone
+        assert rep.iterations == len(rep.objective_history)
+        # certified at the first shift, and the same optimum as the default
+        assert rep.upper_bound - rep.objective <= 1e-5 * rep.objective
+        assert abs(rep.objective - rep_default.objective) <= 1e-5 * rep.objective
+
+    def test_embedding_validated_at_the_boundary(self, monkeypatch):
+        inst = random_instance(np.random.default_rng(1), 8)
+        mixing = sdp_module._solve_mixing
+
+        def broken(inst, cfg, v, rng):
+            emb, rep = mixing(inst, cfg, v, rng)
+            emb.vectors[0] = np.nan
+            return emb, rep
+
+        monkeypatch.setattr(sdp_module, "_solve_mixing", broken)
+        with pytest.raises(ValueError, match="not unit vectors"):
+            solve_sdp(inst, SdpConfig(triangle_mode="none"))
+
+
+def _no_factorization(*args):
+    raise AssertionError("factored above _FACTOR_MAX_N")
+
+
+class TestAboveFactorLimit:
+    """Above _FACTOR_MAX_N vertices nothing is factored (the limit is lowered
+    here so that small graphs cross it)."""
+
+    def test_mixing_runs_at_fixed_rank_with_gershgorin_bound(self, monkeypatch):
+        inst = gen_random_regular(200, 4, 1.0, "unit", seed=0)
+        rank = default_rank(inst.n)
+        ref, _ = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=rank))
+        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", inst.n - 1)
+        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
+        # the same trajectory as a fixed-rank run, stopped by the stop rule
+        assert emb.rank == rank
+        np.testing.assert_array_equal(emb.vectors, ref.vectors)
+        assert rep.converged
+        # the Gershgorin shift bound is never below W in none mode: W caps it
+        assert rep.upper_bound == inst.total_weight
+
+    def test_alm_bound_without_factoring(self, monkeypatch):
+        n, d, bias, law, gen_seed = DESK_LIKE[1]
+        inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
+        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", n - 1)
+        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        _, rep = solve_sdp(inst, SdpConfig(triangle_mode="neighborhood"))
+        assert rep.converged
+        assert rep.upper_bound >= brute_force_opt(inst).opt
+
+    def test_certified_shift_is_the_gershgorin_cap(self, monkeypatch):
+        adj, radius = dominant_dual(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+        y = np.full(6, 0.5)
+        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", 5)
+        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        assert _certified_shift(adj, y, 1e-6) == float(np.max(radius - y))
