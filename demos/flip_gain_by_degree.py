@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from cutflip import SdpConfig, default_epsilon, gen_random_regular, run_once, solve_sdp
+from cutflip import SdpConfig, best_of, default_epsilon, gen_random_regular, solve_sdp
 
 N = 120
 TRIALS = 60
@@ -24,15 +24,12 @@ for d in (3, 4, 6, 8):
     inst = gen_random_regular(N, d, sign_bias=1.0, weight_law="unit", seed=300 + d)
     emb, rep = solve_sdp(inst, SdpConfig(seed=d))
     eps = default_epsilon(inst.max_degree)
-    rounded, flipped, gains, s_sizes, window = [], [], [], [], 0.0
-    for seed in range(TRIALS):
-        r = run_once(inst, (emb, rep), seed=seed, eps=eps)
-        rounded.append(r.rounded_value)
-        flipped.append(r.flipped_value)
-        gains.append(r.gain)
-        s_sizes.append(r.s_size)
-        window = r.rho_window_fraction
-    gains = np.array(gains)
+    _, _, reports = best_of(inst, emb, range(TRIALS), eps=eps)
+    rounded = [r.rounded_value for r in reports]
+    flipped = [r.flipped_value for r in reports]
+    gains = np.array([r.gain for r in reports])
+    s_sizes = [r.s_size for r in reports]
+    window = reports[0].rho_window_fraction
     se = gains.std(ddof=1) / math.sqrt(TRIALS)
     t = gains.mean() / se if se > 0 else float("inf")
     print(

@@ -29,6 +29,7 @@ import numpy as np
 from . import __version__
 from .instance import (InstanceError, check_generator_laws, check_regular_size,
                        gen_random_regular, parse_instance, write_instance)
+# run_once has no caller here; perfbench/tracing.py wraps it under this name
 from .localsearch import best_of, default_epsilon, run_once
 from .numerics import run_verification
 from .oracle import DEFAULT_CAP, brute_force_opt
@@ -195,32 +196,30 @@ def _experiment_task(spec: ExperimentSpec, task: tuple) -> list[dict]:
                                       seed=derive_seed(spec.seed, 1, idx))
         emb, rep = solve_sdp(inst, replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx)))
         eps = default_epsilon(max(inst.max_degree, 1), spec.epsilon_c)
-        rows = []
-        for t in range(spec.trials):
-            seed = derive_seed(spec.seed, 2, idx, t)
-            r = run_once(inst, (emb, rep), seed=seed, eps=eps)
-            rows.append(
-                {
-                    "kind": "trial",
-                    "instance_id": idx,
-                    "source": source,
-                    "n": inst.n,
-                    "d": inst.max_degree,
-                    "trial": t,
-                    "rounding_seed": seed,
-                    "sdp_value": r.sdp_value,
-                    "sdp_upper_bound": rep.upper_bound,
-                    "rounded_value": r.rounded_value,
-                    "flipped_value": r.flipped_value,
-                    "gain": r.gain,
-                    "s_size": r.s_size,
-                    "flip_count": r.flip_count,
-                    "rho_window_fraction": r.rho_window_fraction,
-                    "converged": rep.converged,
-                    "error": "",
-                }
-            )
-        return rows
+        seeds = [derive_seed(spec.seed, 2, idx, t) for t in range(spec.trials)]
+        _, _, reports = best_of(inst, emb, seeds, eps=eps, converged=rep.converged)
+        return [
+            {
+                "kind": "trial",
+                "instance_id": idx,
+                "source": source,
+                "n": inst.n,
+                "d": inst.max_degree,
+                "trial": t,
+                "rounding_seed": r.seeds["rounding"],
+                "sdp_value": r.sdp_value,
+                "sdp_upper_bound": rep.upper_bound,
+                "rounded_value": r.rounded_value,
+                "flipped_value": r.flipped_value,
+                "gain": r.gain,
+                "s_size": r.s_size,
+                "flip_count": r.flip_count,
+                "rho_window_fraction": r.rho_window_fraction,
+                "converged": rep.converged,
+                "error": "",
+            }
+            for t, r in enumerate(reports)
+        ]
     # per-row input or numerical failure; the sweep continues (InstanceError
     # and LinAlgError are ValueErrors). Anything else is a bug and propagates.
     except (ValueError, ArithmeticError) as exc:
@@ -317,9 +316,8 @@ def _cmd_solve(args) -> int:
     cfg = _sdp_config_from_args(args)
     emb, rep = solve_sdp(inst, cfg)
     eps = default_epsilon(max(inst.max_degree, 1), args.epsilon_c)
-    best_x, best_val, reports = best_of(
-        inst, emb, args.trials, base_seed=args.seed, eps=eps, converged=rep.converged
-    )
+    seeds = range(args.seed, args.seed + args.trials)
+    best_x, best_val, reports = best_of(inst, emb, seeds, eps=eps, converged=rep.converged)
     sdp_val, sdp_ub = reports[0].sdp_value, rep.upper_bound
     out = {
         "instance": args.instance,

@@ -156,9 +156,10 @@ class Max2LinInstance:
 
 
 def as_assignment(inst: Max2LinInstance, x) -> np.ndarray:
-    """Validate x as an assignment for inst: length n, entries exactly +-1."""
+    """Validate x as an assignment for inst, entries exactly +-1: one of
+    length n, or a (T, n) stack of T of them, as int8."""
     arr = np.asarray(x)
-    if arr.shape != (inst.n,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != inst.n:
         raise ValueError(f"assignment length {arr.shape} does not match n={inst.n}")
     not_pm1 = "assignment entries must be exactly -1 or +1"
     # NaN and +-inf have no int8 value, so they are refused before the cast
@@ -170,11 +171,20 @@ def as_assignment(inst: Max2LinInstance, x) -> np.ndarray:
     return out
 
 
-def evaluate(inst: Max2LinInstance, x) -> float:
-    """Total weight of satisfied constraints: sum of w over edges with x_i*x_j == b."""
-    xs = as_assignment(inst, x)
-    prod = xs[inst.edge_i].astype(np.int32) * xs[inst.edge_j]
-    return float(inst.weight[prod == inst.sign].sum())
+def _satisfied_weight(inst: Max2LinInstance, xs: np.ndarray) -> float | np.ndarray:
+    """evaluate() of an assignment or a stack of them already validated."""
+    sat = xs[..., inst.edge_i] * xs[..., inst.edge_j] == inst.sign
+    if xs.ndim == 1:
+        return float(inst.weight.compress(sat).sum())
+    # one sum per row keeps a lone assignment's summation order
+    return np.array([inst.weight.compress(row).sum() for row in sat])
+
+
+def evaluate(inst: Max2LinInstance, x) -> float | np.ndarray:
+    """Total weight of satisfied constraints: sum of w over edges with
+    x_i*x_j == b, as a float; for a (T, n) stack, a length-T array whose
+    entries equal the float of each row's own call."""
+    return _satisfied_weight(inst, as_assignment(inst, x))
 
 
 def parse_instance(text: str) -> Max2LinInstance:

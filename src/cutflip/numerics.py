@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "CheckResult",
@@ -417,6 +416,8 @@ def estimate_local_gain(
     gram = validate_correlation(neighbor_gram)
     if gram.shape != (d, d):
         raise ValueError("neighbor Gram matrix must be d x d")
+
+    from scipy.special import ndtr, ndtri  # only this estimate needs them; slow to import
 
     eps = 1.0 / (constant * d * math.sqrt(math.log(d)))
     total = float(w.sum())

@@ -97,8 +97,12 @@ _MIXING_STOP_SHARE = 0.1
 _RANK_START = 24
 
 # the certificate's first shift delta gives an upper bound within this share
-# of max(1, objective) above the objective; refused shifts double
+# of max(1, objective) above the objective; refused shifts double, and the
+# bracket between the last refused and the first accepted shift is bisected
+# down to _SHIFT_RTOL of the accepted one (each factorization at n <= 22
+# takes about 0.25 ms)
 _GAP_TOL = 1e-5
+_SHIFT_RTOL = 0.01
 
 # the largest n whose certificate is factored. Fill grows about as n^2 on
 # random regular graphs (one factorization at d=4: 0.18 s and 41 MB at
@@ -377,18 +381,33 @@ def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
 
 
-def _certified_shift(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> float:
-    """The first of delta, 2 delta, 4 delta, ... that _shift_certificate
-    accepts, capped by the Gershgorin shift max_i (sum_j |adj_ij| - y_i):
-    with it, Diag(y) - adj is diagonally dominant, so positive semidefinite
-    without a factorization. Above _FACTOR_MAX_N rows it is the cap."""
+def _certified_shift(
+    adj: sp.csr_matrix, y: np.ndarray, delta: float, refused: float | None = None
+) -> float:
+    """The least shift _shift_certificate accepts, to within _SHIFT_RTOL.
+
+    It tries delta, 2 delta, 4 delta, ... up to the Gershgorin shift
+    max_i (sum_j |adj_ij| - y_i), with which Diag(y) - adj is diagonally
+    dominant, so positive semidefinite without a factorization. After a
+    refusal (refused, when given, is a shift the caller saw refused) it
+    bisects between the last refused shift and the first accepted one until
+    they lie within _SHIFT_RTOL of the accepted one. A first shift accepted
+    is returned as it is. Above _FACTOR_MAX_N rows it is the Gershgorin shift.
+    """
     radius = np.asarray(abs(adj).sum(axis=1)).ravel()
     cap = float(np.max(radius - y, initial=0.0))
     if len(y) > _FACTOR_MAX_N:
         return cap
     while delta < cap and not _shift_certificate(adj, y, delta):
-        delta *= 2.0
-    return min(delta, cap)
+        refused, delta = delta, 2.0 * delta
+    delta = min(delta, cap)
+    while refused is not None and delta - refused > _SHIFT_RTOL * delta:
+        mid = 0.5 * (refused + delta)
+        if _shift_certificate(adj, y, mid):
+            delta = mid
+        else:
+            refused = mid
+    return delta
 
 
 def _first_shift(objective: float, n: int) -> float:
@@ -444,12 +463,15 @@ def _solve_mixing(
     as a certified rank staircase.
 
     Rows are permuted so that each class is a contiguous block. A class is
-    an independent set, so v_i <- g_i / ||g_i|| with g_i = sum_j w_ij b_ij v_j
-    maximizes the objective over all its rows at once and never lowers it; a
-    row with g_i = 0 keeps its vector. When a class is updated, its edges
-    into earlier classes already join final vectors for the sweep; summing
-    w_ij b_ij <v_i, v_j> over just those edges, class by class, counts every
-    edge once and gives the exact objective after the sweep.
+    an independent set, so its row block of A has no entry in the class's
+    own columns: one sparse product of the block with the iterate gives
+    every g_i = sum_j w_ij b_ij v_j from vectors of other classes, and
+    v_i <- g_i / ||g_i|| maximizes the objective over all its rows at once
+    and never lowers it; a row with g_i = 0 keeps its vector. The update
+    raises the objective by 1/2 sum_i <v_i' - v_i, g_i>
+    = 1/2 sum_i (||g_i|| - <v_i, g_i>); the sweep's gain sums that over the
+    classes, taken as the difference of two inner products, which is
+    exactly 0 once a sweep leaves every row as it was.
 
     A rank stops once a sweep gains nothing, or once the ascent still to
     come, extrapolated from the last two gains at a fixed rate, falls below
@@ -466,7 +488,7 @@ def _solve_mixing(
     order, sizes = _colour_classes(inst)
     adj = _signed_adjacency(inst)[order][:, order]
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    blocks = [(lo, hi, adj[lo:hi, :lo], adj[lo:hi, hi:]) for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [(lo, hi, adj[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     u = v[order]
 
     w_tot = inst.total_weight
@@ -479,20 +501,16 @@ def _solve_mixing(
     converged = False
     shift = None  # set once the final iterate's shift is found
     while len(history) < cfg.max_outer * cfg.max_inner:
-        edge_sum = 0.0
-        for lo, hi, earlier, later in blocks:
-            g_earlier = earlier @ u[:lo]
-            g = later @ u[hi:]
-            g += g_earlier
-            norms = np.sqrt(_rowdot(g, g))
-            zero = norms == 0.0
-            if zero.any():
-                g[zero] = u[lo:hi][zero]
-                norms[zero] = 1.0
-            u[lo:hi] = g / norms[:, None]
-            edge_sum += float(np.vdot(u[lo:hi], g_earlier))
-        new_obj = 0.5 * (w_tot + edge_sum)
-        gain, obj = new_obj - obj, new_obj
+        gain = 0.0
+        for lo, hi, rows in blocks:
+            g = rows @ u
+            block = u[lo:hi]
+            before = np.vdot(block, g)
+            norms = np.sqrt(_rowdot(g, g))[:, None]
+            zero = norms == 0.0  # such a row keeps its vector; a masked divide is slow
+            np.divide(g, norms, out=block, where=~zero if zero.any() else True)
+            gain += 0.5 * float(np.vdot(block, g) - before)
+        obj += gain
         history.append(obj)
         monotone = monotone and gain >= -slack
         # at rate rho = gain / prev_gain, gain * rho / (1 - rho) is still to come
@@ -502,7 +520,7 @@ def _solve_mixing(
             if n <= _FACTOR_MAX_N and _shift_certificate(adj, y, delta):
                 shift = delta
             elif u.shape[1] >= max_rank:
-                shift = _certified_shift(adj, y, 2.0 * delta)
+                shift = _certified_shift(adj, y, 2.0 * delta, refused=delta)
             if shift is not None:
                 converged = True
                 break

@@ -357,14 +357,24 @@ class TestExperimentCommand:
         assert mean_gain >= 0.0
 
 
+def loaded_after_import(module: str) -> bool:
+    """Does a fresh interpreter hold module after `import cutflip.harness`?"""
+    src = str(Path(cutflip.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, cutflip.harness; print({module!r} in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return res.stdout.strip() == "True"
+
+
 def test_import_leaves_out_scipy_optimize():
     # only the triangle-mode solver needs scipy.optimize; the CLI imports
     # without it
-    src = str(Path(cutflip.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, cutflip.harness; print('scipy.optimize' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    assert not loaded_after_import("scipy.optimize")
+
+
+def test_import_leaves_out_scipy_special():
+    # only estimate_local_gain (verify) needs scipy.special, slow to import
+    assert not loaded_after_import("scipy.special")
 
 
 class TestCliSurface:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutflip.instance import Max2LinInstance, evaluate, gen_random_regular
+import cutflip.localsearch as localsearch_module
 from cutflip.localsearch import (
+    RunReport,
     analyze_candidates,
     apply_flips,
     best_of,
@@ -19,7 +23,7 @@ from cutflip.localsearch import (
 from cutflip.numerics import gaussian_band_bounds
 from cutflip.oracle import brute_force_opt
 from cutflip.rounding import hyperplane_round, sample_gaussian
-from cutflip.sdp import SdpConfig, SdpEmbedding, solve_sdp
+from cutflip.sdp import SdpConfig, SdpEmbedding, sdp_objective, solve_sdp
 
 from conftest import random_instance
 
@@ -277,7 +281,7 @@ class TestRunOnce:
 class TestBestOf:
     def test_single_trial_matches_run_once(self, triangle):
         emb, rep = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
-        _, val, reports = best_of(triangle, emb, trials=1, base_seed=9)
+        _, val, reports = best_of(triangle, emb, range(9, 10))
         r = run_once(triangle, (emb, rep), seed=9)
         assert val == r.flipped_value
         assert reports[0].rounded_value == r.rounded_value
@@ -285,18 +289,168 @@ class TestBestOf:
     def test_prefix_monotone_in_trials(self):
         inst = gen_random_regular(16, 3, 1.0, "unit", seed=4)
         emb, _ = solve_sdp(inst, SdpConfig(max_outer=3, max_inner=80))
-        vals = [best_of(inst, emb, trials=t, base_seed=0)[1] for t in (1, 3, 5, 10)]
+        vals = [best_of(inst, emb, range(t))[1] for t in (1, 3, 5, 10)]
         assert vals == sorted(vals)
 
     def test_triangle_reaches_opt(self, triangle):
         emb, _ = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
-        bx, bv, _ = best_of(triangle, emb, trials=50, base_seed=0)
+        bx, bv, _ = best_of(triangle, emb, range(50))
         assert bv == brute_force_opt(triangle).opt == evaluate(triangle, bx)
 
     def test_bad_trials(self, triangle):
         emb, _ = solve_sdp(triangle)
         with pytest.raises(ValueError):
-            best_of(triangle, emb, trials=0)
+            best_of(triangle, emb, range(0))
+
+
+    def test_trials_shorthand_is_a_seed_range(self, triangle):
+        emb, _ = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
+        bx, bv, reports = best_of(triangle, emb, trials=6, base_seed=4)
+        rx, rv, ref = best_of(triangle, emb, range(4, 10))
+        assert bv == rv and np.array_equal(bx, rx)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref]
+        with pytest.raises(TypeError):
+            best_of(triangle, emb, range(3), trials=3)
+
+
+def reference_best_of(inst, emb, seeds, eps, converged):
+    """The per-trial loop the chunked best_of replaced, one seed at a time."""
+    sdp_value = sdp_objective(inst, emb)
+    rho_frac = rho_window_fraction(inst, emb)
+    best_x, best_val, reports = None, -math.inf, []
+    for seed in seeds:
+        g = sample_gaussian(emb.rank, seed)
+        x = hyperplane_round(emb, g)
+        rounded = evaluate(inst, x)
+        analysis = analyze_candidates(inst, emb, g, x, eps)
+        x_flip, gain = apply_flips(inst, x, analysis)
+        flipped = rounded + gain
+        reports.append(RunReport(
+            sdp_value=sdp_value, rounded_value=rounded, flipped_value=flipped, gain=gain,
+            s_size=int(len(analysis.candidates)),
+            flip_count=int(np.count_nonzero(analysis.flip)),
+            rho_window_fraction=rho_frac, seeds={"rounding": seed}, converged=converged,
+        ))
+        if flipped > best_val:
+            best_val, best_x = flipped, x_flip
+    return best_x, float(best_val), reports
+
+
+@st.composite
+def weighted_problems(draw):
+    """(instance, embedding): a random signed graph with U(0.3, 2) weights,
+    whose sums round differently in different orders, and random unit rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 14))
+    p = draw(st.floats(0.1, 0.9))
+    edges = [(i, j, int(rng.choice([-1, 1])), float(rng.uniform(0.3, 2.0)))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    inst = Max2LinInstance.from_edges(n, edges)
+    rows = rng.standard_normal((n, draw(st.integers(1, 6))))
+    return inst, SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+class TestChunkedTrials:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=weighted_problems(),
+        chunk=st.integers(1, 5),
+        length=st.sampled_from(["one", "chunk-1", "chunk", "chunk+1", "several"]),
+        first=st.integers(0, 2**40),
+        stride=st.integers(1, 2**20),
+        converged=st.sampled_from([True, False, None]),
+    )
+    def test_matches_per_trial_loop(self, problem, chunk, length, first, stride, converged):
+        inst, emb = problem
+        count = {"one": 1, "chunk-1": max(chunk - 1, 1), "chunk": chunk,
+                 "chunk+1": chunk + 1, "several": 3 * chunk + 2}[length]
+        seeds = [first + k * stride + k * k for k in range(count)]  # not contiguous
+        eps = default_epsilon(max(inst.max_degree, 1))
+        budget = chunk * max(inst.n, inst.m)
+        with mock.patch.object(localsearch_module, "_CHUNK_ELEMENTS", budget):
+            bx, bv, reports = best_of(inst, emb, seeds, converged=converged)
+        rx, rv, ref = reference_best_of(inst, emb, seeds, eps, converged)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref]
+        assert bv == rv
+        assert np.array_equal(bx, rx) and bx.dtype == rx.dtype
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=weighted_problems(), trials=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_layer_rows_match_single_calls(self, problem, trials, seed):
+        inst, emb = problem
+        eps = default_epsilon(max(inst.max_degree, 1))
+        g = np.stack([sample_gaussian(emb.rank, seed + t) for t in range(trials)])
+        x = hyperplane_round(emb, g)
+        rounded = evaluate(inst, x)
+        ana = analyze_candidates(inst, emb, g, x, eps)
+        x_flip, gain = apply_flips(inst, x, ana, rounded)
+        assert x.shape == (trials, inst.n) and x.dtype == np.int8
+        assert rounded.shape == gain.shape == (trials,)
+        assert ana.part.shape == (trials, len(inst.nbr))
+        assert np.array_equal(x_flip, apply_flips(inst, x, ana)[0])
+        for t in range(trials):
+            x1 = hyperplane_round(emb, g[t])
+            ana1 = analyze_candidates(inst, emb, g[t], x1, eps)
+            assert np.array_equal(x[t], x1)
+            assert rounded[t] == evaluate(inst, x1)
+            in_trial = ana.candidates // inst.n == t
+            assert np.array_equal(ana.candidates[in_trial] - t * inst.n, ana1.candidates)
+            for field in ("flip", "incident_weight", "local_gain", "part"):
+                assert np.array_equal(getattr(ana, field)[t], getattr(ana1, field))
+            x1_flip, gain1 = apply_flips(inst, x1, ana1)
+            assert np.array_equal(x_flip[t], x1_flip) and gain[t] == gain1
+
+    def test_single_calls_keep_their_types(self):
+        inst = random_instance(np.random.default_rng(5), 12)
+        rows = np.random.default_rng(6).standard_normal((inst.n, 4))
+        emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        g = sample_gaussian(emb.rank, 11)
+        x = hyperplane_round(emb, g)
+        assert x.shape == (inst.n,) and x.dtype == np.int8
+        assert np.array_equal(x, np.where(emb.vectors @ g >= 0.0, 1, -1))
+        value = evaluate(inst, x)
+        prod = x[inst.edge_i].astype(np.int32) * x[inst.edge_j]
+        assert type(value) is float and value == float(inst.weight[prod == inst.sign].sum())
+        ana = analyze_candidates(inst, emb, g, x, 0.5)
+        assert np.array_equal(ana.candidates, np.flatnonzero(np.abs(emb.vectors @ g) < 0.5))
+        assert ana.candidates.dtype == np.intp
+        assert ana.flip.shape == ana.incident_weight.shape == ana.local_gain.shape == (inst.n,)
+        assert (ana.flip.dtype, ana.incident_weight.dtype, ana.local_gain.dtype) == (
+            np.bool_, np.float64, np.float64)
+        assert ana.part.shape == (len(inst.nbr),) and ana.part.dtype == np.int8
+        x2, gain = apply_flips(inst, x, ana)
+        assert x2.shape == (inst.n,) and x2.dtype == np.int8
+        assert type(gain) is float and gain == evaluate(inst, x2) - value
+
+    def test_shape_mismatches_refused(self):
+        inst = random_instance(np.random.default_rng(5), 12)
+        rows = np.random.default_rng(6).standard_normal((inst.n, 4))
+        emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        g = np.stack([sample_gaussian(4, s) for s in range(3)])
+        x = hyperplane_round(emb, g)
+        with pytest.raises(ValueError, match="direction"):
+            hyperplane_round(emb, g[:, :3])
+        with pytest.raises(ValueError, match="assignment"):
+            analyze_candidates(inst, emb, g, x[0], 0.3)
+        ana = analyze_candidates(inst, emb, g, x, 0.3)
+        with pytest.raises(ValueError, match="analysis"):
+            apply_flips(inst, x[0], ana)
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            evaluate(inst, np.zeros_like(x))
+
+    def test_memory_bounded_at_n2000(self):
+        # 400 trials at n=2000, d=4 in 16-trial chunks peak near 3 MB; one
+        # stack of all 400 would take tens of MB
+        inst = gen_random_regular(2000, 4, 1.0, "unit", seed=1)
+        rows = np.random.default_rng(2).standard_normal((inst.n, 24))
+        emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        tracemalloc.start()
+        try:
+            best_of(inst, emb, range(400))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 def test_rho_window_fraction_bounds(triangle):

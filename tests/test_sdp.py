@@ -15,6 +15,7 @@ import cutflip.sdp as sdp_module
 from cutflip.sdp import (
     _PATTERNS,
     _RANK_START,
+    _SHIFT_RTOL,
     SdpConfig,
     SdpEmbedding,
     _ActiveSet,
@@ -481,6 +482,44 @@ class TestCertificate:
         assert np.linalg.eigvalsh(s)[0] >= -1e-9 * (1.0 + np.abs(s).max())
 
 
+    @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_refused_first_shift_is_bisected_to_the_least(self, graph, seed, delta):
+        # the least certifying shift is -lambda_min(Diag(y) - adj); after a
+        # refusal the shift lands within _SHIFT_RTOL above it, and a first
+        # shift that certifies comes back as it is
+        n, edges = graph
+        adj, radius = dominant_dual(n, edges)
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
+        least = max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0]))
+        shift = _certified_shift(adj, y, delta)
+        slack = 1e-9 * (1.0 + float(np.abs(y).max()) + float(radius.max(initial=0.0)))
+        assert shift >= least - slack
+        if delta < least - slack:
+            assert shift <= least / (1.0 - _SHIFT_RTOL) + slack
+        elif delta > least + slack:
+            assert shift == min(delta, max(0.0, float(np.max(radius - y))))
+
+    def test_caller_refusal_starts_the_bisection(self):
+        # the mixing method passes the first shift it saw refused
+        adj, radius = dominant_dual(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+        y = 0.3 * radius
+        least = -float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
+        delta = 0.6 * least  # refused; twice it is accepted
+        assert _certified_shift(adj, y, 2.0 * delta) == 2.0 * delta
+        shift = _certified_shift(adj, y, 2.0 * delta, refused=delta)
+        assert least <= shift <= least / (1.0 - _SHIFT_RTOL)
+
+
+@st.composite
+def signed_instances(draw):
+    """A simple graph on 1-10 vertices with random signs and U(0.3, 2) weights."""
+    n, edges = draw(simple_graphs().filter(lambda g: g[0] <= 10))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(edges), max_size=len(edges)))
+    weights = draw(st.lists(st.floats(0.3, 2.0), min_size=len(edges), max_size=len(edges)))
+    return Max2LinInstance.from_edges(n, [(i, j, b, w) for (i, j), b, w in zip(edges, signs, weights)])
+
+
 DESK_LIKE = [  # (n, d, sign bias, weights, generator seed)
     (16, 6, 0.8, "unit", 1191371726120884936),  # loose multipliers: UB ~ OPT + 6
     (14, 4, 0.8, "unit", 861956771),
@@ -500,6 +539,16 @@ class TestUpperBound:
         opt = brute_force_opt(inst).opt
         assert rep.converged
         assert rep.upper_bound >= opt and rep.upper_bound >= rep.objective
+
+    @given(inst=signed_instances(), mode=st.sampled_from(["neighborhood", "none"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_above_opt_on_random_graphs(self, inst, mode, seed):
+        # the bound holds for any multipliers and any iterate, converged or not
+        _, rep = solve_sdp(inst, SdpConfig(triangle_mode=mode, seed=seed))
+        opt = brute_force_opt(inst).opt
+        assert rep.upper_bound >= opt - 1e-9 * max(1.0, opt)
+        assert rep.upper_bound <= inst.total_weight
 
     def test_default_start_rank_certifies(self):
         # default_rank(400) = 30: the mixing method starts below it, at 24
