@@ -25,21 +25,24 @@ depending on whether the triple family is empty:
   that class. It runs as a rank staircase: it starts at a low rank and adds
   a column only when the dual certificate below refuses the iterate.
 - Otherwise (_solve_alm): an augmented Lagrangian over the inequality
-  constraints. Each inner subproblem runs scipy's L-BFGS-B on an
-  unnormalized factor U with V = U row-normalized, so the sphere constraints
-  vanish. Violated triples enter the working set lazily; the full family is
-  only scanned between inner phases. The constraint layer's sparsity
-  pattern (the vertex pairs the active constraints touch, as one symmetric
-  CSR matrix) is built once per active-set change; each evaluation only
-  refills its values.
+  constraints. Each inner subproblem runs L-BFGS (_lbfgs, the unbounded
+  iteration of L-BFGS-B, in numpy) on an unnormalized factor U with V = U
+  row-normalized, so the sphere constraints vanish. Violated triples enter
+  the working set lazily; the full family is only scanned between inner
+  phases. The active set owns one CSR matrix K = A/2 + M over A's pattern
+  and the vertex pairs its constraints touch; the pattern is built once per
+  active-set change, and each evaluation refills K's values and makes one
+  product K V, which is the gradient.
 
 Every solve reports a certified upper bound on its relaxation's optimum
 (SdpReport.upper_bound). Weak duality gives one from any y with
 Diag(y) - A' positive semidefinite: the optimum is at most
 W/2 + sum(lam) + (sum(y) + n delta)/4 when Diag(y) - A' + delta I is, where
 A' = A + 2 sum_t lam_t e_t folds multipliers lam >= 0 of the triangle
-constraints into A (A' = A without them). y_i = <(A' V)_i, v_i> makes the
-bound equal the objective plus n delta / 4 at a stationary iterate.
+constraints into A (A' = A without them; with them, A' = 2 K(lam), the
+ALM's matrix K = A/2 + M refilled with the multipliers).
+y_i = <(A' V)_i, v_i> makes the bound equal the objective plus
+n delta / 4 at a stationary iterate.
 Positive definiteness is certified by one sparse LDL^T-style factorization
 (_shift_certificate), or, above _FACTOR_MAX_N vertices, where its fill
 costs too much, by the Gershgorin shift, which needs none but gives a loose
@@ -59,7 +62,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .instance import Max2LinInstance
 
@@ -113,6 +115,19 @@ _FACTOR_MAX_N = 5000
 
 # the ALM multiplies its penalty by this factor when feasibility stalls
 _PENALTY_GROWTH = 5.0
+
+# the inner L-BFGS keeps this many (s, y) pairs and stops once an iteration
+# lowers its function by at most _LBFGS_FTOL * max(|f|, |f'|, 1); its line
+# search takes L-BFGS-B's Moré-Thuente settings: sufficient decrease
+# _LS_FTOL, curvature _LS_GTOL, interval tolerance _LS_XTOL, steps in
+# [0, _LS_STEP_MAX], at most _LS_MAX_EVALS evaluations
+_LBFGS_MEMORY = 12
+_LBFGS_FTOL = 1e-16
+_LS_FTOL = 1e-3
+_LS_GTOL = 0.9
+_LS_XTOL = 0.1
+_LS_STEP_MAX = 1e10
+_LS_MAX_EVALS = 20
 
 # mode="all" refuses instances whose C(n, 3) triple array would exceed ~100 MB
 # (24 bytes per triple); n = 289 is the largest instance it accepts
@@ -184,8 +199,8 @@ class SdpReport:
     counts sweeps over every rank of the staircase, objective_history holds
     the objective after each sweep, and monotone says no sweep lowered it
     (beyond 1e-9 * max(1, W) of rounding; the column a climb appends may
-    lower it). Augmented Lagrangian: iterations
-    counts L-BFGS-B iterations over all rounds, objective_history holds the
+    lower it). Augmented Lagrangian: iterations counts the inner L-BFGS
+    iterations (_lbfgs) over all rounds, objective_history holds the
     objective after each outer round, and monotone says no inner solve
     lowered the augmented objective.
     """
@@ -276,19 +291,23 @@ def max_triangle_violation(emb: SdpEmbedding, triples: np.ndarray) -> float:
 
 class _ActiveSet:
     """Lazily activated (triple, sign-class) constraints with multipliers,
-    kept in activation order, and the fixed-pattern layer that evaluates them.
+    kept in activation order, and the fused layer that evaluates them with
+    the objective.
 
     Constraint t reads the inner products r_ij, r_jk, r_ik of its sorted
     triple. Every add() that admits constraints rebuilds the layer: pair_i,
     pair_j list the unique vertex pairs the active constraints touch, slot[t]
     holds the pair indices of constraint t's three inner products, and
-    penalty_matrix is one symmetric CSR matrix over those pairs. An
-    evaluation only refills penalty_matrix.data; explicit zeros stay.
+    matrix K is one symmetric CSR matrix over the union of the pattern of
+    adj (the signed adjacency A) and those pairs. K = A/2 + M(f), where
+    M(f)_ij = M(f)_ji is the sum of f_t e_t over the constraints reading
+    r_ij; refill(f) only rewrites K.data, from A/2 as fixed base values, and
+    explicit zeros stay.
     """
 
-    def __init__(self, triples: np.ndarray, n: int) -> None:
+    def __init__(self, triples: np.ndarray, adj: sp.csr_matrix) -> None:
         self.triples = triples
-        self.n = n
+        self.adj = adj
         self.seen = np.zeros((len(triples), len(_PATTERNS)), dtype=bool)
         self.idx = np.empty((0, 3), dtype=np.int64)
         self.pattern = np.empty((0, 3))
@@ -314,46 +333,61 @@ class _ActiveSet:
         return len(t_new)
 
     def _build_layer(self) -> None:
-        n = self.n
+        adj = self.adj
+        n = adj.shape[0]
         i, j, k = self.idx.T
         keys = np.stack([i * n + j, j * n + k, i * n + k], axis=1)
         pair_keys, slot = np.unique(keys.ravel(), return_inverse=True)
         self.slot = slot.reshape(-1, 3)
         self.pair_i, self.pair_j = np.divmod(pair_keys, n)
-        # entry (i, j) and its mirror (j, i) both read pair p's value
-        rows = np.concatenate([self.pair_i, self.pair_j])
-        cols = np.concatenate([self.pair_j, self.pair_i])
-        order = np.lexsort((cols, rows))
-        self._entry_pair = np.tile(np.arange(len(pair_keys)), 2)[order]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        self.penalty_matrix = sp.csr_matrix(
-            (np.zeros(len(order)), cols[order], indptr), shape=(n, n)
+        n_pairs = len(pair_keys)
+        # K's entries: A's, then pair p at (i, j) and its mirror (j, i); an
+        # edge pair shares its entry with A. Entries off the pairs read the
+        # zero that refill's bincount leaves at index n_pairs
+        adj_keys = np.repeat(np.arange(n), np.diff(adj.indptr)) * n + adj.indices
+        entry_keys, where = np.unique(
+            np.concatenate([adj_keys, pair_keys, self.pair_j * n + self.pair_i]), return_inverse=True
         )
+        self._base = np.zeros(len(entry_keys))
+        self._base[where[: adj.nnz]] = 0.5 * adj.data
+        self._entry_pair = np.full(len(entry_keys), n_pairs)
+        self._entry_pair[where[adj.nnz :]] = np.tile(np.arange(n_pairs), 2)
+        rows, cols = np.divmod(entry_keys, n)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        self.matrix = sp.csr_matrix((self._base.copy(), cols, indptr), shape=(n, n))
+
+    def _pair_products(self, v: np.ndarray) -> np.ndarray:
+        return _rowdot(np.take(v, self.pair_i, axis=0), np.take(v, self.pair_j, axis=0))
+
+    def _cvals(self, r: np.ndarray) -> np.ndarray:
+        return 1.0 + _rowdot(self.pattern, r[self.slot])
 
     def cvals(self, v: np.ndarray) -> np.ndarray:
         """c[t] = 1 + e1 r_ij + e2 r_jk + e3 r_ik, one row-dot per active pair."""
-        r = _rowdot(v[self.pair_i], v[self.pair_j])[self.slot]
-        return 1.0 + self.pattern[:, 0] * r[:, 0] + self.pattern[:, 1] * r[:, 1] + self.pattern[:, 2] * r[:, 2]
+        return self._cvals(self._pair_products(v))
 
-    def pair_matrix(self, f: np.ndarray) -> sp.csr_matrix:
-        """penalty_matrix, refilled as the symmetric M with M_ij = sum of
-        f_t e_t over the constraints reading r_ij."""
-        m_pair = np.bincount(
-            self.slot.ravel(), weights=(f[:, None] * self.pattern).ravel(), minlength=len(self.pair_i)
+    def refill(self, f: np.ndarray) -> np.ndarray:
+        """Refill K = A/2 + M(f) in place; M's value per pair, then a zero."""
+        m = np.bincount(
+            self.slot.ravel(), weights=(f[:, None] * self.pattern).ravel(), minlength=len(self.pair_i) + 1
         )
-        self.penalty_matrix.data[:] = m_pair[self._entry_pair]
-        return self.penalty_matrix
+        np.add(self._base, m[self._entry_pair], out=self.matrix.data)
+        return m
 
-    def penalty(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        """The augmented objective's penalty term -mu/2 ||max(0, lam/mu - c)||^2
-        and its gradient in v.
+    def augmented(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+        """tr(V^T A V)/4 plus the penalty -mu/2 ||max(0, lam/mu - c)||^2, and
+        its gradient in v, with one product K V.
 
-        With f = mu * max(0, lam/mu - c), the gradient is M v for the
-        symmetric M with M_ij = sum of f_t e_t over the constraints reading
-        r_ij.
+        With f = mu * max(0, lam/mu - c), the gradient is (A/2 + M(f)) V = K V,
+        and <V, M(f) V> = 2 sum_p m_p r_p over the pairs, so the smooth term
+        is <V, K V>/2 - sum_p m_p r_p.
         """
-        q = np.maximum(0.0, self.lam / mu - self.cvals(v))
-        return -0.5 * mu * float(q @ q), self.pair_matrix(mu * q) @ v
+        r = self._pair_products(v)
+        q = np.maximum(0.0, self.lam / mu - self._cvals(r))
+        m = self.refill(mu * q)
+        kv = self.matrix @ v
+        val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1] @ r) - 0.5 * mu * float(q @ q)
+        return val, kv
 
 
 def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
@@ -373,6 +407,8 @@ def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
     D = diag(U): S is positive definite iff every pivot is positive. A
     pivoting that leaves the diagonal, or an exactly zero pivot, refuses.
     """
+    from scipy.sparse.linalg import splu  # slow to import; gen, oracle and verify never factor
+
     s = (sp.diags(y + delta) - adj).tocsc()
     try:
         lu = splu(s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -551,6 +587,270 @@ def _solve_mixing(
     return emb, report
 
 
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One safeguarded step of the Moré-Thuente search (MINPACK-2 dcstep).
+
+    (stx, fx, dx) is the step with the least value so far, with its value
+    and directional derivative; (sty, fy, dy) the other end of the interval;
+    (stp, fp, dp) the step just evaluated. Returns the updated ends, the
+    next trial step and whether a minimizer is bracketed. The square roots
+    are of quantities that are nonnegative in exact arithmetic; rounding
+    below zero takes zero, not NaN.
+    """
+    opposite = (dp < 0.0 < dx) or (dx < 0.0 < dp)
+    if fp > fx:
+        # a higher value: bracketed; the cubic step if it is closer to stx
+        # than the quadratic one, else their mean
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp < stx:
+            gamma = -gamma
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        stpc = stx + p / q * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        # a lower value, derivatives of opposite sign: bracketed; the cubic
+        # step if it is farther from stp than the secant step
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        stpc = stp + p / q * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # a lower value, same sign, the derivative shrinks: the cubic step
+        # only if the cubic tends to infinity beyond stp
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            bound = stp + 0.66 * (sty - stp)
+            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(max(stpf, stpmin), stpmax)
+    elif brackt:
+        # a lower value, same sign, the derivative does not shrink: the
+        # cubic step toward sty
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dy / s) * (dp / s)))
+        if stp > sty:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dy
+        stpf = stp + p / q * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _more_thuente(fg, x: np.ndarray, f0: float, d: np.ndarray, gd0: float, stp: float):
+    """Moré-Thuente line search from x along the descent direction d
+    (MINPACK-2 dcsrch, as L-BFGS-B calls it).
+
+    f0 and gd0 < 0 are the value and directional derivative at x, stp the
+    first trial step. Returns (stp, x + stp d, value, gradient, directional
+    derivative) at the first step that meets the sufficient decrease and
+    curvature conditions, or at which the search can make no progress (a
+    bracket narrower than _LS_XTOL, or a step at a bound); None after
+    _LS_MAX_EVALS evaluations without one.
+    """
+    gtest = _LS_FTOL * gd0
+    brackt, stage = False, 1
+    width, width1 = _LS_STEP_MAX, 2.0 * _LS_STEP_MAX
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = gd0
+    stmin, stmax = 0.0, 5.0 * stp
+    for _ in range(_LS_MAX_EVALS):
+        xt = x + stp * d
+        f, g = fg(xt)
+        gd = float(g @ d)
+        ftest = f0 + stp * gtest
+        if stage == 1 and f <= ftest and gd >= 0.0:
+            stage = 2
+        if (
+            (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax))
+            or (stp == _LS_STEP_MAX and f <= ftest and gd <= gtest)
+            or (stp == 0.0 and (f > ftest or gd >= gtest))
+            or (f <= ftest and abs(gd) <= _LS_GTOL * -gd0)
+        ):
+            return stp, xt, f, g, gd
+        if stage == 1 and fx >= f > ftest:
+            # step on the modified function f(a) - f0 - a gtest, whose
+            # minimizer the interval then holds
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, gd - gtest, brackt, stmin, stmax,
+            )
+            fx, fy = fxm + stx * gtest, fym + sty * gtest
+            gx, gy = gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax
+            )
+        if brackt:
+            # bisect when the interval has not shrunk by a third in two steps
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), _LS_STEP_MAX)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
+            stp = stx  # no progress is possible: end at the best step
+    return None
+
+
+class _InverseHessian:
+    """The L-BFGS inverse-Hessian approximation in compact form
+    (Byrd-Nocedal-Schnabel 1994) over the last k <= _LBFGS_MEMORY pairs
+    s = x' - x, y = g' - g:
+
+        H = gamma I + [S  gamma Y] M [S  gamma Y]^T,
+        M = [[R^-T (D + gamma Y^T Y) R^-1, -R^-T], [-R^-1, 0]],
+
+    with the pairs oldest first in the columns of S and Y, R the upper
+    triangle of S^T Y, D its diagonal and gamma = s^T y / y^T y of the newest
+    pair (H = I while empty).
+
+    The pairs sit in a ring of _LBFGS_MEMORY slots, s and y of slot t at
+    rows 2t and 2t + 1 of w, and every matrix is kept in slot order: a slot
+    not in use has a zero row and column in R^-1, hence in M, so a direction
+    is one product with w and one with its transpose, whatever k is. Each
+    update empties the slot it fills, which drops the oldest pair once the
+    ring is full (the trailing block of an upper triangular inverse is the
+    inverse of the trailing block), extends R^-1 by the new pair's column
+    and rebuilds M in place.
+    """
+
+    def __init__(self, n: int) -> None:
+        m = _LBFGS_MEMORY
+        self.w = np.zeros((2 * m, n))
+        self.r_inv = np.zeros((m, m))
+        self.yy = np.zeros((m, m))  # Y^T Y
+        self.sy = np.zeros((m, m))  # D
+        # M with gamma folded into its blocks, rows and columns in w's order
+        self.middle = np.zeros((2 * m, 2 * m))
+        self.reset()
+
+    def reset(self) -> None:
+        self.k = 0
+        self.next = 0  # the slot the next pair fills
+        self.gamma = 1.0
+        self.r_inv[:] = 0.0
+        self.middle[:] = 0.0
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g."""
+        if self.k == 0:
+            return -g
+        d = (self.middle @ (self.w @ g)) @ self.w
+        d += self.gamma * g
+        return np.negative(d, out=d)
+
+    def update(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        """Add the pair (s, y), with s^T y = sy > 0."""
+        t = self.next
+        self.next = (t + 1) % _LBFGS_MEMORY
+        self.k = min(self.k + 1, _LBFGS_MEMORY)
+        self.w[2 * t] = s
+        self.w[2 * t + 1] = y
+        prods = self.w @ y  # s_u^T y and y_u^T y for every slot u
+        r_col, y_row = prods[0::2], prods[1::2]
+        # R^-1 of [[R, r], [0, sy]] is [[R^-1, -R^-1 r / sy], [0, 1 / sy]];
+        # slot t's old row and r's entry for slot t drop out
+        r_inv = self.r_inv
+        r_inv[t] = 0.0
+        r_col[t] = 0.0
+        r_inv[:, t] = r_inv @ r_col * (-1.0 / sy)
+        r_inv[t, t] = 1.0 / sy
+        self.yy[t] = self.yy[:, t] = y_row
+        self.sy[t, t] = sy
+        self.gamma = gamma = sy / float(y_row[t])
+
+        inner = self.yy * gamma
+        inner += self.sy
+        blocks = self.middle.reshape(_LBFGS_MEMORY, 2, _LBFGS_MEMORY, 2)
+        blocks[:, 0, :, 0] = r_inv.T @ inner @ r_inv
+        np.multiply(r_inv, -gamma, out=blocks[:, 1, :, 0])
+        blocks[:, 0, :, 1] = blocks[:, 1, :, 0].T
+
+
+def _lbfgs(fg, x: np.ndarray, gtol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
+    """Minimize fg (x -> (value, gradient)) from x: (x, value, iterations).
+
+    The unbounded iteration of L-BFGS-B (Byrd-Lu-Nocedal-Zhu 1995), as
+    scipy's minimize(method="L-BFGS-B", maxcor=12, ftol=1e-16) runs it:
+    direction -H g (_InverseHessian), first trial step min(1/||d||,
+    _LS_STEP_MAX) on the first iteration and 1 after, Moré-Thuente line
+    search (_more_thuente). The update is skipped when
+    s^T y <= eps * (-g^T s); a failed search or an ascent direction clears
+    the memory and retries along -g, and ends the run when the memory was
+    already empty. Stops once max|g| <= gtol, once an iteration lowers the
+    value by at most _LBFGS_FTOL * max(|f|, |f'|, 1), or after max_iter
+    iterations.
+    """
+    f, g = fg(x)
+    memory = _InverseHessian(len(x))
+    eps = np.finfo(float).eps
+    nit = 0
+    while nit < max_iter and float(np.max(np.abs(g))) > gtol:
+        # L-BFGS-B steps to z = x + d and searches along z - x, which
+        # rounds d to x's precision
+        d = memory.direction(g)
+        d = (x + d) - x
+        gd0 = float(g @ d)
+        step = None
+        if gd0 < 0.0:
+            stp = min(1.0 / math.sqrt(float(d @ d)), _LS_STEP_MAX) if nit == 0 else 1.0
+            step = _more_thuente(fg, x, f, d, gd0, stp)
+        if step is None:
+            if memory.k == 0:
+                break
+            memory.reset()
+            continue
+        stp, x, f_new, g_new, gd = step
+        nit += 1
+        f_old, f = f, f_new
+        y, g = g_new - g, g_new
+        if f_old - f <= _LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
+            break
+        sy = (gd - gd0) * stp
+        if sy > eps * (-gd0 * stp):
+            memory.update(stp * d, y, sy)
+    return x, f, nit
+
+
 def _solve_alm(
     inst: Max2LinInstance,
     cfg: SdpConfig,
@@ -566,15 +866,14 @@ def _solve_alm(
     penalty starts at max(1e-2, W/m) and grows by _PENALTY_GROWTH whenever a
     round leaves the violation above constraint_tol without halving it; it
     has no ceiling. rng nudges the iterate off stationary but infeasible
-    points.
+    points. Each round's inner subproblem maximizes the augmented objective
+    over the unnormalized factor with _lbfgs, for at most max_inner
+    iterations.
     """
-    from scipy.optimize import minimize  # only this solver needs it; slow to import
-
     n, rank = v.shape
     w_tot = inst.total_weight
     scale = max(1.0, w_tot)
-    a_half = 0.5 * _signed_adjacency(inst)
-    active = _ActiveSet(triples, n)
+    active = _ActiveSet(triples, _signed_adjacency(inst))
     mu = max(1e-2, w_tot / max(inst.m, 1))
     # c-form threshold: norm-form violation is -2c, keep activation strictly
     # inside the reporting tolerance
@@ -582,15 +881,11 @@ def _solve_alm(
     act_thresh = 0.25 * c_tol
 
     def al_and_grad(mat: np.ndarray) -> tuple[float, np.ndarray]:
-        """Augmented objective and its ambient gradient, one constraint pass.
-
-        tr(V^T A V) = sum_e w_e b_e <v_i, v_j> makes the smooth objective a
-        byproduct of the gradient matrix.
-        """
-        g = a_half @ mat
-        pen, pen_grad = active.penalty(mat, mu)
-        val = 0.5 * w_tot + 0.5 * float(np.sum(mat * g)) + pen
-        return val, g + pen_grad
+        """Augmented objective and its ambient gradient, one product K V:
+        tr(V^T A V) = 2 sum_e w_e b_e <v_i, v_j>, so the objective is
+        W/2 + tr(V^T A V)/4."""
+        val, grad = active.augmented(mat, mu)
+        return 0.5 * w_tot + val, grad
 
     def scan_full(mat: np.ndarray):
         """(min c over the family, activation candidates)."""
@@ -609,12 +904,12 @@ def _solve_alm(
         # inner subproblem over the unnormalized factor: V(U) has unit rows,
         # so the sphere constraints vanish and L-BFGS runs unconstrained
         u = u_flat.reshape(n, rank)
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
-        norms = np.maximum(norms, 1e-30)
+        norms = np.maximum(np.sqrt(_rowdot(u, u)), 1e-30)[:, None]
         mat = u / norms
         val, g = al_and_grad(mat)
-        gt = (g - _rowdot(g, mat)[:, None] * mat) / norms
-        return -val, -gt.ravel()
+        # minus the gradient in u: the part of g across each row, over its norm
+        g_neg = (_rowdot(g, mat)[:, None] * mat - g) / norms
+        return -val, g_neg.ravel()
 
     gtol_floor = 1e-9 * scale
     total_inner = 0
@@ -643,16 +938,10 @@ def _solve_alm(
             prev_viol
         ) else 1e-5 * scale
         al_start = al_and_grad(v)[0]
-        res = minimize(
-            negative_al,
-            v.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_inner, "ftol": 1e-16, "gtol": gtol, "maxcor": 12},
-        )
-        v = _normalize_rows(res.x.reshape(n, rank))
-        total_inner += int(res.nit)
-        if -res.fun < al_start - 1e-9 * scale:
+        u, neg_al, nit = _lbfgs(negative_al, v.ravel(), gtol, cfg.max_inner)
+        v = _normalize_rows(u.reshape(n, rank))
+        total_inner += nit
+        if -neg_al < al_start - 1e-9 * scale:
             monotone = False
 
         obj = sdp_objective(inst, SdpEmbedding(vectors=v))
@@ -677,11 +966,12 @@ def _solve_alm(
 
     emb = SdpEmbedding(vectors=_normalize_rows(v))
     objective = sdp_objective(inst, emb)
-    # the multipliers fold into A' = A + 2 sum_t lam_t e_t (module docstring);
-    # with the step the next round would take, the final iterate is
-    # stationary for A' up to the inner tolerance
+    # the multipliers fold into A' = A + 2 sum_t lam_t e_t = 2 K(lam) (module
+    # docstring); with the step the next round would take, the final iterate
+    # is stationary for A' up to the inner tolerance
     lam = np.maximum(0.0, active.lam - mu * active.cvals(emb.vectors))
-    a_lam = _signed_adjacency(inst) + 2.0 * active.pair_matrix(lam)
+    active.refill(lam)
+    a_lam = 2.0 * active.matrix
     y = _rowdot(a_lam @ emb.vectors, emb.vectors)
     upper = _upper_bound(w_tot, float(np.sum(lam)), y, _certified_shift(a_lam, y, _first_shift(objective, n)))
     report = SdpReport(

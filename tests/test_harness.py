@@ -357,19 +357,33 @@ class TestExperimentCommand:
         assert mean_gain >= 0.0
 
 
-def loaded_after_import(module: str) -> bool:
-    """Does a fresh interpreter hold module after `import cutflip.harness`?"""
+def loaded_after_import(module: str, then: str = "") -> bool:
+    """Does a fresh interpreter hold module after `import cutflip.harness`
+    and the statements then?"""
     src = str(Path(cutflip.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, cutflip.harness; print({module!r} in sys.modules)"
+    code = f"import sys, cutflip.harness\n{then}\nprint({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return res.stdout.strip() == "True"
 
 
 def test_import_leaves_out_scipy_optimize():
-    # only the triangle-mode solver needs scipy.optimize; the CLI imports
-    # without it
+    # the CLI imports without scipy.optimize, and the triangle-mode solver
+    # runs its own L-BFGS
     assert not loaded_after_import("scipy.optimize")
+    solve = (
+        "from cutflip.instance import gen_random_regular\n"
+        "from cutflip.sdp import SdpConfig, solve_sdp\n"
+        "_, rep = solve_sdp(gen_random_regular(12, 3, 0.5, 'unit', seed=0), SdpConfig(triangle_mode='neighborhood'))\n"
+        "assert rep.n_active > 0 and rep.iterations > 0"
+    )
+    assert not loaded_after_import("scipy.optimize", then=solve)
+
+
+def test_import_leaves_out_scipy_sparse_linalg():
+    # only the certificate's factorization needs scipy.sparse.linalg, slow
+    # to import; gen, oracle and verify never factor
+    assert not loaded_after_import("scipy.sparse.linalg")
 
 
 def test_import_leaves_out_scipy_special():

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from cutflip.instance import Max2LinInstance, gen_random_regular, parse_instance
 from cutflip.oracle import brute_force_opt
@@ -18,8 +19,11 @@ from cutflip.sdp import (
     _SHIFT_RTOL,
     SdpConfig,
     SdpEmbedding,
+    _LBFGS_MEMORY,
     _ActiveSet,
+    _InverseHessian,
     _certified_shift,
+    _lbfgs,
     _shift_certificate,
     _signed_adjacency,
     default_rank,
@@ -145,26 +149,32 @@ class TestTriangleViolation:
             assert max_triangle_violation(emb, triples) == 0.0
 
 
+def coo_pair_matrix(active: _ActiveSet, f: np.ndarray) -> sp.csr_matrix:
+    """M(f), M_ij = M_ji = sum of f_t e_t over the constraints reading r_ij,
+    by the per-evaluation COO -> CSR build the fixed-pattern layer replaced."""
+    n, idx, fe = active.adj.shape[0], active.idx, f[:, None] * active.pattern
+    rows = np.concatenate([idx[:, 0], idx[:, 0], idx[:, 1], idx[:, 1], idx[:, 2], idx[:, 2]])
+    cols = np.concatenate([idx[:, 1], idx[:, 2], idx[:, 0], idx[:, 2], idx[:, 1], idx[:, 0]])
+    dat = np.concatenate([fe[:, 0], fe[:, 2], fe[:, 0], fe[:, 1], fe[:, 1], fe[:, 2]])
+    return sp.csr_matrix((dat, (rows, cols)), shape=(n, n))
+
+
 def coo_penalty_reference(active: _ActiveSet, v: np.ndarray, mu: float):
-    """The per-evaluation COO -> CSR penalty build the fixed-pattern layer replaced."""
-    n, idx, e = len(v), active.idx, active.pattern
+    """tr(V^T A V)/4 plus the penalty, and its gradient (A/2) V + M(f) V,
+    with M(f) built from COO triplets as before the layer was fused."""
+    idx, e = active.idx, active.pattern
     r = [np.einsum("ij,ij->i", v[idx[:, a]], v[idx[:, b]]) for a, b in ((0, 1), (1, 2), (0, 2))]
     c = 1.0 + e[:, 0] * r[0] + e[:, 1] * r[1] + e[:, 2] * r[2]
     q = np.maximum(0.0, active.lam / mu - c)
     f = mu * q
-    grad = np.zeros_like(v)
-    nz = f > 0.0
-    if np.any(nz):
-        idx, fe = idx[nz], f[nz][:, None] * e[nz]
-        rows = np.concatenate([idx[:, 0], idx[:, 0], idx[:, 1], idx[:, 1], idx[:, 2], idx[:, 2]])
-        cols = np.concatenate([idx[:, 1], idx[:, 2], idx[:, 0], idx[:, 2], idx[:, 1], idx[:, 0]])
-        dat = np.concatenate([fe[:, 0], fe[:, 2], fe[:, 0], fe[:, 1], fe[:, 1], fe[:, 2]])
-        grad = sp.csr_matrix((dat, (rows, cols)), shape=(n, n)) @ v
-    return -0.5 * mu * float(q @ q), grad, f
+    a_v = 0.5 * (active.adj @ v)
+    val = 0.5 * float(np.sum(v * a_v)) - 0.5 * mu * float(q @ q)
+    return val, a_v + coo_pair_matrix(active, f) @ v, f
 
 
 class TestConstraintLayer:
-    """_ActiveSet.penalty: the fixed-pattern constraint layer of the ALM."""
+    """_ActiveSet.augmented: the fused constraint layer of the ALM, one
+    matrix K = A/2 + M(f) over A's pattern and the active pairs."""
 
     @staticmethod
     def grown_active_set(seed: int):
@@ -175,7 +185,7 @@ class TestConstraintLayer:
         rng = np.random.default_rng(seed)
         t_idx = rng.integers(len(triples), size=60)
         p_idx = rng.integers(len(_PATTERNS), size=60)
-        active = _ActiveSet(triples, inst.n)
+        active = _ActiveSet(triples, _signed_adjacency(inst))
         active.add(t_idx[:20], p_idx[:20])
         first_pairs = len(active.pair_i)
         active.add(t_idx[20:], p_idx[20:])
@@ -187,7 +197,7 @@ class TestConstraintLayer:
         active.lam = rng.uniform(0.0, 2.0, len(active)) * (rng.random(len(active)) < 0.5)
 
     def assert_matches_reference(self, active, v, mu):
-        val, grad = active.penalty(v, mu)
+        val, grad = active.augmented(v, mu)
         ref_val, ref_grad, f = coo_penalty_reference(active, v, mu)
         assert val == pytest.approx(ref_val, rel=1e-12, abs=0.0)
         assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
@@ -219,19 +229,48 @@ class TestConstraintLayer:
         active.lam = np.concatenate([active.lam[:-added], np.zeros(added)])
         self.assert_matches_reference(active, v, 2.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matrix_is_half_adjacency_plus_pair_matrix(self, seed):
+        inst, active, _, rng = self.grown_active_set(seed)
+        adj = _signed_adjacency(inst).toarray()
+        # the active pairs include edges, whose entry K shares with A, and
+        # non-edges, which A does not have
+        on_edge = adj[active.pair_i, active.pair_j] != 0.0
+        assert np.any(on_edge) and not np.all(on_edge)
+        f = rng.uniform(-1.0, 2.0, len(active))
+        active.refill(f)
+        want = 0.5 * adj + coo_pair_matrix(active, f).toarray()
+        got = active.matrix.toarray()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # the pattern holds A's entries and both mirrors of every pair
+        pattern = active.matrix.copy()
+        pattern.data[:] = 1.0
+        dense = pattern.toarray()
+        assert np.all(dense[adj != 0.0] == 1.0)
+        assert np.all(dense[active.pair_i, active.pair_j] == 1.0)
+        assert np.all(dense[active.pair_j, active.pair_i] == 1.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_certificate_matrix_is_twice_k(self, seed):
+        # the certificate's A' = A + 2 sum_t lam_t e_t is 2 K(lam)
+        inst, active, _, rng = self.grown_active_set(seed)
+        lam = rng.uniform(0.0, 2.0, len(active)) * (rng.random(len(active)) < 0.5)
+        active.refill(lam)
+        got = (2.0 * active.matrix).toarray()
+        want = (_signed_adjacency(inst) + 2.0 * coo_pair_matrix(active, lam)).toarray()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradient_matches_central_differences(self, seed):
         # augmented value W/2 + tr(V^T A V)/4 + penalty, at an arbitrary
         # (not unit-row) V, along random directions
         inst, active, _, rng = self.grown_active_set(seed)
         self.set_multipliers(active, rng)
-        a_half = 0.5 * _signed_adjacency(inst)
         mu = 1.5
 
         def augmented(v):
-            pen, pen_grad = active.penalty(v, mu)
-            g = a_half @ v
-            return 0.5 * inst.total_weight + 0.5 * float(np.sum(v * g)) + pen, g + pen_grad
+            val, grad = active.augmented(v, mu)
+            return 0.5 * inst.total_weight + val, grad
 
         v = rng.standard_normal((inst.n, 4))
         grad = augmented(v)[1]
@@ -243,8 +282,8 @@ class TestConstraintLayer:
 
     def test_empty_active_set(self):
         triples = np.array([[0, 1, 2]])
-        active = _ActiveSet(triples, 3)
-        val, grad = active.penalty(np.eye(3), 1.0)
+        active = _ActiveSet(triples, _signed_adjacency(Max2LinInstance.from_edges(3, [])))
+        val, grad = active.augmented(np.eye(3), 1.0)
         assert val == 0.0 and not np.any(grad)
         assert active.add(np.array([0]), np.array([1])) == 1
         assert active.add(np.array([0]), np.array([1])) == 0  # already active
@@ -252,13 +291,173 @@ class TestConstraintLayer:
         assert active.slot.tolist() == [[0, 2, 1]]
 
     def test_pair_repeated_in_one_call_admitted_once(self):
-        active = _ActiveSet(np.array([[0, 1, 2], [0, 1, 3]]), 4)
+        adj = _signed_adjacency(Max2LinInstance.from_edges(4, []))
+        active = _ActiveSet(np.array([[0, 1, 2], [0, 1, 3]]), adj)
         assert active.add(np.array([0, 0]), np.array([1, 1])) == 1
         assert len(active) == 1
         # later duplicates drop out; the survivors keep their first-seen order
         assert active.add(np.array([1, 0, 1, 0]), np.array([2, 3, 2, 1])) == 2
         assert active.idx.tolist() == [[0, 1, 2], [0, 1, 3], [0, 1, 2]]
         assert active.pattern.tolist() == _PATTERNS[[1, 2, 3]].tolist()
+
+
+def quartic(c: np.ndarray, b: np.ndarray, a: float, offset: float = 0.0):
+    """fg for offset + sum_i c_i (x_i^2 / 2 + a x_i^4 / 4) - b.x + 0.1 sum_i x_i x_(i+1)."""
+
+    def fg(x):
+        f = offset + float(np.sum(c * (0.5 * x**2 + 0.25 * a * x**4)) - b @ x + 0.1 * np.sum(x[1:] * x[:-1]))
+        g = c * (x + a * x**3) - b
+        g[1:] += 0.1 * x[:-1]
+        g[:-1] += 0.1 * x[1:]
+        return f, g
+
+    return fg
+
+
+def steep_quartic(seed: int, offset: float = 0.0):
+    """Curvatures 1 to 100 and a start far out on the quartic: the unit
+    steps the line search tries first overshoot and are cut back."""
+    rng = np.random.default_rng(seed)
+    c = np.logspace(0, 2, 50)
+    fg = quartic(c, rng.standard_normal(50) * c, 1.0, offset)
+    return fg, 3.0 * rng.standard_normal(50)
+
+
+def flat_quartic(seed: int):
+    """Curvatures 0.01 to 1 from the origin: the first steps fall short of
+    the minimizer along them and are stretched."""
+    rng = np.random.default_rng(seed)
+    return quartic(np.logspace(-2, 0, 50), 10.0 * rng.standard_normal(50), 1e-3), np.zeros(50)
+
+
+class TestLbfgs:
+    """_lbfgs against scipy's L-BFGS-B with the options it replaced in the ALM."""
+
+    @staticmethod
+    def run_both(monkeypatch, fg, x0, gtol, max_iter):
+        """(ours as (x, f, nit), evaluations, line-search steps as
+        (trial, next) pairs, failed searches, scipy's result)."""
+        steps, failed, evals = [], [], [0]
+        dcstep, search = sdp_module._dcstep, sdp_module._more_thuente
+
+        def recording_dcstep(*args):
+            out = dcstep(*args)
+            steps.append((args[6], out[6]))
+            return out
+
+        def recording_search(*args):
+            out = search(*args)
+            failed.append(out is None)
+            return out
+
+        def counted(x):
+            evals[0] += 1
+            return fg(x)
+
+        monkeypatch.setattr(sdp_module, "_dcstep", recording_dcstep)
+        monkeypatch.setattr(sdp_module, "_more_thuente", recording_search)
+        ours = _lbfgs(counted, x0.copy(), gtol, max_iter)
+        ref = minimize(fg, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": max_iter, "ftol": 1e-16, "gtol": gtol, "maxcor": 12})
+        return ours, evals[0], steps, failed, ref
+
+    @staticmethod
+    def assert_same_path(ours, evals, ref):
+        """Same iterations, evaluations (None: not compared), end point and value."""
+        x, f, nit = ours
+        assert nit == ref.nit
+        assert evals is None or evals == ref.nfev
+        assert np.linalg.norm(x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+        assert f == pytest.approx(ref.fun, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_interpolating_search_matches_scipy(self, monkeypatch, seed):
+        fg, x0 = steep_quartic(seed)
+        ours, evals, steps, _, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 1000)
+        self.assert_same_path(ours, evals, ref)
+        assert any(trial == 1.0 and nxt < 1.0 for trial, nxt in steps)  # a unit step cut back
+        assert "GRADIENT" in ref.message and np.max(np.abs(fg(ours[0])[1])) <= 1e-4
+        assert ours[2] > _LBFGS_MEMORY  # the memory wrapped
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extrapolating_search_matches_scipy(self, monkeypatch, seed):
+        fg, x0 = flat_quartic(seed)
+        ours, evals, steps, _, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 1000)
+        self.assert_same_path(ours, evals, ref)
+        assert any(nxt > trial for trial, nxt in steps)
+        assert "GRADIENT" in ref.message
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_max_iter_stop_matches_scipy(self, monkeypatch, seed):
+        for fg, x0 in (steep_quartic(seed), flat_quartic(seed)):
+            ours, evals, _, _, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 20)
+            self.assert_same_path(ours, evals, ref)
+            assert ours[2] == 20 and "ITERATIONS" in ref.message
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_relative_reduction_stop_matches_scipy(self, monkeypatch, seed):
+        # an offset of 2^40 rounds every value to a multiple of 2^-12, so the
+        # value stops moving well before the gradient vanishes
+        fg, x0 = steep_quartic(seed, offset=2.0**40)
+        ours, evals, _, _, ref = self.run_both(monkeypatch, fg, x0, 0.0, 1000)
+        self.assert_same_path(ours, evals, ref)
+        assert "REDUCTION" in ref.message and ours[2] < 1000
+
+    def test_failed_search_resets_then_stops(self, monkeypatch):
+        # the gradient turns to -grad f near the minimizer: a search along
+        # the memory's direction fails, the retry along -g fails too
+        c = np.logspace(0, 1, 20)
+
+        def fg(x):
+            g = c * x
+            return 0.5 * float(x @ g), (-g if np.linalg.norm(x) < 0.5 else g)
+
+        x0 = 3.0 * np.random.default_rng(0).standard_normal(20)
+        ours, _, _, failed, ref = self.run_both(monkeypatch, fg, x0, 1e-8, 1000)
+        # a failing search evaluates one point twice in a row, which scipy's
+        # evaluation cache counts once
+        self.assert_same_path(ours, None, ref)
+        assert failed[-2:] == [True, True] and not any(failed[:-2])
+        assert "ABNORMAL" in ref.message
+
+    def test_skipped_updates_match_scipy(self, monkeypatch):
+        # a linear function: every search runs out to the step bound, where
+        # s^T y = 0, so every update is skipped and each iteration starts
+        # along -g again
+        c = np.linspace(-1.0, 2.0, 10)
+        updates = []
+        monkeypatch.setattr(_InverseHessian, "update", lambda self, *args: updates.append(args))
+        ours, evals, _, _, ref = self.run_both(monkeypatch, lambda x: (-float(c @ x), -c), np.zeros(10), 1e-8, 5)
+        self.assert_same_path(ours, evals, ref)
+        assert not updates and "ITERATIONS" in ref.message
+
+    def test_compact_form_matches_recursion(self):
+        # -H g against the BFGS recursion over the last _LBFGS_MEMORY pairs,
+        # from H0 = gamma I, across the ring's wrap and a reset
+        rng = np.random.default_rng(0)
+        n = 30
+        memory = _InverseHessian(n)
+        pairs = []
+        for step in range(2 * _LBFGS_MEMORY + 5):
+            if step == _LBFGS_MEMORY + 7:
+                memory.reset()
+                pairs = []
+            s = rng.standard_normal(n)
+            y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
+            memory.update(s, y, float(s @ y))
+            pairs = (pairs + [(s, y)])[-_LBFGS_MEMORY:]
+            s_new, y_new = pairs[-1]
+            h = float(s_new @ y_new) / float(y_new @ y_new) * np.eye(n)
+            for s_k, y_k in pairs:
+                rho = 1.0 / float(s_k @ y_k)
+                left = np.eye(n) - rho * np.outer(s_k, y_k)
+                h = left @ h @ left.T + rho * np.outer(s_k, s_k)
+            g = rng.standard_normal(n)
+            want = -h @ g
+            assert np.linalg.norm(memory.direction(g) - want) <= 1e-10 * np.linalg.norm(want)
+        memory.reset()
+        g = rng.standard_normal(n)
+        assert np.array_equal(memory.direction(g), -g)
 
 
 class TestSolveAnchors:
