@@ -20,10 +20,12 @@ depending on whether the triple family is empty:
 - Empty family (triangle_mode="none", or a graph with no triples): the
   mixing method (_solve_mixing), block-coordinate ascent on the product of
   spheres. A greedy colouring splits the vertices into at most
-  max_degree + 1 independent sets, and one sweep sets every row of each
-  class in turn to its normalized neighbour sum, the exact maximizer over
-  that class. It runs as a rank staircase: it starts at a low rank and adds
-  a column only when the dual certificate below refuses the iterate.
+  max_degree + 1 independent sets, and one sweep moves every row of each
+  class in turn toward its normalized neighbour sum, the exact maximizer
+  over that class, over-relaxed by a factor omega in [1, 2) that rises from
+  1 by Young's SOR rule as the sweeps' rate is measured. It runs as a rank
+  staircase: it starts at a low rank and adds a column only when the dual
+  certificate below refuses the iterate.
 - Otherwise (_solve_alm): an augmented Lagrangian over the inequality
   constraints. Each inner subproblem runs L-BFGS (_lbfgs, the unbounded
   iteration of L-BFGS-B, in numpy) on an unnormalized factor U with V = U
@@ -92,6 +94,9 @@ _UNIT_TOL = 1e-8  # SdpEmbedding.validate's tolerance on row norms
 # assumes a fixed rate, and in the tail the rate drifts toward 1, so it runs
 # up to about 2x low (random 4-regular graphs, n=2000)
 _MIXING_STOP_SHARE = 0.1
+
+# the mixing method's over-relaxation factor omega never exceeds this
+_OMEGA_MAX = 1.9
 
 # the mixing method starts at rank min(default_rank(n), _RANK_START) and
 # climbs one column at a time, up to default_rank(n), while the certificate
@@ -492,22 +497,51 @@ def _colour_classes(inst: Max2LinInstance) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(colours, kind="stable"), np.bincount(colours)
 
 
+def _raised_omega(omega: float, rho: float) -> float:
+    """Young's optimal relaxation factor for a sweep rate rho measured at
+    omega, capped at _OMEGA_MAX and never below omega; omega itself where no
+    Jacobi rate mu < 1 fits rho."""
+    mu2 = (rho + omega - 1.0) ** 2 / (rho * omega * omega)
+    if not mu2 < 1.0:
+        return omega
+    return min(_OMEGA_MAX, max(omega, 2.0 / (1.0 + math.sqrt(1.0 - mu2))))
+
+
 def _solve_mixing(
     inst: Max2LinInstance, cfg: SdpConfig, v: np.ndarray, rng: np.random.Generator
 ) -> tuple[SdpEmbedding, SdpReport]:
-    """Mixing method: sweeps of exact block updates over the colour classes,
-    as a certified rank staircase.
+    """Mixing method: sweeps of over-relaxed block updates over the colour
+    classes, as a certified rank staircase.
 
     Rows are permuted so that each class is a contiguous block. A class is
     an independent set, so its row block of A has no entry in the class's
     own columns: one sparse product of the block with the iterate gives
     every g_i = sum_j w_ij b_ij v_j from vectors of other classes, and
-    v_i <- g_i / ||g_i|| maximizes the objective over all its rows at once
-    and never lowers it; a row with g_i = 0 keeps its vector. The update
-    raises the objective by 1/2 sum_i <v_i' - v_i, g_i>
-    = 1/2 sum_i (||g_i|| - <v_i, g_i>); the sweep's gain sums that over the
-    classes, taken as the difference of two inner products, which is
-    exactly 0 once a sweep leaves every row as it was.
+    the exact step v_i <- g_i / ||g_i|| maximizes the objective over all its
+    rows at once. The sweeps take the over-relaxed (SOR) step instead:
+    v_i <- (1 - omega) v_i + omega g_i / ||g_i||, renormalized, for omega in
+    [1, _OMEGA_MAX]; a row with g_i = 0 keeps its vector. With
+    c = <v_i, g_i> / ||g_i||, the new row has <v_i', g_i> / ||g_i|| > 0 and
+    its square exceeds c^2 by a multiple of
+    omega (1 - c^2)(2 (1 - omega) c + omega) >= 0 for omega < 2, so no step
+    lowers the objective, and v_i' = v_i only where v_i = g_i / ||g_i||,
+    the exact step's fixed points. A class update raises the objective by
+    1/2 sum_i <v_i' - v_i, g_i>; the sweep's gain sums that over the classes,
+    taken as the difference of two inner products, which is exactly 0 once
+    a sweep leaves every row as it was.
+
+    omega is 1 on the first three sweeps of each rank: a graph the exact
+    step solves in one sweep (a single edge) stops after the second, where a
+    fixed omega = 1.8 overshoots, converges linearly and stops 6e-8 short of
+    the optimum. From the third on, each sweep with a gain ratio
+    rho = gain / previous gain below 1 raises omega by Young's rule for SOR,
+    as if rho were the rate of SOR at omega on a linear system: the Jacobi
+    rate mu follows from mu^2 = (rho + omega - 1)^2 / (rho omega^2), and the
+    optimal factor is 2 / (1 + sqrt(1 - mu^2)) (_raised_omega). omega never
+    falls within a rank, and a climb resets it to 1. On random 4-regular
+    graphs at n=2000 this cuts the sweeps from about 800 to about 80 (omega
+    ends at or near _OMEGA_MAX, and the tail gain ratio falls from about
+    0.993 to about 0.9), at the same certified objective.
 
     A rank stops once a sweep gains nothing, or once the ascent still to
     come, extrapolated from the last two gains at a fixed rate, falls below
@@ -532,6 +566,7 @@ def _solve_mixing(
     obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
     prev_gain = 0.0  # no rate estimate yet
     fresh = True  # the next sweep is the first at this rank
+    omega = 1.0
     history: list[float] = []
     monotone = True
     converged = False
@@ -541,11 +576,20 @@ def _solve_mixing(
         for lo, hi, rows in blocks:
             g = rows @ u
             block = u[lo:hi]
-            before = np.vdot(block, g)
-            norms = np.sqrt(_rowdot(g, g))[:, None]
-            zero = norms == 0.0  # such a row keeps its vector; a masked divide is slow
-            np.divide(g, norms, out=block, where=~zero if zero.any() else True)
-            gain += 0.5 * float(np.vdot(block, g) - before)
+            vg = _rowdot(block, g)
+            norms = np.sqrt(_rowdot(g, g))
+            # v_i' = a_i v_i + b_i g_i is (1 - omega) v_i + omega g_i / ||g_i||
+            # over its size, which a unit row gives from c = <v_i, g_i> / ||g_i||:
+            # sqrt((1 - omega)^2 + omega^2 + 2 omega (1 - omega) c). A row with
+            # g_i = 0 keeps its vector: its infinite norm makes c = b_i = 0
+            zero = np.flatnonzero(norms == 0.0)
+            norms[zero] = np.inf
+            size = np.sqrt(vg / norms * (2.0 * omega * (1.0 - omega)) + ((1.0 - omega) ** 2 + omega**2))
+            a = (1.0 - omega) / size
+            a[zero] = 1.0
+            block *= a[:, None]
+            block += (omega / (norms * size))[:, None] * g
+            gain += 0.5 * float(np.vdot(block, g) - vg.sum())
         obj += gain
         history.append(obj)
         monotone = monotone and gain >= -slack
@@ -562,8 +606,10 @@ def _solve_mixing(
                 break
             u = _climb(u, rng)
             obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
-            prev_gain, fresh = 0.0, True
+            prev_gain, fresh, omega = 0.0, True, 1.0
             continue
+        if gain < prev_gain:
+            omega = _raised_omega(omega, gain / prev_gain)
         # the first sweep at a rank leaves a start point; its gain says
         # nothing of the rate
         prev_gain = 0.0 if fresh else gain

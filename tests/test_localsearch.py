@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -276,6 +277,12 @@ class TestRunOnce:
             "sdp_value", "rounded_value", "flipped_value", "gain", "s_size",
             "flip_count", "rho_window_fraction", "seeds", "converged", "generator",
         }
+        # the shallow dict has asdict's keys, order and values, and its seeds
+        # are a copy
+        d = r.to_dict()
+        assert list(d.items()) == list(dataclasses.asdict(r).items())
+        d["seeds"]["rounding"] = 4
+        assert r.seeds == {"rounding": 3}
 
 
 class TestBestOf:

@@ -663,7 +663,10 @@ class TestCertificate:
         u /= np.linalg.norm(u)
         eps = float(u @ s @ u) + eta
         lowered = s - eps * np.outer(u, u)
-        assert np.linalg.eigvalsh(lowered)[0] <= -eta * (1 - 1e-9)
+        # eigvalsh is backward stable: it may read a few ulps of ||lowered||
+        # high (edgeless n=9, margin 2, eta 1e-6, seed 0: -eta + 1.1e-15)
+        roundoff = 8 * n * np.finfo(float).eps * float(np.abs(lowered).max())
+        assert np.linalg.eigvalsh(lowered)[0] <= -eta * (1 - 1e-9) + roundoff
         adj_lowered = sp.csr_matrix(adj.toarray() + eps * np.outer(u, u))
         assert not _shift_certificate(adj_lowered, y, margin)
 
@@ -748,6 +751,12 @@ class TestUpperBound:
         opt = brute_force_opt(inst).opt
         assert rep.upper_bound >= opt - 1e-9 * max(1.0, opt)
         assert rep.upper_bound <= inst.total_weight
+        if mode == "none":
+            # no over-relaxed class update lowers the objective, also where a
+            # vertex's neighbour sum is zero (n <= 10 starts at default_rank(n),
+            # so no climb appends a column)
+            assert rep.monotone
+            assert np.all(np.diff(rep.objective_history) >= -1e-9 * inst.total_weight)
 
     def test_default_start_rank_certifies(self):
         # default_rank(400) = 30: the mixing method starts below it, at 24
@@ -757,6 +766,17 @@ class TestUpperBound:
         assert emb.rank >= _RANK_START
         assert rep.converged
         assert 0.0 < rep.upper_bound - rep.objective <= 1e-5 * rep.objective
+
+    @pytest.mark.parametrize("d, bias, law", [(4, 1.0, "unit"), (6, 0.5, ("uniform", 0.3, 2.0))])
+    def test_over_relaxed_sweeps_certify_at_start_rank(self, d, bias, law):
+        # large-like graphs: exact block updates need 835 and 654 sweeps on
+        # them, over-relaxed ones 76 and 70, so the bound tells the two apart
+        inst = gen_random_regular(2000, d, bias, law, seed=0)
+        emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
+        assert emb.rank == _RANK_START
+        assert rep.converged and rep.monotone
+        assert rep.upper_bound - rep.objective <= 1e-5 * rep.objective
+        assert rep.iterations <= 150
 
     def test_low_start_rank_climbs_and_certifies(self):
         inst = gen_random_regular(200, 4, 1.0, "unit", seed=0)
@@ -795,6 +815,10 @@ class TestAboveFactorLimit:
         inst = gen_random_regular(200, 4, 1.0, "unit", seed=0)
         rank = default_rank(inst.n)
         ref, _ = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=rank))
+        # a certified solve from another start point
+        _, certified = solve_sdp(inst, SdpConfig(triangle_mode="none", seed=1))
+        assert certified.converged
+        assert certified.upper_bound - certified.objective <= 1e-5 * certified.objective
         monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", inst.n - 1)
         monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
@@ -802,6 +826,8 @@ class TestAboveFactorLimit:
         assert emb.rank == rank
         np.testing.assert_array_equal(emb.vectors, ref.vectors)
         assert rep.converged
+        # only the stop rule ended the solve; it stopped at the optimum
+        assert abs(rep.objective - certified.objective) <= 1e-6 * certified.objective
         # the Gershgorin shift bound is never below W in none mode: W caps it
         assert rep.upper_bound == inst.total_weight
 
