@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     except (InstanceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory (MemoryError): {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,11 +27,12 @@ depending on whether the triple family is empty:
   staircase: it starts at a low rank and adds a column only when the dual
   certificate below refuses the iterate.
 - Otherwise (_solve_alm): an augmented Lagrangian over the inequality
-  constraints. Each inner subproblem runs L-BFGS (_lbfgs, the unbounded
-  iteration of L-BFGS-B, in numpy) on an unnormalized factor U with V = U
-  row-normalized, so the sphere constraints vanish. Violated triples enter
-  the working set lazily; the full family is only scanned between inner
-  phases. The active set owns one CSR matrix K = A/2 + M over A's pattern
+  constraints. Each inner subproblem runs L-BFGS (_lbfgs, a compact
+  inverse Hessian and an Armijo backtracking line search, in numpy) on an
+  unnormalized factor U with V = U row-normalized, so the sphere constraints
+  vanish; no accepted step lowers the augmented objective. Violated triples
+  enter the working set lazily; the full family is only scanned between
+  inner phases. The active set owns one CSR matrix K = A/2 + M over A's pattern
   and the vertex pairs its constraints touch; the pattern is built once per
   active-set change, and each evaluation refills K's values and makes one
   product K V, which is the gradient.
@@ -122,16 +123,12 @@ _FACTOR_MAX_N = 5000
 _PENALTY_GROWTH = 5.0
 
 # the inner L-BFGS keeps this many (s, y) pairs and stops once an iteration
-# lowers its function by at most _LBFGS_FTOL * max(|f|, |f'|, 1); its line
-# search takes L-BFGS-B's Moré-Thuente settings: sufficient decrease
-# _LS_FTOL, curvature _LS_GTOL, interval tolerance _LS_XTOL, steps in
-# [0, _LS_STEP_MAX], at most _LS_MAX_EVALS evaluations
+# lowers its function by at most _LBFGS_FTOL * max(|f|, |f'|, 1); its
+# backtracking line search accepts the first step with sufficient decrease
+# _LS_FTOL (Armijo) and gives up after _LS_MAX_EVALS evaluations
 _LBFGS_MEMORY = 12
 _LBFGS_FTOL = 1e-16
 _LS_FTOL = 1e-3
-_LS_GTOL = 0.9
-_LS_XTOL = 0.1
-_LS_STEP_MAX = 1e10
 _LS_MAX_EVALS = 20
 
 # mode="all" refuses instances whose C(n, 3) triple array would exceed ~100 MB
@@ -633,147 +630,23 @@ def _solve_mixing(
     return emb, report
 
 
-def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
-    """One safeguarded step of the Moré-Thuente search (MINPACK-2 dcstep).
-
-    (stx, fx, dx) is the step with the least value so far, with its value
-    and directional derivative; (sty, fy, dy) the other end of the interval;
-    (stp, fp, dp) the step just evaluated. Returns the updated ends, the
-    next trial step and whether a minimizer is bracketed. The square roots
-    are of quantities that are nonnegative in exact arithmetic; rounding
-    below zero takes zero, not NaN.
-    """
-    opposite = (dp < 0.0 < dx) or (dx < 0.0 < dp)
-    if fp > fx:
-        # a higher value: bracketed; the cubic step if it is closer to stx
-        # than the quadratic one, else their mean
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
-        if stp < stx:
-            gamma = -gamma
-        p = (gamma - dx) + theta
-        q = ((gamma - dx) + gamma) + dp
-        stpc = stx + p / q * (stp - stx)
-        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
-        stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
-        brackt = True
-    elif opposite:
-        # a lower value, derivatives of opposite sign: bracketed; the cubic
-        # step if it is farther from stp than the secant step
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
-        if stp > stx:
-            gamma = -gamma
-        p = (gamma - dp) + theta
-        q = ((gamma - dp) + gamma) + dx
-        stpc = stp + p / q * (stx - stp)
-        stpq = stp + dp / (dp - dx) * (stx - stp)
-        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-        brackt = True
-    elif abs(dp) < abs(dx):
-        # a lower value, same sign, the derivative shrinks: the cubic step
-        # only if the cubic tends to infinity beyond stp
-        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
-        s = max(abs(theta), abs(dx), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
-        if stp > stx:
-            gamma = -gamma
-        p = (gamma - dp) + theta
-        q = (gamma + (dx - dp)) + gamma
-        r = p / q
-        if r < 0.0 and gamma != 0.0:
-            stpc = stp + r * (stx - stp)
-        else:
-            stpc = stpmax if stp > stx else stpmin
-        stpq = stp + dp / (dp - dx) * (stx - stp)
-        if brackt:
-            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
-            bound = stp + 0.66 * (sty - stp)
-            stpf = min(bound, stpf) if stp > stx else max(bound, stpf)
-        else:
-            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
-            stpf = min(max(stpf, stpmin), stpmax)
-    elif brackt:
-        # a lower value, same sign, the derivative does not shrink: the
-        # cubic step toward sty
-        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
-        s = max(abs(theta), abs(dy), abs(dp))
-        gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (dy / s) * (dp / s)))
-        if stp > sty:
-            gamma = -gamma
-        p = (gamma - dp) + theta
-        q = ((gamma - dp) + gamma) + dy
-        stpf = stp + p / q * (sty - stp)
-    else:
-        stpf = stpmax if stp > stx else stpmin
-
-    if fp > fx:
-        sty, fy, dy = stp, fp, dp
-    else:
-        if opposite:
-            sty, fy, dy = stx, fx, dx
-        stx, fx, dx = stp, fp, dp
-    return stx, fx, dx, sty, fy, dy, stpf, brackt
-
-
-def _more_thuente(fg, x: np.ndarray, f0: float, d: np.ndarray, gd0: float, stp: float):
-    """Moré-Thuente line search from x along the descent direction d
-    (MINPACK-2 dcsrch, as L-BFGS-B calls it).
+def _backtrack(fg, x: np.ndarray, f0: float, d: np.ndarray, gd0: float, stp: float):
+    """Armijo backtracking from x along the descent direction d
+    (Nocedal-Wright, Numerical Optimization, 3.1 and 3.5).
 
     f0 and gd0 < 0 are the value and directional derivative at x, stp the
     first trial step. Returns (stp, x + stp d, value, gradient, directional
-    derivative) at the first step that meets the sufficient decrease and
-    curvature conditions, or at which the search can make no progress (a
-    bracket narrower than _LS_XTOL, or a step at a bound); None after
-    _LS_MAX_EVALS evaluations without one.
+    derivative) at the first step with f <= f0 + _LS_FTOL stp gd0, or None
+    after _LS_MAX_EVALS refusals. A refused step is cut to the minimizer of
+    the quadratic through f0, gd0 and its value, kept within [0.1, 0.5] of
+    it (a NaN value takes 0.5).
     """
-    gtest = _LS_FTOL * gd0
-    brackt, stage = False, 1
-    width, width1 = _LS_STEP_MAX, 2.0 * _LS_STEP_MAX
-    stx = sty = 0.0
-    fx = fy = f0
-    gx = gy = gd0
-    stmin, stmax = 0.0, 5.0 * stp
     for _ in range(_LS_MAX_EVALS):
         xt = x + stp * d
         f, g = fg(xt)
-        gd = float(g @ d)
-        ftest = f0 + stp * gtest
-        if stage == 1 and f <= ftest and gd >= 0.0:
-            stage = 2
-        if (
-            (brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax))
-            or (stp == _LS_STEP_MAX and f <= ftest and gd <= gtest)
-            or (stp == 0.0 and (f > ftest or gd >= gtest))
-            or (f <= ftest and abs(gd) <= _LS_GTOL * -gd0)
-        ):
-            return stp, xt, f, g, gd
-        if stage == 1 and fx >= f > ftest:
-            # step on the modified function f(a) - f0 - a gtest, whose
-            # minimizer the interval then holds
-            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
-                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
-                stp, f - stp * gtest, gd - gtest, brackt, stmin, stmax,
-            )
-            fx, fy = fxm + stx * gtest, fym + sty * gtest
-            gx, gy = gxm + gtest, gym + gtest
-        else:
-            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
-                stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax
-            )
-        if brackt:
-            # bisect when the interval has not shrunk by a third in two steps
-            if abs(sty - stx) >= 0.66 * width1:
-                stp = stx + 0.5 * (sty - stx)
-            width1, width = width, abs(sty - stx)
-            stmin, stmax = min(stx, sty), max(stx, sty)
-        else:
-            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
-        stp = min(max(stp, 0.0), _LS_STEP_MAX)
-        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
-            stp = stx  # no progress is possible: end at the best step
+        if f <= f0 + _LS_FTOL * stp * gd0:
+            return stp, xt, f, g, float(g @ d)
+        stp *= max(0.1, min(0.5, -0.5 * gd0 * stp / (f - f0 - gd0 * stp)))
     return None
 
 
@@ -855,31 +728,26 @@ class _InverseHessian:
 def _lbfgs(fg, x: np.ndarray, gtol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
     """Minimize fg (x -> (value, gradient)) from x: (x, value, iterations).
 
-    The unbounded iteration of L-BFGS-B (Byrd-Lu-Nocedal-Zhu 1995), as
-    scipy's minimize(method="L-BFGS-B", maxcor=12, ftol=1e-16) runs it:
-    direction -H g (_InverseHessian), first trial step min(1/||d||,
-    _LS_STEP_MAX) on the first iteration and 1 after, Moré-Thuente line
-    search (_more_thuente). The update is skipped when
-    s^T y <= eps * (-g^T s); a failed search or an ascent direction clears
-    the memory and retries along -g, and ends the run when the memory was
-    already empty. Stops once max|g| <= gtol, once an iteration lowers the
-    value by at most _LBFGS_FTOL * max(|f|, |f'|, 1), or after max_iter
-    iterations.
+    Limited-memory BFGS (Liu-Nocedal 1989): direction -H g
+    (_InverseHessian), first trial step 1/||d|| on the first iteration and
+    1 after, Armijo backtracking (_backtrack), so no accepted step raises
+    the value. The update is skipped when s^T y <= eps * (-g^T s); a failed
+    search or an ascent direction clears the memory and retries along -g,
+    and ends the run when the memory was already empty. Stops once
+    max|g| <= gtol, once an iteration lowers the value by at most
+    _LBFGS_FTOL * max(|f|, |f'|, 1), or after max_iter iterations.
     """
     f, g = fg(x)
     memory = _InverseHessian(len(x))
     eps = np.finfo(float).eps
     nit = 0
     while nit < max_iter and float(np.max(np.abs(g))) > gtol:
-        # L-BFGS-B steps to z = x + d and searches along z - x, which
-        # rounds d to x's precision
         d = memory.direction(g)
-        d = (x + d) - x
         gd0 = float(g @ d)
         step = None
         if gd0 < 0.0:
-            stp = min(1.0 / math.sqrt(float(d @ d)), _LS_STEP_MAX) if nit == 0 else 1.0
-            step = _more_thuente(fg, x, f, d, gd0, stp)
+            stp = 1.0 / math.sqrt(float(d @ d)) if nit == 0 else 1.0
+            step = _backtrack(fg, x, f, d, gd0, stp)
         if step is None:
             if memory.k == 0:
                 break
@@ -1010,8 +878,8 @@ def _solve_alm(
 
         prev_obj, prev_viol = obj, viol
 
-    emb = SdpEmbedding(vectors=_normalize_rows(v))
-    objective = sdp_objective(inst, emb)
+    # the last round's v, obj and viol are the final iterate's
+    emb = SdpEmbedding(vectors=v)
     # the multipliers fold into A' = A + 2 sum_t lam_t e_t = 2 K(lam) (module
     # docstring); with the step the next round would take, the final iterate
     # is stationary for A' up to the inner tolerance
@@ -1019,10 +887,10 @@ def _solve_alm(
     active.refill(lam)
     a_lam = 2.0 * active.matrix
     y = _rowdot(a_lam @ emb.vectors, emb.vectors)
-    upper = _upper_bound(w_tot, float(np.sum(lam)), y, _certified_shift(a_lam, y, _first_shift(objective, n)))
+    upper = _upper_bound(w_tot, float(np.sum(lam)), y, _certified_shift(a_lam, y, _first_shift(obj, n)))
     report = SdpReport(
-        objective=objective,
-        max_violation=max_triangle_violation(emb, triples),
+        objective=obj,
+        max_violation=viol,
         iterations=total_inner,
         converged=converged,
         upper_bound=upper,

@@ -87,6 +87,26 @@ class TestSolveCommand:
         assert main(["solve", "/nonexistent/path.txt"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_oversized_header_exit_3(self, tmp_path):
+        # the header asks for CSR arrays of 745 GiB, which numpy refuses with
+        # MemoryError; the address-space limit makes it refuse them also on a
+        # host that overcommits memory
+        p = tmp_path / "huge.txt"
+        p.write_text("100000000000 0\n")
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+            "from cutflip.harness import main\n"
+            f"sys.exit(main(['solve', {str(p)!r}]))\n"
+        )
+        src = str(Path(cutflip.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1")
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 3
+        assert "error:" in res.stderr and "MemoryError" in res.stderr
+        assert "Traceback" not in res.stderr
+
     @pytest.mark.parametrize("flags, field", [(["--tol", "nan"], "objective_tol"),
                                               (["--tol", "inf"], "objective_tol"),
                                               (["--seed", "-1"], "seed")])

@@ -325,83 +325,82 @@ def steep_quartic(seed: int, offset: float = 0.0):
 
 def flat_quartic(seed: int):
     """Curvatures 0.01 to 1 from the origin: the first steps fall short of
-    the minimizer along them and are stretched."""
+    the minimizer along them; L-BFGS-B's search stretches them, the Armijo
+    search takes them as they are."""
     rng = np.random.default_rng(seed)
     return quartic(np.logspace(-2, 0, 50), 10.0 * rng.standard_normal(50), 1e-3), np.zeros(50)
 
 
 class TestLbfgs:
-    """_lbfgs against scipy's L-BFGS-B with the options it replaced in the ALM."""
+    """_lbfgs against scipy's L-BFGS-B with the options it replaced in the
+    ALM: the same minima and the same stop, skip and reset rules. The line
+    searches differ (Armijo backtracking against Moré-Thuente), so the
+    paths do too."""
 
     @staticmethod
     def run_both(monkeypatch, fg, x0, gtol, max_iter):
-        """(ours as (x, f, nit), evaluations, line-search steps as
-        (trial, next) pairs, failed searches, scipy's result)."""
-        steps, failed, evals = [], [], [0]
-        dcstep, search = sdp_module._dcstep, sdp_module._more_thuente
+        """(ours as (x, f, nit), searches as (d, first trial step, f0,
+        result), scipy's result)."""
+        searches = []
+        search = sdp_module._backtrack
 
-        def recording_dcstep(*args):
-            out = dcstep(*args)
-            steps.append((args[6], out[6]))
+        def recording_search(fg, x, f0, d, gd0, stp):
+            out = search(fg, x, f0, d, gd0, stp)
+            searches.append((d, stp, f0, out))
             return out
 
-        def recording_search(*args):
-            out = search(*args)
-            failed.append(out is None)
-            return out
-
-        def counted(x):
-            evals[0] += 1
-            return fg(x)
-
-        monkeypatch.setattr(sdp_module, "_dcstep", recording_dcstep)
-        monkeypatch.setattr(sdp_module, "_more_thuente", recording_search)
-        ours = _lbfgs(counted, x0.copy(), gtol, max_iter)
+        monkeypatch.setattr(sdp_module, "_backtrack", recording_search)
+        ours = _lbfgs(fg, x0.copy(), gtol, max_iter)
         ref = minimize(fg, x0, jac=True, method="L-BFGS-B",
                        options={"maxiter": max_iter, "ftol": 1e-16, "gtol": gtol, "maxcor": 12})
-        return ours, evals[0], steps, failed, ref
+        return ours, searches, ref
 
     @staticmethod
-    def assert_same_path(ours, evals, ref):
-        """Same iterations, evaluations (None: not compared), end point and value."""
-        x, f, nit = ours
-        assert nit == ref.nit
-        assert evals is None or evals == ref.nfev
-        assert np.linalg.norm(x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
-        assert f == pytest.approx(ref.fun, rel=1e-12, abs=1e-12)
+    def assert_same_minimum(fg, ours, ref, gtol):
+        x, f, _ = ours
+        assert "GRADIENT" in ref.message
+        assert np.max(np.abs(fg(x)[1])) <= gtol and np.max(np.abs(ref.jac)) <= gtol
+        assert f == fg(x)[0]
+        assert f == pytest.approx(ref.fun, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_interpolating_search_matches_scipy(self, monkeypatch, seed):
         fg, x0 = steep_quartic(seed)
-        ours, evals, steps, _, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 1000)
-        self.assert_same_path(ours, evals, ref)
-        assert any(trial == 1.0 and nxt < 1.0 for trial, nxt in steps)  # a unit step cut back
-        assert "GRADIENT" in ref.message and np.max(np.abs(fg(ours[0])[1])) <= 1e-4
+        ours, searches, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 1000)
+        self.assert_same_minimum(fg, ours, ref, 1e-4)
+        assert any(stp == 1.0 and out[0] < 1.0 for _, stp, _, out in searches)  # a unit step cut back
         assert ours[2] > _LBFGS_MEMORY  # the memory wrapped
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_extrapolating_search_matches_scipy(self, monkeypatch, seed):
+    def test_flat_quartic_minimum_matches_scipy(self, monkeypatch, seed):
         fg, x0 = flat_quartic(seed)
-        ours, evals, steps, _, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 1000)
-        self.assert_same_path(ours, evals, ref)
-        assert any(nxt > trial for trial, nxt in steps)
-        assert "GRADIENT" in ref.message
+        ours, searches, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 1000)
+        self.assert_same_minimum(fg, ours, ref, 1e-4)
+        # the first trial step is 1/||d|| along d = -g, and no search fails
+        d, stp, _, _ = searches[0]
+        assert np.array_equal(d, -fg(x0)[1]) and stp == 1.0 / np.linalg.norm(d)
+        assert all(out is not None for *_, out in searches)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_max_iter_stop_matches_scipy(self, monkeypatch, seed):
         for fg, x0 in (steep_quartic(seed), flat_quartic(seed)):
-            ours, evals, _, _, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 20)
-            self.assert_same_path(ours, evals, ref)
-            assert ours[2] == 20 and "ITERATIONS" in ref.message
+            (x, f, nit), searches, ref = self.run_both(monkeypatch, fg, x0, 1e-4, 20)
+            assert nit == ref.nit == 20 and "ITERATIONS" in ref.message
+            assert np.max(np.abs(fg(x)[1])) > 1e-4 and f == fg(x)[0]
+            assert len(searches) == 20 and all(out is not None for *_, out in searches)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_relative_reduction_stop_matches_scipy(self, monkeypatch, seed):
         # an offset of 2^40 rounds every value to a multiple of 2^-12, so the
         # value stops moving well before the gradient vanishes
         fg, x0 = steep_quartic(seed, offset=2.0**40)
-        ours, evals, _, _, ref = self.run_both(monkeypatch, fg, x0, 0.0, 1000)
-        self.assert_same_path(ours, evals, ref)
-        assert "REDUCTION" in ref.message and ours[2] < 1000
+        (x, f, nit), searches, ref = self.run_both(monkeypatch, fg, x0, 0.0, 1000)
+        assert "REDUCTION" in ref.message and nit < 1000
+        assert all(out is not None for *_, out in searches)
+        # the last step lowered the value by at most _LBFGS_FTOL * max(|f|, |f'|, 1)
+        f0 = searches[-1][2]
+        assert f0 - f <= sdp_module._LBFGS_FTOL * max(abs(f0), abs(f), 1.0)
+        assert abs(f - ref.fun) <= 4 * 2.0**-12
 
     def test_failed_search_resets_then_stops(self, monkeypatch):
         # the gradient turns to -grad f near the minimizer: a search along
@@ -413,23 +412,28 @@ class TestLbfgs:
             return 0.5 * float(x @ g), (-g if np.linalg.norm(x) < 0.5 else g)
 
         x0 = 3.0 * np.random.default_rng(0).standard_normal(20)
-        ours, _, _, failed, ref = self.run_both(monkeypatch, fg, x0, 1e-8, 1000)
-        # a failing search evaluates one point twice in a row, which scipy's
-        # evaluation cache counts once
-        self.assert_same_path(ours, None, ref)
+        (x, _, _), searches, ref = self.run_both(monkeypatch, fg, x0, 1e-8, 1000)
+        failed = [out is None for *_, out in searches]
         assert failed[-2:] == [True, True] and not any(failed[:-2])
+        g = fg(x)[1]
+        assert not np.array_equal(searches[-2][0], -g) and np.array_equal(searches[-1][0], -g)
+        assert np.max(np.abs(g)) > 1e-8
         assert "ABNORMAL" in ref.message
 
     def test_skipped_updates_match_scipy(self, monkeypatch):
-        # a linear function: every search runs out to the step bound, where
-        # s^T y = 0, so every update is skipped and each iteration starts
-        # along -g again
+        # a linear function: every step has s^T y = 0, so every update is
+        # skipped and each iteration starts along -g again
         c = np.linspace(-1.0, 2.0, 10)
         updates = []
         monkeypatch.setattr(_InverseHessian, "update", lambda self, *args: updates.append(args))
-        ours, evals, _, _, ref = self.run_both(monkeypatch, lambda x: (-float(c @ x), -c), np.zeros(10), 1e-8, 5)
-        self.assert_same_path(ours, evals, ref)
-        assert not updates and "ITERATIONS" in ref.message
+        (_, _, nit), searches, ref = self.run_both(
+            monkeypatch, lambda x: (-float(c @ x), -c), np.zeros(10), 1e-8, 5
+        )
+        assert nit == ref.nit == 5 and "ITERATIONS" in ref.message
+        assert not updates
+        assert all(np.array_equal(d, c) for d, *_ in searches)
+        # the Armijo test holds at every first trial step
+        assert [out[0] for *_, out in searches] == [1.0 / np.linalg.norm(c), 1.0, 1.0, 1.0, 1.0]
 
     def test_compact_form_matches_recursion(self):
         # -H g against the BFGS recursion over the last _LBFGS_MEMORY pairs,
@@ -458,6 +462,56 @@ class TestLbfgs:
         memory.reset()
         g = rng.standard_normal(n)
         assert np.array_equal(memory.direction(g), -g)
+
+
+def search_line(f, g, stp):
+    """_backtrack from x = 0 along d = 1 on f(t) with slope g(t), first trial
+    step stp: (its result, the trial steps). x + t d holds t exactly."""
+    trials = []
+
+    def fg(x):
+        trials.append(x[0])
+        return f(x[0]), np.array([g(x[0])])
+
+    return sdp_module._backtrack(fg, np.zeros(1), f(0.0), np.ones(1), g(0.0), stp), trials
+
+
+def cut_ratios(trials):
+    return (np.array(trials[1:]) / np.array(trials[:-1])).tolist()
+
+
+class TestBacktrack:
+    @pytest.mark.parametrize("f, g", [
+        (lambda t: -t + 2.0 * t * t, lambda t: -1.0 + 4.0 * t),
+        (lambda t: -t + t**4, lambda t: -1.0 + 4.0 * t**3),
+        (lambda t: -t + 1e6 * max(0.0, t - 1e-3) ** 2, lambda t: -1.0 + 2e6 * max(0.0, t - 1e-3)),
+        (lambda t: -t if t < 0.3 else math.nan, lambda t: -1.0),
+    ])
+    @pytest.mark.parametrize("stp", [1.0, 7.5, 100.0])
+    def test_armijo_holds_and_cuts_stay_clamped(self, f, g, stp):
+        out, trials = search_line(f, g, stp)
+        assert out is not None
+        step, xt, f_new, g_new, gd = out
+        assert f_new <= f(0.0) + sdp_module._LS_FTOL * step * g(0.0)
+        assert trials[0] == stp and xt[0] == step == trials[-1]
+        assert f_new == f(step) and g_new[0] == gd == g(step)
+        # every refused step is cut to between a tenth and a half of itself
+        assert all(0.1 <= r <= 0.5 for r in cut_ratios(trials))
+
+    def test_cuts_reach_both_clamps_and_the_quadratic_minimizer(self):
+        # -t + 2 t^2 refuses t = 1 and is cut to its minimizer 1/4; a steep
+        # quadratic is cut by the lower clamp, a NaN value by the upper one
+        _, trials = search_line(lambda t: -t + 2.0 * t * t, lambda t: -1.0 + 4.0 * t, 1.0)
+        assert cut_ratios(trials) == [0.25]
+        _, trials = search_line(lambda t: -t + 1e6 * t * t, lambda t: -1.0 + 2e6 * t, 1.0)
+        assert cut_ratios(trials)[0] == 0.1
+        _, trials = search_line(lambda t: math.nan if t > 0.6 else -t, lambda t: -1.0, 1.0)
+        assert cut_ratios(trials) == [0.5]
+
+    def test_gives_up_after_max_evals(self):
+        # a value above f(0) at every step
+        out, trials = search_line(lambda t: 1.0 if t else 0.0, lambda t: -1.0, 1.0)
+        assert out is None and len(trials) == sdp_module._LS_MAX_EVALS
 
 
 class TestSolveAnchors:
@@ -742,6 +796,19 @@ class TestUpperBound:
         assert rep.converged
         assert rep.upper_bound >= opt and rep.upper_bound >= rep.objective
 
+    @pytest.mark.parametrize("graph", ["triangle", DESK_LIKE[2], DESK_LIKE[4]])
+    def test_alm_reports_its_final_iterate(self, request, graph):
+        # the report's objective and violation are the last round's, exactly
+        if graph == "triangle":
+            inst = request.getfixturevalue("triangle")
+        else:
+            n, d, bias, law, gen_seed = graph
+            inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
+        emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="neighborhood"))
+        assert rep.objective == sdp_objective(inst, emb)
+        assert rep.max_violation == max_triangle_violation(emb, enumerate_triples(inst, "neighborhood"))
+        assert rep.objective_history[-1] == rep.objective
+
     @given(inst=signed_instances(), mode=st.sampled_from(["neighborhood", "none"]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -751,11 +818,12 @@ class TestUpperBound:
         opt = brute_force_opt(inst).opt
         assert rep.upper_bound >= opt - 1e-9 * max(1.0, opt)
         assert rep.upper_bound <= inst.total_weight
+        # the ALM's inner solves accept only Armijo steps, and no over-relaxed
+        # class update lowers the mixing objective
+        assert rep.monotone
         if mode == "none":
-            # no over-relaxed class update lowers the objective, also where a
-            # vertex's neighbour sum is zero (n <= 10 starts at default_rank(n),
-            # so no climb appends a column)
-            assert rep.monotone
+            # also where a vertex's neighbour sum is zero (n <= 10 starts at
+            # default_rank(n), so no climb appends a column)
             assert np.all(np.diff(rep.objective_history) >= -1e-9 * inst.total_weight)
 
     def test_default_start_rank_certifies(self):
