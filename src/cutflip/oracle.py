@@ -26,9 +26,12 @@ DEFAULT_CAP = 26
 # maximum might be the true argmax under evaluate()'s summation order
 _RETIE_SLACK = 1e-9
 _RETIE_LIMIT = 1 << 20
-# float64 entries in one block of assignment values; 2^k <= _BLOCK keeps
-# every block within it
-_BLOCK = 1 << 22
+# float64 entries (2 MB) in one block of assignment values; 2^k <= _BLOCK
+# keeps every block within it. The traced peak at n=22 is 4.6 MB (19.3 MB
+# at 2^22), at n=26 6.0 MB (68.9 MB). A first call in a fresh process
+# takes the same time at n=22 (about 3.6 ms) and less at n=26 (21 ms, 51 ms
+# at 2^22) on a 2-vCPU Xeon box
+_BLOCK = 1 << 18
 
 
 @dataclass
@@ -71,6 +74,7 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
     best_fast = -np.inf
     # (masks, fast values) per block of near-maximal assignments
     candidates: list[tuple[np.ndarray, np.ndarray]] = []
+    collapsed = False  # did they overflow _RETIE_LIMIT since the last new maximum?
 
     for h0 in range(0, 1 << h_bits, rows):
         x_h = _signs(np.arange(h0, min(h0 + rows, 1 << h_bits)), h_bits)
@@ -80,15 +84,20 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
         vals = vals.ravel()
         hi = float(vals.max())
         if hi > best_fast + slack:
-            candidates = []
+            candidates, collapsed = [], False
         if hi >= best_fast - slack:
             best_fast = max(best_fast, hi)
-            near = np.flatnonzero(vals >= best_fast - slack)
+            if collapsed:
+                near = vals.argmax(keepdims=True)
+            else:
+                near = np.flatnonzero(vals >= best_fast - slack)
             candidates.append(((h0 << k) + near, vals[near]))
-            if sum(len(v) for _, v in candidates) > _RETIE_LIMIT:
-                # keep only the single best row per block; exactness is then
-                # limited to the fast path, which is still ~1e-13 * W accurate
+            if not collapsed and sum(len(v) for _, v in candidates) > _RETIE_LIMIT:
+                # from here on keep only the single best row per block;
+                # exactness is then limited to the fast path, which is still
+                # ~1e-13 * W accurate
                 candidates = [(c[[v.argmax()]], v[[v.argmax()]]) for c, v in candidates]
+                collapsed = True
 
     opt = -np.inf
     argmax = None

@@ -46,11 +46,13 @@ constraints into A (A' = A without them; with them, A' = 2 K(lam), the
 ALM's matrix K = A/2 + M refilled with the multipliers).
 y_i = <(A' V)_i, v_i> makes the bound equal the objective plus
 n delta / 4 at a stationary iterate.
-Positive definiteness is certified by one sparse LDL^T-style factorization
-(_shift_certificate), or, above _FACTOR_MAX_N vertices, where its fill
-costs too much, by the Gershgorin shift, which needs none but gives a loose
-bound. The bound is capped by W, which no objective exceeds; in none mode the
-Gershgorin bound is never below W, so there the cap is the bound.
+Positive definiteness is certified by one factorization (_shift_certificate):
+a dense Cholesky up to _DENSE_MAX_N vertices, where it is the faster, and a
+sparse LDL^T-style one above. Above _FACTOR_MAX_N vertices, where the sparse
+fill costs too much, the Gershgorin shift certifies instead; it needs no
+factorization but gives a loose bound. The bound is capped by W, which no
+objective exceeds; in none mode the Gershgorin bound is never below W, so
+there the cap is the bound.
 
 Independent solves are safe to run concurrently; one solve mutates only its
 own iterate.
@@ -87,7 +89,9 @@ _PATTERNS = np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
 )
 
-_SCAN_CHUNK = 200_000  # triples per block of the full-family scan, bounding its memory
+# float64 entries in one gathered (triples, rank) array of the full-family
+# scan; a block takes _SCAN_BLOCK // rank triples, bounding its memory
+_SCAN_BLOCK = 1 << 20
 _UNIT_TOL = 1e-8  # SdpEmbedding.validate's tolerance on row norms
 
 # the mixing method stops once its estimate of the ascent still to come is
@@ -107,10 +111,17 @@ _RANK_START = 24
 # the certificate's first shift delta gives an upper bound within this share
 # of max(1, objective) above the objective; refused shifts double, and the
 # bracket between the last refused and the first accepted shift is bisected
-# down to _SHIFT_RTOL of the accepted one (each factorization at n <= 22
-# takes about 0.25 ms)
+# down to _SHIFT_RTOL of the accepted one (each dense factorization at
+# n <= 22 takes about 0.01 ms)
 _GAP_TOL = 1e-5
 _SHIFT_RTOL = 0.01
+
+# the certificate factors S densely (numpy's Cholesky) up to this many rows
+# and sparsely (SuperLU) above, near where the two cross. One factorization
+# on random regular graphs, dense vs SuperLU, on a 2-vCPU Xeon box: n=200
+# d=4 0.12 vs 0.39 ms, n=500 d=4 0.78 vs 1.23 ms, n=1000 d=4 6.9 vs 4.2 ms,
+# n=1000 d=6 7.0 vs 9.8 ms, n=2000 d=4 37 vs 18 ms
+_DENSE_MAX_N = 512
 
 # the largest n whose certificate is factored. Fill grows about as n^2 on
 # random regular graphs (one factorization at d=4: 0.18 s and 41 MB at
@@ -272,8 +283,9 @@ def enumerate_triples(inst: Max2LinInstance, mode: str) -> np.ndarray:
 
 def _scan_constraints(v: np.ndarray, triples: np.ndarray):
     """Yield (offset, c) blocks: c[t, p] = 1 + sum_q pattern[p, q] * r_q(t)."""
-    for start in range(0, len(triples), _SCAN_CHUNK):
-        t = triples[start : start + _SCAN_CHUNK]
+    chunk = max(1, _SCAN_BLOCK // v.shape[1])
+    for start in range(0, len(triples), chunk):
+        t = triples[start : start + chunk]
         r = np.empty((len(t), 3))
         r[:, 0] = _rowdot(v[t[:, 0]], v[t[:, 1]])
         r[:, 1] = _rowdot(v[t[:, 1]], v[t[:, 2]])
@@ -402,14 +414,27 @@ def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
 
 
 def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
-    """Is S = Diag(y) - adj + delta I positive definite? One sparse factorization.
+    """Is S = Diag(y) - adj + delta I positive definite? One factorization.
 
-    SuperLU in symmetric mode with a zero pivot threshold keeps every nonzero
-    diagonal pivot, so perm_r == perm_c and P S P^T = L D L^T with
-    D = diag(U): S is positive definite iff every pivot is positive. A
+    Up to _DENSE_MAX_N rows S is factored densely by LAPACK's Cholesky,
+    which fails on the first pivot that is not positive. A NaN pivot passes
+    that test, so every diagonal entry of the factor must also be positive.
+    Above it, SuperLU in symmetric mode with a zero pivot threshold keeps
+    every nonzero diagonal pivot, so perm_r == perm_c and P S P^T = L D L^T
+    with D = diag(U): S is positive definite iff every pivot is positive. A
     pivoting that leaves the diagonal, or an exactly zero pivot, refuses.
     """
-    from scipy.sparse.linalg import splu  # slow to import; gen, oracle and verify never factor
+    n = len(y)
+    if n <= _DENSE_MAX_N:
+        s = -adj.toarray()
+        s.flat[:: n + 1] += y + delta
+        try:
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.all(chol.diagonal() > 0.0))
+
+    from scipy.sparse.linalg import splu  # slow to import; small solves never need it
 
     s = (sp.diags(y + delta) - adj).tocsc()
     try:

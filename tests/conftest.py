@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,15 @@ def random_instance(rng: np.random.Generator, n: int, avg_deg: float = 3.0) -> M
     if not edges:
         edges.append((0, 1, -1, 1.0))
     return Max2LinInstance.from_edges(n, edges)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the bytes it allocated and tracemalloc traced)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -401,9 +401,21 @@ def test_import_leaves_out_scipy_optimize():
 
 
 def test_import_leaves_out_scipy_sparse_linalg():
-    # only the certificate's factorization needs scipy.sparse.linalg, slow
-    # to import; gen, oracle and verify never factor
+    # only the certificate's sparse factorization, above _DENSE_MAX_N
+    # vertices, needs scipy.sparse.linalg, slow to import
     assert not loaded_after_import("scipy.sparse.linalg")
+
+
+def test_small_solves_leave_out_scipy_sparse_linalg():
+    # up to _DENSE_MAX_N vertices the certificate is a dense Cholesky
+    solve = (
+        "from cutflip.instance import gen_random_regular\n"
+        "from cutflip.sdp import SdpConfig, solve_sdp\n"
+        "for n, mode in ((12, 'neighborhood'), (50, 'none')):\n"
+        "    _, rep = solve_sdp(gen_random_regular(n, 3, 0.5, 'unit', seed=0), SdpConfig(triangle_mode=mode))\n"
+        "    assert rep.converged and rep.upper_bound >= rep.objective"
+    )
+    assert not loaded_after_import("scipy.sparse.linalg", then=solve)
 
 
 def test_import_leaves_out_scipy_special():

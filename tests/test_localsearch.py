@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +25,7 @@ from cutflip.oracle import brute_force_opt
 from cutflip.rounding import hyperplane_round, sample_gaussian
 from cutflip.sdp import SdpConfig, SdpEmbedding, sdp_objective, solve_sdp
 
-from conftest import random_instance
+from conftest import random_instance, traced_peak
 
 
 class TestEpsilon:
@@ -451,12 +450,7 @@ class TestChunkedTrials:
         inst = gen_random_regular(2000, 4, 1.0, "unit", seed=1)
         rows = np.random.default_rng(2).standard_normal((inst.n, 24))
         emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-        tracemalloc.start()
-        try:
-            best_of(inst, emb, range(400))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: best_of(inst, emb, range(400)))
         assert peak < 5e6
 
 

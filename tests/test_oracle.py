@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ import cutflip.oracle as oracle
 from cutflip.harness import main
 from cutflip.oracle import brute_force_opt
 
-from conftest import random_instance
+from conftest import random_instance, traced_peak
 
 
 def naive_opt(inst):
@@ -116,21 +115,29 @@ def test_bipartite_cycle_at_the_cap():
     assert res.enumerated == 1 << (n - 1)
 
 
-def test_all_ties_at_the_cap_stay_in_bounded_memory():
+def test_all_ties_at_the_cap_stay_in_bounded_memory(monkeypatch):
     # all 2^25 assignments tie at 0; near-maximal candidates are kept as mask
     # integers, not as one +-1 row of n bytes (and wider temporaries) per tie
     inst = Max2LinInstance.from_edges(oracle.DEFAULT_CAP, [])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        res = brute_force_opt(inst)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    rescored = []
+    monkeypatch.setattr(oracle, "evaluate", lambda i, x: rescored.append(x) or evaluate(i, x))
+    res, peak = traced_peak(lambda: brute_force_opt(inst))
     assert res.opt == 0.0
     assert res.argmax.tolist() == [1] + [-1] * (inst.n - 1)
-    assert peak <= 8 * 8 * oracle._BLOCK  # eight blocks of float64
+    # once the ties overflow _RETIE_LIMIT, each block keeps only its best row
+    assert len(rescored) <= (1 << (inst.n - 1)) // oracle._BLOCK
+    # eight blocks of float64, and the retie list: _RETIE_LIMIT int64 masks
+    # and as many float64 values
+    assert peak <= 8 * 8 * oracle._BLOCK + 16 * oracle._RETIE_LIMIT
+
+
+def test_desk_size_stays_in_a_few_blocks():
+    # n=22 enumerates 2^21 assignments in blocks of _BLOCK values, so the
+    # peak is a few blocks, not one block of them all (16 MB of float64)
+    inst = gen_random_regular(22, 4, 0.5, ("uniform", 0.3, 2.0), seed=3)
+    res, peak = traced_peak(lambda: brute_force_opt(inst))
+    assert evaluate(inst, res.argmax) == res.opt
+    assert peak <= 8e6
 
 
 @pytest.mark.parametrize("seed", range(6))

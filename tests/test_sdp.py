@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -33,7 +34,7 @@ from cutflip.sdp import (
     solve_sdp,
 )
 
-from conftest import random_instance
+from conftest import random_instance, traced_peak
 
 
 @st.composite
@@ -147,6 +148,18 @@ class TestTriangleViolation:
             x = rng.choice([-1.0, 1.0], size=12)
             emb = SdpEmbedding(x[:, None])
             assert max_triangle_violation(emb, triples) == 0.0
+
+    def test_scan_memory_is_bounded_per_block(self, monkeypatch):
+        # 280840 triples at rank 25: each block gathers _SCAN_BLOCK float64
+        # per (triples, rank) array, whatever the family's size
+        inst = Max2LinInstance.from_edges(120, [(0, 1, -1, 1.0)])
+        triples = enumerate_triples(inst, "all")
+        rows = np.random.default_rng(3).standard_normal((inst.n, 25))
+        emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        got, peak = traced_peak(lambda: max_triangle_violation(emb, triples))
+        assert peak <= 3 * 8 * sdp_module._SCAN_BLOCK  # three gathered arrays
+        monkeypatch.setattr(sdp_module, "_SCAN_BLOCK", 25 * len(triples))  # one block
+        assert got == max_triangle_violation(emb, triples) > 0.0
 
 
 def coo_pair_matrix(active: _ActiveSet, f: np.ndarray) -> sp.csr_matrix:
@@ -697,8 +710,23 @@ def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
     return adj, np.asarray(abs(adj).sum(axis=1)).ravel()
 
 
+def on_both_paths(test):
+    """Run test at the default _DENSE_MAX_N, where these small graphs take
+    the dense Cholesky, then at 0, where they take SuperLU."""
+
+    @functools.wraps(test)
+    def both(*args, **kwargs):
+        test(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp_module, "_DENSE_MAX_N", 0)
+            test(*args, **kwargs)
+
+    return both
+
+
 class TestCertificate:
-    """_shift_certificate (one factorization) and _certified_shift (its ladder)."""
+    """_shift_certificate (one factorization) and _certified_shift (its ladder),
+    each test on both factorizations."""
 
     @given(
         graph=simple_graphs(),
@@ -707,6 +735,7 @@ class TestCertificate:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
+    @on_both_paths
     def test_known_negative_eigenvalue_refused(self, graph, margin, eta, seed):
         n, edges = graph
         adj, y = dominant_dual(n, edges)
@@ -726,6 +755,7 @@ class TestCertificate:
 
     @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
     @settings(max_examples=100, deadline=None)
+    @on_both_paths
     def test_certified_shift_is_psd_and_capped(self, graph, seed, delta):
         # y anywhere: the ladder ends at a shift that makes S positive
         # semidefinite, at most the Gershgorin shift
@@ -740,6 +770,7 @@ class TestCertificate:
 
     @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
     @settings(max_examples=100, deadline=None)
+    @on_both_paths
     def test_refused_first_shift_is_bisected_to_the_least(self, graph, seed, delta):
         # the least certifying shift is -lambda_min(Diag(y) - adj); after a
         # refusal the shift lands within _SHIFT_RTOL above it, and a first
@@ -756,6 +787,7 @@ class TestCertificate:
         elif delta > least + slack:
             assert shift == min(delta, max(0.0, float(np.max(radius - y))))
 
+    @on_both_paths
     def test_caller_refusal_starts_the_bisection(self):
         # the mixing method passes the first shift it saw refused
         adj, radius = dominant_dual(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
@@ -765,6 +797,14 @@ class TestCertificate:
         assert _certified_shift(adj, y, 2.0 * delta) == 2.0 * delta
         shift = _certified_shift(adj, y, 2.0 * delta, refused=delta)
         assert least <= shift <= least / (1.0 - _SHIFT_RTOL)
+
+    @on_both_paths
+    def test_nan_dual_refused(self):
+        # LAPACK's Cholesky lets a NaN pivot through; the certificate must not
+        adj, y = dominant_dual(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert _shift_certificate(adj, y, 1.0)
+        y[2] = math.nan
+        assert not _shift_certificate(adj, y, 1.0)
 
 
 @st.composite
