@@ -1,9 +1,11 @@
 """Command-line harness: solve, oracle, verify, experiment, gen.
 
-Exit codes: 0 success, 2 verification failure, 3 input error. Experiment
-rows are computed in a worker pool (one task per instance, deterministic
-derived seeds) and sorted before writing, so output bytes do not depend on
-the worker count. Every ratio printed names its denominator: ratio_vs_sdp
+Exit codes: 0 success, 2 verification failure, 3 input error. An experiment
+parses its instance files and checks every instance's size before it solves
+any; a spec that cannot run, or a solve that fails, exits 3 and writes no
+CSV. Rows are computed in a worker pool (one task per instance, deterministic
+derived seeds) and kept in task order, so output bytes do not depend on the
+worker count. Every ratio printed names its denominator: ratio_vs_sdp
 divides by sdp_upper_bound, the solver's certified upper bound on the
 relaxation's optimum (sdp_value is the objective of its iterate, a lower
 bound), and is None when the solve did not converge; the experiment
@@ -37,12 +39,12 @@ from .sdp import SdpConfig, check_all_triples, solve_sdp
 
 __all__ = ["ExperimentSpec", "main", "run_experiment"]
 
-CSV_HEADER_LINE = f"# cutflip experiment v1 package={__version__}"
+CSV_HEADER_LINE = f"# cutflip experiment v2 package={__version__}"
 
 _CSV_FIELDS = [
     "kind", "instance_id", "source", "n", "d", "trial", "rounding_seed",
     "sdp_value", "sdp_upper_bound", "rounded_value", "flipped_value", "gain", "s_size",
-    "flip_count", "rho_window_fraction", "converged", "error",
+    "flip_count", "rho_window_fraction", "converged",
     "mean_rounded_ratio", "std_rounded_ratio", "mean_flipped_ratio",
     "std_flipped_ratio", "mean_gain",
 ]
@@ -53,12 +55,23 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
+def _read_instance(path: str):
+    """The parsed instance file; an InstanceError names the file."""
+    p = Path(path)
+    if not p.is_file():
+        raise InstanceError(f"instance file not found: {path}")
+    try:
+        return parse_instance(p.read_text(encoding="utf-8"))
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Experiment spec
 
 
 _SPEC_KEYS = {
-    "spec": {"instances", "trials", "epsilon_c", "triangle_mode", "seed", "csv", "json", "sdp"},
+    "spec": {"instances", "trials", "epsilon_c", "triangle_mode", "seed", "csv", "sdp"},
     "instances": {"files", "generator"},
     "generator": {"n", "d", "count", "sign_bias", "weight_law"},
 }
@@ -100,24 +113,22 @@ def _spec_path(value, key: str) -> str | None:
 
 @dataclass
 class ExperimentSpec:
-    files: list
-    gen_n: list
-    gen_d: list
-    gen_count: int
+    # (source, parsed instance or generated (n, d)) per instance, in task order
+    instances: list
     sign_bias: float
     weight_law: object
     trials: int
     epsilon_c: float
     seed: int
     csv_path: str | None
-    json_path: str | None
     sdp: SdpConfig  # per-instance solves replace only its seed
 
     @classmethod
     def from_json(cls, text: str, base_dir: Path) -> "ExperimentSpec":
+        """The spec, refused (InstanceError) unless every instance can run:
+        files are parsed and every instance's n is checked here."""
         raw = _checked(json.loads(text), "spec")
         inst = _checked(raw.get("instances", {}), "instances")
-        files = inst.get("files", [])
         gen = _checked(inst.get("generator", {}), "generator")
         weight_law = gen.get("weight_law", "unit")
         if isinstance(weight_law, list):
@@ -128,22 +139,21 @@ class ExperimentSpec:
                             seed=0, **raw.get("sdp", {}))
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"experiment spec: bad 'sdp' settings: {exc}") from None
-        sizes = {key: gen.get(key, []) for key in ("n", "d")}
-        for key, values in sizes.items():
+        sizes = {}
+        for key in ("n", "d"):
+            values = gen.get(key, [])
             if not isinstance(values, list):
                 raise InstanceError(f"experiment spec: 'generator.{key}' must be a list")
+            sizes[key] = [_spec_int(v, f"generator.{key}") for v in values]
+        count = _spec_int(gen.get("count", 1), "generator.count", minimum=1)
         spec = cls(
-            files=[str(base_dir / f) for f in files],
-            gen_n=[_spec_int(n, "generator.n") for n in sizes["n"]],
-            gen_d=[_spec_int(d, "generator.d") for d in sizes["d"]],
-            gen_count=_spec_int(gen.get("count", 1), "generator.count", minimum=1),
+            instances=[],
             sign_bias=_spec_float(gen.get("sign_bias", 1.0), "generator.sign_bias"),
             weight_law=weight_law,
             trials=_spec_int(raw.get("trials", 1), "trials", minimum=1),
             epsilon_c=_spec_float(raw.get("epsilon_c", 2.0), "epsilon_c"),
             seed=_spec_int(raw.get("seed", 0), "seed", minimum=0),
             csv_path=_spec_path(raw.get("csv"), "csv"),
-            json_path=_spec_path(raw.get("json"), "json"),
             sdp=sdp,
         )
         # settings every instance shares are checked once, here, by the
@@ -151,87 +161,67 @@ class ExperimentSpec:
         try:
             default_epsilon(1, spec.epsilon_c)
             check_generator_laws(spec.sign_bias, spec.weight_law)
-            for n in spec.gen_n:
-                for d in spec.gen_d:
+            for n in sizes["n"]:
+                for d in sizes["d"]:
                     check_regular_size(n, d)
         except ValueError as exc:
             raise InstanceError(f"experiment spec: {exc}") from None
-        if not spec.files and not (spec.gen_n and spec.gen_d):
+        files = [str(base_dir / f) for f in inst.get("files", [])]
+        spec.instances = [(f, _read_instance(f)) for f in files] + [
+            (f"gen(n={n},d={d},rep={rep})", (n, d))
+            for n in sizes["n"] for d in sizes["d"] for rep in range(count)
+        ]
+        if not spec.instances:
             raise InstanceError("experiment spec names no instance source")
-        for f in spec.files:
-            if not Path(f).is_file():
-                raise InstanceError(f"instance file not found: {f}")
-        # generated sizes are known now; file instances are checked per
-        # instance once parsed
-        generated = spec.gen_n if spec.gen_d else []
-        if generated and sdp.rank is not None and sdp.rank > min(generated):
-            raise InstanceError(
-                f"experiment spec: sdp rank {sdp.rank} exceeds the smallest generated n={min(generated)}"
-            )
-        if generated and sdp.triangle_mode == "all":
+        for source, where in spec.instances:
+            n = where[0] if isinstance(where, tuple) else where.n
             try:
-                check_all_triples(max(generated))
+                if sdp.rank is not None and sdp.rank > n:
+                    raise ValueError(f"sdp rank {sdp.rank} exceeds n={n}")
+                if sdp.triangle_mode == "all":
+                    check_all_triples(n)
             except ValueError as exc:
-                raise InstanceError(f"experiment spec: {exc}") from None
+                raise InstanceError(f"experiment spec: {source}: {exc}") from None
         return spec
-
-
-def _make_tasks(spec: ExperimentSpec) -> list[tuple]:
-    """(idx, source, file path or generated (n, d)) per instance."""
-    where = [(f, f) for f in spec.files] + [
-        (f"gen(n={n},d={d},rep={rep})", (n, d))
-        for n in spec.gen_n for d in spec.gen_d for rep in range(spec.gen_count)
-    ]
-    return [(idx, source, w) for idx, (source, w) in enumerate(where)]
 
 
 def _experiment_task(spec: ExperimentSpec, task: tuple) -> list[dict]:
     """Trial rows for one instance; every seed derives from spec.seed and idx."""
-    idx, source, where = task
-    try:
-        if isinstance(where, str):
-            inst = parse_instance(Path(where).read_text(encoding="utf-8"))
-        else:
-            inst = gen_random_regular(*where, spec.sign_bias, spec.weight_law,
-                                      seed=derive_seed(spec.seed, 1, idx))
-        emb, rep = solve_sdp(inst, replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx)))
-        eps = default_epsilon(max(inst.max_degree, 1), spec.epsilon_c)
-        seeds = [derive_seed(spec.seed, 2, idx, t) for t in range(spec.trials)]
-        _, _, reports = best_of(inst, emb, seeds, eps=eps, converged=rep.converged)
-        return [
-            {
-                "kind": "trial",
-                "instance_id": idx,
-                "source": source,
-                "n": inst.n,
-                "d": inst.max_degree,
-                "trial": t,
-                "rounding_seed": r.seeds["rounding"],
-                "sdp_value": r.sdp_value,
-                "sdp_upper_bound": rep.upper_bound,
-                "rounded_value": r.rounded_value,
-                "flipped_value": r.flipped_value,
-                "gain": r.gain,
-                "s_size": r.s_size,
-                "flip_count": r.flip_count,
-                "rho_window_fraction": r.rho_window_fraction,
-                "converged": rep.converged,
-                "error": "",
-            }
-            for t, r in enumerate(reports)
-        ]
-    # per-row input or numerical failure; the sweep continues (InstanceError
-    # and LinAlgError are ValueErrors). Anything else is a bug and propagates.
-    except (ValueError, ArithmeticError) as exc:
-        return [{"kind": "error", "instance_id": idx, "source": source,
-                 "error": f"{type(exc).__name__}: {exc}"}]
+    idx, (source, inst) = task
+    if isinstance(inst, tuple):
+        inst = gen_random_regular(*inst, spec.sign_bias, spec.weight_law,
+                                  seed=derive_seed(spec.seed, 1, idx))
+    emb, rep = solve_sdp(inst, replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx)))
+    eps = default_epsilon(max(inst.max_degree, 1), spec.epsilon_c)
+    seeds = [derive_seed(spec.seed, 2, idx, t) for t in range(spec.trials)]
+    _, _, reports = best_of(inst, emb, seeds, eps=eps, converged=rep.converged)
+    return [
+        {
+            "kind": "trial",
+            "instance_id": idx,
+            "source": source,
+            "n": inst.n,
+            "d": inst.max_degree,
+            "trial": t,
+            "rounding_seed": r.seeds["rounding"],
+            "sdp_value": r.sdp_value,
+            "sdp_upper_bound": rep.upper_bound,
+            "rounded_value": r.rounded_value,
+            "flipped_value": r.flipped_value,
+            "gain": r.gain,
+            "s_size": r.s_size,
+            "flip_count": r.flip_count,
+            "rho_window_fraction": r.rho_window_fraction,
+            "converged": rep.converged,
+        }
+        for t, r in enumerate(reports)
+    ]
 
 
 def _summaries(rows: list[dict]) -> list[dict]:
     by_d: dict[int, list[dict]] = {}
     for r in rows:
-        if r.get("kind") == "trial":
-            by_d.setdefault(r["d"], []).append(r)
+        by_d.setdefault(r["d"], []).append(r)
     out = []
     for d in sorted(by_d):
         grp = by_d[d]
@@ -265,40 +255,29 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
-    """Execute the sweep and return the CSV text (also written to spec paths)."""
-    tasks = _make_tasks(spec)
-    task = functools.partial(_experiment_task, spec)
+    """Execute the sweep and return the CSV text (also written to spec.csv_path)."""
+    tasks = list(enumerate(spec.instances))
+    # the spec is pickled with every task, so it goes without the instances;
+    # each task carries its own
+    task = functools.partial(_experiment_task, replace(spec, instances=[]))
     if workers > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 nested = list(pool.map(task, tasks))
-        except (OSError, PermissionError) as exc:
+        except OSError as exc:
             print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
             nested = [task(t) for t in tasks]
     else:
         nested = [task(t) for t in tasks]
-    rows = [r for block in nested for r in block]
-    rows.sort(key=lambda r: (r.get("instance_id", 0), r.get("trial", -1)))
-    rows.extend(_summaries(rows))
-    text = _rows_to_csv(rows)
+    rows = [r for block in nested for r in block]  # map keeps task order
+    text = _rows_to_csv(rows + _summaries(rows))
     if spec.csv_path:
         Path(spec.csv_path).write_text(text, encoding="utf-8")
-    if spec.json_path:
-        Path(spec.json_path).write_text(
-            json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
     return text
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-def _read_instance(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise InstanceError(f"instance file not found: {path}")
-    return parse_instance(p.read_text(encoding="utf-8"))
 
 
 def _sdp_config_from_args(args) -> SdpConfig:

@@ -314,10 +314,12 @@ def check_generator_laws(sign_bias: float, weight_law) -> tuple[float, float] | 
 
 
 def check_regular_size(n: int, d: int) -> None:
-    """Refuse (InstanceError) a size with no simple d-regular graph on n vertices
-    for a reason other than parity: d < 1 or d >= n."""
+    """Refuse (InstanceError) a size with no simple d-regular graph on n
+    vertices: d < 1, d >= n or an odd n*d."""
     if not 1 <= d < n:
         raise InstanceError(f"a {d}-regular graph on {n} vertices needs 1 <= d < n")
+    if (n * d) % 2 != 0:
+        raise InstanceError(f"n*d must be even, got n={n}, d={d}")
 
 
 def gen_random_regular(
@@ -335,8 +337,6 @@ def gen_random_regular(
     rejection budget is exceeded.
     """
     check_regular_size(n, d)
-    if (n * d) % 2 != 0:
-        raise InstanceError(f"n*d must be even, got n={n}, d={d}")
     bounds = check_generator_laws(sign_bias, weight_law)
 
     rng = np.random.default_rng(seed)

@@ -26,6 +26,8 @@ DEFAULT_CAP = 26
 # maximum might be the true argmax under evaluate()'s summation order
 _RETIE_SLACK = 1e-9
 _RETIE_LIMIT = 1 << 20
+# masks re-scored by one stacked evaluate() call
+_RETIE_CHUNK = 4096
 # float64 entries (2 MB) in one block of assignment values; 2^k <= _BLOCK
 # keeps every block within it. The traced peak at n=22 is 4.6 MB (19.3 MB
 # at 2^22), at n=26 6.0 MB (68.9 MB). A first call in a fresh process
@@ -61,7 +63,7 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
     # L = {0..k} holds x_0 = +1 as its first column; edges have i < j, so an
     # edge is inside L, inside H or crosses with i in L and j in H. With the
     # halved weights sw a value is W/2 + sum of sw_e x_i x_j
-    k =min(n // 2, _BLOCK.bit_length() - 1)
+    k = min(n // 2, _BLOCK.bit_length() - 1)
     h_bits, rows = n - 1 - k, max(1, _BLOCK >> k)
     x_l = np.hstack([np.ones((1 << k, 1)), _signs(np.arange(1 << k), k)])
     in_l, in_h = ej <= k, ei > k
@@ -99,13 +101,16 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
                 candidates = [(c[[v.argmax()]], v[[v.argmax()]]) for c, v in candidates]
                 collapsed = True
 
-    opt = -np.inf
-    argmax = None
+    # candidates are in mask order, and argmax() takes the first of equal
+    # values, so the first exact maximizer wins
+    opt, argmax = -np.inf, None
     for masks, _ in candidates:
-        for mask in masks:
-            row = np.ones(n, dtype=np.int8)
-            row[1:] = _signs(mask[None], n - 1)[0]
-            v = evaluate(inst, row)
-            if v > opt:
-                opt, argmax = v, row
+        for c0 in range(0, len(masks), _RETIE_CHUNK):
+            chunk = masks[c0:c0 + _RETIE_CHUNK]
+            xs = np.ones((len(chunk), n), dtype=np.int8)
+            xs[:, 1:] = _signs(chunk, n - 1)
+            vals = evaluate(inst, xs)
+            j = int(vals.argmax())
+            if vals[j] > opt:
+                opt, argmax = vals[j], xs[j].copy()
     return OracleResult(opt=float(opt), argmax=argmax, enumerated=1 << (n - 1))

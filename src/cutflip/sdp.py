@@ -872,10 +872,9 @@ def _solve_alm(
                 # radial there); nudge off deterministically
                 v = _normalize_rows(v + 1e-4 * rng.standard_normal(v.shape))
 
-        # loose subproblems while infeasibility is large, tight at the end
-        gtol = float(np.clip(prev_viol * 1e-2, gtol_floor, 1e-5 * scale)) if math.isfinite(
-            prev_viol
-        ) else 1e-5 * scale
+        # loose subproblems while infeasibility is large (the first round,
+        # at prev_viol = inf, takes the upper end), tight at the end
+        gtol = float(np.clip(prev_viol * 1e-2, gtol_floor, 1e-5 * scale))
         al_start = al_and_grad(v)[0]
         u, neg_al, nit = _lbfgs(negative_al, v.ravel(), gtol, cfg.max_inner)
         v = _normalize_rows(u.reshape(n, rank))

@@ -209,7 +209,11 @@ class TestExperimentCommand:
         spec_path.write_text(json.dumps(self.spec_dict(csv_path)))
         assert main(["experiment", str(spec_path)]) == 0
         lines = csv_path.read_text().splitlines()
-        assert lines[0].startswith("# cutflip experiment v1")
+        assert lines[0] == f"# cutflip experiment v2 package={cutflip.__version__}"
+        assert lines[1] == ("kind,instance_id,source,n,d,trial,rounding_seed,sdp_value,"
+                            "sdp_upper_bound,rounded_value,flipped_value,gain,s_size,flip_count,"
+                            "rho_window_fraction,converged,mean_rounded_ratio,std_rounded_ratio,"
+                            "mean_flipped_ratio,std_flipped_ratio,mean_gain")
         trial_rows = [l for l in lines if l.startswith("trial,")]
         summary_rows = [l for l in lines if l.startswith("summary,")]
         assert len(trial_rows) == 2 * 4
@@ -259,22 +263,66 @@ class TestExperimentCommand:
             assert r["converged"] == "True"
             assert float(r["sdp_upper_bound"]) >= float(r["sdp_value"])
 
-    def test_file_instances_and_error_rows(self, tmp_path, triangle_file):
+    def refused_at_workers_1_and_3(self, tmp_path, capsys, spec) -> str:
+        """stderr of a spec that must exit 3 before writing its CSV, the same
+        at 1 and at 3 workers."""
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(dict(spec, csv=str(tmp_path / "out.csv"))))
+        errs = []
+        for workers in (1, 3):
+            assert main(["experiment", str(p), "--workers", str(workers)]) == 3
+            errs.append(capsys.readouterr().err)
+            assert not (tmp_path / "out.csv").exists()
+        assert errs[0] == errs[1] and errs[0].startswith("error: ") and errs[0].count("\n") == 1
+        return errs[0]
+
+    def test_bad_instance_file_exit_3(self, tmp_path, capsys, triangle_file):
+        # every file is parsed before any solve, so the good file does not run
         bad = tmp_path / "bad.txt"
-        bad.write_text("2 1\n0 1 -1 0.0\n")  # zero weight: parse error
-        spec_path = tmp_path / "spec.json"
-        csv_path = tmp_path / "out.csv"
-        spec_path.write_text(json.dumps({
+        bad.write_text("2 1\n0 1 -1 0.0\n")  # zero weight
+        err = self.refused_at_workers_1_and_3(tmp_path, capsys, {
             "instances": {"files": [triangle_file, str(bad)]},
             "trials": 2,
             "seed": 1,
             "sdp": {"max_outer": 2, "max_inner": 40},
-            "csv": str(csv_path),
-        }))
-        assert main(["experiment", str(spec_path)]) == 0
-        text = csv_path.read_text()
-        assert "error," in text  # the bad file became an error row
-        assert text.count("\ntrial,") == 2  # the good file still ran
+        })
+        assert f"{bad}: line 2: weight must be finite and > 0" in err
+
+    def test_odd_generated_size_exit_3(self, tmp_path, capsys):
+        spec = self.spec_dict(tmp_path / "out.csv")
+        spec["instances"]["generator"].update(n=[13], count=1)  # 13 * 3 is odd
+        err = self.refused_at_workers_1_and_3(tmp_path, capsys, spec)
+        assert "n*d must be even, got n=13, d=3" in err
+
+    @pytest.mark.parametrize("edits, n, expected", [
+        ({"sdp": {"rank": 25}}, 20, "sdp rank 25 exceeds n=20"),
+        ({"triangle_mode": "all"}, 300, "refused"),  # C(300, 3) > cap
+    ], ids=["rank", "all_triples"])
+    def test_file_instance_size_exit_3(self, tmp_path, capsys, edits, n, expected):
+        # a file's n is known once it is parsed: checked like a generated n
+        f = tmp_path / f"empty{n}.txt"
+        f.write_text(f"{n} 0\n")
+        spec = {"instances": {"files": [str(f)]}, "trials": 2, **edits}
+        err = self.refused_at_workers_1_and_3(tmp_path, capsys, spec)
+        assert f"{f}: " in err and expected in err
+
+    def test_failed_solve_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a failure only a run can show propagates; no CSV holds part of a sweep
+        def failing(inst, cfg):
+            raise ValueError("stub solver failure")
+
+        monkeypatch.setattr(harness, "solve_sdp", failing)
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(self.spec_dict(tmp_path / "out.csv")))
+        assert main(["experiment", str(p), "--workers", "1"]) == 3
+        assert "stub solver failure" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_readme_spec_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        text = readme.split("### Experiment spec (JSON)", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        spec = ExperimentSpec.from_json(text, base_dir=tmp_path)
+        assert len(spec.instances) == 4 and spec.trials == 50
 
     def test_missing_spec_exit_3(self):
         assert main(["experiment", "/no/such/spec.json"]) == 3
@@ -340,8 +388,7 @@ class TestExperimentCommand:
                         ({"seed": -1}, {}, "'seed' must be >= 0"),
                         ({"trials": 0}, {}, "'trials' must be >= 1"),
                         ({}, {"count": 0}, "'generator.count' must be >= 1")],
-            "paths": [({"csv": 5}, {}, "'csv'"),  # the sweep ran, then the write raised TypeError
-                      ({"json": ["out.json"]}, {}, "'json'")],
+            "paths": [({"csv": 5}, {}, "'csv'")],  # the sweep ran, then the write raised TypeError
             "sdp_settings": [({"sdp": {"max_outer": 1.5}}, {}, "max_outer"),  # a TypeError traceback
                              ({"sdp": {"rank": 2.5}}, {}, "rank"),
                              ({"sdp": {"max_inner": 2.5}}, {}, "max_inner"),  # ran silently
@@ -357,15 +404,6 @@ class TestExperimentCommand:
             assert main(["experiment", str(p)]) == 3
             assert expected in capsys.readouterr().err
             assert not (tmp_path / "out.csv").exists()
-
-    def test_generated_error_row_names_source(self, tmp_path):
-        spec = self.spec_dict(tmp_path / "out.csv")
-        spec["instances"]["generator"].update(n=[13], count=1)  # 13 * 3 is odd
-        p = tmp_path / "spec.json"
-        p.write_text(json.dumps(spec))
-        assert main(["experiment", str(p)]) == 0
-        lines = (tmp_path / "out.csv").read_text().splitlines()
-        assert lines[2].startswith("error,0,\"gen(n=13,d=3,rep=0)\",")
 
     def test_mean_gain_nonnegative_in_summary(self, tmp_path):
         spec_path = tmp_path / "spec.json"

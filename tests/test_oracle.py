@@ -131,6 +131,18 @@ def test_all_ties_at_the_cap_stay_in_bounded_memory(monkeypatch):
     assert peak <= 8 * 8 * oracle._BLOCK + 16 * oracle._RETIE_LIMIT
 
 
+def test_ties_are_rescored_in_stacked_chunks(monkeypatch):
+    # one edge on n=20 leaves 2^18 exact ties at OPT, all kept for re-scoring
+    inst = Max2LinInstance.from_edges(20, [(0, 1, -1, 1.0)])
+    calls = []
+    monkeypatch.setattr(oracle, "evaluate", lambda i, x: calls.append(len(x)) or evaluate(i, x))
+    res = brute_force_opt(inst)
+    assert res.opt == 1.0
+    assert res.argmax.tolist() == [1, -1] + [-1] * 18  # the first maximizer in mask order
+    assert sum(calls) == 1 << 18
+    assert len(calls) == (1 << 18) // oracle._RETIE_CHUNK
+
+
 def test_desk_size_stays_in_a_few_blocks():
     # n=22 enumerates 2^21 assignments in blocks of _BLOCK values, so the
     # peak is a few blocks, not one block of them all (16 MB of float64)
