@@ -20,9 +20,10 @@ import csv
 import functools
 import io
 import json
+import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -166,7 +167,11 @@ class ExperimentSpec:
                     check_regular_size(n, d)
         except ValueError as exc:
             raise InstanceError(f"experiment spec: {exc}") from None
-        files = [str(base_dir / f) for f in inst.get("files", [])]
+        files = inst.get("files", [])
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise InstanceError(
+                f"experiment spec: 'instances.files' must be a list of path strings, got {files!r}")
+        files = [str(base_dir / f) for f in files]
         spec.instances = [(f, _read_instance(f)) for f in files] + [
             (f"gen(n={n},d={d},rep={rep})", (n, d))
             for n in sizes["n"] for d in sizes["d"] for rep in range(count)
@@ -255,21 +260,36 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
-    """Execute the sweep and return the CSV text (also written to spec.csv_path)."""
+    """Execute the sweep and return the CSV text (also written to spec.csv_path).
+
+    The pool has at most one process per task and per CPU (a fork pool
+    starts all of its processes up front). The first task that fails
+    cancels the tasks not yet started, and its error is raised.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = list(enumerate(spec.instances))
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     # the spec is pickled with every task, so it goes without the instances;
     # each task carries its own
     task = functools.partial(_experiment_task, replace(spec, instances=[]))
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                nested = list(pool.map(task, tasks))
+                futures = [pool.submit(task, t) for t in tasks]
+                try:
+                    for done in as_completed(futures):
+                        done.result()
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+                nested = [f.result() for f in futures]
         except OSError as exc:
             print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
             nested = [task(t) for t in tasks]
     else:
         nested = [task(t) for t in tasks]
-    rows = [r for block in nested for r in block]  # map keeps task order
+    rows = [r for block in nested for r in block]  # in task order
     text = _rows_to_csv(rows + _summaries(rows))
     if spec.csv_path:
         Path(spec.csv_path).write_text(text, encoding="utf-8")

@@ -67,19 +67,17 @@ def default_epsilon(d: int, constant: float = 2.0) -> float:
 
 @dataclass
 class CandidateAnalysis:
-    """Sorted candidate ids; flip, incident_weight and local_gain as length-n
-    arrays by vertex id (False / 0 off the candidates); part, one int8 code per
+    """Sorted candidate ids; flip and incident_weight as length-n arrays by
+    vertex id (False / 0 off the candidates); part, one int8 code per
     inst.nbr slot: -1 outside candidate rows, 0 in band, 1 violated, 2 satisfied.
 
     The analysis of a stack of T trials puts a leading trial axis on flip,
-    incident_weight, local_gain and part, and keys each candidate as
-    trial * n + vertex.
+    incident_weight and part, and keys each candidate as trial * n + vertex.
     """
 
     candidates: np.ndarray
     flip: np.ndarray
     incident_weight: np.ndarray
-    local_gain: np.ndarray
     part: np.ndarray
 
     @property
@@ -130,12 +128,10 @@ def analyze_candidates(
     w = inst.nbr_weight[slots]
     w_total = np.bincount(owner, w, trials * n)
     w_gain = np.bincount(owner, np.where(violated, w, 0.0), trials * n)
-    local_gain = np.maximum(0.0, 2.0 * w_gain - w_total)
     return CandidateAnalysis(
         key,
         (w_gain > w_total - w_gain).reshape(*lead, n),
         w_total.reshape(*lead, n),
-        local_gain.reshape(*lead, n),
         part.reshape(*lead, slots_per_trial),
     )
 

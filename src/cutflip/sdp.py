@@ -50,9 +50,9 @@ Positive definiteness is certified by one factorization (_shift_certificate):
 a dense Cholesky up to _DENSE_MAX_N vertices, where it is the faster, and a
 sparse LDL^T-style one above. Above _FACTOR_MAX_N vertices, where the sparse
 fill costs too much, the Gershgorin shift certifies instead; it needs no
-factorization but gives a loose bound. The bound is capped by W, which no
-objective exceeds; in none mode the Gershgorin bound is never below W, so
-there the cap is the bound.
+factorization but gives a loose bound, and the mixing method stays at its
+start rank. The bound is capped by W, which no objective exceeds; in none
+mode the Gershgorin bound is never below W, so there the cap is the bound.
 
 Independent solves are safe to run concurrently; one solve mutates only its
 own iterate.
@@ -126,8 +126,8 @@ _DENSE_MAX_N = 512
 # the largest n whose certificate is factored. Fill grows about as n^2 on
 # random regular graphs (one factorization at d=4: 0.18 s and 41 MB at
 # n=4000, 2.2 s and 243 MB at n=10000, on a 2-vCPU Xeon box); above it the
-# bound takes the Gershgorin shift, and the mixing method runs at the fixed
-# rank default_rank(n) since nothing tells it to climb
+# bound takes the Gershgorin shift, and the mixing method stays at its start
+# rank since nothing refuses its iterate
 _FACTOR_MAX_N = 5000
 
 # the ALM multiplies its penalty by this factor when feasibility stalls
@@ -281,26 +281,30 @@ def enumerate_triples(inst: Max2LinInstance, mode: str) -> np.ndarray:
     raise ValueError(f"mode must be 'neighborhood' or 'all', got {mode!r}")
 
 
-def _scan_constraints(v: np.ndarray, triples: np.ndarray):
-    """Yield (offset, c) blocks: c[t, p] = 1 + sum_q pattern[p, q] * r_q(t)."""
+def _scan(v: np.ndarray, triples: np.ndarray, below: float = -math.inf):
+    """(min c over the family, (triple ids, sign classes) with c < below),
+    with c[t, p] = 1 + sum_q pattern[p, q] * r_q(t) taken _SCAN_BLOCK // rank
+    triples at a time; min c is inf over an empty family."""
     chunk = max(1, _SCAN_BLOCK // v.shape[1])
+    cmin = math.inf
+    t_hits, p_hits = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for start in range(0, len(triples), chunk):
         t = triples[start : start + chunk]
         r = np.empty((len(t), 3))
         r[:, 0] = _rowdot(v[t[:, 0]], v[t[:, 1]])
         r[:, 1] = _rowdot(v[t[:, 1]], v[t[:, 2]])
         r[:, 2] = _rowdot(v[t[:, 0]], v[t[:, 2]])
-        yield start, 1.0 + r @ _PATTERNS.T
+        c = 1.0 + r @ _PATTERNS.T
+        cmin = min(cmin, float(c.min()))
+        t_loc, p_loc = np.nonzero(c < below)
+        t_hits.append(t_loc + start)
+        p_hits.append(p_loc)
+    return cmin, (np.concatenate(t_hits), np.concatenate(p_hits))
 
 
 def max_triangle_violation(emb: SdpEmbedding, triples: np.ndarray) -> float:
     """Max norm-form violation over the family and all four sign classes."""
-    if len(triples) == 0:
-        return 0.0
-    cmin = math.inf
-    for _, c in _scan_constraints(emb.vectors, triples):
-        cmin = min(cmin, float(c.min()))
-    return max(0.0, -2.0 * cmin)
+    return max(0.0, -2.0 * _scan(emb.vectors, triples)[0])
 
 
 class _ActiveSet:
@@ -444,23 +448,22 @@ def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
 
 
-def _certified_shift(
-    adj: sp.csr_matrix, y: np.ndarray, delta: float, refused: float | None = None
-) -> float:
+def _certified_shift(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> float:
     """The least shift _shift_certificate accepts, to within _SHIFT_RTOL.
 
     It tries delta, 2 delta, 4 delta, ... up to the Gershgorin shift
     max_i (sum_j |adj_ij| - y_i), with which Diag(y) - adj is diagonally
-    dominant, so positive semidefinite without a factorization. After a
-    refusal (refused, when given, is a shift the caller saw refused) it
-    bisects between the last refused shift and the first accepted one until
-    they lie within _SHIFT_RTOL of the accepted one. A first shift accepted
-    is returned as it is. Above _FACTOR_MAX_N rows it is the Gershgorin shift.
+    dominant, so positive semidefinite without a factorization; a shift at or
+    above it becomes it, unfactored. After a refusal it bisects between the
+    last refused shift and the first accepted one until they lie within
+    _SHIFT_RTOL of the accepted one. A first shift accepted is returned as it
+    is. Above _FACTOR_MAX_N rows it is the Gershgorin shift.
     """
     radius = np.asarray(abs(adj).sum(axis=1)).ravel()
     cap = float(np.max(radius - y, initial=0.0))
     if len(y) > _FACTOR_MAX_N:
         return cap
+    refused = None
     while delta < cap and not _shift_certificate(adj, y, delta):
         refused, delta = delta, 2.0 * delta
     delta = min(delta, cap)
@@ -567,13 +570,14 @@ def _solve_mixing(
 
     A rank stops once a sweep gains nothing, or once the ascent still to
     come, extrapolated from the last two gains at a fixed rate, falls below
-    _MIXING_STOP_SHARE * objective_tol * max(1, |objective|). The solve then
-    factors S = Diag(y) - A + delta I (_shift_certificate). It converges
-    when S is positive definite, or at rank max(default_rank(n), start
-    rank); otherwise it appends a random column (_climb) and sweeps on.
-    Above _FACTOR_MAX_N vertices it factors nothing and converges at the
-    first stop. Sweeps over every rank share the budget of
-    max_outer * max_inner.
+    _MIXING_STOP_SHARE * objective_tol * max(1, |objective|). At the rank
+    cap, max(default_rank(n), start rank), or the start rank above
+    _FACTOR_MAX_N vertices, the solve converges there. Below it, one
+    factorization of S = Diag(y) - A + delta I at the first shift
+    (_shift_certificate) decides: the solve converges when S is positive
+    definite, and otherwise appends a random column (_climb) and sweeps on.
+    An iterate that stopped unfactored gets its shift from _certified_shift.
+    Sweeps over every rank share the budget of max_outer * max_inner.
     """
     n = inst.n
     max_rank = max(v.shape[1], default_rank(n)) if n <= _FACTOR_MAX_N else v.shape[1]
@@ -592,7 +596,7 @@ def _solve_mixing(
     history: list[float] = []
     monotone = True
     converged = False
-    shift = None  # set once the final iterate's shift is found
+    shift = None  # the first shift, once it certifies below the rank cap
     while len(history) < cfg.max_outer * cfg.max_inner:
         gain = 0.0
         for lo, hi, rows in blocks:
@@ -618,13 +622,12 @@ def _solve_mixing(
         # at rate rho = gain / prev_gain, gain * rho / (1 - rho) is still to come
         rest = gain * gain / (prev_gain - gain) if gain < prev_gain else math.inf
         if gain <= 0.0 or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * max(1.0, abs(obj)):
+            converged = u.shape[1] >= max_rank
+            if converged:
+                break
             y, delta = _rowdot(adj @ u, u), _first_shift(obj, n)
-            if n <= _FACTOR_MAX_N and _shift_certificate(adj, y, delta):
-                shift = delta
-            elif u.shape[1] >= max_rank:
-                shift = _certified_shift(adj, y, 2.0 * delta, refused=delta)
-            if shift is not None:
-                converged = True
+            if _shift_certificate(adj, y, delta):
+                converged, shift = True, delta
                 break
             u = _climb(u, rng)
             obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
@@ -637,7 +640,7 @@ def _solve_mixing(
         prev_gain = 0.0 if fresh else gain
         fresh = False
 
-    if shift is None:  # the sweep budget ran out
+    if shift is None:  # at the rank cap, or the sweep budget ran out
         y = _rowdot(adj @ u, u)
         shift = _certified_shift(adj, y, _first_shift(obj, n))
     v = np.empty_like(u)
@@ -819,36 +822,17 @@ def _solve_alm(
     c_tol = 0.5 * cfg.constraint_tol
     act_thresh = 0.25 * c_tol
 
-    def al_and_grad(mat: np.ndarray) -> tuple[float, np.ndarray]:
-        """Augmented objective and its ambient gradient, one product K V:
-        tr(V^T A V) = 2 sum_e w_e b_e <v_i, v_j>, so the objective is
-        W/2 + tr(V^T A V)/4."""
-        val, grad = active.augmented(mat, mu)
-        return 0.5 * w_tot + val, grad
-
-    def scan_full(mat: np.ndarray):
-        """(min c over the family, activation candidates)."""
-        cmin = math.inf
-        t_hits, p_hits = [], []
-        for off, c in _scan_constraints(mat, triples):
-            cmin = min(cmin, float(c.min()))
-            t_loc, p_loc = np.nonzero(c < -act_thresh)
-            if len(t_loc):
-                t_hits.append(t_loc + off)
-                p_hits.append(p_loc)
-        hits = (np.concatenate(t_hits), np.concatenate(p_hits)) if t_hits else None
-        return cmin, hits
-
     def negative_al(u_flat: np.ndarray):
         # inner subproblem over the unnormalized factor: V(U) has unit rows,
         # so the sphere constraints vanish and L-BFGS runs unconstrained
         u = u_flat.reshape(n, rank)
         norms = np.maximum(np.sqrt(_rowdot(u, u)), 1e-30)[:, None]
         mat = u / norms
-        val, g = al_and_grad(mat)
+        # the objective is W/2 + tr(V^T A V)/4, and augmented() leaves out W/2
+        val, g = active.augmented(mat, mu)
         # minus the gradient in u: the part of g across each row, over its norm
         g_neg = (_rowdot(g, mat)[:, None] * mat - g) / norms
-        return -val, g_neg.ravel()
+        return -(0.5 * w_tot + val), g_neg.ravel()
 
     gtol_floor = 1e-9 * scale
     total_inner = 0
@@ -858,13 +842,12 @@ def _solve_alm(
     prev_viol = math.inf
     converged = False
 
-    cmin, hits = scan_full(v)
+    cmin, hits = _scan(v, triples, -act_thresh)
     for _ in range(cfg.max_outer):
-        if hits is not None:
-            active.add(hits[0], hits[1])
+        active.add(*hits)
 
         if len(active) and float(active.cvals(v).min()) < -c_tol:
-            g = al_and_grad(v)[1]
+            g = active.augmented(v, mu)[1]
             gt = g - _rowdot(g, v)[:, None] * v
             if float(np.sum(gt * gt)) <= gtol_floor * gtol_floor * 1e4:
                 # stationary but infeasible: symmetric configurations are
@@ -875,7 +858,7 @@ def _solve_alm(
         # loose subproblems while infeasibility is large (the first round,
         # at prev_viol = inf, takes the upper end), tight at the end
         gtol = float(np.clip(prev_viol * 1e-2, gtol_floor, 1e-5 * scale))
-        al_start = al_and_grad(v)[0]
+        al_start = 0.5 * w_tot + active.augmented(v, mu)[0]
         u, neg_al, nit = _lbfgs(negative_al, v.ravel(), gtol, cfg.max_inner)
         v = _normalize_rows(u.reshape(n, rank))
         total_inner += nit
@@ -885,7 +868,7 @@ def _solve_alm(
         obj = sdp_objective(inst, SdpEmbedding(vectors=v))
         history.append(obj)
 
-        cmin, hits = scan_full(v)
+        cmin, hits = _scan(v, triples, -act_thresh)
         viol = max(0.0, -2.0 * cmin)
         rel_change = abs(obj - prev_obj) / max(1.0, abs(obj))
         if rel_change <= cfg.objective_tol and viol <= cfg.constraint_tol:
@@ -931,10 +914,10 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
     Both solvers start from seeded random unit rows: the augmented
     Lagrangian (see _solve_alm) at rank default_rank(n), for at most
     max_outer rounds; with an empty triple family the mixing method (see
-    _solve_mixing) at rank min(default_rank(n), _RANK_START), or
-    default_rank(n) above _FACTOR_MAX_N vertices, for at most
-    max_outer * max_inner sweeps. cfg.rank, when set, is the start rank of
-    either. The returned embedding is validated (SdpEmbedding.validate).
+    _solve_mixing) at rank min(default_rank(n), _RANK_START) at every n, for
+    at most max_outer * max_inner sweeps. cfg.rank, when set, is the start
+    rank of either. The returned embedding is validated
+    (SdpEmbedding.validate).
     """
     cfg = cfg or SdpConfig()
     n = inst.n
@@ -946,7 +929,7 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
     mode = cfg.triangle_mode
     triples = np.empty((0, 3), dtype=np.int64) if mode == "none" else enumerate_triples(inst, mode)
     if len(triples) == 0:
-        start = min(rank, _RANK_START) if cfg.rank is None and n <= _FACTOR_MAX_N else rank
+        start = min(rank, _RANK_START) if cfg.rank is None else rank
         emb, report = _solve_mixing(inst, cfg, _normalize_rows(rng.standard_normal((n, start))), rng)
     else:
         v = _normalize_rows(rng.standard_normal((n, rank)))

@@ -8,6 +8,8 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -316,6 +318,87 @@ class TestExperimentCommand:
         p.write_text(json.dumps(self.spec_dict(tmp_path / "out.csv")))
         assert main(["experiment", str(p), "--workers", "1"]) == 3
         assert "stub solver failure" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_3(self, tmp_path, capsys, workers):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(self.spec_dict(tmp_path / "out.csv")))
+        assert main(["experiment", str(p), "--workers", workers]) == 3
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("workers, tasks, cpus, expected", [
+        (10**6, 2, 64, 2),  # one process per task
+        (10**6, 5, 3, 3),  # one process per CPU
+        (4, 5, 64, 4),
+        (10**6, 5, None, None),  # an unknown CPU count runs serially
+        (10**6, 1, 64, None),  # so does a single task
+    ])
+    def test_pool_size_is_bounded(self, tmp_path, monkeypatch, workers, tasks, cpus, expected):
+        # a fork pool starts max_workers processes up front: never start
+        # many real ones here, record what the pool is asked for instead
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = self.spec_dict(tmp_path / "out.csv")
+        spec["instances"]["generator"]["count"] = tasks
+        text = run_experiment(ExperimentSpec.from_json(json.dumps(spec), tmp_path), workers=workers)
+        assert sizes == ([] if expected is None else [expected])
+        assert text.count("\ntrial,") == 4 * tasks
+
+    def test_first_failure_cancels_pending_tasks(self, tmp_path, monkeypatch):
+        # the forked workers inherit the stub. n=14 fails at once, behind
+        # n=12, which sleeps 2 s; each of the seven later instances sleeps
+        # 0.2 s. Every task that starts leaves a marker. Waiting on results
+        # in task order (Executor.map) sees the failure only after n=12, by
+        # when the other worker has started all seven
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        solve = harness.solve_sdp
+
+        def stub(inst, cfg):
+            if inst.n == 14:
+                raise ValueError("stub solver failure")
+            (markers / str(inst.n)).touch()
+            time.sleep(2.0 if inst.n == 12 else 0.2)
+            return solve(inst, cfg)
+
+        monkeypatch.setattr(harness, "solve_sdp", stub)
+        spec = self.spec_dict(tmp_path / "out.csv")
+        spec["instances"]["generator"].update(n=list(range(12, 30, 2)), d=[4], count=1)
+        with pytest.raises(ValueError, match="stub solver failure"):
+            run_experiment(ExperimentSpec.from_json(json.dumps(spec), tmp_path), workers=2)
+        assert len(list(markers.iterdir())) < 8
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("files", [[5], "tri.txt", [None], {"a": "tri.txt"}])
+    def test_files_must_be_a_list_of_strings_exit_3(self, tmp_path, capsys, files):
+        # [5] raised a TypeError traceback, "tri.txt" was read as t, r, i, ...
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({"instances": {"files": files}, "csv": str(tmp_path / "out.csv")}))
+        assert main(["experiment", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "'instances.files' must be a list of path strings" in err and "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_readme_spec_loads(self, tmp_path):

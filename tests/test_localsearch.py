@@ -80,7 +80,7 @@ def reference_analysis(inst, emb, g, x, eps):
     """The per-candidate loop the vectorized analysis replaced.
 
     Returns (candidates, {i: (in_band, violated, satisfied, incident weight,
-    local gain, flip)}).
+    flip)}).
     """
     proj = emb.vectors @ g
     band = np.abs(proj) < eps
@@ -93,8 +93,7 @@ def reference_analysis(inst, emb, g, x, eps):
         c_mask = ~a_mask & (margin >= eps)
         w_total = float(weights.sum())
         w_gain = float(weights[b_mask].sum())
-        rows[i] = (nbrs[a_mask], nbrs[b_mask], nbrs[c_mask], w_total,
-                   max(0.0, 2.0 * w_gain - w_total), w_gain > w_total - w_gain)
+        rows[i] = (nbrs[a_mask], nbrs[b_mask], nbrs[c_mask], w_total, w_gain > w_total - w_gain)
     return np.flatnonzero(band), rows
 
 
@@ -109,7 +108,7 @@ class TestAnalyze:
         assert violated.tolist() == [1]
         assert satisfied.tolist() == [2]
         assert in_band.tolist() == [3]
-        assert not ana.flip[0] and ana.local_gain[0] == 0.0
+        assert not ana.flip[0]
 
     def test_no_candidates_when_projections_large(self):
         inst, emb, g, x = make_star([-0.5, 0.5], center_proj=0.4)
@@ -120,7 +119,7 @@ class TestAnalyze:
         # |B| = 3 of 4 unit edges: local gain 2*3 - 4 = 2, flip fires
         inst, emb, g, x = make_star([-0.3, -0.3, -0.3, 0.3])
         ana = analyze_candidates(inst, emb, g, x, 0.1)
-        assert ana.flip[0] and ana.local_gain[0] == pytest.approx(2.0)
+        assert ana.flip[0]
         x2, gain = apply_flips(inst, x, ana)
         assert gain >= 2.0 - 1e-12
         assert x2[0] == -x[0]
@@ -173,15 +172,14 @@ class TestAnalyze:
         ana = analyze_candidates(inst, emb, g, x, eps)
         cands, ref = reference_analysis(inst, emb, g, x, eps)
         assert np.array_equal(ana.candidates, cands)
-        for i, (a, b, c, w_total, local_gain, flip) in ref.items():
+        for i, (a, b, c, w_total, flip) in ref.items():
             got = partition(inst, ana, i)
             assert [p.tolist() for p in got] == [a.tolist(), b.tolist(), c.tolist()]
             assert ana.incident_weight[i] == w_total
-            assert ana.local_gain[i] == local_gain
             assert ana.flip[i] == flip
         outside = np.setdiff1d(np.arange(inst.n), cands)
         assert not ana.flip[outside].any()
-        assert not ana.incident_weight[outside].any() and not ana.local_gain[outside].any()
+        assert not ana.incident_weight[outside].any()
         in_rows = np.zeros(len(inst.nbr), dtype=bool)
         for i in cands.tolist():
             in_rows[inst.indptr[i]:inst.indptr[i + 1]] = True
@@ -401,7 +399,7 @@ class TestChunkedTrials:
             assert rounded[t] == evaluate(inst, x1)
             in_trial = ana.candidates // inst.n == t
             assert np.array_equal(ana.candidates[in_trial] - t * inst.n, ana1.candidates)
-            for field in ("flip", "incident_weight", "local_gain", "part"):
+            for field in ("flip", "incident_weight", "part"):
                 assert np.array_equal(getattr(ana, field)[t], getattr(ana1, field))
             x1_flip, gain1 = apply_flips(inst, x1, ana1)
             assert np.array_equal(x_flip[t], x1_flip) and gain[t] == gain1
@@ -420,9 +418,8 @@ class TestChunkedTrials:
         ana = analyze_candidates(inst, emb, g, x, 0.5)
         assert np.array_equal(ana.candidates, np.flatnonzero(np.abs(emb.vectors @ g) < 0.5))
         assert ana.candidates.dtype == np.intp
-        assert ana.flip.shape == ana.incident_weight.shape == ana.local_gain.shape == (inst.n,)
-        assert (ana.flip.dtype, ana.incident_weight.dtype, ana.local_gain.dtype) == (
-            np.bool_, np.float64, np.float64)
+        assert ana.flip.shape == ana.incident_weight.shape == (inst.n,)
+        assert (ana.flip.dtype, ana.incident_weight.dtype) == (np.bool_, np.float64)
         assert ana.part.shape == (len(inst.nbr),) and ana.part.dtype == np.int8
         x2, gain = apply_flips(inst, x, ana)
         assert x2.shape == (inst.n,) and x2.dtype == np.int8

@@ -788,17 +788,6 @@ class TestCertificate:
             assert shift == min(delta, max(0.0, float(np.max(radius - y))))
 
     @on_both_paths
-    def test_caller_refusal_starts_the_bisection(self):
-        # the mixing method passes the first shift it saw refused
-        adj, radius = dominant_dual(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-        y = 0.3 * radius
-        least = -float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
-        delta = 0.6 * least  # refused; twice it is accepted
-        assert _certified_shift(adj, y, 2.0 * delta) == 2.0 * delta
-        shift = _certified_shift(adj, y, 2.0 * delta, refused=delta)
-        assert least <= shift <= least / (1.0 - _SHIFT_RTOL)
-
-    @on_both_paths
     def test_nan_dual_refused(self):
         # LAPACK's Cholesky lets a NaN pivot through; the certificate must not
         adj, y = dominant_dual(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -937,6 +926,18 @@ class TestAboveFactorLimit:
         # only the stop rule ended the solve; it stopped at the optimum
         assert abs(rep.objective - certified.objective) <= 1e-6 * certified.objective
         # the Gershgorin shift bound is never below W in none mode: W caps it
+        assert rep.upper_bound == inst.total_weight
+
+    def test_mixing_starts_at_the_start_rank_at_every_size(self, monkeypatch):
+        # default_rank(600) = 36; with nothing factored the solve stops at the
+        # rank it starts at, _RANK_START, and the bound is W
+        inst = gen_random_regular(600, 4, 1.0, "unit", seed=0)
+        assert default_rank(inst.n) == 36
+        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", inst.n - 1)
+        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
+        assert emb.rank == _RANK_START
+        assert rep.converged
         assert rep.upper_bound == inst.total_weight
 
     def test_alm_bound_without_factoring(self, monkeypatch):
