@@ -23,7 +23,6 @@ import json
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .instance import (InstanceError, check_generator_laws, check_regular_size,
 # run_once has no caller here; perfbench/tracing.py wraps it under this name
 from .localsearch import best_of, default_epsilon, run_once
 from .numerics import run_verification
-from .oracle import DEFAULT_CAP, brute_force_opt
+from .oracle import DEFAULT_CAP, brute_force_opt, check_oracle_size
 from .sdp import SdpConfig, check_all_triples, solve_sdp
 
 __all__ = ["ExperimentSpec", "main", "run_experiment"]
@@ -259,12 +258,39 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _run_pooled(task, tasks: list, workers: int) -> list | None:
+    """[task(t) for t in tasks] from a pool of workers processes, or None
+    when the pool cannot start."""
+    # slow to import; only a pool needs them
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        futures = [pool.submit(task, t) for t in tasks]
+    except OSError as exc:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
+        return None
+    with pool:
+        try:
+            for done in as_completed(futures):
+                done.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        return [f.result() for f in futures]
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
     """Execute the sweep and return the CSV text (also written to spec.csv_path).
 
     The pool has at most one process per task and per CPU (a fork pool
-    starts all of its processes up front). The first task that fails
-    cancels the tasks not yet started, and its error is raised.
+    starts all of its processes up front). A pool that cannot start (an
+    OSError while it is created or fed) runs the sweep serially instead. The
+    first task that fails cancels the tasks not yet started, and its error,
+    an OSError too, is raised.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -273,21 +299,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
     # the spec is pickled with every task, so it goes without the instances;
     # each task carries its own
     task = functools.partial(_experiment_task, replace(spec, instances=[]))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(task, t) for t in tasks]
-                try:
-                    for done in as_completed(futures):
-                        done.result()
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-                nested = [f.result() for f in futures]
-        except OSError as exc:
-            print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
-            nested = [task(t) for t in tasks]
-    else:
+    nested = _run_pooled(task, tasks, workers) if workers > 1 else None
+    if nested is None:
         nested = [task(t) for t in tasks]
     rows = [r for block in nested for r in block]  # in task order
     text = _rows_to_csv(rows + _summaries(rows))
@@ -313,9 +326,14 @@ def _sdp_config_from_args(args) -> SdpConfig:
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
     cfg = _sdp_config_from_args(args)
-    emb, rep = solve_sdp(inst, cfg)
+    # whatever would refuse the run after the solve refuses it before
     eps = default_epsilon(max(inst.max_degree, 1), args.epsilon_c)
     seeds = range(args.seed, args.seed + args.trials)
+    if not seeds:
+        raise ValueError("best_of needs at least one rounding seed (trials >= 1)")
+    if args.oracle:
+        check_oracle_size(inst.n, args.cap)
+    emb, rep = solve_sdp(inst, cfg)
     best_x, best_val, reports = best_of(inst, emb, seeds, eps=eps, converged=rep.converged)
     sdp_val, sdp_ub = reports[0].sdp_value, rep.upper_bound
     out = {

@@ -18,7 +18,7 @@ import numpy as np
 
 from .instance import Max2LinInstance, evaluate
 
-__all__ = ["OracleResult", "brute_force_opt"]
+__all__ = ["OracleResult", "brute_force_opt", "check_oracle_size"]
 
 DEFAULT_CAP = 26
 
@@ -48,14 +48,19 @@ def _signs(masks: np.ndarray, nbits: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(nbits)) & 1) * 2.0 - 1.0
 
 
-def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResult:
-    """Exact optimum by split enumeration; refuses instances with n > cap."""
-    n = inst.n
+def check_oracle_size(n: int, cap: int = DEFAULT_CAP) -> None:
+    """ValueError when brute_force_opt refuses n vertices: n > cap."""
     if n > cap:
         raise ValueError(
             f"brute force refused: n={n} exceeds the cap of {cap} "
             f"(2^{n - 1} assignments); raise cap explicitly if you mean it"
         )
+
+
+def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResult:
+    """Exact optimum by split enumeration; refuses instances with n > cap."""
+    n = inst.n
+    check_oracle_size(n, cap)
     w_tot = inst.total_weight
     slack = _RETIE_SLACK * max(1.0, w_tot)
     sw, ei, ej = 0.5 * inst.weight * inst.sign, inst.edge_i, inst.edge_j

@@ -13,9 +13,9 @@ collapse into the same family):
     1 + e1 r_ij + e2 r_jk + e3 r_ik >= 0   for e1*e2*e3 = +1.
 
 The iterate is an n x r matrix of unit rows (a Burer-Monteiro factorization).
-Both solvers read one sparse matrix, the signed adjacency A with
-A_ij = w_ij b_ij (_signed_adjacency), and solve_sdp only picks between them,
-depending on whether the triple family is empty:
+Both solvers read one matrix, the signed adjacency A with A_ij = w_ij b_ij,
+and solve_sdp only picks between them, depending on whether the triple
+family is empty:
 
 - Empty family (triangle_mode="none", or a graph with no triples): the
   mixing method (_solve_mixing), block-coordinate ascent on the product of
@@ -32,8 +32,9 @@ depending on whether the triple family is empty:
   unnormalized factor U with V = U row-normalized, so the sphere constraints
   vanish; no accepted step lowers the augmented objective. Violated triples
   enter the working set lazily; the full family is only scanned between
-  inner phases. The active set owns one CSR matrix K = A/2 + M over A's pattern
-  and the vertex pairs its constraints touch; the pattern is built once per
+  inner phases. The active set owns one matrix K = A/2 + M over A's pattern
+  and the vertex pairs its constraints touch, a dense array up to
+  _DENSE_LAYER_MAX_N vertices and CSR above; the pattern is built once per
   active-set change, and each evaluation refills K's values and makes one
   product K V, which is the gradient.
 
@@ -64,11 +65,14 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .instance import Max2LinInstance
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SdpConfig",
@@ -129,6 +133,13 @@ _DENSE_MAX_N = 512
 # bound takes the Gershgorin shift, and the mixing method stays at its start
 # rank since nothing refuses its iterate
 _FACTOR_MAX_N = 5000
+
+# the ALM's layer K is dense up to this n, the oracle's DEFAULT_CAP, sparing
+# small solves the import of scipy.sparse (0.14 s, 22 MB). One K V, dense
+# einsum vs CSR, medians of 10 interleaved timings on a 2-vCPU Xeon box:
+# n=14 2.24 vs 2.55 us, n=22 3.35 vs 3.26 us, n=26 4.41 vs 3.87 us, n=32
+# 7.38 vs 5.67 us
+_DENSE_LAYER_MAX_N = 26
 
 # the ALM multiplies its penalty by this factor when feasibility stalls
 _PENALTY_GROWTH = 5.0
@@ -316,16 +327,18 @@ class _ActiveSet:
     triple. Every add() that admits constraints rebuilds the layer: pair_i,
     pair_j list the unique vertex pairs the active constraints touch, slot[t]
     holds the pair indices of constraint t's three inner products, and
-    matrix K is one symmetric CSR matrix over the union of the pattern of
-    adj (the signed adjacency A) and those pairs. K = A/2 + M(f), where
+    matrix K is one symmetric matrix stored over the union of the pattern of
+    the signed adjacency A and those pairs. K = A/2 + M(f), where
     M(f)_ij = M(f)_ji is the sum of f_t e_t over the constraints reading
-    r_ij; refill(f) only rewrites K.data, from A/2 as fixed base values, and
-    explicit zeros stay.
+    r_ij; refill(f) only rewrites K's values, from A/2 as fixed base values,
+    and explicit zeros stay. K is a CSR matrix, or up to _DENSE_LAYER_MAX_N
+    vertices a dense array, zero off the pattern, with the same bits (_product).
     """
 
-    def __init__(self, triples: np.ndarray, adj: sp.csr_matrix) -> None:
+    def __init__(self, triples: np.ndarray, inst: Max2LinInstance) -> None:
         self.triples = triples
-        self.adj = adj
+        self.inst = inst
+        self.dense = inst.n <= _DENSE_LAYER_MAX_N
         self.seen = np.zeros((len(triples), len(_PATTERNS)), dtype=bool)
         self.idx = np.empty((0, 3), dtype=np.int64)
         self.pattern = np.empty((0, 3))
@@ -351,8 +364,7 @@ class _ActiveSet:
         return len(t_new)
 
     def _build_layer(self) -> None:
-        adj = self.adj
-        n = adj.shape[0]
+        inst, n = self.inst, self.inst.n
         i, j, k = self.idx.T
         keys = np.stack([i * n + j, j * n + k, i * n + k], axis=1)
         pair_keys, slot = np.unique(keys.ravel(), return_inverse=True)
@@ -361,18 +373,26 @@ class _ActiveSet:
         n_pairs = len(pair_keys)
         # K's entries: A's, then pair p at (i, j) and its mirror (j, i); an
         # edge pair shares its entry with A. Entries off the pairs read the
-        # zero that refill's bincount leaves at index n_pairs
-        adj_keys = np.repeat(np.arange(n), np.diff(adj.indptr)) * n + adj.indices
+        # zero that refill's bincount leaves at index n_pairs. unique sorts
+        # the keys, the instance's entries among them, into CSR order
+        adj_keys = np.repeat(np.arange(n), np.diff(inst.indptr)) * n + inst.nbr
         entry_keys, where = np.unique(
             np.concatenate([adj_keys, pair_keys, self.pair_j * n + self.pair_i]), return_inverse=True
         )
-        self._base = np.zeros(len(entry_keys))
-        self._base[where[: adj.nnz]] = 0.5 * adj.data
-        self._entry_pair = np.full(len(entry_keys), n_pairs)
-        self._entry_pair[where[adj.nnz :]] = np.tile(np.arange(n_pairs), 2)
+        # an entry's place among K's values: its key in a dense K, its rank in CSR
+        self._place = entry_keys if self.dense else np.arange(len(entry_keys))
+        self._base = np.zeros(n * n if self.dense else len(entry_keys))
+        self._base[self._place[where[: len(adj_keys)]]] = 0.5 * (inst.nbr_sign * inst.nbr_weight)
+        self._entry_pair = np.full(len(self._base), n_pairs)
+        self._entry_pair[self._place[where[len(adj_keys) :]]] = np.tile(np.arange(n_pairs), 2)
         rows, cols = np.divmod(entry_keys, n)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        self.matrix = sp.csr_matrix((self._base.copy(), cols, indptr), shape=(n, n))
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        if self.dense:
+            self.matrix = self._base.reshape(n, n).copy()
+        else:
+            import scipy.sparse as sp  # only the CSR matrices need it
+            self.matrix = sp.csr_matrix((self._base.copy(), cols, self._indptr), shape=(n, n))
+        self._values = self.matrix.reshape(-1) if self.dense else self.matrix.data
 
     def _pair_products(self, v: np.ndarray) -> np.ndarray:
         return _rowdot(np.take(v, self.pair_i, axis=0), np.take(v, self.pair_j, axis=0))
@@ -389,8 +409,13 @@ class _ActiveSet:
         m = np.bincount(
             self.slot.ravel(), weights=(f[:, None] * self.pattern).ravel(), minlength=len(self.pair_i) + 1
         )
-        np.add(self._base, m[self._entry_pair], out=self.matrix.data)
+        np.add(self._base, m[self._entry_pair], out=self._values)
         return m
+
+    def _product(self, matrix, v: np.ndarray) -> np.ndarray:
+        """matrix V for K or 2K. einsum, unlike BLAS, sums over j in order as CSR does
+        while j is not its inner loop; reading the symmetric K as "ji" keeps it outer at rank 1."""
+        return np.einsum("ji,jk->ik", matrix, v) if self.dense else matrix @ v
 
     def augmented(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
         """tr(V^T A V)/4 plus the penalty -mu/2 ||max(0, lam/mu - c)||^2, and
@@ -403,13 +428,26 @@ class _ActiveSet:
         r = self._pair_products(v)
         q = np.maximum(0.0, self.lam / mu - self._cvals(r))
         m = self.refill(mu * q)
-        kv = self.matrix @ v
+        kv = self._product(self.matrix, v)
         val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1] @ r) - 0.5 * mu * float(q @ q)
         return val, kv
+
+    def certified_shift(self, lam: np.ndarray, v: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+        """(y, _certified_shift from delta) for the bound at A' = 2 K(lam); its radii
+        sum |A'| over the stored entries in CSR order, as scipy's sum(axis=1)."""
+        self.refill(lam)
+        a_lam = 2.0 * self.matrix
+        rows = np.flatnonzero(np.diff(self._indptr))
+        radius = np.zeros(self.inst.n)
+        radius[rows] = np.add.reduceat(np.abs(2.0 * self._values[self._place]), self._indptr[rows])
+        y = _rowdot(self._product(a_lam, v), v)
+        return y, _certified_shift(a_lam, y, delta, radius)
 
 
 def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
     """A with A_ij = A_ji = w_ij b_ij, from the instance's CSR arrays, sorted indices."""
+    import scipy.sparse as sp  # only the CSR matrices need it
+
     adj = sp.csr_matrix(
         (inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(inst.n, inst.n)
     )
@@ -417,12 +455,13 @@ def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
     return adj
 
 
-def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
+def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
     """Is S = Diag(y) - adj + delta I positive definite? One factorization.
 
-    Up to _DENSE_MAX_N rows S is factored densely by LAPACK's Cholesky,
-    which fails on the first pivot that is not positive. A NaN pivot passes
-    that test, so every diagonal entry of the factor must also be positive.
+    adj is a CSR matrix or a dense array. Up to _DENSE_MAX_N rows S is
+    factored densely by LAPACK's Cholesky, which fails on the first pivot
+    that is not positive. A NaN pivot passes that test, so every diagonal
+    entry of the factor must also be positive.
     Above it, SuperLU in symmetric mode with a zero pivot threshold keeps
     every nonzero diagonal pivot, so perm_r == perm_c and P S P^T = L D L^T
     with D = diag(U): S is positive definite iff every pivot is positive. A
@@ -430,7 +469,7 @@ def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
     """
     n = len(y)
     if n <= _DENSE_MAX_N:
-        s = -adj.toarray()
+        s = -adj if isinstance(adj, np.ndarray) else -adj.toarray()
         s.flat[:: n + 1] += y + delta
         try:
             chol = np.linalg.cholesky(s)
@@ -438,6 +477,7 @@ def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
             return False
         return bool(np.all(chol.diagonal() > 0.0))
 
+    import scipy.sparse as sp
     from scipy.sparse.linalg import splu  # slow to import; small solves never need it
 
     s = (sp.diags(y + delta) - adj).tocsc()
@@ -448,7 +488,7 @@ def _shift_certificate(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> bool:
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
 
 
-def _certified_shift(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> float:
+def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float, radius=None) -> float:
     """The least shift _shift_certificate accepts, to within _SHIFT_RTOL.
 
     It tries delta, 2 delta, 4 delta, ... up to the Gershgorin shift
@@ -457,9 +497,11 @@ def _certified_shift(adj: sp.csr_matrix, y: np.ndarray, delta: float) -> float:
     above it becomes it, unfactored. After a refusal it bisects between the
     last refused shift and the first accepted one until they lie within
     _SHIFT_RTOL of the accepted one. A first shift accepted is returned as it
-    is. Above _FACTOR_MAX_N rows it is the Gershgorin shift.
+    is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. radius, the
+    Gershgorin radii sum_j |adj_ij|, is read from a CSR adj when not given.
     """
-    radius = np.asarray(abs(adj).sum(axis=1)).ravel()
+    if radius is None:
+        radius = np.asarray(abs(adj).sum(axis=1)).ravel()
     cap = float(np.max(radius - y, initial=0.0))
     if len(y) > _FACTOR_MAX_N:
         return cap
@@ -815,7 +857,7 @@ def _solve_alm(
     n, rank = v.shape
     w_tot = inst.total_weight
     scale = max(1.0, w_tot)
-    active = _ActiveSet(triples, _signed_adjacency(inst))
+    active = _ActiveSet(triples, inst)
     mu = max(1e-2, w_tot / max(inst.m, 1))
     # c-form threshold: norm-form violation is -2c, keep activation strictly
     # inside the reporting tolerance
@@ -891,10 +933,8 @@ def _solve_alm(
     # docstring); with the step the next round would take, the final iterate
     # is stationary for A' up to the inner tolerance
     lam = np.maximum(0.0, active.lam - mu * active.cvals(emb.vectors))
-    active.refill(lam)
-    a_lam = 2.0 * active.matrix
-    y = _rowdot(a_lam @ emb.vectors, emb.vectors)
-    upper = _upper_bound(w_tot, float(np.sum(lam)), y, _certified_shift(a_lam, y, _first_shift(obj, n)))
+    y, shift = active.certified_shift(lam, emb.vectors, _first_shift(obj, n))
+    upper = _upper_bound(w_tot, float(np.sum(lam)), y, shift)
     report = SdpReport(
         objective=obj,
         max_violation=viol,

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import concurrent.futures
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -121,6 +122,23 @@ class TestSolveCommand:
         p.write_text("1000 0\n")
         assert main(["solve", str(p), "--triangle-mode", "all"]) == 3
         assert "refused" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--oracle", "--cap", "2"], "brute force refused: n=3"),
+        (["--trials", "0"], "trials >= 1"),
+        (["--epsilon-C", "0"], "constant must be > 0"),
+    ], ids=["oracle_cap", "trials", "epsilon_c"])
+    def test_unrunnable_solve_refused_before_solving(self, triangle_file, capsys, monkeypatch,
+                                                     flags, expected):
+        # each was refused only after the SDP solve, and the oracle case
+        # after printing best_value= and sdp_value=
+        calls = []
+        solve = harness.solve_sdp
+        monkeypatch.setattr(harness, "solve_sdp", lambda *a: calls.append(a) or solve(*a))
+        assert main(["solve", triangle_file, *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and expected in err
+        assert calls == []
 
 
 class TestOracleCommand:
@@ -358,7 +376,7 @@ class TestExperimentCommand:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         spec = self.spec_dict(tmp_path / "out.csv")
         spec["instances"]["generator"]["count"] = tasks
@@ -389,6 +407,28 @@ class TestExperimentCommand:
         with pytest.raises(ValueError, match="stub solver failure"):
             run_experiment(ExperimentSpec.from_json(json.dumps(spec), tmp_path), workers=2)
         assert len(list(markers.iterdir())) < 8
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_task_oserror_propagates_without_serial_rerun(self, tmp_path, capsys, monkeypatch):
+        # only a pool that cannot start falls back to a serial run; an
+        # OSError a task raises is that task's failure. The forked workers
+        # inherit the stub, and every task appends a line to its marker
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def stub(inst, cfg):
+            with open(markers / str(cfg.seed), "a") as f:
+                f.write("ran\n")
+            raise OSError("stub task failure")
+
+        monkeypatch.setattr(harness, "solve_sdp", stub)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool of 2
+        spec = ExperimentSpec.from_json(json.dumps(self.spec_dict(tmp_path / "out.csv")), tmp_path)
+        with pytest.raises(OSError, match="stub task failure"):
+            run_experiment(spec, workers=2)
+        assert "worker pool unavailable" not in capsys.readouterr().err
+        runs = [m.read_text() for m in markers.iterdir()]
+        assert 1 <= len(runs) <= 2 and all(r == "ran\n" for r in runs)
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("files", [[5], "tri.txt", [None], {"a": "tri.txt"}])
@@ -537,6 +577,43 @@ def test_small_solves_leave_out_scipy_sparse_linalg():
         "    assert rep.converged and rep.upper_bound >= rep.objective"
     )
     assert not loaded_after_import("scipy.sparse.linalg", then=solve)
+
+
+def test_small_triangle_solves_leave_out_scipy_sparse(tmp_path):
+    # up to _DENSE_LAYER_MAX_N vertices the ALM's layer is a dense array:
+    # a bare import, a neighborhood solve and a CLI solve with the oracle at
+    # n = 22 never load scipy.sparse
+    assert not loaded_after_import("scipy.sparse")
+    gen = "from cutflip.instance import gen_random_regular\ninst = gen_random_regular(22, 5, 0.5, 'unit', seed=0)\n"
+    solve = (
+        "from cutflip.sdp import SdpConfig, solve_sdp\n"
+        "_, rep = solve_sdp(inst, SdpConfig(triangle_mode='neighborhood'))\n"
+        "assert rep.converged and rep.n_active > 0 and rep.upper_bound >= rep.objective"
+    )
+    assert not loaded_after_import("scipy.sparse", then=gen + solve)
+    path = tmp_path / "n22.txt"
+    cli = (
+        f"from cutflip.instance import write_instance\nopen({str(path)!r}, 'w').write(write_instance(inst))\n"
+        f"assert cutflip.harness.main(['solve', {str(path)!r}, '--oracle', '--trials', '5']) == 0"
+    )
+    assert not loaded_after_import("scipy.sparse", then=gen + cli)
+
+
+def test_larger_and_none_mode_solves_still_converge():
+    # above the cut-off, and in none mode, the solvers read CSR matrices
+    solve = (
+        "from cutflip.instance import gen_random_regular\n"
+        "from cutflip.sdp import SdpConfig, solve_sdp\n"
+        "for n, mode in ((40, 'neighborhood'), (12, 'none')):\n"
+        "    _, rep = solve_sdp(gen_random_regular(n, 3, 0.5, 'unit', seed=0), SdpConfig(triangle_mode=mode))\n"
+        "    assert rep.converged and rep.upper_bound >= rep.objective"
+    )
+    assert loaded_after_import("scipy.sparse", then=solve)
+
+
+def test_import_leaves_out_the_worker_pool():
+    # only an experiment at --workers > 1 needs concurrent.futures
+    assert not loaded_after_import("concurrent.futures")
 
 
 def test_import_leaves_out_scipy_special():

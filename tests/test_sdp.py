@@ -162,10 +162,37 @@ class TestTriangleViolation:
         assert got == max_triangle_violation(emb, triples) > 0.0
 
 
+def also_at_zero(constant: str):
+    """Run a test at the default value of sdp's constant, then at 0."""
+
+    def wrap(test):
+        @functools.wraps(test)
+        def both(*args, **kwargs):
+            test(*args, **kwargs)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sdp_module, constant, 0)
+                test(*args, **kwargs)
+
+        return both
+
+    return wrap
+
+
+# small graphs take the dense Cholesky at the default, SuperLU at 0
+on_both_paths = also_at_zero("_DENSE_MAX_N")
+# small graphs take the dense constraint layer at the default, CSR at 0
+on_both_layers = also_at_zero("_DENSE_LAYER_MAX_N")
+
+
+def as_array(matrix) -> np.ndarray:
+    """The layer's K, or a multiple of it, as an n x n array on either layer."""
+    return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
+
+
 def coo_pair_matrix(active: _ActiveSet, f: np.ndarray) -> sp.csr_matrix:
     """M(f), M_ij = M_ji = sum of f_t e_t over the constraints reading r_ij,
     by the per-evaluation COO -> CSR build the fixed-pattern layer replaced."""
-    n, idx, fe = active.adj.shape[0], active.idx, f[:, None] * active.pattern
+    n, idx, fe = active.inst.n, active.idx, f[:, None] * active.pattern
     rows = np.concatenate([idx[:, 0], idx[:, 0], idx[:, 1], idx[:, 1], idx[:, 2], idx[:, 2]])
     cols = np.concatenate([idx[:, 1], idx[:, 2], idx[:, 0], idx[:, 2], idx[:, 1], idx[:, 0]])
     dat = np.concatenate([fe[:, 0], fe[:, 2], fe[:, 0], fe[:, 1], fe[:, 1], fe[:, 2]])
@@ -180,14 +207,15 @@ def coo_penalty_reference(active: _ActiveSet, v: np.ndarray, mu: float):
     c = 1.0 + e[:, 0] * r[0] + e[:, 1] * r[1] + e[:, 2] * r[2]
     q = np.maximum(0.0, active.lam / mu - c)
     f = mu * q
-    a_v = 0.5 * (active.adj @ v)
+    a_v = 0.5 * (_signed_adjacency(active.inst) @ v)
     val = 0.5 * float(np.sum(v * a_v)) - 0.5 * mu * float(q @ q)
     return val, a_v + coo_pair_matrix(active, f) @ v, f
 
 
 class TestConstraintLayer:
     """_ActiveSet.augmented: the fused constraint layer of the ALM, one
-    matrix K = A/2 + M(f) over A's pattern and the active pairs."""
+    matrix K = A/2 + M(f) over A's pattern and the active pairs. Every test
+    runs on the dense layer, then on the CSR layer."""
 
     @staticmethod
     def grown_active_set(seed: int):
@@ -198,7 +226,7 @@ class TestConstraintLayer:
         rng = np.random.default_rng(seed)
         t_idx = rng.integers(len(triples), size=60)
         p_idx = rng.integers(len(_PATTERNS), size=60)
-        active = _ActiveSet(triples, _signed_adjacency(inst))
+        active = _ActiveSet(triples, inst)
         active.add(t_idx[:20], p_idx[:20])
         first_pairs = len(active.pair_i)
         active.add(t_idx[20:], p_idx[20:])
@@ -217,6 +245,7 @@ class TestConstraintLayer:
         return f
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
+    @on_both_layers
     def test_matches_coo_build(self, seed):
         inst, active, first_pairs, rng = self.grown_active_set(seed)
         # the second add grew the pattern, and constraints share pairs
@@ -228,6 +257,7 @@ class TestConstraintLayer:
             f = self.assert_matches_reference(active, v, mu)
             assert np.any(f == 0.0) and np.any(f > 0.0)
 
+    @on_both_layers
     def test_matches_coo_build_before_and_after_add(self):
         inst, active, _, rng = self.grown_active_set(3)
         v = rng.standard_normal((inst.n, 3))
@@ -243,6 +273,7 @@ class TestConstraintLayer:
         self.assert_matches_reference(active, v, 2.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
+    @on_both_layers
     def test_matrix_is_half_adjacency_plus_pair_matrix(self, seed):
         inst, active, _, rng = self.grown_active_set(seed)
         adj = _signed_adjacency(inst).toarray()
@@ -253,27 +284,32 @@ class TestConstraintLayer:
         f = rng.uniform(-1.0, 2.0, len(active))
         active.refill(f)
         want = 0.5 * adj + coo_pair_matrix(active, f).toarray()
-        got = active.matrix.toarray()
+        got = as_array(active.matrix)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # the pattern holds A's entries and both mirrors of every pair
+        # the pattern holds A's entries and both mirrors of every pair:
+        # a copy with 1 at the places of K's stored values, 0 elsewhere
         pattern = active.matrix.copy()
-        pattern.data[:] = 1.0
-        dense = pattern.toarray()
+        values = pattern.reshape(-1) if isinstance(pattern, np.ndarray) else pattern.data
+        values[:] = 0.0
+        values[active._place] = 1.0
+        dense = as_array(pattern)
         assert np.all(dense[adj != 0.0] == 1.0)
         assert np.all(dense[active.pair_i, active.pair_j] == 1.0)
         assert np.all(dense[active.pair_j, active.pair_i] == 1.0)
 
     @pytest.mark.parametrize("seed", [0, 1])
+    @on_both_layers
     def test_certificate_matrix_is_twice_k(self, seed):
         # the certificate's A' = A + 2 sum_t lam_t e_t is 2 K(lam)
         inst, active, _, rng = self.grown_active_set(seed)
         lam = rng.uniform(0.0, 2.0, len(active)) * (rng.random(len(active)) < 0.5)
         active.refill(lam)
-        got = (2.0 * active.matrix).toarray()
+        got = as_array(2.0 * active.matrix)
         want = (_signed_adjacency(inst) + 2.0 * coo_pair_matrix(active, lam)).toarray()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", [0, 1])
+    @on_both_layers
     def test_gradient_matches_central_differences(self, seed):
         # augmented value W/2 + tr(V^T A V)/4 + penalty, at an arbitrary
         # (not unit-row) V, along random directions
@@ -293,9 +329,41 @@ class TestConstraintLayer:
             fd = (augmented(v + h * d)[0] - augmented(v - h * d)[0]) / (2 * h)
             assert fd == pytest.approx(float(np.sum(grad * d)), rel=1e-6, abs=1e-6)
 
+    @given(n=st.integers(3, sdp_module._DENSE_LAYER_MAX_N), seed=st.integers(0, 2**32 - 1),
+           mu=st.floats(0.1, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_layer_gives_the_csr_bits(self, n, seed, mu):
+        # einsum sums over j in order, as the CSR product does: on any active
+        # set, the dense layer's value, gradient and certificate inputs equal
+        # the CSR layer's bit for bit (weights not dyadic, so order shows)
+        rng = np.random.default_rng(seed)
+        edges = [(i, j, int(rng.choice([-1, 1])), float(rng.uniform(0.3, 2.0)))
+                 for i, j in itertools.combinations(range(n), 2) if rng.random() < 6.0 / n]
+        inst = Max2LinInstance.from_edges(n, edges)
+        triples = enumerate_triples(inst, "all")
+        picks = rng.integers(len(triples), size=4 * n), rng.integers(len(_PATTERNS), size=4 * n)
+        layers = []
+        for cutoff in (sdp_module._DENSE_LAYER_MAX_N, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
+                layers.append(_ActiveSet(triples, inst))
+            layers[-1].add(*picks)
+        dense, csr = layers
+        assert isinstance(dense.matrix, np.ndarray) and not isinstance(csr.matrix, np.ndarray)
+        dense.lam = csr.lam = rng.uniform(0.0, 2.0, len(dense)) * (rng.random(len(dense)) < 0.5)
+        v = rng.standard_normal((n, int(rng.integers(1, 8))))
+
+        def bits(*values):
+            return [np.asarray(x, dtype=np.float64).view(np.int64).tolist() for x in values]
+
+        assert bits(*dense.augmented(v, mu)) == bits(*csr.augmented(v, mu))
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert bits(*dense.certified_shift(dense.lam, v, 1e-3)) == bits(*csr.certified_shift(csr.lam, v, 1e-3))
+
+    @on_both_layers
     def test_empty_active_set(self):
         triples = np.array([[0, 1, 2]])
-        active = _ActiveSet(triples, _signed_adjacency(Max2LinInstance.from_edges(3, [])))
+        active = _ActiveSet(triples, Max2LinInstance.from_edges(3, []))
         val, grad = active.augmented(np.eye(3), 1.0)
         assert val == 0.0 and not np.any(grad)
         assert active.add(np.array([0]), np.array([1])) == 1
@@ -303,9 +371,9 @@ class TestConstraintLayer:
         # pairs (0, 1), (0, 2), (1, 2) in key order; slots follow r_ij, r_jk, r_ik
         assert active.slot.tolist() == [[0, 2, 1]]
 
+    @on_both_layers
     def test_pair_repeated_in_one_call_admitted_once(self):
-        adj = _signed_adjacency(Max2LinInstance.from_edges(4, []))
-        active = _ActiveSet(np.array([[0, 1, 2], [0, 1, 3]]), adj)
+        active = _ActiveSet(np.array([[0, 1, 2], [0, 1, 3]]), Max2LinInstance.from_edges(4, []))
         assert active.add(np.array([0, 0]), np.array([1, 1])) == 1
         assert len(active) == 1
         # later duplicates drop out; the survivors keep their first-seen order
@@ -708,20 +776,6 @@ def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
     )
     adj = _signed_adjacency(inst)
     return adj, np.asarray(abs(adj).sum(axis=1)).ravel()
-
-
-def on_both_paths(test):
-    """Run test at the default _DENSE_MAX_N, where these small graphs take
-    the dense Cholesky, then at 0, where they take SuperLU."""
-
-    @functools.wraps(test)
-    def both(*args, **kwargs):
-        test(*args, **kwargs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sdp_module, "_DENSE_MAX_N", 0)
-            test(*args, **kwargs)
-
-    return both
 
 
 class TestCertificate:
