@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from cutflip import SdpConfig, best_of, default_epsilon, gen_random_regular, solve_sdp
+from cutflip.localsearch import rho_window_fraction
 
 N = 120
 TRIALS = 60
@@ -29,7 +30,7 @@ for d in (3, 4, 6, 8):
     flipped = [r.flipped_value for r in reports]
     gains = np.array([r.gain for r in reports])
     s_sizes = [r.s_size for r in reports]
-    window = reports[0].rho_window_fraction
+    window = rho_window_fraction(inst, emb)  # a fact of the solve, not of a trial
     se = gains.std(ddof=1) / math.sqrt(TRIALS)
     t = gains.mean() / se if se > 0 else float("inf")
     print(

@@ -32,10 +32,11 @@ from . import __version__
 from .instance import (InstanceError, check_generator_laws, check_regular_size,
                        gen_random_regular, parse_instance, write_instance)
 # run_once has no caller here; perfbench/tracing.py wraps it under this name
-from .localsearch import best_of, default_epsilon, run_once
+from .localsearch import best_of, default_epsilon, rho_window_fraction, run_once
 from .numerics import run_verification
 from .oracle import DEFAULT_CAP, brute_force_opt, check_oracle_size
-from .sdp import SdpConfig, check_all_triples, solve_sdp
+from .rounding import GENERATOR_NAME
+from .sdp import SdpConfig, check_all_triples, check_total_weight, solve_sdp
 
 __all__ = ["ExperimentSpec", "main", "run_experiment"]
 
@@ -126,7 +127,8 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, text: str, base_dir: Path) -> "ExperimentSpec":
         """The spec, refused (InstanceError) unless every instance can run:
-        files are parsed and every instance's n is checked here."""
+        files are parsed and every instance's n and total weight are checked
+        here."""
         raw = _checked(json.loads(text), "spec")
         inst = _checked(raw.get("instances", {}), "instances")
         gen = _checked(inst.get("generator", {}), "generator")
@@ -160,7 +162,7 @@ class ExperimentSpec:
         # functions that use them
         try:
             default_epsilon(1, spec.epsilon_c)
-            check_generator_laws(spec.sign_bias, spec.weight_law)
+            lo, hi = check_generator_laws(spec.sign_bias, spec.weight_law) or (1.0, 1.0)
             for n in sizes["n"]:
                 for d in sizes["d"]:
                     check_regular_size(n, d)
@@ -178,12 +180,18 @@ class ExperimentSpec:
         if not spec.instances:
             raise InstanceError("experiment spec names no instance source")
         for source, where in spec.instances:
-            n = where[0] if isinstance(where, tuple) else where.n
+            if isinstance(where, tuple):
+                n, m = where[0], where[0] * where[1] // 2
+                totals = (m * lo, m * hi)  # a generated graph's W lies between
+            else:
+                n, totals = where.n, (where.total_weight,) if where.m else ()
             try:
                 if sdp.rank is not None and sdp.rank > n:
                     raise ValueError(f"sdp rank {sdp.rank} exceeds n={n}")
                 if sdp.triangle_mode == "all":
                     check_all_triples(n)
+                for w_tot in totals:
+                    check_total_weight(w_tot)
             except ValueError as exc:
                 raise InstanceError(f"experiment spec: {source}: {exc}") from None
         return spec
@@ -198,28 +206,13 @@ def _experiment_task(spec: ExperimentSpec, task: tuple) -> list[dict]:
     emb, rep = solve_sdp(inst, replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx)))
     eps = default_epsilon(max(inst.max_degree, 1), spec.epsilon_c)
     seeds = [derive_seed(spec.seed, 2, idx, t) for t in range(spec.trials)]
-    _, _, reports = best_of(inst, emb, seeds, eps=eps, converged=rep.converged)
-    return [
-        {
-            "kind": "trial",
-            "instance_id": idx,
-            "source": source,
-            "n": inst.n,
-            "d": inst.max_degree,
-            "trial": t,
-            "rounding_seed": r.seeds["rounding"],
-            "sdp_value": r.sdp_value,
-            "sdp_upper_bound": rep.upper_bound,
-            "rounded_value": r.rounded_value,
-            "flipped_value": r.flipped_value,
-            "gain": r.gain,
-            "s_size": r.s_size,
-            "flip_count": r.flip_count,
-            "rho_window_fraction": r.rho_window_fraction,
-            "converged": rep.converged,
-        }
-        for t, r in enumerate(reports)
-    ]
+    _, _, reports = best_of(inst, emb, seeds, eps=eps)
+    solve = {
+        "kind": "trial", "instance_id": idx, "source": source, "n": inst.n,
+        "d": inst.max_degree, "sdp_value": rep.objective, "sdp_upper_bound": rep.upper_bound,
+        "rho_window_fraction": rho_window_fraction(inst, emb), "converged": rep.converged,
+    }
+    return [{**solve, "trial": t, **r.to_dict()} for t, r in enumerate(reports)]
 
 
 def _summaries(rows: list[dict]) -> list[dict]:
@@ -334,8 +327,8 @@ def _cmd_solve(args) -> int:
     if args.oracle:
         check_oracle_size(inst.n, args.cap)
     emb, rep = solve_sdp(inst, cfg)
-    best_x, best_val, reports = best_of(inst, emb, seeds, eps=eps, converged=rep.converged)
-    sdp_val, sdp_ub = reports[0].sdp_value, rep.upper_bound
+    best_x, best_val, reports = best_of(inst, emb, seeds, eps=eps)
+    sdp_val, sdp_ub = rep.objective, rep.upper_bound
     out = {
         "instance": args.instance,
         "n": inst.n,
@@ -348,6 +341,8 @@ def _cmd_solve(args) -> int:
         "sdp_upper_bound": sdp_ub,
         "sdp_converged": rep.converged,
         "sdp_max_violation": rep.max_violation,
+        "rho_window_fraction": rho_window_fraction(inst, emb),
+        "rounding_generator": GENERATOR_NAME,
         "best_value": best_val,
         # an unconverged solve's bound can sit far above the optimum
         "ratio_vs_sdp": best_val / sdp_ub if rep.converged and sdp_ub > 0 else None,
@@ -408,13 +403,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.weights == "unit":
-        law = "unit"
-    elif args.weights.startswith("uniform:"):
-        lo, hi = (float(v) for v in args.weights.split(":", 1)[1].split(","))
+    law = args.weights
+    if law.startswith("uniform:"):
+        try:
+            lo, hi = (float(v) for v in law.split(":", 1)[1].split(","))
+        except ValueError:
+            raise InstanceError(f"weight law {law!r}: expected uniform:lo,hi with two numbers") from None
         law = ("uniform", lo, hi)
-    else:
-        raise InstanceError(f"unknown weight law {args.weights!r} (use unit or uniform:lo,hi)")
+    elif law != "unit":
+        raise InstanceError(f"unknown weight law {law!r} (use unit or uniform:lo,hi)")
     inst = gen_random_regular(args.n, args.d, args.sign_bias, law, seed=args.seed)
     text = write_instance(inst)
     if args.out:

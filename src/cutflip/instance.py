@@ -295,8 +295,9 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator, max_rounds: int) -> se
 def check_generator_laws(sign_bias: float, weight_law) -> tuple[float, float] | None:
     """Validate gen_random_regular's sign_bias and weight_law.
 
-    Returns (lo, hi) for ("uniform", lo, hi) and None for "unit"; raises
-    InstanceError for a sign_bias outside [0, 1] or any other weight law.
+    Returns (lo, hi) for ("uniform", lo, hi) with finite 0 < lo <= hi and
+    None for "unit"; raises InstanceError for a sign_bias outside [0, 1] or
+    any other weight law.
     """
     if not 0.0 <= sign_bias <= 1.0:
         raise InstanceError(f"sign_bias must be in [0, 1], got {sign_bias}")
@@ -307,8 +308,8 @@ def check_generator_laws(sign_bias: float, weight_law) -> tuple[float, float] | 
             lo, hi = float(weight_law[1]), float(weight_law[2])
         except (TypeError, ValueError):
             raise InstanceError(f"unknown weight law: {weight_law!r}") from None
-        if not (0.0 < lo <= hi):
-            raise InstanceError(f"uniform weight law needs 0 < lo <= hi, got ({lo}, {hi})")
+        if not 0.0 < lo <= hi < math.inf:
+            raise InstanceError(f"uniform weight law needs finite 0 < lo <= hi, got ({lo}, {hi})")
         return lo, hi
     raise InstanceError(f"unknown weight law: {weight_law!r}")
 

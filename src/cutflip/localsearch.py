@@ -29,7 +29,8 @@ import numpy as np
 
 from .instance import Max2LinInstance, _satisfied_weight, as_assignment, evaluate
 from .numerics import rho_star
-from .rounding import GENERATOR_NAME, hyperplane_round, projections, sample_gaussian
+from .rounding import hyperplane_round, projections, sample_gaussian
+# sdp_objective has no caller here; perfbench/tracing.py wraps it under this name
 from .sdp import SdpEmbedding, SdpReport, sdp_objective
 
 __all__ = [
@@ -175,23 +176,21 @@ def rho_window_fraction(inst: Max2LinInstance, emb: SdpEmbedding) -> float:
 
 @dataclass
 class RunReport:
-    """One pipeline trial: SDP bound, rounded and post-flip values, flip stats."""
+    """One trial of best_of: its rounding seed, the rounded and post-flip
+    values, their difference and the candidate and flip counts. Facts of the
+    solve the trials share (SDP value, convergence, rho_window_fraction, the
+    rounding generator) belong to the caller, once per solve."""
 
-    sdp_value: float
+    rounding_seed: int
     rounded_value: float
     flipped_value: float
     gain: float
     s_size: int
     flip_count: int
-    rho_window_fraction: float
-    seeds: dict
-    converged: bool | None
-    generator: str = GENERATOR_NAME
 
     def to_dict(self) -> dict:
-        """The fields by name, in field order, with seeds copied: a shallow
-        dict, 30x faster than dataclasses.asdict's recursive deep copy."""
-        return {**vars(self), "seeds": dict(self.seeds)}
+        """The fields by name, in field order."""
+        return dict(vars(self))
 
 
 def run_once(
@@ -201,9 +200,8 @@ def run_once(
     eps: float | None = None,
 ) -> RunReport:
     """One trial on a solved (SdpEmbedding, SdpReport) pair: round with the
-    given seed, flip once, and report."""
-    emb, rep = sdp
-    _, _, reports = best_of(inst, emb, [seed], eps=eps, converged=rep.converged)
+    given seed, flip once, and report. Only the embedding, sdp[0], is read."""
+    _, _, reports = best_of(inst, sdp[0], [seed], eps=eps)
     return reports[0]
 
 
@@ -212,13 +210,12 @@ def best_of(
     emb: SdpEmbedding,
     seeds: Iterable[int] | None = None,
     eps: float | None = None,
-    converged: bool | None = None,
     *,
     trials: int | None = None,
     base_seed: int = 0,
 ) -> tuple[np.ndarray, float, list[RunReport]]:
     """Best post-flip assignment over one trial per rounding seed, with one
-    report per seed, in order; the best is the first maximizer.
+    RunReport per seed, in order; the best is the first maximizer.
 
     trials=T, base_seed=s is shorthand for seeds=range(s, s + T). eps
     defaults to default_epsilon's band for the instance's max degree.
@@ -239,8 +236,6 @@ def best_of(
         raise ValueError("best_of needs at least one rounding seed (trials >= 1)")
     if eps is None:
         eps = default_epsilon(max(inst.max_degree, 1))
-    sdp_value = sdp_objective(inst, emb)
-    rho_frac = rho_window_fraction(inst, emb)
     chunk = max(1, _CHUNK_ELEMENTS // max(inst.n, inst.m))
     best_x = None
     best_val = -math.inf
@@ -255,20 +250,11 @@ def best_of(
         flipped = rounded + gain
         s_size = np.bincount(analysis.candidates // inst.n, minlength=len(block))
         flip_count = np.count_nonzero(analysis.flip, axis=1)
-        for t, seed in enumerate(block):
-            reports.append(
-                RunReport(
-                    sdp_value=sdp_value,
-                    rounded_value=float(rounded[t]),
-                    flipped_value=float(flipped[t]),
-                    gain=float(gain[t]),
-                    s_size=int(s_size[t]),
-                    flip_count=int(flip_count[t]),
-                    rho_window_fraction=rho_frac,
-                    seeds={"rounding": seed},
-                    converged=converged,
-                )
-            )
+        reports += [
+            RunReport(seed, float(rounded[t]), float(flipped[t]), float(gain[t]),
+                      int(s_size[t]), int(flip_count[t]))
+            for t, seed in enumerate(block)
+        ]
         top = int(np.argmax(flipped))
         if flipped[top] > best_val:
             best_val, best_x = float(flipped[top]), x_flip[top].copy()

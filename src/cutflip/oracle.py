@@ -62,7 +62,7 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
     n = inst.n
     check_oracle_size(n, cap)
     w_tot = inst.total_weight
-    slack = _RETIE_SLACK * max(1.0, w_tot)
+    slack = _RETIE_SLACK * (w_tot or 1.0)
     sw, ei, ej = 0.5 * inst.weight * inst.sign, inst.edge_i, inst.edge_j
 
     # L = {0..k} holds x_0 = +1 as its first column; edges have i < j, so an

@@ -79,6 +79,7 @@ __all__ = [
     "SdpEmbedding",
     "SdpReport",
     "check_all_triples",
+    "check_total_weight",
     "default_rank",
     "enumerate_triples",
     "max_triangle_violation",
@@ -99,7 +100,7 @@ _SCAN_BLOCK = 1 << 20
 _UNIT_TOL = 1e-8  # SdpEmbedding.validate's tolerance on row norms
 
 # the mixing method stops once its estimate of the ascent still to come is
-# below this share of objective_tol * max(1, |objective|): the estimate
+# below this share of objective_tol * |objective|: the estimate
 # assumes a fixed rate, and in the tail the rate drifts toward 1, so it runs
 # up to about 2x low (random 4-regular graphs, n=2000)
 _MIXING_STOP_SHARE = 0.1
@@ -113,7 +114,7 @@ _OMEGA_MAX = 1.9
 _RANK_START = 24
 
 # the certificate's first shift delta gives an upper bound within this share
-# of max(1, objective) above the objective; refused shifts double, and the
+# of the objective above it; refused shifts double, and the
 # bracket between the last refused and the first accepted shift is bisected
 # down to _SHIFT_RTOL of the accepted one (each dense factorization at
 # n <= 22 takes about 0.01 ms)
@@ -145,13 +146,18 @@ _DENSE_LAYER_MAX_N = 26
 _PENALTY_GROWTH = 5.0
 
 # the inner L-BFGS keeps this many (s, y) pairs and stops once an iteration
-# lowers its function by at most _LBFGS_FTOL * max(|f|, |f'|, 1); its
+# lowers its function by at most _LBFGS_FTOL * max(|f|, |f'|); its
 # backtracking line search accepts the first step with sufficient decrease
 # _LS_FTOL (Armijo) and gives up after _LS_MAX_EVALS evaluations
 _LBFGS_MEMORY = 12
 _LBFGS_FTOL = 1e-16
 _LS_FTOL = 1e-3
 _LS_MAX_EVALS = 20
+
+# solve_sdp refuses a graph with edges whose total weight W lies outside this
+# range: the solvers square W-sized values (objectives, gradients, the
+# certificate's matrix), which overflow or underflow float64 beyond it
+_WEIGHT_RANGE = (1e-100, 1e100)
 
 # mode="all" refuses instances whose C(n, 3) triple array would exceed ~100 MB
 # (24 bytes per triple); n = 289 is the largest instance it accepts
@@ -222,7 +228,7 @@ class SdpReport:
     iterate is feasible. Mixing method (empty triple family): iterations
     counts sweeps over every rank of the staircase, objective_history holds
     the objective after each sweep, and monotone says no sweep lowered it
-    (beyond 1e-9 * max(1, W) of rounding; the column a climb appends may
+    (beyond 1e-9 * W of rounding; the column a climb appends may
     lower it). Augmented Lagrangian: iterations counts the inner L-BFGS
     iterations (_lbfgs) over all rounds, objective_history holds the
     objective after each outer round, and monotone says no inner solve
@@ -255,6 +261,14 @@ def sdp_objective(inst: Max2LinInstance, emb: SdpEmbedding) -> float:
         return 0.0
     r = _rowdot(emb.vectors[inst.edge_i], emb.vectors[inst.edge_j])
     return float(0.5 * (inst.total_weight + (inst.weight * inst.sign) @ r))
+
+
+def check_total_weight(w_tot: float) -> None:
+    """ValueError unless W = w_tot lies in _WEIGHT_RANGE (NaN does not)."""
+    lo, hi = _WEIGHT_RANGE
+    if not lo <= w_tot <= hi:
+        raise ValueError(f"total weight W={w_tot!r} lies outside [{lo:g}, {hi:g}], "
+                         "the range the SDP solver can represent")
 
 
 def check_all_triples(n: int) -> int:
@@ -519,9 +533,10 @@ def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: floa
 
 
 def _first_shift(objective: float, n: int) -> float:
-    """The shift delta with n delta / 4 = 0.99 * _GAP_TOL * max(1, objective);
-    the 1% keeps roundoff in the bound from pushing its gap past _GAP_TOL."""
-    return 3.96 * _GAP_TOL * max(1.0, objective) / n
+    """The shift delta with n delta / 4 = 0.99 * _GAP_TOL * objective, for
+    objective > 0; the 1% keeps roundoff in the bound from pushing its gap
+    past _GAP_TOL."""
+    return 3.96 * _GAP_TOL * objective / n
 
 
 def _upper_bound(w_tot: float, lam_sum: float, y: np.ndarray, shift: float) -> float:
@@ -612,7 +627,7 @@ def _solve_mixing(
 
     A rank stops once a sweep gains nothing, or once the ascent still to
     come, extrapolated from the last two gains at a fixed rate, falls below
-    _MIXING_STOP_SHARE * objective_tol * max(1, |objective|). At the rank
+    _MIXING_STOP_SHARE * objective_tol * |objective|. At the rank
     cap, max(default_rank(n), start rank), or the start rank above
     _FACTOR_MAX_N vertices, the solve converges there. Below it, one
     factorization of S = Diag(y) - A + delta I at the first shift
@@ -630,7 +645,8 @@ def _solve_mixing(
     u = v[order]
 
     w_tot = inst.total_weight
-    slack = 1e-9 * max(1.0, w_tot)
+    unit = w_tot or 1.0  # the scale of every tolerance: W, or 1 on an edgeless graph
+    slack = 1e-9 * unit
     obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
     prev_gain = 0.0  # no rate estimate yet
     fresh = True  # the next sweep is the first at this rank
@@ -663,11 +679,11 @@ def _solve_mixing(
         monotone = monotone and gain >= -slack
         # at rate rho = gain / prev_gain, gain * rho / (1 - rho) is still to come
         rest = gain * gain / (prev_gain - gain) if gain < prev_gain else math.inf
-        if gain <= 0.0 or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * max(1.0, abs(obj)):
+        if gain <= 0.0 or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * abs(obj):
             converged = u.shape[1] >= max_rank
             if converged:
                 break
-            y, delta = _rowdot(adj @ u, u), _first_shift(obj, n)
+            y, delta = _rowdot(adj @ u, u), _first_shift(obj or unit, n)
             if _shift_certificate(adj, y, delta):
                 converged, shift = True, delta
                 break
@@ -684,7 +700,7 @@ def _solve_mixing(
 
     if shift is None:  # at the rank cap, or the sweep budget ran out
         y = _rowdot(adj @ u, u)
-        shift = _certified_shift(adj, y, _first_shift(obj, n))
+        shift = _certified_shift(adj, y, _first_shift(obj or unit, n))
     v = np.empty_like(u)
     v[order] = u
     emb = SdpEmbedding(vectors=v)
@@ -805,7 +821,7 @@ def _lbfgs(fg, x: np.ndarray, gtol: float, max_iter: int) -> tuple[np.ndarray, f
     search or an ascent direction clears the memory and retries along -g,
     and ends the run when the memory was already empty. Stops once
     max|g| <= gtol, once an iteration lowers the value by at most
-    _LBFGS_FTOL * max(|f|, |f'|, 1), or after max_iter iterations.
+    _LBFGS_FTOL * max(|f|, |f'|), or after max_iter iterations.
     """
     f, g = fg(x)
     memory = _InverseHessian(len(x))
@@ -827,7 +843,7 @@ def _lbfgs(fg, x: np.ndarray, gtol: float, max_iter: int) -> tuple[np.ndarray, f
         nit += 1
         f_old, f = f, f_new
         y, g = g_new - g, g_new
-        if f_old - f <= _LBFGS_FTOL * max(abs(f_old), abs(f), 1.0):
+        if f_old - f <= _LBFGS_FTOL * max(abs(f_old), abs(f)):
             break
         sy = (gd - gd0) * stp
         if sy > eps * (-gd0 * stp):
@@ -847,18 +863,18 @@ def _solve_alm(
     Converges once the relative objective change over an outer round falls
     below objective_tol while the max norm-form violation over the family is
     below constraint_tol; otherwise it stops after max_outer rounds. The
-    penalty starts at max(1e-2, W/m) and grows by _PENALTY_GROWTH whenever a
-    round leaves the violation above constraint_tol without halving it; it
-    has no ceiling. rng nudges the iterate off stationary but infeasible
-    points. Each round's inner subproblem maximizes the augmented objective
-    over the unnormalized factor with _lbfgs, for at most max_inner
-    iterations.
+    penalty starts at W/m (1 on an edgeless graph) and grows by
+    _PENALTY_GROWTH whenever a round leaves the violation above
+    constraint_tol without halving it; it has no ceiling. rng nudges the
+    iterate off stationary but infeasible points. Each round's inner
+    subproblem maximizes the augmented objective over the unnormalized
+    factor with _lbfgs, for at most max_inner iterations.
     """
     n, rank = v.shape
     w_tot = inst.total_weight
-    scale = max(1.0, w_tot)
+    unit = w_tot or 1.0  # the scale of every tolerance: W, or 1 on an edgeless graph
     active = _ActiveSet(triples, inst)
-    mu = max(1e-2, w_tot / max(inst.m, 1))
+    mu = unit / max(inst.m, 1)
     # c-form threshold: norm-form violation is -2c, keep activation strictly
     # inside the reporting tolerance
     c_tol = 0.5 * cfg.constraint_tol
@@ -876,7 +892,7 @@ def _solve_alm(
         g_neg = (_rowdot(g, mat)[:, None] * mat - g) / norms
         return -(0.5 * w_tot + val), g_neg.ravel()
 
-    gtol_floor = 1e-9 * scale
+    gtol_floor = 1e-9 * unit
     total_inner = 0
     monotone = True
     history: list[float] = []
@@ -899,12 +915,12 @@ def _solve_alm(
 
         # loose subproblems while infeasibility is large (the first round,
         # at prev_viol = inf, takes the upper end), tight at the end
-        gtol = float(np.clip(prev_viol * 1e-2, gtol_floor, 1e-5 * scale))
+        gtol = float(np.clip(prev_viol * 1e-2, gtol_floor, 1e-5 * unit))
         al_start = 0.5 * w_tot + active.augmented(v, mu)[0]
         u, neg_al, nit = _lbfgs(negative_al, v.ravel(), gtol, cfg.max_inner)
         v = _normalize_rows(u.reshape(n, rank))
         total_inner += nit
-        if -neg_al < al_start - 1e-9 * scale:
+        if -neg_al < al_start - 1e-9 * unit:
             monotone = False
 
         obj = sdp_objective(inst, SdpEmbedding(vectors=v))
@@ -912,7 +928,7 @@ def _solve_alm(
 
         cmin, hits = _scan(v, triples, -act_thresh)
         viol = max(0.0, -2.0 * cmin)
-        rel_change = abs(obj - prev_obj) / max(1.0, abs(obj))
+        rel_change = abs(obj - prev_obj) / (abs(obj) or unit)
         if rel_change <= cfg.objective_tol and viol <= cfg.constraint_tol:
             converged = True
             break
@@ -933,7 +949,7 @@ def _solve_alm(
     # docstring); with the step the next round would take, the final iterate
     # is stationary for A' up to the inner tolerance
     lam = np.maximum(0.0, active.lam - mu * active.cvals(emb.vectors))
-    y, shift = active.certified_shift(lam, emb.vectors, _first_shift(obj, n))
+    y, shift = active.certified_shift(lam, emb.vectors, _first_shift(obj or unit, n))
     upper = _upper_bound(w_tot, float(np.sum(lam)), y, shift)
     report = SdpReport(
         objective=obj,
@@ -957,10 +973,13 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
     _solve_mixing) at rank min(default_rank(n), _RANK_START) at every n, for
     at most max_outer * max_inner sweeps. cfg.rank, when set, is the start
     rank of either. The returned embedding is validated
-    (SdpEmbedding.validate).
+    (SdpEmbedding.validate). A graph with edges whose W lies outside
+    _WEIGHT_RANGE is refused (ValueError).
     """
     cfg = cfg or SdpConfig()
     n = inst.n
+    if inst.m:
+        check_total_weight(inst.total_weight)
     rank = default_rank(n) if cfg.rank is None else cfg.rank
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, n]=[1, {n}], got {rank}")

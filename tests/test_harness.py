@@ -14,6 +14,7 @@ from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cutflip
@@ -140,6 +141,19 @@ class TestSolveCommand:
         assert out == "" and expected in err
         assert calls == []
 
+    @pytest.mark.parametrize("law", ["uniform:1e308,1.7e308", "uniform:1e154,2e154",
+                                     "uniform:1e-170,2e-170"])
+    def test_unrepresentable_total_weight_exit_3(self, tmp_path, capsys, law):
+        # W = inf ended in a TypeError traceback; W near 1e155 or 1e-169
+        # returned an unconverged random start or an invalid embedding
+        path = tmp_path / "w.txt"
+        assert main(["gen", "--n", "14", "--d", "4", "--weights", law, "--out", str(path)]) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore"):  # W = inf
+            assert main(["solve", str(path), "--oracle"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "total weight W=" in err
+
 
 class TestOracleCommand:
     def test_five_cycle(self, tmp_path, capsys):
@@ -177,6 +191,19 @@ class TestGenCommand:
 
     def test_gen_odd_product(self, capsys):
         assert main(["gen", "--n", "5", "--d", "3"]) == 3
+
+    @pytest.mark.parametrize("law, expected", [
+        ("uniform:0.3,inf", "finite 0 < lo <= hi"),  # an OverflowError traceback
+        ("uniform:0.3,nan", "finite 0 < lo <= hi"),
+        ("uniform:0.3", "expected uniform:lo,hi"),  # "not enough values to unpack"
+        ("uniform:0.3,2,5", "expected uniform:lo,hi"),
+        ("uniform:a,b", "expected uniform:lo,hi"),
+    ])
+    def test_gen_law_it_cannot_draw_exit_3(self, tmp_path, capsys, law, expected):
+        out = tmp_path / "g.txt"
+        assert main(["gen", "--n", "8", "--d", "3", "--weights", law, "--out", str(out)]) == 3
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -314,14 +341,16 @@ class TestExperimentCommand:
         err = self.refused_at_workers_1_and_3(tmp_path, capsys, spec)
         assert "n*d must be even, got n=13, d=3" in err
 
-    @pytest.mark.parametrize("edits, n, expected", [
-        ({"sdp": {"rank": 25}}, 20, "sdp rank 25 exceeds n=20"),
-        ({"triangle_mode": "all"}, 300, "refused"),  # C(300, 3) > cap
-    ], ids=["rank", "all_triples"])
-    def test_file_instance_size_exit_3(self, tmp_path, capsys, edits, n, expected):
-        # a file's n is known once it is parsed: checked like a generated n
-        f = tmp_path / f"empty{n}.txt"
-        f.write_text(f"{n} 0\n")
+    @pytest.mark.parametrize("edits, text, expected", [
+        ({"sdp": {"rank": 25}}, "20 0\n", "sdp rank 25 exceeds n=20"),
+        ({"triangle_mode": "all"}, "300 0\n", "refused"),  # C(300, 3) > cap
+        ({}, "3 2\n0 1 -1 1e-170\n1 2 -1 1e-170\n", "total weight W=2e-170"),
+    ], ids=["rank", "all_triples", "total_weight"])
+    def test_file_instance_size_exit_3(self, tmp_path, capsys, edits, text, expected):
+        # a file's n and W are known once it is parsed: checked like a
+        # generated graph's
+        f = tmp_path / "g.txt"
+        f.write_text(text)
         spec = {"instances": {"files": [str(f)]}, "trials": 2, **edits}
         err = self.refused_at_workers_1_and_3(tmp_path, capsys, spec)
         assert f"{f}: " in err and expected in err
@@ -479,10 +508,12 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize(
         "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law", "degree", "integers",
-                "numbers", "paths", "sdp_settings"]
+                "numbers", "paths", "sdp_settings", "total_weight"]
     )
-    def test_unrunnable_spec_exit_3(self, tmp_path, capsys, bad):
+    def test_unrunnable_spec_exit_3(self, tmp_path, capsys, monkeypatch, bad):
         # refused up front, not as one error row per instance
+        calls = []
+        monkeypatch.setattr(harness, "solve_sdp", lambda *a: calls.append(a))
         spec = self.spec_dict(tmp_path / "out.csv")
         spec["instances"]["generator"]["n"] = [12, 300]
         gen = spec["instances"]["generator"]
@@ -496,7 +527,9 @@ class TestExperimentCommand:
                           ({}, {"sign_bias": -0.1}, "sign_bias")],
             "weight_law": [({}, {"weight_law": ["uniform", 2, 1]}, "lo <= hi"),
                            ({}, {"weight_law": "bogus"}, "unknown weight law"),
-                           ({}, {"weight_law": ["uniform", "a", 1]}, "unknown weight law")],
+                           ({}, {"weight_law": ["uniform", "a", 1]}, "unknown weight law"),
+                           # passed, then an OverflowError traceback; JSON Infinity
+                           ({}, {"weight_law": ["uniform", 0.3, math.inf]}, "finite 0 < lo <= hi")],
             "degree": [({}, {"d": [13]}, "1 <= d < n"),  # 13 >= 12 for the smaller n only
                        ({}, {"d": [0]}, "1 <= d < n")],
             "integers": [({"trials": 2.7}, {}, "'trials'"),  # int() would run 2 trials
@@ -517,6 +550,9 @@ class TestExperimentCommand:
                              ({"sdp": {"max_inner": 2.5}}, {}, "max_inner"),  # ran silently
                              ({"sdp": {"max_outer": True}}, {}, "max_outer"),
                              ({"sdp": {"objective_tol": math.nan}}, {}, "objective_tol")],
+            # n * d / 2 * hi for n = 300 (n = 12 gives 5.4e98), n * d / 2 * lo for n = 12
+            "total_weight": [({}, {"weight_law": ["uniform", 1.0, 3e97]}, "n=300,d=3,rep=0): total weight"),
+                             ({}, {"weight_law": ["uniform", 1e-102, 1.0]}, "W=1.8e-101")],
         }[bad]
         for top, generator, expected in variants:
             case = json.loads(json.dumps(spec))
@@ -526,7 +562,7 @@ class TestExperimentCommand:
             p.write_text(json.dumps(case))
             assert main(["experiment", str(p)]) == 3
             assert expected in capsys.readouterr().err
-            assert not (tmp_path / "out.csv").exists()
+            assert not (tmp_path / "out.csv").exists() and calls == []
 
     def test_mean_gain_nonnegative_in_summary(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -23,7 +23,7 @@ from cutflip.localsearch import (
 from cutflip.numerics import gaussian_band_bounds
 from cutflip.oracle import brute_force_opt
 from cutflip.rounding import hyperplane_round, sample_gaussian
-from cutflip.sdp import SdpConfig, SdpEmbedding, sdp_objective, solve_sdp
+from cutflip.sdp import SdpConfig, SdpEmbedding, solve_sdp
 
 from conftest import random_instance, traced_peak
 
@@ -267,19 +267,20 @@ class TestRunOnce:
     def test_report_fields(self, triangle):
         emb, rep = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
         r = run_once(triangle, (emb, rep), seed=3)
-        assert r.seeds == {"rounding": 3}
-        assert 0.0 <= r.rho_window_fraction <= 1.0
-        assert r.converged is True
-        assert set(r.to_dict()) == {
-            "sdp_value", "rounded_value", "flipped_value", "gain", "s_size",
-            "flip_count", "rho_window_fraction", "seeds", "converged", "generator",
-        }
-        # the shallow dict has asdict's keys, order and values, and its seeds
-        # are a copy
+        assert r.rounding_seed == 3 and type(r.rounding_seed) is int
+        # only per-trial values, named as the experiment CSV's columns
+        assert list(r.to_dict()) == [
+            "rounding_seed", "rounded_value", "flipped_value", "gain", "s_size", "flip_count",
+        ]
+        # the dict has asdict's keys, order and values, and is a copy
         d = r.to_dict()
         assert list(d.items()) == list(dataclasses.asdict(r).items())
-        d["seeds"]["rounding"] = 4
-        assert r.seeds == {"rounding": 3}
+        d["rounding_seed"] = 4
+        assert r.rounding_seed == 3
+
+    def test_reads_only_the_embedding(self, triangle):
+        emb, rep = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
+        assert run_once(triangle, (emb, None), seed=3) == run_once(triangle, (emb, rep), seed=3)
 
 
 class TestBestOf:
@@ -317,10 +318,8 @@ class TestBestOf:
             best_of(triangle, emb, range(3), trials=3)
 
 
-def reference_best_of(inst, emb, seeds, eps, converged):
+def reference_best_of(inst, emb, seeds, eps):
     """The per-trial loop the chunked best_of replaced, one seed at a time."""
-    sdp_value = sdp_objective(inst, emb)
-    rho_frac = rho_window_fraction(inst, emb)
     best_x, best_val, reports = None, -math.inf, []
     for seed in seeds:
         g = sample_gaussian(emb.rank, seed)
@@ -330,10 +329,9 @@ def reference_best_of(inst, emb, seeds, eps, converged):
         x_flip, gain = apply_flips(inst, x, analysis)
         flipped = rounded + gain
         reports.append(RunReport(
-            sdp_value=sdp_value, rounded_value=rounded, flipped_value=flipped, gain=gain,
+            rounding_seed=seed, rounded_value=rounded, flipped_value=flipped, gain=gain,
             s_size=int(len(analysis.candidates)),
             flip_count=int(np.count_nonzero(analysis.flip)),
-            rho_window_fraction=rho_frac, seeds={"rounding": seed}, converged=converged,
         ))
         if flipped > best_val:
             best_val, best_x = flipped, x_flip
@@ -362,9 +360,8 @@ class TestChunkedTrials:
         length=st.sampled_from(["one", "chunk-1", "chunk", "chunk+1", "several"]),
         first=st.integers(0, 2**40),
         stride=st.integers(1, 2**20),
-        converged=st.sampled_from([True, False, None]),
     )
-    def test_matches_per_trial_loop(self, problem, chunk, length, first, stride, converged):
+    def test_matches_per_trial_loop(self, problem, chunk, length, first, stride):
         inst, emb = problem
         count = {"one": 1, "chunk-1": max(chunk - 1, 1), "chunk": chunk,
                  "chunk+1": chunk + 1, "several": 3 * chunk + 2}[length]
@@ -372,8 +369,8 @@ class TestChunkedTrials:
         eps = default_epsilon(max(inst.max_degree, 1))
         budget = chunk * max(inst.n, inst.m)
         with mock.patch.object(localsearch_module, "_CHUNK_ELEMENTS", budget):
-            bx, bv, reports = best_of(inst, emb, seeds, converged=converged)
-        rx, rv, ref = reference_best_of(inst, emb, seeds, eps, converged)
+            bx, bv, reports = best_of(inst, emb, seeds)
+        rx, rv, ref = reference_best_of(inst, emb, seeds, eps)
         assert [r.to_dict() for r in reports] == [r.to_dict() for r in ref]
         assert bv == rv
         assert np.array_equal(bx, rx) and bx.dtype == rx.dtype

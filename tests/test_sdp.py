@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1009,3 +1010,45 @@ class TestAboveFactorLimit:
         monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", 5)
         monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
         assert _certified_shift(adj, y, 1e-6) == float(np.max(radius - y))
+
+
+class TestWeightScale:
+    """Every tolerance of the solvers is relative to W, so scaling the
+    weights scales the solve; W outside the range the solvers can represent
+    is refused."""
+
+    @staticmethod
+    def signed_graph(scale: float) -> Max2LinInstance:
+        # U(0.3, 2) weights times scale: at 1e-8 the absolute floors of 1 made
+        # the ALM report converged at 0.66 OPT
+        return gen_random_regular(14, 4, 0.5, ("uniform", 0.3 * scale, 2.0 * scale), seed=9)
+
+    @pytest.mark.parametrize("mode", ["neighborhood", "none"])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4])
+    def test_small_weights_solve_as_at_unit_scale(self, scale, mode):
+        cfg = SdpConfig(triangle_mode=mode)
+        unit = self.signed_graph(1.0)
+        _, ref = solve_sdp(unit, cfg)
+        inst = self.signed_graph(scale)
+        _, rep = solve_sdp(inst, cfg)
+        w_tot = inst.total_weight
+        assert rep.converged
+        assert abs(rep.objective / w_tot - ref.objective / unit.total_weight) <= 1e-6
+        if mode == "neighborhood":  # the triangle inequalities hold on integral points
+            assert rep.objective >= brute_force_opt(inst).opt * (1 - 1e-6)
+
+    @pytest.mark.parametrize("mode", ["none", "neighborhood", "all"])
+    def test_edgeless_graphs_solve_in_every_mode(self, mode):
+        for n in (1, 3, 6):
+            _, rep = solve_sdp(Max2LinInstance.from_edges(n, []), SdpConfig(triangle_mode=mode))
+            assert rep.converged and rep.objective == 0.0 and rep.upper_bound == 0.0
+
+    @pytest.mark.parametrize("weight", [1e308, 1.5e155, 1e-170])
+    @pytest.mark.parametrize("mode", ["neighborhood", "none"])
+    def test_unrepresentable_total_weight_refused(self, weight, mode):
+        inst = Max2LinInstance.from_edges(3, [(0, 1, -1, weight), (1, 2, -1, weight),
+                                              (0, 2, 1, weight)])
+        with np.errstate(over="ignore"):  # 3e308 sums to inf
+            w_tot = inst.total_weight
+            with pytest.raises(ValueError, match=re.escape(f"total weight W={w_tot!r}")):
+                solve_sdp(inst, SdpConfig(triangle_mode=mode))
