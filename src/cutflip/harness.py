@@ -36,7 +36,7 @@ from .localsearch import best_of, default_epsilon, rho_window_fraction, run_once
 from .numerics import run_verification
 from .oracle import DEFAULT_CAP, brute_force_opt, check_oracle_size
 from .rounding import GENERATOR_NAME
-from .sdp import SdpConfig, check_all_triples, check_total_weight, solve_sdp
+from .sdp import SdpConfig, check_solvable, solve_sdp
 
 __all__ = ["ExperimentSpec", "main", "run_experiment"]
 
@@ -128,7 +128,7 @@ class ExperimentSpec:
     def from_json(cls, text: str, base_dir: Path) -> "ExperimentSpec":
         """The spec, refused (InstanceError) unless every instance can run:
         files are parsed and every instance's n and total weight are checked
-        here."""
+        here, by sdp.check_solvable."""
         raw = _checked(json.loads(text), "spec")
         inst = _checked(raw.get("instances", {}), "instances")
         gen = _checked(inst.get("generator", {}), "generator")
@@ -186,12 +186,7 @@ class ExperimentSpec:
             else:
                 n, totals = where.n, (where.total_weight,) if where.m else ()
             try:
-                if sdp.rank is not None and sdp.rank > n:
-                    raise ValueError(f"sdp rank {sdp.rank} exceeds n={n}")
-                if sdp.triangle_mode == "all":
-                    check_all_triples(n)
-                for w_tot in totals:
-                    check_total_weight(w_tot)
+                check_solvable(sdp, n, *totals)
             except ValueError as exc:
                 raise InstanceError(f"experiment spec: {source}: {exc}") from None
         return spec

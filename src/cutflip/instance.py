@@ -52,11 +52,11 @@ class Max2LinInstance:
     weight: np.ndarray
     # derived CSR adjacency, filled in __post_init__: the neighbors of vertex
     # i are nbr[indptr[i]:indptr[i + 1]], in stored edge order
-    max_degree: int = field(init=False, compare=False, repr=False)
-    indptr: np.ndarray = field(init=False, compare=False, repr=False)
-    nbr: np.ndarray = field(init=False, compare=False, repr=False)
-    nbr_sign: np.ndarray = field(init=False, compare=False, repr=False)
-    nbr_weight: np.ndarray = field(init=False, compare=False, repr=False)
+    max_degree: int = field(init=False, repr=False)
+    indptr: np.ndarray = field(init=False, repr=False)
+    nbr: np.ndarray = field(init=False, repr=False)
+    nbr_sign: np.ndarray = field(init=False, repr=False)
+    nbr_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -125,10 +125,6 @@ class Max2LinInstance:
     @property
     def total_weight(self) -> float:
         return float(self.weight.sum())
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
 
     def neighbors(self, i: int):
         """(neighbor ids, signs, weights) of vertex i, as read-only arrays."""

@@ -79,7 +79,7 @@ __all__ = [
     "SdpEmbedding",
     "SdpReport",
     "check_all_triples",
-    "check_total_weight",
+    "check_solvable",
     "default_rank",
     "enumerate_triples",
     "max_triangle_violation",
@@ -226,13 +226,10 @@ class SdpReport:
     upper_bound is a certified upper bound on the relaxation's optimum (see
     the module docstring); the objective is a lower bound on it when the
     iterate is feasible. Mixing method (empty triple family): iterations
-    counts sweeps over every rank of the staircase, objective_history holds
-    the objective after each sweep, and monotone says no sweep lowered it
-    (beyond 1e-9 * W of rounding; the column a climb appends may
-    lower it). Augmented Lagrangian: iterations counts the inner L-BFGS
-    iterations (_lbfgs) over all rounds, objective_history holds the
-    objective after each outer round, and monotone says no inner solve
-    lowered the augmented objective.
+    counts sweeps over every rank of the staircase, and objective_history
+    holds the objective after each sweep. Augmented Lagrangian: iterations
+    counts the inner L-BFGS iterations (_lbfgs) over all rounds, and
+    objective_history holds the objective after each outer round.
     """
 
     objective: float
@@ -240,7 +237,6 @@ class SdpReport:
     iterations: int
     converged: bool
     upper_bound: float
-    monotone: bool = True
     n_active: int = 0
     objective_history: list = field(default_factory=list)
 
@@ -263,12 +259,22 @@ def sdp_objective(inst: Max2LinInstance, emb: SdpEmbedding) -> float:
     return float(0.5 * (inst.total_weight + (inst.weight * inst.sign) @ r))
 
 
-def check_total_weight(w_tot: float) -> None:
-    """ValueError unless W = w_tot lies in _WEIGHT_RANGE (NaN does not)."""
+def check_solvable(cfg: SdpConfig, n: int, *w_totals: float) -> int:
+    """The start rank of solve_sdp on an n-vertex graph whose total weight W is
+    each of w_totals (none for a graph without edges), or the ValueError it
+    raises: a start rank outside [1, n], mode "all" above _ALL_TRIPLES_CAP
+    triples, or a W outside _WEIGHT_RANGE (NaN is too)."""
+    rank = default_rank(n) if cfg.rank is None else cfg.rank
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank must lie in [1, n]=[1, {n}], got {rank}")
+    if cfg.triangle_mode == "all":
+        check_all_triples(n)
     lo, hi = _WEIGHT_RANGE
-    if not lo <= w_tot <= hi:
-        raise ValueError(f"total weight W={w_tot!r} lies outside [{lo:g}, {hi:g}], "
-                         "the range the SDP solver can represent")
+    for w_tot in w_totals:
+        if not lo <= w_tot <= hi:
+            raise ValueError(f"total weight W={w_tot!r} lies outside [{lo:g}, {hi:g}], "
+                             "the range the SDP solver can represent")
+    return rank
 
 
 def check_all_triples(n: int) -> int:
@@ -646,13 +652,11 @@ def _solve_mixing(
 
     w_tot = inst.total_weight
     unit = w_tot or 1.0  # the scale of every tolerance: W, or 1 on an edgeless graph
-    slack = 1e-9 * unit
     obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
     prev_gain = 0.0  # no rate estimate yet
     fresh = True  # the next sweep is the first at this rank
     omega = 1.0
     history: list[float] = []
-    monotone = True
     converged = False
     shift = None  # the first shift, once it certifies below the rank cap
     while len(history) < cfg.max_outer * cfg.max_inner:
@@ -676,7 +680,6 @@ def _solve_mixing(
             gain += 0.5 * float(np.vdot(block, g) - vg.sum())
         obj += gain
         history.append(obj)
-        monotone = monotone and gain >= -slack
         # at rate rho = gain / prev_gain, gain * rho / (1 - rho) is still to come
         rest = gain * gain / (prev_gain - gain) if gain < prev_gain else math.inf
         if gain <= 0.0 or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * abs(obj):
@@ -710,7 +713,6 @@ def _solve_mixing(
         iterations=len(history),
         converged=converged,
         upper_bound=_upper_bound(w_tot, 0.0, y, shift),
-        monotone=monotone,
         objective_history=history,
     )
     return emb, report
@@ -894,7 +896,6 @@ def _solve_alm(
 
     gtol_floor = 1e-9 * unit
     total_inner = 0
-    monotone = True
     history: list[float] = []
     prev_obj = -math.inf
     prev_viol = math.inf
@@ -916,12 +917,9 @@ def _solve_alm(
         # loose subproblems while infeasibility is large (the first round,
         # at prev_viol = inf, takes the upper end), tight at the end
         gtol = float(np.clip(prev_viol * 1e-2, gtol_floor, 1e-5 * unit))
-        al_start = 0.5 * w_tot + active.augmented(v, mu)[0]
-        u, neg_al, nit = _lbfgs(negative_al, v.ravel(), gtol, cfg.max_inner)
+        u, _, nit = _lbfgs(negative_al, v.ravel(), gtol, cfg.max_inner)
         v = _normalize_rows(u.reshape(n, rank))
         total_inner += nit
-        if -neg_al < al_start - 1e-9 * unit:
-            monotone = False
 
         obj = sdp_objective(inst, SdpEmbedding(vectors=v))
         history.append(obj)
@@ -957,7 +955,6 @@ def _solve_alm(
         iterations=total_inner,
         converged=converged,
         upper_bound=upper,
-        monotone=monotone,
         n_active=len(active),
         objective_history=history,
     )
@@ -973,16 +970,12 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
     _solve_mixing) at rank min(default_rank(n), _RANK_START) at every n, for
     at most max_outer * max_inner sweeps. cfg.rank, when set, is the start
     rank of either. The returned embedding is validated
-    (SdpEmbedding.validate). A graph with edges whose W lies outside
-    _WEIGHT_RANGE is refused (ValueError).
+    (SdpEmbedding.validate). What check_solvable refuses is refused first
+    (ValueError).
     """
     cfg = cfg or SdpConfig()
     n = inst.n
-    if inst.m:
-        check_total_weight(inst.total_weight)
-    rank = default_rank(n) if cfg.rank is None else cfg.rank
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must lie in [1, n]=[1, {n}], got {rank}")
+    rank = check_solvable(cfg, n, *([inst.total_weight] if inst.m else []))
 
     rng = np.random.default_rng(cfg.seed)
     mode = cfg.triangle_mode

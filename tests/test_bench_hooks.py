@@ -6,7 +6,10 @@ the length of a traced run, and its _counts reads fields off what the
 wrapped layers return, so renaming or deleting one of those functions or
 fields in src breaks every traced benchmark run. Likewise checks.py parses
 keys out of the solve JSON and the experiment CSV, so dropping one breaks
-every benchmark run. This file only reads perfbench.
+every benchmark run. And a field of those reports that nothing reads is
+dead weight, so each must be read somewhere in the program, the benchmark,
+the demos or the acceptance suite. This file reads perfbench's sources
+and imports none of them.
 """
 
 from __future__ import annotations
@@ -82,6 +85,27 @@ def test_counted_fields_exist(span):
     names |= {k for k, v in vars(cls).items() if isinstance(v, property)}
     missing = counted_fields()[span] - names
     assert not missing, f"{name} lost {sorted(missing)}, which the benchmark reads for {span}"
+
+
+def loaded_attributes() -> set[str]:
+    """Every name read as an attribute (`rep.upper_bound`) in src/cutflip,
+    perfbench, demos and tests/test_acceptance.py."""
+    files = [*(ROOT / "src" / "cutflip").rglob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+             *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    return {
+        node.attr
+        for f in files
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("span", sorted(REPORT_TYPES))
+def test_every_report_field_has_a_reader(span):
+    module, name = REPORT_TYPES[span]
+    cls = getattr(importlib.import_module(module), name)
+    unread = {f.name for f in dataclasses.fields(cls)} - loaded_attributes()
+    assert not unread, f"nothing outside the unit tests reads {name}'s {sorted(unread)}"
 
 
 def parsed_keys(function: str) -> dict[str, set[str]]:

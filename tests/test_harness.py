@@ -20,8 +20,9 @@ import pytest
 import cutflip
 import cutflip.harness as harness
 from cutflip.harness import ExperimentSpec, derive_seed, main, run_experiment
-from cutflip.instance import InstanceError
+from cutflip.instance import InstanceError, parse_instance
 from cutflip.numerics import CheckResult
+from cutflip.sdp import SdpConfig, solve_sdp
 
 from conftest import TRIANGLE_TEXT
 
@@ -342,7 +343,7 @@ class TestExperimentCommand:
         assert "n*d must be even, got n=13, d=3" in err
 
     @pytest.mark.parametrize("edits, text, expected", [
-        ({"sdp": {"rank": 25}}, "20 0\n", "sdp rank 25 exceeds n=20"),
+        ({"sdp": {"rank": 25}}, "20 0\n", "rank must lie in [1, n]=[1, 20], got 25"),
         ({"triangle_mode": "all"}, "300 0\n", "refused"),  # C(300, 3) > cap
         ({}, "3 2\n0 1 -1 1e-170\n1 2 -1 1e-170\n", "total weight W=2e-170"),
     ], ids=["rank", "all_triples", "total_weight"])
@@ -354,6 +355,26 @@ class TestExperimentCommand:
         spec = {"instances": {"files": [str(f)]}, "trials": 2, **edits}
         err = self.refused_at_workers_1_and_3(tmp_path, capsys, spec)
         assert f"{f}: " in err and expected in err
+
+    @pytest.mark.parametrize("rank, mode, text", [
+        (25, "neighborhood", "20 1\n0 1 -1 1\n"),
+        (None, "all", "300 0\n"),  # C(300, 3) > cap
+        (None, "neighborhood", "3 2\n0 1 -1 1e-170\n1 2 -1 1e-170\n"),
+        (None, "none", "2 1\n0 1 1 1e101\n"),
+        (25, "neighborhood", "20 2\n0 1 -1 1e-170\n1 2 -1 1e-170\n"),  # the rank is named first
+    ], ids=["rank", "all_triples", "small_weight", "large_weight", "rank_and_weight"])
+    def test_spec_refuses_what_the_solver_refuses(self, tmp_path, rank, mode, text):
+        # one rule, sdp.check_solvable, decides both, with the same text
+        with pytest.raises(ValueError) as solver:
+            solve_sdp(parse_instance(text), SdpConfig(rank=rank, triangle_mode=mode))
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        spec = {"instances": {"files": [str(f)]}, "triangle_mode": mode}
+        if rank is not None:
+            spec["sdp"] = {"rank": rank}
+        with pytest.raises(InstanceError) as refused:
+            ExperimentSpec.from_json(json.dumps(spec), tmp_path)
+        assert str(refused.value) == f"experiment spec: {f}: {solver.value}"
 
     def test_failed_solve_exit_3(self, tmp_path, capsys, monkeypatch):
         # a failure only a run can show propagates; no CSV holds part of a sweep
@@ -519,7 +540,8 @@ class TestExperimentCommand:
         gen = spec["instances"]["generator"]
         variants = {  # (spec edits, expected stderr text) per variant
             "all_triples": [({"triangle_mode": "all"}, {}, "refused")],  # C(300, 3) > cap
-            "rank": [({"sdp": {**spec["sdp"], "rank": 50}}, {}, "rank 50")],  # above the smallest n
+            # above the smallest n
+            "rank": [({"sdp": {**spec["sdp"], "rank": 50}}, {}, "[1, n]=[1, 12], got 50")],
             "epsilon_c": [({"epsilon_c": 0.0}, {}, "constant must be > 0"),
                           ({"epsilon_c": -1.0}, {}, "constant must be > 0"),
                           ({"epsilon_c": float("nan")}, {}, "constant must be > 0")],

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cutflip.sdp import (
     SdpConfig,
     SdpEmbedding,
     _LBFGS_MEMORY,
+    _LS_FTOL,
     _ActiveSet,
     _InverseHessian,
     _certified_shift,
@@ -429,10 +431,13 @@ class TestLbfgs:
         def recording_search(fg, x, f0, d, gd0, stp):
             out = search(fg, x, f0, d, gd0, stp)
             searches.append((d, stp, f0, out))
+            # every step the search returns meets the Armijo condition
+            assert out is None or out[2] <= f0 + _LS_FTOL * out[0] * gd0
             return out
 
         monkeypatch.setattr(sdp_module, "_backtrack", recording_search)
         ours = _lbfgs(fg, x0.copy(), gtol, max_iter)
+        assert ours[1] <= fg(x0)[0]  # so no run ends above its start
         ref = minimize(fg, x0, jac=True, method="L-BFGS-B",
                        options={"maxiter": max_iter, "ftol": 1e-16, "gtol": gtol, "maxcor": 12})
         return ours, searches, ref
@@ -646,6 +651,13 @@ class TestSolveAnchors:
         assert rep.converged and abs(rep.objective - 1.0) <= 1e-9
 
 
+def assert_sweeps_ascend(inst, emb, rep, start):
+    """No mixing sweep lowers the objective by more than 1e-9 W of rounding;
+    the column each climb from rank start appends may, once per column."""
+    falls = np.diff(rep.objective_history) < -1e-9 * inst.total_weight
+    assert np.count_nonzero(falls) <= emb.rank - start
+
+
 class TestSolveProperties:
     @pytest.mark.parametrize("seed", range(5))
     def test_relaxation_dominance(self, seed):
@@ -679,14 +691,14 @@ class TestSolveProperties:
         inst = random_instance(np.random.default_rng(10), 15)
         w = inst.total_weight
         for mode in ("neighborhood", "none"):
-            _, rep = solve_sdp(inst, SdpConfig(triangle_mode=mode))
-            assert rep.monotone
+            emb, rep = solve_sdp(inst, SdpConfig(triangle_mode=mode))
             for obj in rep.objective_history:
                 assert -1e-9 <= obj <= w + 1e-6
-        # the last solve ran the mixing method: one history entry per sweep
+        # the last solve ran the mixing method, one history entry per sweep,
+        # and no sweep lowered the objective
         hist = np.array(rep.objective_history)
         assert len(hist) == rep.iterations > 1
-        assert np.all(np.diff(hist) >= -1e-9 * w)
+        assert_sweeps_ascend(inst, emb, rep, start=default_rank(inst.n))
         assert abs(hist[-1] - rep.objective) <= 1e-9 * w
 
     def test_converged_run_meets_constraint_tol(self):
@@ -898,17 +910,28 @@ class TestUpperBound:
     @settings(max_examples=40, deadline=None)
     def test_bound_above_opt_on_random_graphs(self, inst, mode, seed):
         # the bound holds for any multipliers and any iterate, converged or not
-        _, rep = solve_sdp(inst, SdpConfig(triangle_mode=mode, seed=seed))
+        inner = []
+        lbfgs = sdp_module._lbfgs
+
+        def recording_lbfgs(fg, x, gtol, max_iter):
+            start = fg(x)[0]
+            out = lbfgs(fg, x, gtol, max_iter)
+            inner.append((start, out[1]))
+            return out
+
+        with mock.patch.object(sdp_module, "_lbfgs", recording_lbfgs):
+            emb, rep = solve_sdp(inst, SdpConfig(triangle_mode=mode, seed=seed))
         opt = brute_force_opt(inst).opt
         assert rep.upper_bound >= opt - 1e-9 * max(1.0, opt)
         assert rep.upper_bound <= inst.total_weight
-        # the ALM's inner solves accept only Armijo steps, and no over-relaxed
-        # class update lowers the mixing objective
-        assert rep.monotone
+        # the ALM's inner solves accept only Armijo steps, so none ends above
+        # its start on the augmented objective (minimized negated), and no
+        # over-relaxed class update lowers the mixing objective, also where a
+        # vertex's neighbour sum is zero (n <= 10 starts at default_rank(n))
+        assert all(end <= start for start, end in inner)
         if mode == "none":
-            # also where a vertex's neighbour sum is zero (n <= 10 starts at
-            # default_rank(n), so no climb appends a column)
-            assert np.all(np.diff(rep.objective_history) >= -1e-9 * inst.total_weight)
+            assert not inner
+            assert_sweeps_ascend(inst, emb, rep, start=default_rank(inst.n))
 
     def test_default_start_rank_certifies(self):
         # default_rank(400) = 30: the mixing method starts below it, at 24
@@ -926,7 +949,8 @@ class TestUpperBound:
         inst = gen_random_regular(2000, d, bias, law, seed=0)
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
         assert emb.rank == _RANK_START
-        assert rep.converged and rep.monotone
+        assert rep.converged
+        assert_sweeps_ascend(inst, emb, rep, start=_RANK_START)
         assert rep.upper_bound - rep.objective <= 1e-5 * rep.objective
         assert rep.iterations <= 150
 
@@ -935,8 +959,9 @@ class TestUpperBound:
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
         _, rep_default = solve_sdp(inst, SdpConfig(triangle_mode="none"))
         assert 4 < emb.rank < default_rank(inst.n)
-        assert rep.converged and rep.monotone
+        assert rep.converged
         assert rep.iterations == len(rep.objective_history)
+        assert_sweeps_ascend(inst, emb, rep, start=4)
         # certified at the first shift, and the same optimum as the default
         assert rep.upper_bound - rep.objective <= 1e-5 * rep.objective
         assert abs(rep.objective - rep_default.objective) <= 1e-5 * rep.objective
