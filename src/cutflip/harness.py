@@ -35,7 +35,7 @@ from .instance import (InstanceError, check_generator_laws, check_regular_size,
 from .localsearch import best_of, default_epsilon, rho_window_fraction, run_once
 from .numerics import run_verification
 from .oracle import DEFAULT_CAP, brute_force_opt, check_oracle_size
-from .rounding import GENERATOR_NAME
+from .rounding import GENERATOR_NAME, check_seed
 from .sdp import SdpConfig, check_solvable, solve_sdp
 
 __all__ = ["ExperimentSpec", "main", "run_experiment"]
@@ -128,7 +128,8 @@ class ExperimentSpec:
     def from_json(cls, text: str, base_dir: Path) -> "ExperimentSpec":
         """The spec, refused (InstanceError) unless every instance can run:
         files are parsed and every instance's n and total weight are checked
-        here, by sdp.check_solvable."""
+        here, by sdp.check_solvable, and the band half-width at its degree by
+        default_epsilon."""
         raw = _checked(json.loads(text), "spec")
         inst = _checked(raw.get("instances", {}), "instances")
         gen = _checked(inst.get("generator", {}), "generator")
@@ -161,7 +162,6 @@ class ExperimentSpec:
         # settings every instance shares are checked once, here, by the
         # functions that use them
         try:
-            default_epsilon(1, spec.epsilon_c)
             lo, hi = check_generator_laws(spec.sign_bias, spec.weight_law) or (1.0, 1.0)
             for n in sizes["n"]:
                 for d in sizes["d"]:
@@ -181,12 +181,14 @@ class ExperimentSpec:
             raise InstanceError("experiment spec names no instance source")
         for source, where in spec.instances:
             if isinstance(where, tuple):
-                n, m = where[0], where[0] * where[1] // 2
+                n, d = where
+                m = n * d // 2
                 totals = (m * lo, m * hi)  # a generated graph's W lies between
             else:
-                n, totals = where.n, (where.total_weight,) if where.m else ()
+                n, d, totals = where.n, where.max_degree, (where.total_weight,) if where.m else ()
             try:
                 check_solvable(sdp, n, *totals)
+                default_epsilon(max(d, 1), spec.epsilon_c)
             except ValueError as exc:
                 raise InstanceError(f"experiment spec: {source}: {exc}") from None
         return spec
@@ -319,6 +321,7 @@ def _cmd_solve(args) -> int:
     seeds = range(args.seed, args.seed + args.trials)
     if not seeds:
         raise ValueError("best_of needs at least one rounding seed (trials >= 1)")
+    check_seed(seeds[-1])  # cfg refused a negative first seed
     if args.oracle:
         check_oracle_size(inst.n, args.cap)
     emb, rep = solve_sdp(inst, cfg)

@@ -57,13 +57,19 @@ _CHUNK_ELEMENTS = 1 << 16
 
 def default_epsilon(d: int, constant: float = 2.0) -> float:
     """Candidate band half-width 1/(C * d' * sqrt(ln d')) for max degree d and
-    C = constant, with d' = max(d, 2) guarding ln(1) = 0."""
+    C = constant, with d' = max(d, 2) guarding ln(1) = 0. A constant or a
+    width that is not finite and > 0 is refused (ValueError): a huge C makes
+    the width 0, a tiny one makes it inf."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if not constant > 0:  # NaN too
-        raise ValueError(f"constant must be > 0, got {constant}")
+    if not (constant > 0 and math.isfinite(constant)):  # NaN too
+        raise ValueError(f"constant must be > 0 and finite, got {constant}")
     d_eff = max(d, 2)
-    return 1.0 / (constant * d_eff * math.sqrt(math.log(d_eff)))
+    eps = 1.0 / (constant * d_eff * math.sqrt(math.log(d_eff)))
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"epsilon_C={constant!r} at degree {d} gives band half-width {eps!r}; "
+                         "it must be finite and > 0")
+    return eps
 
 
 @dataclass

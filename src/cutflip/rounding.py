@@ -13,11 +13,21 @@ import numpy as np
 
 from .sdp import SdpEmbedding
 
-__all__ = ["GENERATOR_NAME", "hyperplane_round", "projections", "sample_gaussian"]
+__all__ = ["GENERATOR_NAME", "SEED_LIMIT", "check_seed", "hyperplane_round", "projections",
+           "sample_gaussian"]
 
 # Counter-based stream (Philox) feeding numpy's ziggurat normal sampler;
 # recorded in run reports so trials can be reproduced bit-exactly.
 GENERATOR_NAME = "philox4x64-ziggurat"
+
+# a seed is Philox's key, an unsigned 128-bit integer
+SEED_LIMIT = 2**128
+
+
+def check_seed(seed: int) -> None:
+    """Refuse (ValueError) a rounding seed outside [0, SEED_LIMIT)."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"rounding seed must lie in [0, 2**128), got {seed}")
 
 
 def sample_gaussian(r: int, seed: int) -> np.ndarray:
@@ -25,6 +35,7 @@ def sample_gaussian(r: int, seed: int) -> np.ndarray:
     read-only float64 array."""
     if r < 1:
         raise ValueError(f"dimension must be >= 1, got {r}")
+    check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     g = rng.standard_normal(r)
     g.setflags(write=False)

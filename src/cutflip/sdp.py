@@ -14,8 +14,8 @@ collapse into the same family):
 
 The iterate is an n x r matrix of unit rows (a Burer-Monteiro factorization).
 Both solvers read one matrix, the signed adjacency A with A_ij = w_ij b_ij,
-and solve_sdp only picks between them, depending on whether the triple
-family is empty:
+a dense array up to _DENSE_LAYER_MAX_N vertices and CSR above, and solve_sdp
+only picks between them, depending on whether the triple family is empty:
 
 - Empty family (triangle_mode="none", or a graph with no triples): the
   mixing method (_solve_mixing), block-coordinate ascent on the product of
@@ -135,11 +135,15 @@ _DENSE_MAX_N = 512
 # rank since nothing refuses its iterate
 _FACTOR_MAX_N = 5000
 
-# the ALM's layer K is dense up to this n, the oracle's DEFAULT_CAP, sparing
-# small solves the import of scipy.sparse (0.14 s, 22 MB). One K V, dense
-# einsum vs CSR, medians of 10 interleaved timings on a 2-vCPU Xeon box:
-# n=14 2.24 vs 2.55 us, n=22 3.35 vs 3.26 us, n=26 4.41 vs 3.87 us, n=32
-# 7.38 vs 5.67 us
+# both solvers' matrices are dense up to this n, the oracle's DEFAULT_CAP:
+# the mixing method's signed adjacency A (_signed_adjacency) and the ALM's
+# layer K. Small solves in every mode then never import scipy.sparse: a fresh
+# `cutflip solve --triangle-mode none --oracle --trials 50` on a 20-vertex
+# 4-regular graph takes about 90 ms and 43 MB instead of 157 ms and 57.5 MB
+# (medians of 11 interleaved runs on a 2-vCPU Xeon box). One K V, dense
+# einsum vs CSR, medians of 10 interleaved timings on the same box: n=14
+# 2.24 vs 2.55 us, n=22 3.35 vs 3.26 us, n=26 4.41 vs 3.87 us, n=32 7.38
+# vs 5.67 us
 _DENSE_LAYER_MAX_N = 26
 
 # the ALM multiplies its penalty by this factor when feasibility stalls
@@ -464,13 +468,18 @@ class _ActiveSet:
         return y, _certified_shift(a_lam, y, delta, radius)
 
 
-def _signed_adjacency(inst: Max2LinInstance) -> sp.csr_matrix:
-    """A with A_ij = A_ji = w_ij b_ij, from the instance's CSR arrays, sorted indices."""
+def _signed_adjacency(inst: Max2LinInstance) -> np.ndarray | sp.csr_matrix:
+    """A with A_ij = A_ji = w_ij b_ij, from the instance's CSR arrays: a dense
+    array up to _DENSE_LAYER_MAX_N vertices, zero off the edges, and CSR with
+    sorted indices above."""
+    n, values = inst.n, inst.nbr_sign * inst.nbr_weight
+    if n <= _DENSE_LAYER_MAX_N:
+        adj = np.zeros((n, n))
+        adj[np.repeat(np.arange(n), np.diff(inst.indptr)), inst.nbr] = values
+        return adj
     import scipy.sparse as sp  # only the CSR matrices need it
 
-    adj = sp.csr_matrix(
-        (inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(inst.n, inst.n)
-    )
+    adj = sp.csr_matrix((values, inst.nbr, inst.indptr), shape=(n, n))
     adj.sort_indices()
     return adj
 
@@ -482,7 +491,8 @@ def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: fl
     factored densely by LAPACK's Cholesky, which fails on the first pivot
     that is not positive. A NaN pivot passes that test, so every diagonal
     entry of the factor must also be positive.
-    Above it, SuperLU in symmetric mode with a zero pivot threshold keeps
+    Above it adj is CSR, since no matrix is dense above _DENSE_LAYER_MAX_N
+    rows, and SuperLU in symmetric mode with a zero pivot threshold keeps
     every nonzero diagonal pivot, so perm_r == perm_c and P S P^T = L D L^T
     with D = diag(U): S is positive definite iff every pivot is positive. A
     pivoting that leaves the diagonal, or an exactly zero pivot, refuses.
@@ -518,7 +528,7 @@ def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: floa
     last refused shift and the first accepted one until they lie within
     _SHIFT_RTOL of the accepted one. A first shift accepted is returned as it
     is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. radius, the
-    Gershgorin radii sum_j |adj_ij|, is read from a CSR adj when not given.
+    Gershgorin radii sum_j |adj_ij|, is read from adj when not given.
     """
     if radius is None:
         radius = np.asarray(abs(adj).sum(axis=1)).ravel()
@@ -603,7 +613,7 @@ def _solve_mixing(
 
     Rows are permuted so that each class is a contiguous block. A class is
     an independent set, so its row block of A has no entry in the class's
-    own columns: one sparse product of the block with the iterate gives
+    own columns: one product of the block with the iterate gives
     every g_i = sum_j w_ij b_ij v_j from vectors of other classes, and
     the exact step v_i <- g_i / ||g_i|| maximizes the objective over all its
     rows at once. The sweeps take the over-relaxed (SOR) step instead:
@@ -615,8 +625,10 @@ def _solve_mixing(
     lowers the objective, and v_i' = v_i only where v_i = g_i / ||g_i||,
     the exact step's fixed points. A class update raises the objective by
     1/2 sum_i <v_i' - v_i, g_i>; the sweep's gain sums that over the classes,
-    taken as the difference of two inner products, which is exactly 0 once
-    a sweep leaves every row as it was.
+    taken as the difference of two inner products. Once a sweep leaves
+    every row as it was, the two still differ by the roundoff of their
+    sums, which can repeat sweep after sweep (a 3-vertex star with weights
+    0.5 and 0.3125 gained 1.1e-16 per sweep until the budget ran out).
 
     omega is 1 on the first three sweeps of each rank: a graph the exact
     step solves in one sweep (a single edge) stops after the second, where a
@@ -631,8 +643,10 @@ def _solve_mixing(
     ends at or near _OMEGA_MAX, and the tail gain ratio falls from about
     0.993 to about 0.9), at the same certified objective.
 
-    A rank stops once a sweep gains nothing, or once the ascent still to
-    come, extrapolated from the last two gains at a fixed rate, falls below
+    A rank stops once a sweep gains nothing, that is at most n * eps * W
+    (eps the float64 machine epsilon; 1 stands in for W on an edgeless
+    graph), or once the ascent still to come, extrapolated from the last two
+    gains at a fixed rate, falls below
     _MIXING_STOP_SHARE * objective_tol * |objective|. At the rank
     cap, max(default_rank(n), start rank), or the start rank above
     _FACTOR_MAX_N vertices, the solve converges there. Below it, one
@@ -652,6 +666,7 @@ def _solve_mixing(
 
     w_tot = inst.total_weight
     unit = w_tot or 1.0  # the scale of every tolerance: W, or 1 on an edgeless graph
+    no_gain = n * np.finfo(float).eps * unit  # the roundoff of a sweep's gain
     obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
     prev_gain = 0.0  # no rate estimate yet
     fresh = True  # the next sweep is the first at this rank
@@ -682,7 +697,7 @@ def _solve_mixing(
         history.append(obj)
         # at rate rho = gain / prev_gain, gain * rho / (1 - rho) is still to come
         rest = gain * gain / (prev_gain - gain) if gain < prev_gain else math.inf
-        if gain <= 0.0 or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * abs(obj):
+        if gain <= no_gain or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * abs(obj):
             converged = u.shape[1] >= max_rank
             if converged:
                 break

@@ -129,7 +129,13 @@ class TestSolveCommand:
         (["--oracle", "--cap", "2"], "brute force refused: n=3"),
         (["--trials", "0"], "trials >= 1"),
         (["--epsilon-C", "0"], "constant must be > 0"),
-    ], ids=["oracle_cap", "trials", "epsilon_c"])
+        (["--epsilon-C", "inf"], "constant must be > 0 and finite"),  # ran with eps = 0
+        (["--epsilon-C", "1e-320"], "band half-width inf"),  # wrote "epsilon": Infinity
+        # numpy refused the first seed's Philox key after the solve
+        (["--seed", str(2**128 - 1), "--trials", "2"], "rounding seed must lie in [0, 2**128)"),
+        (["--seed", str(2**128 - 2), "--trials", "3"], f"got {2**128}"),
+    ], ids=["oracle_cap", "trials", "epsilon_c", "epsilon_c_inf", "epsilon_c_tiny", "seed",
+            "last_seed"])
     def test_unrunnable_solve_refused_before_solving(self, triangle_file, capsys, monkeypatch,
                                                      flags, expected):
         # each was refused only after the SDP solve, and the oracle case
@@ -141,6 +147,10 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert out == "" and expected in err
         assert calls == []
+
+    def test_last_seed_below_the_philox_limit_runs(self, triangle_file, capsys):
+        assert main(["solve", triangle_file, "--seed", str(2**128 - 2), "--trials", "2"]) == 0
+        assert "best_value=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("law", ["uniform:1e308,1.7e308", "uniform:1e154,2e154",
                                      "uniform:1e-170,2e-170"])
@@ -544,7 +554,12 @@ class TestExperimentCommand:
             "rank": [({"sdp": {**spec["sdp"], "rank": 50}}, {}, "[1, n]=[1, 12], got 50")],
             "epsilon_c": [({"epsilon_c": 0.0}, {}, "constant must be > 0"),
                           ({"epsilon_c": -1.0}, {}, "constant must be > 0"),
-                          ({"epsilon_c": float("nan")}, {}, "constant must be > 0")],
+                          ({"epsilon_c": float("nan")}, {}, "constant must be > 0"),
+                          # JSON Infinity ran with eps = 0
+                          ({"epsilon_c": math.inf}, {}, "constant must be > 0 and finite"),
+                          ({"epsilon_c": 1e-320}, {}, "band half-width inf"),
+                          # fine at d = 1, where alone the spec was checked: eps = 0 at d = 3
+                          ({"epsilon_c": 7e307}, {}, "gen(n=12,d=3,rep=0): epsilon_C=7e+307 at degree 3")],
             "sign_bias": [({}, {"sign_bias": 1.5}, "sign_bias"),
                           ({}, {"sign_bias": -0.1}, "sign_bias")],
             "weight_law": [({}, {"weight_law": ["uniform", 2, 1]}, "lo <= hi"),
@@ -596,87 +611,71 @@ class TestExperimentCommand:
         assert mean_gain >= 0.0
 
 
-def loaded_after_import(module: str, then: str = "") -> bool:
-    """Does a fresh interpreter hold module after `import cutflip.harness`
-    and the statements then?"""
+WATCHED = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.special",
+           "concurrent.futures")
+
+
+def modules_loaded(then: str = "") -> set[str]:
+    """The WATCHED modules a fresh interpreter holds after
+    `import cutflip.harness` and the statements then."""
     src = str(Path(cutflip.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, cutflip.harness\n{then}\nprint({module!r} in sys.modules)"
+    code = (f"import json, sys, cutflip.harness\n{then}\n"
+            f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return res.stdout.strip() == "True"
+    return set(json.loads(res.stdout.splitlines()[-1]))
 
 
-def test_import_leaves_out_scipy_optimize():
-    # the CLI imports without scipy.optimize, and the triangle-mode solver
-    # runs its own L-BFGS
-    assert not loaded_after_import("scipy.optimize")
-    solve = (
+def _solve(n: int, d: int, mode: str, *checks: str) -> str:
+    """A solve_sdp call on a random d-regular graph, then its checks."""
+    return (
         "from cutflip.instance import gen_random_regular\n"
         "from cutflip.sdp import SdpConfig, solve_sdp\n"
-        "_, rep = solve_sdp(gen_random_regular(12, 3, 0.5, 'unit', seed=0), SdpConfig(triangle_mode='neighborhood'))\n"
-        "assert rep.n_active > 0 and rep.iterations > 0"
+        f"inst = gen_random_regular({n}, {d}, 0.5, 'unit', seed=0)\n"
+        f"_, rep = solve_sdp(inst, SdpConfig(triangle_mode={mode!r}))\n"
+        f"assert {' and '.join(('rep.converged', 'rep.upper_bound >= rep.objective') + checks)}\n"
     )
-    assert not loaded_after_import("scipy.optimize", then=solve)
 
 
-def test_import_leaves_out_scipy_sparse_linalg():
-    # only the certificate's sparse factorization, above _DENSE_MAX_N
-    # vertices, needs scipy.sparse.linalg, slow to import
-    assert not loaded_after_import("scipy.sparse.linalg")
+def _cli_solve(*flags: str) -> str:
+    """A CLI solve with the oracle of a 22-vertex 5-regular graph, written to the file PATH."""
+    return (
+        "from cutflip.instance import gen_random_regular, write_instance\n"
+        "open(PATH, 'w').write(write_instance(gen_random_regular(22, 5, 0.5, 'unit', seed=0)))\n"
+        f"assert cutflip.harness.main(['solve', PATH, '--oracle', '--trials', '5', *{flags!r}]) == 0\n"
+    )
 
 
-def test_small_solves_leave_out_scipy_sparse_linalg():
+# scenario: (statements, watched modules it must not load, modules it must load)
+IMPORT_GUARDS = {
+    # the CLI imports without scipy.optimize (the ALM runs its own L-BFGS),
+    # scipy.sparse.linalg (only the certificate's sparse factorization),
+    # scipy.sparse (only matrices above _DENSE_LAYER_MAX_N vertices),
+    # scipy.special (only verify's estimate_local_gain) and concurrent.futures
+    # (only an experiment's worker pool)
+    "import": ("", set(WATCHED), set()),
+    "neighborhood_n12": (_solve(12, 3, "neighborhood", "rep.n_active > 0", "rep.iterations > 0"),
+                         {"scipy.optimize"}, set()),
     # up to _DENSE_MAX_N vertices the certificate is a dense Cholesky
-    solve = (
-        "from cutflip.instance import gen_random_regular\n"
-        "from cutflip.sdp import SdpConfig, solve_sdp\n"
-        "for n, mode in ((12, 'neighborhood'), (50, 'none')):\n"
-        "    _, rep = solve_sdp(gen_random_regular(n, 3, 0.5, 'unit', seed=0), SdpConfig(triangle_mode=mode))\n"
-        "    assert rep.converged and rep.upper_bound >= rep.objective"
-    )
-    assert not loaded_after_import("scipy.sparse.linalg", then=solve)
+    "neighborhood_n12_none_n50": (_solve(12, 3, "neighborhood") + _solve(50, 3, "none"),
+                                  {"scipy.sparse.linalg"}, set()),
+    # up to _DENSE_LAYER_MAX_N vertices the ALM's layer and the mixing
+    # method's adjacency are dense arrays
+    "neighborhood_n22": (_solve(22, 5, "neighborhood", "rep.n_active > 0"), {"scipy.sparse"}, set()),
+    "cli_neighborhood_n22": (_cli_solve(), {"scipy.sparse"}, set()),
+    "none_n22": (_solve(22, 5, "none"), {"scipy.sparse"}, set()),
+    "cli_none_n22": (_cli_solve("--triangle-mode", "none"), {"scipy.sparse"}, set()),
+    # above the cut-off both solvers read CSR matrices
+    "neighborhood_and_none_n40": (_solve(40, 3, "neighborhood") + _solve(40, 3, "none"), set(),
+                                  {"scipy.sparse"}),
+}
 
 
-def test_small_triangle_solves_leave_out_scipy_sparse(tmp_path):
-    # up to _DENSE_LAYER_MAX_N vertices the ALM's layer is a dense array:
-    # a bare import, a neighborhood solve and a CLI solve with the oracle at
-    # n = 22 never load scipy.sparse
-    assert not loaded_after_import("scipy.sparse")
-    gen = "from cutflip.instance import gen_random_regular\ninst = gen_random_regular(22, 5, 0.5, 'unit', seed=0)\n"
-    solve = (
-        "from cutflip.sdp import SdpConfig, solve_sdp\n"
-        "_, rep = solve_sdp(inst, SdpConfig(triangle_mode='neighborhood'))\n"
-        "assert rep.converged and rep.n_active > 0 and rep.upper_bound >= rep.objective"
-    )
-    assert not loaded_after_import("scipy.sparse", then=gen + solve)
-    path = tmp_path / "n22.txt"
-    cli = (
-        f"from cutflip.instance import write_instance\nopen({str(path)!r}, 'w').write(write_instance(inst))\n"
-        f"assert cutflip.harness.main(['solve', {str(path)!r}, '--oracle', '--trials', '5']) == 0"
-    )
-    assert not loaded_after_import("scipy.sparse", then=gen + cli)
-
-
-def test_larger_and_none_mode_solves_still_converge():
-    # above the cut-off, and in none mode, the solvers read CSR matrices
-    solve = (
-        "from cutflip.instance import gen_random_regular\n"
-        "from cutflip.sdp import SdpConfig, solve_sdp\n"
-        "for n, mode in ((40, 'neighborhood'), (12, 'none')):\n"
-        "    _, rep = solve_sdp(gen_random_regular(n, 3, 0.5, 'unit', seed=0), SdpConfig(triangle_mode=mode))\n"
-        "    assert rep.converged and rep.upper_bound >= rep.objective"
-    )
-    assert loaded_after_import("scipy.sparse", then=solve)
-
-
-def test_import_leaves_out_the_worker_pool():
-    # only an experiment at --workers > 1 needs concurrent.futures
-    assert not loaded_after_import("concurrent.futures")
-
-
-def test_import_leaves_out_scipy_special():
-    # only estimate_local_gain (verify) needs scipy.special, slow to import
-    assert not loaded_after_import("scipy.special")
+@pytest.mark.parametrize("scenario", IMPORT_GUARDS)
+def test_import_guards(scenario, tmp_path):
+    then, absent, present = IMPORT_GUARDS[scenario]
+    loaded = modules_loaded(then.replace("PATH", repr(str(tmp_path / "n22.txt"))))
+    assert not loaded & absent and present <= loaded
 
 
 class TestCliSurface:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,19 @@ class TestEpsilon:
             default_epsilon(3, 0.0)
         with pytest.raises(ValueError):
             default_epsilon(3, float("nan"))
+
+    @pytest.mark.parametrize("d, constant, expected", [
+        (3, math.inf, "constant must be > 0 and finite"),  # was eps = 0
+        (3, 1e-320, "band half-width inf"),  # was eps = inf
+        (3, 7e307, "band half-width 0.0"),  # C * 3 overflows; C * 2 does not
+    ])
+    def test_band_must_be_finite_and_positive(self, d, constant, expected):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            default_epsilon(d, constant)
+
+    def test_band_is_checked_at_the_degree(self):
+        # the width shrinks with the degree: 7e307 is fine at d' = 2
+        assert 0.0 < default_epsilon(1, 7e307) < math.inf
 
 
 def make_star(margins, center_proj=0.05, weights=None):

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cutflip.instance import evaluate, gen_random_regular
 from cutflip.numerics import alpha_gw
-from cutflip.rounding import GENERATOR_NAME, hyperplane_round, sample_gaussian
+from cutflip.rounding import GENERATOR_NAME, SEED_LIMIT, hyperplane_round, sample_gaussian
 from cutflip.sdp import SdpEmbedding, solve_sdp
 
 
@@ -27,6 +28,14 @@ def test_determinism():
 def test_bad_dimension():
     with pytest.raises(ValueError):
         sample_gaussian(0, seed=1)
+
+
+def test_seed_is_a_philox_key():
+    # numpy's own refusal read "key must be positive and less than 2**128"
+    assert sample_gaussian(2, SEED_LIMIT - 1).shape == (2,)
+    for seed in (SEED_LIMIT, -1):
+        with pytest.raises(ValueError, match=re.escape(f"[0, 2**128), got {seed}")):
+            sample_gaussian(2, seed)
 
 
 def test_marginal_mean_and_variance():

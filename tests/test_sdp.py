@@ -41,10 +41,10 @@ from conftest import random_instance, traced_peak
 
 
 @st.composite
-def simple_graphs(draw):
-    """(n, edges): any simple graph on 1-12 vertices, edges in any stored
-    order and orientation, so some vertices may be isolated."""
-    n = draw(st.integers(1, 12))
+def simple_graphs(draw, max_n: int = 12):
+    """(n, edges): any simple graph on 1 to max_n vertices, edges in any
+    stored order and orientation, so some vertices may be isolated."""
+    n = draw(st.integers(1, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
@@ -188,7 +188,7 @@ on_both_layers = also_at_zero("_DENSE_LAYER_MAX_N")
 
 
 def as_array(matrix) -> np.ndarray:
-    """The layer's K, or a multiple of it, as an n x n array on either layer."""
+    """A, the layer's K, or a multiple of either, as an n x n array, dense or CSR."""
     return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
 
 
@@ -279,7 +279,7 @@ class TestConstraintLayer:
     @on_both_layers
     def test_matrix_is_half_adjacency_plus_pair_matrix(self, seed):
         inst, active, _, rng = self.grown_active_set(seed)
-        adj = _signed_adjacency(inst).toarray()
+        adj = as_array(_signed_adjacency(inst))
         # the active pairs include edges, whose entry K shares with A, and
         # non-edges, which A does not have
         on_edge = adj[active.pair_i, active.pair_j] != 0.0
@@ -308,7 +308,7 @@ class TestConstraintLayer:
         lam = rng.uniform(0.0, 2.0, len(active)) * (rng.random(len(active)) < 0.5)
         active.refill(lam)
         got = as_array(2.0 * active.matrix)
-        want = (_signed_adjacency(inst) + 2.0 * coo_pair_matrix(active, lam)).toarray()
+        want = as_array(_signed_adjacency(inst)) + 2.0 * coo_pair_matrix(active, lam).toarray()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -650,6 +650,15 @@ class TestSolveAnchors:
         assert np.allclose(np.linalg.norm(emb.vectors, axis=1), 1.0)
         assert rep.converged and abs(rep.objective - 1.0) <= 1e-9
 
+    def test_roundoff_gain_stops_the_sweeps(self):
+        # the first sweep leaves this star at its optimum and no later sweep
+        # moves a row, yet each read a gain of 1.1e-16 at rate 1, and the
+        # solve ran out its 36000 sweeps unconverged
+        inst = Max2LinInstance.from_edges(3, [(0, 1, -1, 0.5), (0, 2, -1, 0.3125)])
+        _, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", seed=0))
+        assert rep.converged and rep.iterations <= 3
+        assert rep.objective == rep.upper_bound == inst.total_weight
+
 
 def assert_sweeps_ascend(inst, emb, rep, start):
     """No mixing sweep lowers the objective by more than 1e-9 W of rounding;
@@ -783,11 +792,12 @@ class TestSolveProperties:
 
 def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
     """(adj, y) for a signed weighted graph with y_i = sum_j |adj_ij|, so
-    that Diag(y) - adj is diagonally dominant: positive semidefinite."""
+    that Diag(y) - adj is diagonally dominant: positive semidefinite. adj is
+    CSR at any n, which both factorizations accept."""
     inst = Max2LinInstance.from_edges(
         n, [(i, j, 1 if k % 2 else -1, 1.0 + 0.25 * (k % 3)) for k, (i, j) in enumerate(edges)]
     )
-    adj = _signed_adjacency(inst)
+    adj = sp.csr_matrix((inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n))
     return adj, np.asarray(abs(adj).sum(axis=1)).ravel()
 
 
@@ -864,9 +874,9 @@ class TestCertificate:
 
 
 @st.composite
-def signed_instances(draw):
-    """A simple graph on 1-10 vertices with random signs and U(0.3, 2) weights."""
-    n, edges = draw(simple_graphs().filter(lambda g: g[0] <= 10))
+def signed_instances(draw, max_n: int = 10):
+    """A simple graph on 1 to max_n vertices with random signs and U(0.3, 2) weights."""
+    n, edges = draw(simple_graphs(max_n))
     signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(edges), max_size=len(edges)))
     weights = draw(st.lists(st.floats(0.3, 2.0), min_size=len(edges), max_size=len(edges)))
     return Max2LinInstance.from_edges(n, [(i, j, b, w) for (i, j), b, w in zip(edges, signs, weights)])
@@ -932,6 +942,26 @@ class TestUpperBound:
         if mode == "none":
             assert not inner
             assert_sweeps_ascend(inst, emb, rep, start=default_rank(inst.n))
+
+    @given(inst=signed_instances(sdp_module._DENSE_LAYER_MAX_N), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_dense_and_csr_mixing_bound_each_other(self, inst, seed):
+        # up to _DENSE_LAYER_MAX_N vertices the mixing method reads a dense A,
+        # whose products may sum in another order than CSR's: both paths
+        # converge, and each certified bound holds for the other's iterate
+        reports = []
+        for cutoff, kind in ((sdp_module._DENSE_LAYER_MAX_N, np.ndarray), (0, sp.csr_matrix)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
+                assert isinstance(_signed_adjacency(inst), kind)
+                reports.append(solve_sdp(inst, SdpConfig(triangle_mode="none", seed=seed))[1])
+        dense, csr = reports
+        slack = 1e-12 * inst.total_weight
+        opt = brute_force_opt(inst).opt
+        assert dense.converged and csr.converged
+        assert dense.objective <= csr.upper_bound + slack
+        assert csr.objective <= dense.upper_bound + slack
+        assert dense.upper_bound >= opt and csr.upper_bound >= opt
 
     def test_default_start_rank_certifies(self):
         # default_rank(400) = 30: the mixing method starts below it, at 24
