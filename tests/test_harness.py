@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -615,15 +616,17 @@ WATCHED = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.speci
            "concurrent.futures")
 
 
-def modules_loaded(then: str = "") -> set[str]:
+@functools.cache
+def modules_loaded(then: str = "") -> frozenset[str]:
     """The WATCHED modules a fresh interpreter holds after
-    `import cutflip.harness` and the statements then."""
+    `import cutflip.harness` and the statements then; the bare import
+    starts one interpreter for all the tests that read it."""
     src = str(Path(cutflip.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (f"import json, sys, cutflip.harness\n{then}\n"
             f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return set(json.loads(res.stdout.splitlines()[-1]))
+    return frozenset(json.loads(res.stdout.splitlines()[-1]))
 
 
 def _solve(n: int, d: int, mode: str, *checks: str) -> str:
@@ -648,12 +651,10 @@ def _cli_solve(*flags: str) -> str:
 
 # scenario: (statements, watched modules it must not load, modules it must load)
 IMPORT_GUARDS = {
-    # the CLI imports without scipy.optimize (the ALM runs its own L-BFGS),
-    # scipy.sparse.linalg (only the certificate's sparse factorization),
-    # scipy.sparse (only matrices above _DENSE_LAYER_MAX_N vertices),
-    # scipy.special (only verify's estimate_local_gain) and concurrent.futures
-    # (only an experiment's worker pool)
-    "import": ("", set(WATCHED), set()),
+    # the CLI imports without scipy.optimize (the ALM runs its own L-BFGS)
+    # and scipy.sparse (only matrices above _DENSE_LAYER_MAX_N vertices);
+    # the tests below the table check the other WATCHED modules
+    "import": ("", {"scipy.optimize", "scipy.sparse"}, set()),
     "neighborhood_n12": (_solve(12, 3, "neighborhood", "rep.n_active > 0", "rep.iterations > 0"),
                          {"scipy.optimize"}, set()),
     # up to _DENSE_MAX_N vertices the certificate is a dense Cholesky
@@ -676,6 +677,22 @@ def test_import_guards(scenario, tmp_path):
     then, absent, present = IMPORT_GUARDS[scenario]
     loaded = modules_loaded(then.replace("PATH", repr(str(tmp_path / "n22.txt"))))
     assert not loaded & absent and present <= loaded
+
+
+def test_import_leaves_out_scipy_sparse_linalg():
+    # only the certificate's sparse factorization, above _DENSE_MAX_N
+    # vertices, needs scipy.sparse.linalg, slow to import
+    assert "scipy.sparse.linalg" not in modules_loaded()
+
+
+def test_import_leaves_out_the_worker_pool():
+    # only an experiment at --workers > 1 needs concurrent.futures
+    assert "concurrent.futures" not in modules_loaded()
+
+
+def test_import_leaves_out_scipy_special():
+    # only estimate_local_gain (verify) needs scipy.special, slow to import
+    assert "scipy.special" not in modules_loaded()
 
 
 class TestCliSurface:
