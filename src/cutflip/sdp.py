@@ -47,10 +47,11 @@ constraints into A (A' = A without them; with them, A' = 2 K(lam), the
 ALM's matrix K = A/2 + M refilled with the multipliers).
 y_i = <(A' V)_i, v_i> makes the bound equal the objective plus
 n delta / 4 at a stationary iterate.
-Positive definiteness is certified by one factorization (_shift_certificate):
-a dense Cholesky up to _DENSE_MAX_N vertices, where it is the faster, and a
-sparse LDL^T-style one above. Above _FACTOR_MAX_N vertices, where the sparse
-fill costs too much, the Gershgorin shift certifies instead; it needs no
+Positive definiteness is certified by one dense Cholesky (_shift_certificate,
+numpy's): of S itself up to _DENSE_MAX_N vertices, and above it of the Schur
+complement left once independent sets of S's pattern are eliminated, each
+with positive pivots (_eliminated). Above _FACTOR_MAX_N vertices, where that
+remainder costs too much, the Gershgorin shift certifies instead; it needs no
 factorization but gives a loose bound, and the mixing method stays at its
 start rank. The bound is capped by W, which no objective exceeds; in none
 mode the Gershgorin bound is never below W, so there the cap is the bound.
@@ -121,18 +122,33 @@ _RANK_START = 24
 _GAP_TOL = 1e-5
 _SHIFT_RTOL = 0.01
 
-# the certificate factors S densely (numpy's Cholesky) up to this many rows
-# and sparsely (SuperLU) above, near where the two cross. One factorization
-# on random regular graphs, dense vs SuperLU, on a 2-vCPU Xeon box: n=200
-# d=4 0.12 vs 0.39 ms, n=500 d=4 0.78 vs 1.23 ms, n=1000 d=4 6.9 vs 4.2 ms,
-# n=1000 d=6 7.0 vs 9.8 ms, n=2000 d=4 37 vs 18 ms
+# the certificate factors S itself (numpy's Cholesky) up to this many rows,
+# and above it what is left after eliminating independent sets (_eliminated),
+# near where the two cross. One certificate at the final none-mode iterate of
+# random regular graphs, S itself vs eliminated, on a 2-vCPU Xeon box: n=200
+# d=4 0.18 vs 0.20 ms, n=500 d=4 1.4 vs 1.1 ms, n=1000 d=4 8.1 vs 4.1 ms,
+# n=1000 d=6 7.3 vs 6.3 ms, n=2000 d=4 36 vs 10 ms
 _DENSE_MAX_N = 512
 
-# the largest n whose certificate is factored. Fill grows about as n^2 on
-# random regular graphs (one factorization at d=4: 0.18 s and 41 MB at
-# n=4000, 2.2 s and 243 MB at n=10000, on a 2-vCPU Xeon box); above it the
-# bound takes the Gershgorin shift, and the mixing method stays at its start
-# rank since nothing refuses its iterate
+# the certificate eliminates an independent set of k of the m rows left only
+# if k m^2, about the flops that takes off the final Cholesky, is at least
+# this many times the entries the elimination handles: the stored ones and
+# the fill products (the sum of the set's squared degrees). A larger value
+# stops sooner and leaves a larger dense remainder, held three times while
+# it is factored; a smaller one holds more fill at once. One certificate at
+# the final none-mode iterate, at 256 / 1024 / 4096, on a 2-vCPU Xeon box:
+# n=2000 d=4 10.0 / 9.0 / 12.0 ms, n=5000 d=6 183 / 118 / 96 ms; a fresh
+# n=5000 d=10 none-mode solve peaks at about 347 / 310 / 356 MB at 400 /
+# 1024 / 2048
+_ELIMINATE_COST = 1024
+
+# the largest n whose certificate is factored. The dense remainder keeps
+# about a third of the rows of random 4-regular graphs at n=10000-20000, so
+# its memory grows as n^2 and its Cholesky as n^3 (one certificate at the
+# final none-mode iterate, d=4, fresh-process peak: 0.04 s and 132 MB at
+# n=4000, 0.25 s and 371 MB at n=10000, 1.4 s and 1.25 GB at n=20000, on a
+# 2-vCPU Xeon box); above it the bound takes the Gershgorin shift, and the
+# mixing method stays at its start rank since nothing refuses its iterate
 _FACTOR_MAX_N = 5000
 
 # both solvers' matrices are dense up to this n, the oracle's DEFAULT_CAP:
@@ -484,38 +500,112 @@ def _signed_adjacency(inst: Max2LinInstance) -> np.ndarray | sp.csr_matrix:
     return adj
 
 
-def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
-    """Is S = Diag(y) - adj + delta I positive definite? One factorization.
+def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """A maximal independent set of the graph on m vertices whose edges are
+    the stored entries (rows, cols), listed in both directions, as a mask.
 
-    adj is a CSR matrix or a dense array. Up to _DENSE_MAX_N rows S is
-    factored densely by LAPACK's Cholesky, which fails on the first pivot
-    that is not positive. A NaN pivot passes that test, so every diagonal
-    entry of the factor must also be positive.
-    Above it adj is CSR, since no matrix is dense above _DENSE_LAYER_MAX_N
-    rows, and SuperLU in symmetric mode with a zero pivot threshold keeps
-    every nonzero diagonal pivot, so perm_r == perm_c and P S P^T = L D L^T
-    with D = diag(U): S is positive definite iff every pivot is positive. A
-    pivoting that leaves the diagonal, or an exactly zero pivot, refuses.
+    Each round takes every undecided vertex whose (degree, index) key is
+    below the keys of all its undecided neighbours, then decides those
+    neighbours out. The least undecided key is taken every round, so the
+    rounds end, and every vertex left out has a neighbour in the set.
+    """
+    deg = np.bincount(rows, minlength=m)
+    key = np.empty(m, dtype=np.int64)
+    key[np.lexsort((np.arange(m), deg))] = np.arange(m)
+    chosen = np.zeros(m, dtype=bool)
+    undecided = np.ones(m, dtype=bool)
+    while True:
+        live = undecided[rows] & undecided[cols]
+        rows, cols = rows[live], cols[live]
+        pick = undecided.copy()
+        pick[rows[key[cols] < key[rows]]] = False
+        chosen |= pick
+        undecided &= ~pick
+        undecided[cols[pick[rows]]] = False
+        if not undecided.any():
+            return chosen
+
+
+def _eliminated(adj: sp.csr_matrix, diag: np.ndarray) -> np.ndarray | None:
+    """S = Diag(diag) - adj as a dense array, after eliminating independent
+    sets of its stored off-diagonal pattern; None once a pivot of an
+    eliminated row is not positive (a NaN pivot is not). adj is CSR, as
+    every matrix above _DENSE_LAYER_MAX_N rows is.
+
+    For an independent set I of the pattern S_II is diagonal, so S is
+    positive definite exactly when every pivot S_ii, i in I, is positive and
+    the Schur complement S_RR - S_RI diag(1 / S_II) S_IR over the other rows
+    R is (Haynsworth's inertia additivity). Eliminating row k adds
+    -S_ik S_kj / S_kk to S_ij for every pair of k's neighbours i, j. While
+    more than _DENSE_MAX_N rows are left, each set (_independent_set) is
+    eliminated if that saves more than it costs (_ELIMINATE_COST). The
+    remainder of r rows is returned dense: r^2 * 8 bytes, held three times
+    while numpy's Cholesky factors it (S, LAPACK's working copy, the factor).
+    """
+    m = len(diag)
+    rows = np.repeat(np.arange(m), np.diff(adj.indptr))
+    cols, vals = adj.indices, -adj.data
+    on = rows == cols
+    diag = diag + np.bincount(rows[on], weights=vals[on], minlength=m)
+    rows, cols, vals = rows[~on], cols[~on], vals[~on]
+    while m > _DENSE_MAX_N:
+        chosen = _independent_set(rows, cols, m)
+        deg = np.bincount(rows, minlength=m)
+        picked = deg[chosen]
+        if len(picked) * m * m < _ELIMINATE_COST * (len(rows) + int(picked @ picked)):
+            break
+        if not np.all(diag[chosen] > 0.0):
+            return None
+        # the entries of the eliminated rows, grouped by row (CSR order), and
+        # every ordered pair (a, b) of entries in one row
+        out = chosen[rows]
+        k, nb, sv = rows[out], cols[out], vals[out]
+        count = deg[k]
+        a = np.repeat(np.arange(len(k)), count)
+        b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count) + np.searchsorted(k, k)[a]
+        i, j, fill = nb[a], nb[b], -(sv[a] * sv[b]) / diag[k[a]]
+        on = i == j
+        diag = diag + np.bincount(i[on], weights=fill[on], minlength=m)
+        # renumber the rows left, and sum their entries with the fill
+        keep = ~chosen
+        new = np.cumsum(keep) - 1
+        diag = diag[keep]
+        m = len(diag)
+        stay = ~out & keep[cols]
+        keys = np.concatenate([new[rows[stay]] * m + new[cols[stay]], new[i[~on]] * m + new[j[~on]]])
+        keys, where = np.unique(keys, return_inverse=True)
+        vals = np.bincount(where, weights=np.concatenate([vals[stay], fill[~on]]))
+        rows, cols = np.divmod(keys, m)
+    s = np.zeros((m, m))
+    np.add.at(s, (rows, cols), vals)
+    s.flat[:: m + 1] += diag
+    return s
+
+
+def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
+    """Is S = Diag(y) - adj + delta I positive definite? One dense Cholesky.
+
+    adj is a CSR matrix or, up to _DENSE_LAYER_MAX_N rows, a dense array. Up
+    to _DENSE_MAX_N rows S itself is factored; above it, the Schur complement
+    left after eliminating independent sets of S's pattern (_eliminated),
+    which refuses at once on a pivot that is not positive. numpy's (LAPACK's)
+    Cholesky fails on the first pivot that is not positive, but a NaN pivot
+    passes that test, so every diagonal entry of the factor must also be
+    positive.
     """
     n = len(y)
     if n <= _DENSE_MAX_N:
         s = -adj if isinstance(adj, np.ndarray) else -adj.toarray()
         s.flat[:: n + 1] += y + delta
-        try:
-            chol = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
+    else:
+        s = _eliminated(adj, y + delta)
+        if s is None:
             return False
-        return bool(np.all(chol.diagonal() > 0.0))
-
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu  # slow to import; small solves never need it
-
-    s = (sp.diags(y + delta) - adj).tocsc()
     try:
-        lu = splu(s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly zero pivot
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
         return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
+    return bool(np.all(chol.diagonal() > 0.0))
 
 
 def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float, radius=None) -> float:
@@ -528,10 +618,13 @@ def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: floa
     last refused shift and the first accepted one until they lie within
     _SHIFT_RTOL of the accepted one. A first shift accepted is returned as it
     is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. radius, the
-    Gershgorin radii sum_j |adj_ij|, is read from adj when not given.
+    Gershgorin radii sum_j |adj_ij|, is read from adj when not given. No
+    finite shift certifies a y or radius that is not finite: that gives inf.
     """
     if radius is None:
         radius = np.asarray(abs(adj).sum(axis=1)).ravel()
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(radius))):
+        return math.inf
     cap = float(np.max(radius - y, initial=0.0))
     if len(y) > _FACTOR_MAX_N:
         return cap
@@ -558,9 +651,10 @@ def _first_shift(objective: float, n: int) -> float:
 def _upper_bound(w_tot: float, lam_sum: float, y: np.ndarray, shift: float) -> float:
     """W/2 + sum(lam) + (sum(y) + n shift) / 4, the dual bound of the module
     docstring for y_i = <(A' V)_i, v_i> and a shift that certifies
-    Diag(y) - A', or W if that is smaller: no edge term of the objective
-    exceeds its weight."""
-    return min(w_tot, 0.5 * w_tot + lam_sum + 0.25 * (float(np.sum(y)) + len(y) * shift))
+    Diag(y) - A', or W if that is smaller or the bound is not finite: no
+    edge term of the objective exceeds its weight."""
+    bound = 0.5 * w_tot + lam_sum + 0.25 * (float(np.sum(y)) + len(y) * shift)
+    return bound if math.isfinite(bound) and bound < w_tot else w_tot
 
 
 def _climb(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -569,7 +663,7 @@ def _climb(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     The new coordinate has unit variance, so the rows move far (34 degrees
     on average) and the sweeps that follow settle anew. Smaller steps fail:
     a column at 1% of that scale, or one along the direction of negative
-    curvature that the refused factorization gives (P^T L^-T e_k at its most
+    curvature that a refused LDL^T factorization gives (L^-T e_k at its most
     negative pivot k), leaves the sweeps near the same saddle, and the stop
     rule fires there again (random 4-regular graphs, n=2000, start rank 12
     or 16).
@@ -650,9 +744,11 @@ def _solve_mixing(
     _MIXING_STOP_SHARE * objective_tol * |objective|. At the rank
     cap, max(default_rank(n), start rank), or the start rank above
     _FACTOR_MAX_N vertices, the solve converges there. Below it, one
-    factorization of S = Diag(y) - A + delta I at the first shift
-    (_shift_certificate) decides: the solve converges when S is positive
-    definite, and otherwise appends a random column (_climb) and sweeps on.
+    certificate of S = Diag(y) - A + delta I at the first shift
+    (_shift_certificate: a dense Cholesky, above _DENSE_MAX_N vertices of
+    what is left after eliminating independent sets) decides: the solve
+    converges when S is positive definite, and otherwise appends a random
+    column (_climb) and sweeps on.
     An iterate that stopped unfactored gets its shift from _certified_shift.
     Sweeps over every rank share the budget of max_outer * max_inner.
     """

@@ -657,9 +657,12 @@ IMPORT_GUARDS = {
     "import": ("", {"scipy.optimize", "scipy.sparse"}, set()),
     "neighborhood_n12": (_solve(12, 3, "neighborhood", "rep.n_active > 0", "rep.iterations > 0"),
                          {"scipy.optimize"}, set()),
-    # up to _DENSE_MAX_N vertices the certificate is a dense Cholesky
+    # the certificate is numpy's Cholesky at every n: of S itself up to
+    # _DENSE_MAX_N vertices, and above it of what is left after eliminating
+    # independent sets
     "neighborhood_n12_none_n50": (_solve(12, 3, "neighborhood") + _solve(50, 3, "none"),
                                   {"scipy.sparse.linalg"}, set()),
+    "none_n600": (_solve(600, 3, "none"), {"scipy.sparse.linalg"}, set()),
     # up to _DENSE_LAYER_MAX_N vertices the ALM's layer and the mixing
     # method's adjacency are dense arrays
     "neighborhood_n22": (_solve(22, 5, "neighborhood", "rep.n_active > 0"), {"scipy.sparse"}, set()),
@@ -680,8 +683,7 @@ def test_import_guards(scenario, tmp_path):
 
 
 def test_import_leaves_out_scipy_sparse_linalg():
-    # only the certificate's sparse factorization, above _DENSE_MAX_N
-    # vertices, needs scipy.sparse.linalg, slow to import
+    # nothing in cutflip needs scipy.sparse.linalg, slow to import
     assert "scipy.sparse.linalg" not in modules_loaded()
 
 

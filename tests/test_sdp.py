@@ -30,6 +30,7 @@ from cutflip.sdp import (
     _lbfgs,
     _shift_certificate,
     _signed_adjacency,
+    _upper_bound,
     default_rank,
     enumerate_triples,
     max_triangle_violation,
@@ -165,15 +166,16 @@ class TestTriangleViolation:
         assert got == max_triangle_violation(emb, triples) > 0.0
 
 
-def also_at_zero(constant: str):
-    """Run a test at the default value of sdp's constant, then at 0."""
+def also_at_zero(*constants: str):
+    """Run a test at the default values of sdp's constants, then with all at 0."""
 
     def wrap(test):
         @functools.wraps(test)
         def both(*args, **kwargs):
             test(*args, **kwargs)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sdp_module, constant, 0)
+                for constant in constants:
+                    mp.setattr(sdp_module, constant, 0)
                 test(*args, **kwargs)
 
         return both
@@ -181,8 +183,9 @@ def also_at_zero(constant: str):
     return wrap
 
 
-# small graphs take the dense Cholesky at the default, SuperLU at 0
-on_both_paths = also_at_zero("_DENSE_MAX_N")
+# small graphs take the dense Cholesky of S at the default; at 0 every row of
+# S is eliminated, one independent set at a time, before a Cholesky of no rows
+on_both_paths = also_at_zero("_DENSE_MAX_N", "_ELIMINATE_COST")
 # small graphs take the dense constraint layer at the default, CSR at 0
 on_both_layers = also_at_zero("_DENSE_LAYER_MAX_N")
 
@@ -793,7 +796,7 @@ class TestSolveProperties:
 def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
     """(adj, y) for a signed weighted graph with y_i = sum_j |adj_ij|, so
     that Diag(y) - adj is diagonally dominant: positive semidefinite. adj is
-    CSR at any n, which both factorizations accept."""
+    CSR at any n, which the certificate takes with or without elimination."""
     inst = Max2LinInstance.from_edges(
         n, [(i, j, 1 if k % 2 else -1, 1.0 + 0.25 * (k % 3)) for k, (i, j) in enumerate(edges)]
     )
@@ -803,7 +806,7 @@ def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
 
 class TestCertificate:
     """_shift_certificate (one factorization) and _certified_shift (its ladder),
-    each test on both factorizations."""
+    each test with and without eliminating independent sets first."""
 
     @given(
         graph=simple_graphs(),
@@ -871,6 +874,86 @@ class TestCertificate:
         assert _shift_certificate(adj, y, 1.0)
         y[2] = math.nan
         assert not _shift_certificate(adj, y, 1.0)
+
+    def test_non_finite_dual_takes_no_shift(self, monkeypatch):
+        # no finite shift certifies a y with a NaN: the ladder's cap is NaN,
+        # which no comparison passes, so it must not return delta unfactored
+        adj, _ = dominant_dual(3, [(0, 1), (1, 2)])
+        calls = []
+        monkeypatch.setattr(sdp_module, "_shift_certificate", lambda *args: calls.append(args) or True)
+        for bad in (math.nan, math.inf, -math.inf):
+            assert _certified_shift(adj, np.array([1.0, bad, 1.0]), 0.01) == math.inf
+        assert _certified_shift(adj, np.ones(3), 0.01, radius=np.array([1.0, math.nan, 1.0])) == math.inf
+        assert calls == []
+
+    def test_upper_bound_is_w_unless_finite_and_below(self):
+        y = np.array([1.0, 2.0, 3.0])
+        assert _upper_bound(10.0, 0.5, y, 0.4) == 5.0 + 0.5 + 0.25 * (6.0 + 3 * 0.4) < 10.0
+        assert _upper_bound(10.0, 0.5, y, 40.0) == 10.0
+        for y_bad, shift in [([1.0, -math.inf, 3.0], 0.4), ([1.0, math.nan, 3.0], 0.4),
+                             ([1.0, 2.0, 3.0], math.inf), ([1.0, -math.inf, 3.0], math.inf)]:
+            assert _upper_bound(10.0, 0.5, np.array(y_bad), shift) == 10.0
+        assert _upper_bound(10.0, math.nan, y, 0.4) == 10.0
+
+
+def symmetric_pattern(edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a graph's entries in both directions, sorted by row."""
+    pairs = sorted({(i, j) for a, b in edges for i, j in ((a, b), (b, a))})
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return rows, cols
+
+
+class TestElimination:
+    """_eliminated: the independent sets and the certificate decisions they give."""
+
+    @given(graph=simple_graphs(max_n=40), order=st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_independent_set_is_maximal_and_repeatable(self, graph, order):
+        n, edges = graph
+        rows, cols = symmetric_pattern(edges)
+        chosen = sdp_module._independent_set(rows, cols, n)
+        assert chosen.dtype == bool and chosen.shape == (n,)
+        assert not np.any(chosen[rows] & chosen[cols])  # independent
+        covered = chosen.copy()
+        covered[cols[chosen[rows]]] = True
+        assert covered.all()  # maximal: every vertex left out has a neighbour in
+        np.testing.assert_array_equal(sdp_module._independent_set(rows, cols, n), chosen)
+        # the set depends on the pattern, not on the order of its entries
+        perm = np.arange(len(rows))
+        order.shuffle(perm)
+        np.testing.assert_array_equal(sdp_module._independent_set(rows[perm], cols[perm], n), chosen)
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_decisions_agree_with_eigvalsh(self, n, d, monkeypatch):
+        inst = gen_random_regular(n, d, 0.5, ("uniform", 0.3, 2.0), seed=n + d)
+        adj = _signed_adjacency(inst)
+        radius = np.asarray(abs(adj).sum(axis=1)).ravel()
+        y = np.random.default_rng(d).uniform(0.0, 1.0, n) * radius
+        lam = float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
+        assert lam < -0.1
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(len(s)) or cholesky(s))
+        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
+        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
+        # the elimination ran: the accepted Cholesky saw fewer than n rows
+        assert 0 < factored[0] < n
+
+    @pytest.mark.parametrize("pivot", [-1.0, 0.0, math.nan])
+    def test_bad_pivot_refuses_before_any_cholesky(self, pivot, monkeypatch):
+        # vertex 0 has the least (degree, index) key of a regular graph, so
+        # the first independent set eliminates it, and its pivot y_0 + delta
+        inst = gen_random_regular(600, 4, 0.5, ("uniform", 0.3, 2.0), seed=0)
+        adj = _signed_adjacency(inst)
+        y = np.asarray(abs(adj).sum(axis=1)).ravel()
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(len(s)) or cholesky(s))
+        assert _shift_certificate(adj, y, 1.0) and len(factored) == 1
+        y[0] = pivot - 1.0
+        assert not _shift_certificate(adj, y, 1.0)
+        assert len(factored) == 1
 
 
 @st.composite
