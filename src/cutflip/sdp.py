@@ -47,13 +47,15 @@ constraints into A (A' = A without them; with them, A' = 2 K(lam), the
 ALM's matrix K = A/2 + M refilled with the multipliers).
 y_i = <(A' V)_i, v_i> makes the bound equal the objective plus
 n delta / 4 at a stationary iterate.
-Positive definiteness is certified by one dense Cholesky (_shift_certificate,
-numpy's): of S itself up to _DENSE_MAX_N vertices, and above it of the Schur
-complement left once independent sets of S's pattern are eliminated, each
-with positive pivots (_eliminated). Above _FACTOR_MAX_N vertices, where that
-remainder costs too much, the Gershgorin shift certifies instead; it needs no
-factorization but gives a loose bound, and the mixing method stays at its
-start rank. The bound is capped by W, which no objective exceeds; in none
+Positive definiteness is certified by one dense block Cholesky
+(_shift_certificate, _positive_definite: numpy's Cholesky of one block of
+rows at a time, each overwriting the rest with its Schur complement): of S
+itself up to _DENSE_MAX_N vertices, and above it of the Schur complement
+left once independent sets of S's pattern are eliminated, each with
+positive pivots (_eliminated). Above _FACTOR_MAX_N vertices, where that
+remainder costs too much, the Gershgorin shift certifies instead; it needs
+no factorization but gives a loose bound, and the mixing method stays at
+its start rank. The bound is capped by W, which no objective exceeds; in none
 mode the Gershgorin bound is never below W, so there the cap is the bound.
 
 Independent solves are safe to run concurrently; one solve mutates only its
@@ -134,22 +136,35 @@ _DENSE_MAX_N = 512
 # if k m^2, about the flops that takes off the final Cholesky, is at least
 # this many times the entries the elimination handles: the stored ones and
 # the fill products (the sum of the set's squared degrees). A larger value
-# stops sooner and leaves a larger dense remainder, held three times while
-# it is factored; a smaller one holds more fill at once. One certificate at
-# the final none-mode iterate, at 256 / 1024 / 4096, on a 2-vCPU Xeon box:
-# n=2000 d=4 10.0 / 9.0 / 12.0 ms, n=5000 d=6 183 / 118 / 96 ms; a fresh
-# n=5000 d=10 none-mode solve peaks at about 347 / 310 / 356 MB at 400 /
-# 1024 / 2048
+# stops sooner and leaves a larger dense remainder; a smaller one holds more
+# fill at once. One certificate at the final none-mode iterate, at 256 /
+# 1024 / 4096, on a 2-vCPU AMD EPYC box: n=2000 d=4 11.7 / 10.5 / 10.2 ms,
+# n=5000 d=6 196 / 118 / 90 ms; a fresh n=5000 d=10 none-mode solve peaks
+# at about 337 / 225 / 224 MB at 400 / 1024 / 2048
 _ELIMINATE_COST = 1024
 
 # the largest n whose certificate is factored. The dense remainder keeps
 # about a third of the rows of random 4-regular graphs at n=10000-20000, so
 # its memory grows as n^2 and its Cholesky as n^3 (one certificate at the
-# final none-mode iterate, d=4, fresh-process peak: 0.04 s and 132 MB at
-# n=4000, 0.25 s and 371 MB at n=10000, 1.4 s and 1.25 GB at n=20000, on a
-# 2-vCPU Xeon box); above it the bound takes the Gershgorin shift, and the
-# mixing method stays at its start rank since nothing refuses its iterate
+# final none-mode iterate, d=4, fresh-process peak: 0.04 s and 87 MB at
+# n=4000, 0.22 s and 225 MB at n=10000, 1.2 s and 766 MB at n=20000, on a
+# 2-vCPU AMD EPYC box; above n=4000 the peak is _eliminated's, while it
+# assembles the dense remainder); above it the bound takes the Gershgorin
+# shift, and the mixing method stays at its start rank since nothing
+# refuses its iterate
 _FACTOR_MAX_N = 5000
+
+# the certificate's block Cholesky (_positive_definite) factors this many
+# rows at a time. It holds the r x r remainder once and panels of about
+# 2 * _CHOLESKY_BLOCK * r floats, where one numpy Cholesky of the whole
+# holds S, LAPACK's working copy and the factor. Up to this many rows it is
+# that one Cholesky: at 256, unlike 128, every S of up to 256 vertices is
+# still factored as one block. On a 2-vCPU AMD EPYC box, at 128 / 256 / 512
+# rows / one block: a fresh n=2000 d=4 none-mode solve peaks at 63.8 / 65.3
+# / 71.8 / 75.1 MB, and one certificate at its final iterate (851 rows
+# left) takes 9.9 / 12.1 / 20.4 / 13.5 ms, at n=5000 d=10 (3218 rows left)
+# 195 / 188 / 222 / 198 ms (medians)
+_CHOLESKY_BLOCK = 256
 
 # both solvers' matrices are dense up to this n, the oracle's DEFAULT_CAP:
 # the mixing method's signed adjacency A (_signed_adjacency) and the ALM's
@@ -539,8 +554,8 @@ def _eliminated(adj: sp.csr_matrix, diag: np.ndarray) -> np.ndarray | None:
     -S_ik S_kj / S_kk to S_ij for every pair of k's neighbours i, j. While
     more than _DENSE_MAX_N rows are left, each set (_independent_set) is
     eliminated if that saves more than it costs (_ELIMINATE_COST). The
-    remainder of r rows is returned dense: r^2 * 8 bytes, held three times
-    while numpy's Cholesky factors it (S, LAPACK's working copy, the factor).
+    remainder of r rows is returned dense: r^2 * 8 bytes, which
+    _positive_definite factors in place.
     """
     m = len(diag)
     rows = np.repeat(np.arange(m), np.diff(adj.indptr))
@@ -583,15 +598,14 @@ def _eliminated(adj: sp.csr_matrix, diag: np.ndarray) -> np.ndarray | None:
 
 
 def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
-    """Is S = Diag(y) - adj + delta I positive definite? One dense Cholesky.
+    """Is S = Diag(y) - adj + delta I positive definite? One dense block
+    Cholesky (_positive_definite).
 
     adj is a CSR matrix or, up to _DENSE_LAYER_MAX_N rows, a dense array. Up
     to _DENSE_MAX_N rows S itself is factored; above it, the Schur complement
     left after eliminating independent sets of S's pattern (_eliminated),
-    which refuses at once on a pivot that is not positive. numpy's (LAPACK's)
-    Cholesky fails on the first pivot that is not positive, but a NaN pivot
-    passes that test, so every diagonal entry of the factor must also be
-    positive.
+    which refuses at once on a pivot that is not positive. Either array
+    belongs to this call, so the factorization overwrites it.
     """
     n = len(y)
     if n <= _DENSE_MAX_N:
@@ -601,11 +615,40 @@ def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: fl
         s = _eliminated(adj, y + delta)
         if s is None:
             return False
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(chol.diagonal() > 0.0))
+    return _positive_definite(s)
+
+
+def _positive_definite(s: np.ndarray) -> bool:
+    """Is the symmetric array s positive definite? It reads only the lower
+    triangle of s, and overwrites s.
+
+    A right-looking block Cholesky (Golub and Van Loan, Matrix Computations,
+    4.2): with L the Cholesky factor of the leading block S11 of
+    _CHOLESKY_BLOCK rows, S is positive definite exactly when S11 is and so
+    is the Schur complement S22 - X^T X, X = L^-1 S21^T, which overwrites
+    S22; the trailing blocks repeat this. s is held once, plus panels of
+    _CHOLESKY_BLOCK rows; up to that many rows this is one numpy Cholesky of
+    s. numpy's (LAPACK's) Cholesky of a block fails on its first pivot that
+    is not positive, but a NaN pivot passes that test, so every diagonal
+    entry of each block's factor must also be positive.
+    """
+    r, step = len(s), _CHOLESKY_BLOCK
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        try:
+            chol = np.linalg.cholesky(s[lo:hi, lo:hi])
+        except np.linalg.LinAlgError:
+            return False
+        if not np.all(chol.diagonal() > 0.0):
+            return False
+        if hi < r:
+            # the panel X from the rows below the block, then S22 -= X^T X
+            # in the blocks on and below its diagonal, one block row at a time
+            x = np.linalg.inv(chol) @ s[hi:, lo:hi].T
+            for a in range(hi, r, step):
+                b = min(a + step, r)
+                s[a:b, hi:b] -= x[:, a - hi : b - hi].T @ x[:, : b - hi]
+    return True
 
 
 def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float, radius=None) -> float:
@@ -745,10 +788,10 @@ def _solve_mixing(
     cap, max(default_rank(n), start rank), or the start rank above
     _FACTOR_MAX_N vertices, the solve converges there. Below it, one
     certificate of S = Diag(y) - A + delta I at the first shift
-    (_shift_certificate: a dense Cholesky, above _DENSE_MAX_N vertices of
-    what is left after eliminating independent sets) decides: the solve
-    converges when S is positive definite, and otherwise appends a random
-    column (_climb) and sweeps on.
+    (_shift_certificate: a dense block Cholesky, above _DENSE_MAX_N
+    vertices of what is left after eliminating independent sets) decides:
+    the solve converges when S is positive definite, and otherwise appends
+    a random column (_climb) and sweeps on.
     An iterate that stopped unfactored gets its shift from _certified_shift.
     Sweeps over every rank share the budget of max_outer * max_inner.
     """

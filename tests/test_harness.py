@@ -612,7 +612,7 @@ class TestExperimentCommand:
         assert mean_gain >= 0.0
 
 
-WATCHED = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.special",
+WATCHED = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.special",
            "concurrent.futures")
 
 
@@ -663,6 +663,9 @@ IMPORT_GUARDS = {
     "neighborhood_n12_none_n50": (_solve(12, 3, "neighborhood") + _solve(50, 3, "none"),
                                   {"scipy.sparse.linalg"}, set()),
     "none_n600": (_solve(600, 3, "none"), {"scipy.sparse.linalg"}, set()),
+    # and its remainder, several blocks of rows at n = 2000, is factored in
+    # place by numpy's Cholesky and matrix products, not scipy.linalg's
+    "none_n2000": (_solve(2000, 4, "none"), {"scipy.linalg", "scipy.sparse.linalg"}, set()),
     # up to _DENSE_LAYER_MAX_N vertices the ALM's layer and the mixing
     # method's adjacency are dense arrays
     "neighborhood_n22": (_solve(22, 5, "neighborhood", "rep.n_active > 0"), {"scipy.sparse"}, set()),

@@ -166,28 +166,35 @@ class TestTriangleViolation:
         assert got == max_triangle_violation(emb, triples) > 0.0
 
 
-def also_at_zero(*constants: str):
-    """Run a test at the default values of sdp's constants, then with all at 0."""
+def also_at(*settings: dict):
+    """Run a test at the default values of sdp's constants, then once with
+    each of settings, a dict from constant names to values."""
 
     def wrap(test):
         @functools.wraps(test)
-        def both(*args, **kwargs):
+        def each(*args, **kwargs):
             test(*args, **kwargs)
-            with pytest.MonkeyPatch.context() as mp:
-                for constant in constants:
-                    mp.setattr(sdp_module, constant, 0)
-                test(*args, **kwargs)
+            for values in settings:
+                with pytest.MonkeyPatch.context() as mp:
+                    for constant, value in values.items():
+                        mp.setattr(sdp_module, constant, value)
+                    test(*args, **kwargs)
 
-        return both
+        return each
 
     return wrap
 
 
-# small graphs take the dense Cholesky of S at the default; at 0 every row of
-# S is eliminated, one independent set at a time, before a Cholesky of no rows
-on_both_paths = also_at_zero("_DENSE_MAX_N", "_ELIMINATE_COST")
+# small graphs take the dense Cholesky of S at the default; with
+# _DENSE_MAX_N and _ELIMINATE_COST at 0 every row of S is eliminated, one
+# independent set at a time, and no rows are left to factor; with blocks of
+# 2 rows the block Cholesky runs its Schur-complement updates on every S of
+# more than 2 rows
+on_both_paths = also_at({"_DENSE_MAX_N": 0, "_ELIMINATE_COST": 0}, {"_CHOLESKY_BLOCK": 2})
+# the same updates inside whole solves, with blocks of one row
+in_one_row_blocks = also_at({"_CHOLESKY_BLOCK": 1})
 # small graphs take the dense constraint layer at the default, CSR at 0
-on_both_layers = also_at_zero("_DENSE_LAYER_MAX_N")
+on_both_layers = also_at({"_DENSE_LAYER_MAX_N": 0})
 
 
 def as_array(matrix) -> np.ndarray:
@@ -903,6 +910,26 @@ def symmetric_pattern(edges: list) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def indefinite_dual(n: int, d: int) -> tuple[sp.csr_matrix, np.ndarray, float]:
+    """(adj, y, lambda_min(Diag(y) - adj)) for a signed U(0.3, 2) d-regular
+    graph on n vertices and y uniform in [0, radius]; lambda_min < -0.1."""
+    inst = gen_random_regular(n, d, 0.5, ("uniform", 0.3, 2.0), seed=n + d)
+    adj = _signed_adjacency(inst)
+    radius = np.asarray(abs(adj).sum(axis=1)).ravel()
+    y = np.random.default_rng(d).uniform(0.0, 1.0, n) * radius
+    lam = float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
+    assert lam < -0.1
+    return adj, y, lam
+
+
+def counted_choleskys(monkeypatch) -> list:
+    """The row counts of every numpy Cholesky from now on, in call order."""
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(len(s)) or cholesky(s))
+    return factored
+
+
 class TestElimination:
     """_eliminated: the independent sets and the certificate decisions they give."""
 
@@ -926,19 +953,14 @@ class TestElimination:
     @pytest.mark.parametrize("n", [600, 1000])
     @pytest.mark.parametrize("d", [3, 6])
     def test_decisions_agree_with_eigvalsh(self, n, d, monkeypatch):
-        inst = gen_random_regular(n, d, 0.5, ("uniform", 0.3, 2.0), seed=n + d)
-        adj = _signed_adjacency(inst)
-        radius = np.asarray(abs(adj).sum(axis=1)).ravel()
-        y = np.random.default_rng(d).uniform(0.0, 1.0, n) * radius
-        lam = float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
-        assert lam < -0.1
-        factored = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(len(s)) or cholesky(s))
+        adj, y, lam = indefinite_dual(n, d)
+        factored = counted_choleskys(monkeypatch)
         assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
+        rows = sum(factored)
         assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
-        # the elimination ran: the accepted Cholesky saw fewer than n rows
-        assert 0 < factored[0] < n
+        # the elimination ran: the accepted call's Cholesky blocks cover
+        # fewer than n rows
+        assert 0 < factored[0] <= rows < n
 
     @pytest.mark.parametrize("pivot", [-1.0, 0.0, math.nan])
     def test_bad_pivot_refuses_before_any_cholesky(self, pivot, monkeypatch):
@@ -947,13 +969,86 @@ class TestElimination:
         inst = gen_random_regular(600, 4, 0.5, ("uniform", 0.3, 2.0), seed=0)
         adj = _signed_adjacency(inst)
         y = np.asarray(abs(adj).sum(axis=1)).ravel()
-        factored = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(len(s)) or cholesky(s))
-        assert _shift_certificate(adj, y, 1.0) and len(factored) == 1
+        factored = counted_choleskys(monkeypatch)
+        assert _shift_certificate(adj, y, 1.0)
+        accepted = len(factored)  # one Cholesky per block of the remainder
+        assert accepted > 0
         y[0] = pivot - 1.0
         assert not _shift_certificate(adj, y, 1.0)
-        assert len(factored) == 1
+        assert len(factored) == accepted
+
+
+def spd_factor(r: int, seed: int) -> np.ndarray:
+    """A random lower-triangular L with diagonal in [1, 2]; L L^T is
+    positive definite, and its Cholesky pivots are the diagonal of L."""
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.standard_normal((r, r)), -1) / math.sqrt(r)
+    return lower + np.diag(rng.uniform(1.0, 2.0, r))
+
+
+class TestBlockCholesky:
+    """_positive_definite: blocks of _CHOLESKY_BLOCK rows, each factored
+    once the Schur complement of the blocks before it has overwritten it."""
+
+    @pytest.mark.parametrize("n, d, blocks", [(400, 3, 2), (2000, 4, 4)])
+    def test_decisions_agree_with_eigvalsh_across_blocks(self, n, d, blocks, monkeypatch):
+        # n = 400 factors S itself in two blocks; n = 2000 eliminates down
+        # to a remainder of four
+        adj, y, lam = indefinite_dual(n, d)
+        factored = counted_choleskys(monkeypatch)
+        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
+        assert len(factored) == blocks
+        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
+
+    @pytest.mark.parametrize("fill", [math.nan, math.inf, 1e3])
+    def test_upper_triangle_is_never_read(self, fill):
+        # three blocks: a panel read above the diagonal would see the
+        # fill, not the Schur complements written below it
+        adj, y, lam = indefinite_dual(600, 3)
+        upper = np.triu_indices(600, 1)
+        noise = fill * np.random.default_rng(0).uniform(-1.0, 1.0, len(upper[0]))
+        for delta, definite in ((-lam + 1e-6 * abs(lam), True), (-lam - 1e-6 * abs(lam), False)):
+            s = np.diag(y + delta) - adj.toarray()
+            s[upper] = noise
+            assert sdp_module._positive_definite(s) == definite
+
+    @pytest.mark.parametrize("pivot", [-1.0, -1e-6, math.nan])
+    def test_bad_pivot_in_the_last_block_refused(self, pivot, monkeypatch):
+        # every pivot but the last is in [1, 2]; the last, in the third
+        # block, is sqrt(pivot)
+        chol = spd_factor(600, 0)
+        s = chol @ chol.T
+        s[-1, -1] += pivot - chol[-1, -1] ** 2
+        factored = counted_choleskys(monkeypatch)
+        assert not sdp_module._positive_definite(s)
+        assert factored == [256, 256, 88]
+        s = chol @ chol.T
+        s[-1, -1] += 1e-6 - chol[-1, -1] ** 2
+        assert sdp_module._positive_definite(s)
+
+    def test_nan_reaching_only_a_later_pivot_refused(self, monkeypatch):
+        # the NaN lies below the first block, which factors; the Schur
+        # update carries it to the pivot of row 300, in the second block
+        chol = spd_factor(600, 1)
+        s = chol @ chol.T
+        s[300, 5] = s[5, 300] = math.nan
+        factored = counted_choleskys(monkeypatch)
+        assert not sdp_module._positive_definite(s)
+        assert factored[0] == 256 and len(factored) >= 2
+        s = chol @ chol.T
+        s[5, 300] = math.nan  # above the diagonal only
+        assert sdp_module._positive_definite(s)
+
+    def test_factors_in_place(self):
+        # beside s the routine holds X and one block of rows of X^T X, at
+        # most b x (r - b) each, and the block's factor, its inverse and
+        # LAPACK's working copy, b x b each: under half of one r x r copy
+        r, b = 1500, sdp_module._CHOLESKY_BLOCK
+        chol = spd_factor(r, 2)
+        s = chol @ chol.T
+        bound = 8 * (2 * b * (r - b) + 3 * b * b)
+        definite, peak = traced_peak(lambda: sdp_module._positive_definite(s))
+        assert definite and peak <= bound < 8 * r * r / 2
 
 
 @st.composite
@@ -978,6 +1073,7 @@ DESK_LIKE = [  # (n, d, sign bias, weights, generator seed)
 class TestUpperBound:
     @pytest.mark.parametrize("n, d, bias, law, gen_seed", DESK_LIKE)
     @pytest.mark.parametrize("mode", ["neighborhood", "none"])
+    @in_one_row_blocks
     def test_bound_above_opt_and_objective(self, n, d, bias, law, gen_seed, mode):
         inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
         _, rep = solve_sdp(inst, SdpConfig(triangle_mode=mode))
@@ -1001,6 +1097,7 @@ class TestUpperBound:
     @given(inst=signed_instances(), mode=st.sampled_from(["neighborhood", "none"]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
+    @in_one_row_blocks
     def test_bound_above_opt_on_random_graphs(self, inst, mode, seed):
         # the bound holds for any multipliers and any iterate, converged or not
         inner = []
