@@ -1,0 +1,308 @@
+"""The certified upper bound on the SDP relaxation's optimum (SdpReport.upper_bound).
+
+Weak duality gives one from any y with Diag(y) - A' positive semidefinite: the
+optimum is at most W/2 + sum(lam) + (sum(y) + n delta)/4 when
+Diag(y) - A' + delta I is, where A' = A + 2 sum_t lam_t e_t folds multipliers
+lam >= 0 of the triangle constraints into the signed adjacency A (A' = A
+without them; with them, A' = 2 K(lam), the ALM's matrix K = A/2 + M refilled
+with the multipliers). y_i = <(A' V)_i, v_i> makes the bound equal the
+objective plus n delta / 4 at a stationary iterate V.
+Positive definiteness is certified by one dense block Cholesky
+(_shift_certificate, _positive_definite: numpy's Cholesky of one block of
+rows at a time, each overwriting the rest with its Schur complement): of S
+itself up to _DENSE_MAX_N vertices, and above it of the Schur complement
+left once independent sets of S's pattern are eliminated, each with
+positive pivots (_eliminated). Above _FACTOR_MAX_N vertices, where that
+remainder costs too much, the Gershgorin shift certifies instead; it needs
+no factorization but gives a loose bound, and the mixing method stays at
+its start rank. The bound is capped by W, which no objective exceeds; in none
+mode the Gershgorin bound is never below W, so there the cap is the bound.
+The entries: upper_bound, and the mixing method's first_shift_bound.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+__all__ = ["first_shift_bound", "upper_bound"]
+
+# the certificate's first shift delta gives an upper bound within this share
+# of the objective above it; refused shifts double, and the
+# bracket between the last refused and the first accepted shift is bisected
+# down to _SHIFT_RTOL of the accepted one (each dense factorization at
+# n <= 22 takes about 0.01 ms)
+_GAP_TOL = 1e-5
+_SHIFT_RTOL = 0.01
+
+# the certificate factors S itself (numpy's Cholesky) up to this many rows,
+# and above it what is left after eliminating independent sets (_eliminated),
+# near where the two cross. One certificate at the final none-mode iterate of
+# random regular graphs, S itself vs eliminated, on a 2-vCPU Xeon box: n=200
+# d=4 0.18 vs 0.20 ms, n=500 d=4 1.4 vs 1.1 ms, n=1000 d=4 8.1 vs 4.1 ms,
+# n=1000 d=6 7.3 vs 6.3 ms, n=2000 d=4 36 vs 10 ms
+_DENSE_MAX_N = 512
+
+# the certificate eliminates an independent set of k of the m rows left only
+# if k m^2, about the flops that takes off the final Cholesky, is at least
+# this many times the entries the elimination handles: the stored ones and
+# the fill products (the sum of the set's squared degrees). A larger value
+# stops sooner and leaves a larger dense remainder; a smaller one holds more
+# fill at once. One certificate at the final none-mode iterate, at 256 /
+# 1024 / 4096, on a 2-vCPU AMD EPYC box: n=2000 d=4 11.7 / 10.5 / 10.2 ms,
+# n=5000 d=6 196 / 118 / 90 ms; a fresh n=5000 d=10 none-mode solve peaks
+# at about 337 / 225 / 224 MB at 400 / 1024 / 2048
+_ELIMINATE_COST = 1024
+
+# the largest n whose certificate is factored. The dense remainder keeps
+# about a third of the rows of random 4-regular graphs at n=10000-20000, so
+# its memory grows as n^2 and its Cholesky as n^3 (one certificate at the
+# final none-mode iterate, d=4, fresh-process peak: 0.04 s and 87 MB at
+# n=4000, 0.22 s and 225 MB at n=10000, 1.2 s and 766 MB at n=20000, on a
+# 2-vCPU AMD EPYC box; above n=4000 the peak is _eliminated's, while it
+# assembles the dense remainder); above it the bound takes the Gershgorin
+# shift, and the mixing method stays at its start rank since nothing
+# refuses its iterate
+_FACTOR_MAX_N = 5000
+
+# the certificate's block Cholesky (_positive_definite) factors this many
+# rows at a time. It holds the r x r remainder once and panels of about
+# 2 * _CHOLESKY_BLOCK * r floats, where one numpy Cholesky of the whole
+# holds S, LAPACK's working copy and the factor. Up to this many rows it is
+# that one Cholesky: at 256, unlike 128, every S of up to 256 vertices is
+# still factored as one block. On a 2-vCPU AMD EPYC box, at 128 / 256 / 512
+# rows / one block: a fresh n=2000 d=4 none-mode solve peaks at 63.8 / 65.3
+# / 71.8 / 75.1 MB, and one certificate at its final iterate (851 rows
+# left) takes 9.9 / 12.1 / 20.4 / 13.5 ms, at n=5000 d=10 (3218 rows left)
+# 195 / 188 / 222 / 198 ms (medians)
+_CHOLESKY_BLOCK = 256
+
+
+def upper_bound(matrix: sp.csr_matrix | np.ndarray, y: np.ndarray, w_tot: float, objective: float,
+                lam_sum: float = 0.0, stored: np.ndarray | None = None) -> float:
+    """The bound for A' = matrix, y and lam_sum = sum(lam), at the least shift
+    _certified_shift accepts from the first shift of objective (of W when it
+    is 0, of 1 on an edgeless graph). matrix is CSR, or up to
+    sdp._DENSE_LAYER_MAX_N rows a dense array storing the entries at the flat
+    indices stored (_radii)."""
+    shift = _certified_shift(matrix, y, _first_shift(objective or w_tot or 1.0, len(y)), stored)
+    return _upper_bound(w_tot, lam_sum, y, shift)
+
+
+def first_shift_bound(matrix: sp.csr_matrix | np.ndarray, y: np.ndarray, w_tot: float,
+                      objective: float) -> float | None:
+    """upper_bound without multipliers if one factorization accepts the first
+    shift, else None; above _FACTOR_MAX_N rows nothing is factored, so
+    nothing refuses: the bound at the Gershgorin shift."""
+    if len(y) > _FACTOR_MAX_N:
+        return upper_bound(matrix, y, w_tot, objective)
+    delta = _first_shift(objective or w_tot or 1.0, len(y))
+    return _upper_bound(w_tot, 0.0, y, delta) if _shift_certificate(matrix, y, delta) else None
+
+
+def _radii(adj: sp.csr_matrix | np.ndarray, stored: np.ndarray | None = None) -> np.ndarray:
+    """The Gershgorin radii sum_j |adj_ij|, over each row's stored entries in
+    column order, as scipy's abs(adj).sum(axis=1) sums a CSR adj: numpy sums
+    9 or more terms pairwise, so which entries a row sums, explicit zeros
+    among them, sets its bits. A dense adj stores the entries at the sorted
+    flat indices stored, or else its nonzeros."""
+    if isinstance(adj, np.ndarray):
+        stored = np.flatnonzero(adj) if stored is None else stored
+        values, indptr = adj.reshape(-1)[stored], np.searchsorted(stored, np.arange(len(adj) + 1) * len(adj))
+    else:
+        adj = adj if adj.has_sorted_indices else adj.sorted_indices()
+        values, indptr = adj.data, adj.indptr
+    rows = np.flatnonzero(np.diff(indptr))
+    radius = np.zeros(len(indptr) - 1)
+    radius[rows] = np.add.reduceat(np.abs(values), indptr[rows])
+    return radius
+
+
+def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """A maximal independent set of the graph on m vertices whose edges are
+    the stored entries (rows, cols), listed in both directions, as a mask.
+
+    Each round takes every undecided vertex whose (degree, index) key is
+    below the keys of all its undecided neighbours, then decides those
+    neighbours out. The least undecided key is taken every round, so the
+    rounds end, and every vertex left out has a neighbour in the set.
+    """
+    deg = np.bincount(rows, minlength=m)
+    key = np.empty(m, dtype=np.int64)
+    key[np.lexsort((np.arange(m), deg))] = np.arange(m)
+    chosen = np.zeros(m, dtype=bool)
+    undecided = np.ones(m, dtype=bool)
+    while True:
+        live = undecided[rows] & undecided[cols]
+        rows, cols = rows[live], cols[live]
+        pick = undecided.copy()
+        pick[rows[key[cols] < key[rows]]] = False
+        chosen |= pick
+        undecided &= ~pick
+        undecided[cols[pick[rows]]] = False
+        if not undecided.any():
+            return chosen
+
+
+def _eliminated(adj: sp.csr_matrix, diag: np.ndarray) -> np.ndarray | None:
+    """S = Diag(diag) - adj as a dense array, after eliminating independent
+    sets of its stored off-diagonal pattern; None once a pivot of an
+    eliminated row is not positive (a NaN pivot is not). adj is CSR, as
+    every matrix above sdp._DENSE_LAYER_MAX_N rows is.
+
+    For an independent set I of the pattern S_II is diagonal, so S is
+    positive definite exactly when every pivot S_ii, i in I, is positive and
+    the Schur complement S_RR - S_RI diag(1 / S_II) S_IR over the other rows
+    R is (Haynsworth's inertia additivity). Eliminating row k adds
+    -S_ik S_kj / S_kk to S_ij for every pair of k's neighbours i, j. While
+    more than _DENSE_MAX_N rows are left, each set (_independent_set) is
+    eliminated if that saves more than it costs (_ELIMINATE_COST). The
+    remainder of r rows is returned dense: r^2 * 8 bytes, which
+    _positive_definite factors in place.
+    """
+    m = len(diag)
+    rows = np.repeat(np.arange(m), np.diff(adj.indptr))
+    cols, vals = adj.indices, -adj.data
+    on = rows == cols
+    diag = diag + np.bincount(rows[on], weights=vals[on], minlength=m)
+    rows, cols, vals = rows[~on], cols[~on], vals[~on]
+    while m > _DENSE_MAX_N:
+        chosen = _independent_set(rows, cols, m)
+        deg = np.bincount(rows, minlength=m)
+        picked = deg[chosen]
+        if len(picked) * m * m < _ELIMINATE_COST * (len(rows) + int(picked @ picked)):
+            break
+        if not np.all(diag[chosen] > 0.0):
+            return None
+        # the entries of the eliminated rows, grouped by row (CSR order), and
+        # every ordered pair (a, b) of entries in one row
+        out = chosen[rows]
+        k, nb, sv = rows[out], cols[out], vals[out]
+        count = deg[k]
+        a = np.repeat(np.arange(len(k)), count)
+        b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count) + np.searchsorted(k, k)[a]
+        i, j, fill = nb[a], nb[b], -(sv[a] * sv[b]) / diag[k[a]]
+        on = i == j
+        diag = diag + np.bincount(i[on], weights=fill[on], minlength=m)
+        # renumber the rows left, and sum their entries with the fill
+        keep = ~chosen
+        new = np.cumsum(keep) - 1
+        diag = diag[keep]
+        m = len(diag)
+        stay = ~out & keep[cols]
+        keys = np.concatenate([new[rows[stay]] * m + new[cols[stay]], new[i[~on]] * m + new[j[~on]]])
+        keys, where = np.unique(keys, return_inverse=True)
+        vals = np.bincount(where, weights=np.concatenate([vals[stay], fill[~on]]))
+        rows, cols = np.divmod(keys, m)
+    s = np.zeros((m, m))
+    np.add.at(s, (rows, cols), vals)
+    s.flat[:: m + 1] += diag
+    return s
+
+
+def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
+    """Is S = Diag(y) - adj + delta I positive definite? One dense block
+    Cholesky (_positive_definite).
+
+    adj is a CSR matrix or, up to sdp._DENSE_LAYER_MAX_N rows, a dense array.
+    Up to _DENSE_MAX_N rows S itself is factored; above it, the Schur
+    complement left after eliminating independent sets of S's pattern
+    (_eliminated), which refuses at once on a pivot that is not positive.
+    Either array belongs to this call, so the factorization overwrites it.
+    """
+    n = len(y)
+    if n <= _DENSE_MAX_N:
+        s = -adj if isinstance(adj, np.ndarray) else -adj.toarray()
+        s.flat[:: n + 1] += y + delta
+    else:
+        s = _eliminated(adj, y + delta)
+        if s is None:
+            return False
+    return _positive_definite(s)
+
+
+def _positive_definite(s: np.ndarray) -> bool:
+    """Is the symmetric array s positive definite? It reads only the lower
+    triangle of s, and overwrites s.
+
+    A right-looking block Cholesky (Golub and Van Loan, Matrix Computations,
+    4.2): with L the Cholesky factor of the leading block S11 of
+    _CHOLESKY_BLOCK rows, S is positive definite exactly when S11 is and so
+    is the Schur complement S22 - X^T X, X = L^-1 S21^T, which overwrites
+    S22; the trailing blocks repeat this. s is held once, plus panels of
+    _CHOLESKY_BLOCK rows; up to that many rows this is one numpy Cholesky of
+    s. numpy's (LAPACK's) Cholesky of a block fails on its first pivot that
+    is not positive, but a NaN pivot passes that test, so every diagonal
+    entry of each block's factor must also be positive.
+    """
+    r, step = len(s), _CHOLESKY_BLOCK
+    for lo in range(0, r, step):
+        hi = min(lo + step, r)
+        try:
+            chol = np.linalg.cholesky(s[lo:hi, lo:hi])
+        except np.linalg.LinAlgError:
+            return False
+        if not np.all(chol.diagonal() > 0.0):
+            return False
+        if hi < r:
+            # the panel X from the rows below the block, then S22 -= X^T X
+            # in the blocks on and below its diagonal, one block row at a time
+            x = np.linalg.inv(chol) @ s[hi:, lo:hi].T
+            for a in range(hi, r, step):
+                b = min(a + step, r)
+                s[a:b, hi:b] -= x[:, a - hi : b - hi].T @ x[:, : b - hi]
+    return True
+
+
+def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float,
+                     stored: np.ndarray | None = None) -> float:
+    """The least shift _shift_certificate accepts, to within _SHIFT_RTOL.
+
+    It tries delta, 2 delta, 4 delta, ... up to the Gershgorin shift
+    max_i (sum_j |adj_ij| - y_i), with which Diag(y) - adj is diagonally
+    dominant, so positive semidefinite without a factorization; a shift at or
+    above it becomes it, unfactored. After a refusal it bisects between the
+    last refused shift and the first accepted one until they lie within
+    _SHIFT_RTOL of the accepted one. A first shift accepted is returned as it
+    is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. The radii are
+    _radii(adj, stored); no finite shift certifies a y or radius that is not
+    finite: that gives inf.
+    """
+    radius = _radii(adj, stored)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(radius))):
+        return math.inf
+    cap = float(np.max(radius - y, initial=0.0))
+    if len(y) > _FACTOR_MAX_N:
+        return cap
+    refused = None
+    while delta < cap and not _shift_certificate(adj, y, delta):
+        refused, delta = delta, 2.0 * delta
+    delta = min(delta, cap)
+    while refused is not None and delta - refused > _SHIFT_RTOL * delta:
+        mid = 0.5 * (refused + delta)
+        if _shift_certificate(adj, y, mid):
+            delta = mid
+        else:
+            refused = mid
+    return delta
+
+
+def _first_shift(objective: float, n: int) -> float:
+    """The shift delta with n delta / 4 = 0.99 * _GAP_TOL * objective, for
+    objective > 0; the 1% keeps roundoff in the bound from pushing its gap
+    past _GAP_TOL."""
+    return 3.96 * _GAP_TOL * objective / n
+
+
+def _upper_bound(w_tot: float, lam_sum: float, y: np.ndarray, shift: float) -> float:
+    """W/2 + sum(lam) + (sum(y) + n shift) / 4, the dual bound of the module
+    docstring for y_i = <(A' V)_i, v_i> and a shift that certifies
+    Diag(y) - A', or W if that is smaller or the bound is not finite: no
+    edge term of the objective exceeds its weight."""
+    bound = 0.5 * w_tot + lam_sum + 0.25 * (float(np.sum(y)) + len(y) * shift)
+    return bound if math.isfinite(bound) and bound < w_tot else w_tot

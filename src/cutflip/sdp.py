@@ -25,7 +25,7 @@ only picks between them, depending on whether the triple family is empty:
   over that class, over-relaxed by a factor omega in [1, 2) that rises from
   1 by Young's SOR rule as the sweeps' rate is measured. It runs as a rank
   staircase: it starts at a low rank and adds a column only when the dual
-  certificate below refuses the iterate.
+  certificate (cutflip.certify) refuses the iterate.
 - Otherwise (_solve_alm): an augmented Lagrangian over the inequality
   constraints. Each inner subproblem runs L-BFGS (_lbfgs, a compact
   inverse Hessian and an Armijo backtracking line search, in numpy) on an
@@ -39,24 +39,9 @@ only picks between them, depending on whether the triple family is empty:
   product K V, which is the gradient.
 
 Every solve reports a certified upper bound on its relaxation's optimum
-(SdpReport.upper_bound). Weak duality gives one from any y with
-Diag(y) - A' positive semidefinite: the optimum is at most
-W/2 + sum(lam) + (sum(y) + n delta)/4 when Diag(y) - A' + delta I is, where
-A' = A + 2 sum_t lam_t e_t folds multipliers lam >= 0 of the triangle
-constraints into A (A' = A without them; with them, A' = 2 K(lam), the
-ALM's matrix K = A/2 + M refilled with the multipliers).
-y_i = <(A' V)_i, v_i> makes the bound equal the objective plus
-n delta / 4 at a stationary iterate.
-Positive definiteness is certified by one dense block Cholesky
-(_shift_certificate, _positive_definite: numpy's Cholesky of one block of
-rows at a time, each overwriting the rest with its Schur complement): of S
-itself up to _DENSE_MAX_N vertices, and above it of the Schur complement
-left once independent sets of S's pattern are eliminated, each with
-positive pivots (_eliminated). Above _FACTOR_MAX_N vertices, where that
-remainder costs too much, the Gershgorin shift certifies instead; it needs
-no factorization but gives a loose bound, and the mixing method stays at
-its start rank. The bound is capped by W, which no objective exceeds; in none
-mode the Gershgorin bound is never below W, so there the cap is the bound.
+(SdpReport.upper_bound), which cutflip.certify proves: certify.upper_bound
+at the end of each solve, and certify.first_shift_bound at each rank of the
+mixing method's staircase below its cap.
 
 Independent solves are safe to run concurrently; one solve mutates only its
 own iterate.
@@ -72,6 +57,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import certify
 from .instance import Max2LinInstance
 
 if TYPE_CHECKING:
@@ -115,56 +101,6 @@ _OMEGA_MAX = 1.9
 # climbs one column at a time, up to default_rank(n), while the certificate
 # refuses its converged iterate
 _RANK_START = 24
-
-# the certificate's first shift delta gives an upper bound within this share
-# of the objective above it; refused shifts double, and the
-# bracket between the last refused and the first accepted shift is bisected
-# down to _SHIFT_RTOL of the accepted one (each dense factorization at
-# n <= 22 takes about 0.01 ms)
-_GAP_TOL = 1e-5
-_SHIFT_RTOL = 0.01
-
-# the certificate factors S itself (numpy's Cholesky) up to this many rows,
-# and above it what is left after eliminating independent sets (_eliminated),
-# near where the two cross. One certificate at the final none-mode iterate of
-# random regular graphs, S itself vs eliminated, on a 2-vCPU Xeon box: n=200
-# d=4 0.18 vs 0.20 ms, n=500 d=4 1.4 vs 1.1 ms, n=1000 d=4 8.1 vs 4.1 ms,
-# n=1000 d=6 7.3 vs 6.3 ms, n=2000 d=4 36 vs 10 ms
-_DENSE_MAX_N = 512
-
-# the certificate eliminates an independent set of k of the m rows left only
-# if k m^2, about the flops that takes off the final Cholesky, is at least
-# this many times the entries the elimination handles: the stored ones and
-# the fill products (the sum of the set's squared degrees). A larger value
-# stops sooner and leaves a larger dense remainder; a smaller one holds more
-# fill at once. One certificate at the final none-mode iterate, at 256 /
-# 1024 / 4096, on a 2-vCPU AMD EPYC box: n=2000 d=4 11.7 / 10.5 / 10.2 ms,
-# n=5000 d=6 196 / 118 / 90 ms; a fresh n=5000 d=10 none-mode solve peaks
-# at about 337 / 225 / 224 MB at 400 / 1024 / 2048
-_ELIMINATE_COST = 1024
-
-# the largest n whose certificate is factored. The dense remainder keeps
-# about a third of the rows of random 4-regular graphs at n=10000-20000, so
-# its memory grows as n^2 and its Cholesky as n^3 (one certificate at the
-# final none-mode iterate, d=4, fresh-process peak: 0.04 s and 87 MB at
-# n=4000, 0.22 s and 225 MB at n=10000, 1.2 s and 766 MB at n=20000, on a
-# 2-vCPU AMD EPYC box; above n=4000 the peak is _eliminated's, while it
-# assembles the dense remainder); above it the bound takes the Gershgorin
-# shift, and the mixing method stays at its start rank since nothing
-# refuses its iterate
-_FACTOR_MAX_N = 5000
-
-# the certificate's block Cholesky (_positive_definite) factors this many
-# rows at a time. It holds the r x r remainder once and panels of about
-# 2 * _CHOLESKY_BLOCK * r floats, where one numpy Cholesky of the whole
-# holds S, LAPACK's working copy and the factor. Up to this many rows it is
-# that one Cholesky: at 256, unlike 128, every S of up to 256 vertices is
-# still factored as one block. On a 2-vCPU AMD EPYC box, at 128 / 256 / 512
-# rows / one block: a fresh n=2000 d=4 none-mode solve peaks at 63.8 / 65.3
-# / 71.8 / 75.1 MB, and one certificate at its final iterate (851 rows
-# left) takes 9.9 / 12.1 / 20.4 / 13.5 ms, at n=5000 d=10 (3218 rows left)
-# 195 / 188 / 222 / 198 ms (medians)
-_CHOLESKY_BLOCK = 256
 
 # both solvers' matrices are dense up to this n, the oracle's DEFAULT_CAP:
 # the mixing method's signed adjacency A (_signed_adjacency) and the ALM's
@@ -259,7 +195,7 @@ class SdpReport:
     """Outcome of one solve.
 
     upper_bound is a certified upper bound on the relaxation's optimum (see
-    the module docstring); the objective is a lower bound on it when the
+    cutflip.certify); the objective is a lower bound on it when the
     iterate is feasible. Mixing method (empty triple family): iterations
     counts sweeps over every rank of the staircase, and objective_history
     holds the objective after each sweep. Augmented Lagrangian: iterations
@@ -387,7 +323,8 @@ class _ActiveSet:
     M(f)_ij = M(f)_ji is the sum of f_t e_t over the constraints reading
     r_ij; refill(f) only rewrites K's values, from A/2 as fixed base values,
     and explicit zeros stay. K is a CSR matrix, or up to _DENSE_LAYER_MAX_N
-    vertices a dense array, zero off the pattern, with the same bits (_product).
+    vertices a dense array, zero off the pattern, with the same bits (_product);
+    stored lists a dense K's pattern as flat indices, in CSR order (None for CSR).
     """
 
     def __init__(self, triples: np.ndarray, inst: Max2LinInstance) -> None:
@@ -435,18 +372,19 @@ class _ActiveSet:
             np.concatenate([adj_keys, pair_keys, self.pair_j * n + self.pair_i]), return_inverse=True
         )
         # an entry's place among K's values: its key in a dense K, its rank in CSR
-        self._place = entry_keys if self.dense else np.arange(len(entry_keys))
+        place = entry_keys if self.dense else np.arange(len(entry_keys))
+        self.stored = entry_keys if self.dense else None
         self._base = np.zeros(n * n if self.dense else len(entry_keys))
-        self._base[self._place[where[: len(adj_keys)]]] = 0.5 * (inst.nbr_sign * inst.nbr_weight)
+        self._base[place[where[: len(adj_keys)]]] = 0.5 * (inst.nbr_sign * inst.nbr_weight)
         self._entry_pair = np.full(len(self._base), n_pairs)
-        self._entry_pair[self._place[where[len(adj_keys) :]]] = np.tile(np.arange(n_pairs), 2)
-        rows, cols = np.divmod(entry_keys, n)
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        self._entry_pair[place[where[len(adj_keys) :]]] = np.tile(np.arange(n_pairs), 2)
         if self.dense:
             self.matrix = self._base.reshape(n, n).copy()
         else:
             import scipy.sparse as sp  # only the CSR matrices need it
-            self.matrix = sp.csr_matrix((self._base.copy(), cols, self._indptr), shape=(n, n))
+            rows, cols = np.divmod(entry_keys, n)
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+            self.matrix = sp.csr_matrix((self._base.copy(), cols, indptr), shape=(n, n))
         self._values = self.matrix.reshape(-1) if self.dense else self.matrix.data
 
     def _pair_products(self, v: np.ndarray) -> np.ndarray:
@@ -487,17 +425,6 @@ class _ActiveSet:
         val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1] @ r) - 0.5 * mu * float(q @ q)
         return val, kv
 
-    def certified_shift(self, lam: np.ndarray, v: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
-        """(y, _certified_shift from delta) for the bound at A' = 2 K(lam); its radii
-        sum |A'| over the stored entries in CSR order, as scipy's sum(axis=1)."""
-        self.refill(lam)
-        a_lam = 2.0 * self.matrix
-        rows = np.flatnonzero(np.diff(self._indptr))
-        radius = np.zeros(self.inst.n)
-        radius[rows] = np.add.reduceat(np.abs(2.0 * self._values[self._place]), self._indptr[rows])
-        y = _rowdot(self._product(a_lam, v), v)
-        return y, _certified_shift(a_lam, y, delta, radius)
-
 
 def _signed_adjacency(inst: Max2LinInstance) -> np.ndarray | sp.csr_matrix:
     """A with A_ij = A_ji = w_ij b_ij, from the instance's CSR arrays: a dense
@@ -513,191 +440,6 @@ def _signed_adjacency(inst: Max2LinInstance) -> np.ndarray | sp.csr_matrix:
     adj = sp.csr_matrix((values, inst.nbr, inst.indptr), shape=(n, n))
     adj.sort_indices()
     return adj
-
-
-def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
-    """A maximal independent set of the graph on m vertices whose edges are
-    the stored entries (rows, cols), listed in both directions, as a mask.
-
-    Each round takes every undecided vertex whose (degree, index) key is
-    below the keys of all its undecided neighbours, then decides those
-    neighbours out. The least undecided key is taken every round, so the
-    rounds end, and every vertex left out has a neighbour in the set.
-    """
-    deg = np.bincount(rows, minlength=m)
-    key = np.empty(m, dtype=np.int64)
-    key[np.lexsort((np.arange(m), deg))] = np.arange(m)
-    chosen = np.zeros(m, dtype=bool)
-    undecided = np.ones(m, dtype=bool)
-    while True:
-        live = undecided[rows] & undecided[cols]
-        rows, cols = rows[live], cols[live]
-        pick = undecided.copy()
-        pick[rows[key[cols] < key[rows]]] = False
-        chosen |= pick
-        undecided &= ~pick
-        undecided[cols[pick[rows]]] = False
-        if not undecided.any():
-            return chosen
-
-
-def _eliminated(adj: sp.csr_matrix, diag: np.ndarray) -> np.ndarray | None:
-    """S = Diag(diag) - adj as a dense array, after eliminating independent
-    sets of its stored off-diagonal pattern; None once a pivot of an
-    eliminated row is not positive (a NaN pivot is not). adj is CSR, as
-    every matrix above _DENSE_LAYER_MAX_N rows is.
-
-    For an independent set I of the pattern S_II is diagonal, so S is
-    positive definite exactly when every pivot S_ii, i in I, is positive and
-    the Schur complement S_RR - S_RI diag(1 / S_II) S_IR over the other rows
-    R is (Haynsworth's inertia additivity). Eliminating row k adds
-    -S_ik S_kj / S_kk to S_ij for every pair of k's neighbours i, j. While
-    more than _DENSE_MAX_N rows are left, each set (_independent_set) is
-    eliminated if that saves more than it costs (_ELIMINATE_COST). The
-    remainder of r rows is returned dense: r^2 * 8 bytes, which
-    _positive_definite factors in place.
-    """
-    m = len(diag)
-    rows = np.repeat(np.arange(m), np.diff(adj.indptr))
-    cols, vals = adj.indices, -adj.data
-    on = rows == cols
-    diag = diag + np.bincount(rows[on], weights=vals[on], minlength=m)
-    rows, cols, vals = rows[~on], cols[~on], vals[~on]
-    while m > _DENSE_MAX_N:
-        chosen = _independent_set(rows, cols, m)
-        deg = np.bincount(rows, minlength=m)
-        picked = deg[chosen]
-        if len(picked) * m * m < _ELIMINATE_COST * (len(rows) + int(picked @ picked)):
-            break
-        if not np.all(diag[chosen] > 0.0):
-            return None
-        # the entries of the eliminated rows, grouped by row (CSR order), and
-        # every ordered pair (a, b) of entries in one row
-        out = chosen[rows]
-        k, nb, sv = rows[out], cols[out], vals[out]
-        count = deg[k]
-        a = np.repeat(np.arange(len(k)), count)
-        b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count) + np.searchsorted(k, k)[a]
-        i, j, fill = nb[a], nb[b], -(sv[a] * sv[b]) / diag[k[a]]
-        on = i == j
-        diag = diag + np.bincount(i[on], weights=fill[on], minlength=m)
-        # renumber the rows left, and sum their entries with the fill
-        keep = ~chosen
-        new = np.cumsum(keep) - 1
-        diag = diag[keep]
-        m = len(diag)
-        stay = ~out & keep[cols]
-        keys = np.concatenate([new[rows[stay]] * m + new[cols[stay]], new[i[~on]] * m + new[j[~on]]])
-        keys, where = np.unique(keys, return_inverse=True)
-        vals = np.bincount(where, weights=np.concatenate([vals[stay], fill[~on]]))
-        rows, cols = np.divmod(keys, m)
-    s = np.zeros((m, m))
-    np.add.at(s, (rows, cols), vals)
-    s.flat[:: m + 1] += diag
-    return s
-
-
-def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
-    """Is S = Diag(y) - adj + delta I positive definite? One dense block
-    Cholesky (_positive_definite).
-
-    adj is a CSR matrix or, up to _DENSE_LAYER_MAX_N rows, a dense array. Up
-    to _DENSE_MAX_N rows S itself is factored; above it, the Schur complement
-    left after eliminating independent sets of S's pattern (_eliminated),
-    which refuses at once on a pivot that is not positive. Either array
-    belongs to this call, so the factorization overwrites it.
-    """
-    n = len(y)
-    if n <= _DENSE_MAX_N:
-        s = -adj if isinstance(adj, np.ndarray) else -adj.toarray()
-        s.flat[:: n + 1] += y + delta
-    else:
-        s = _eliminated(adj, y + delta)
-        if s is None:
-            return False
-    return _positive_definite(s)
-
-
-def _positive_definite(s: np.ndarray) -> bool:
-    """Is the symmetric array s positive definite? It reads only the lower
-    triangle of s, and overwrites s.
-
-    A right-looking block Cholesky (Golub and Van Loan, Matrix Computations,
-    4.2): with L the Cholesky factor of the leading block S11 of
-    _CHOLESKY_BLOCK rows, S is positive definite exactly when S11 is and so
-    is the Schur complement S22 - X^T X, X = L^-1 S21^T, which overwrites
-    S22; the trailing blocks repeat this. s is held once, plus panels of
-    _CHOLESKY_BLOCK rows; up to that many rows this is one numpy Cholesky of
-    s. numpy's (LAPACK's) Cholesky of a block fails on its first pivot that
-    is not positive, but a NaN pivot passes that test, so every diagonal
-    entry of each block's factor must also be positive.
-    """
-    r, step = len(s), _CHOLESKY_BLOCK
-    for lo in range(0, r, step):
-        hi = min(lo + step, r)
-        try:
-            chol = np.linalg.cholesky(s[lo:hi, lo:hi])
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(chol.diagonal() > 0.0):
-            return False
-        if hi < r:
-            # the panel X from the rows below the block, then S22 -= X^T X
-            # in the blocks on and below its diagonal, one block row at a time
-            x = np.linalg.inv(chol) @ s[hi:, lo:hi].T
-            for a in range(hi, r, step):
-                b = min(a + step, r)
-                s[a:b, hi:b] -= x[:, a - hi : b - hi].T @ x[:, : b - hi]
-    return True
-
-
-def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float, radius=None) -> float:
-    """The least shift _shift_certificate accepts, to within _SHIFT_RTOL.
-
-    It tries delta, 2 delta, 4 delta, ... up to the Gershgorin shift
-    max_i (sum_j |adj_ij| - y_i), with which Diag(y) - adj is diagonally
-    dominant, so positive semidefinite without a factorization; a shift at or
-    above it becomes it, unfactored. After a refusal it bisects between the
-    last refused shift and the first accepted one until they lie within
-    _SHIFT_RTOL of the accepted one. A first shift accepted is returned as it
-    is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. radius, the
-    Gershgorin radii sum_j |adj_ij|, is read from adj when not given. No
-    finite shift certifies a y or radius that is not finite: that gives inf.
-    """
-    if radius is None:
-        radius = np.asarray(abs(adj).sum(axis=1)).ravel()
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(radius))):
-        return math.inf
-    cap = float(np.max(radius - y, initial=0.0))
-    if len(y) > _FACTOR_MAX_N:
-        return cap
-    refused = None
-    while delta < cap and not _shift_certificate(adj, y, delta):
-        refused, delta = delta, 2.0 * delta
-    delta = min(delta, cap)
-    while refused is not None and delta - refused > _SHIFT_RTOL * delta:
-        mid = 0.5 * (refused + delta)
-        if _shift_certificate(adj, y, mid):
-            delta = mid
-        else:
-            refused = mid
-    return delta
-
-
-def _first_shift(objective: float, n: int) -> float:
-    """The shift delta with n delta / 4 = 0.99 * _GAP_TOL * objective, for
-    objective > 0; the 1% keeps roundoff in the bound from pushing its gap
-    past _GAP_TOL."""
-    return 3.96 * _GAP_TOL * objective / n
-
-
-def _upper_bound(w_tot: float, lam_sum: float, y: np.ndarray, shift: float) -> float:
-    """W/2 + sum(lam) + (sum(y) + n shift) / 4, the dual bound of the module
-    docstring for y_i = <(A' V)_i, v_i> and a shift that certifies
-    Diag(y) - A', or W if that is smaller or the bound is not finite: no
-    edge term of the objective exceeds its weight."""
-    bound = 0.5 * w_tot + lam_sum + 0.25 * (float(np.sum(y)) + len(y) * shift)
-    return bound if math.isfinite(bound) and bound < w_tot else w_tot
 
 
 def _climb(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -785,18 +527,17 @@ def _solve_mixing(
     graph), or once the ascent still to come, extrapolated from the last two
     gains at a fixed rate, falls below
     _MIXING_STOP_SHARE * objective_tol * |objective|. At the rank
-    cap, max(default_rank(n), start rank), or the start rank above
-    _FACTOR_MAX_N vertices, the solve converges there. Below it, one
-    certificate of S = Diag(y) - A + delta I at the first shift
-    (_shift_certificate: a dense block Cholesky, above _DENSE_MAX_N
-    vertices of what is left after eliminating independent sets) decides:
-    the solve converges when S is positive definite, and otherwise appends
-    a random column (_climb) and sweeps on.
-    An iterate that stopped unfactored gets its shift from _certified_shift.
+    cap, max(default_rank(n), start rank), the solve converges there. Below
+    it, certify.first_shift_bound decides with one factorization of
+    S = Diag(y) - A + delta I at the first shift: the solve converges with
+    that bound when S is positive definite, and otherwise appends a random
+    column (_climb) and sweeps on. Above the size certify factors nothing
+    refuses, so the solve converges at its start rank.
+    An iterate that stopped without that bound gets it from certify.upper_bound.
     Sweeps over every rank share the budget of max_outer * max_inner.
     """
     n = inst.n
-    max_rank = max(v.shape[1], default_rank(n)) if n <= _FACTOR_MAX_N else v.shape[1]
+    max_rank = max(v.shape[1], default_rank(n))
     order, sizes = _colour_classes(inst)
     adj = _signed_adjacency(inst)[order][:, order]
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
@@ -812,7 +553,7 @@ def _solve_mixing(
     omega = 1.0
     history: list[float] = []
     converged = False
-    shift = None  # the first shift, once it certifies below the rank cap
+    bound = None  # the first shift's, once it certifies below the rank cap
     while len(history) < cfg.max_outer * cfg.max_inner:
         gain = 0.0
         for lo, hi, rows in blocks:
@@ -837,17 +578,15 @@ def _solve_mixing(
         # at rate rho = gain / prev_gain, gain * rho / (1 - rho) is still to come
         rest = gain * gain / (prev_gain - gain) if gain < prev_gain else math.inf
         if gain <= no_gain or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * abs(obj):
-            converged = u.shape[1] >= max_rank
-            if converged:
-                break
-            y, delta = _rowdot(adj @ u, u), _first_shift(obj or unit, n)
-            if _shift_certificate(adj, y, delta):
-                converged, shift = True, delta
-                break
-            u = _climb(u, rng)
-            obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
-            prev_gain, fresh, omega = 0.0, True, 1.0
-            continue
+            if u.shape[1] < max_rank:
+                bound = certify.first_shift_bound(adj, _rowdot(adj @ u, u), w_tot, obj)
+                if bound is None:
+                    u = _climb(u, rng)
+                    obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
+                    prev_gain, fresh, omega = 0.0, True, 1.0
+                    continue
+            converged = True
+            break
         if gain < prev_gain:
             omega = _raised_omega(omega, gain / prev_gain)
         # the first sweep at a rank leaves a start point; its gain says
@@ -855,9 +594,8 @@ def _solve_mixing(
         prev_gain = 0.0 if fresh else gain
         fresh = False
 
-    if shift is None:  # at the rank cap, or the sweep budget ran out
-        y = _rowdot(adj @ u, u)
-        shift = _certified_shift(adj, y, _first_shift(obj or unit, n))
+    if bound is None:  # at the rank cap, or the sweep budget ran out
+        bound = certify.upper_bound(adj, _rowdot(adj @ u, u), w_tot, obj)
     v = np.empty_like(u)
     v[order] = u
     emb = SdpEmbedding(vectors=v)
@@ -866,7 +604,7 @@ def _solve_mixing(
         max_violation=0.0,
         iterations=len(history),
         converged=converged,
-        upper_bound=_upper_bound(w_tot, 0.0, y, shift),
+        upper_bound=bound,
         objective_history=history,
     )
     return emb, report
@@ -1097,12 +835,14 @@ def _solve_alm(
 
     # the last round's v, obj and viol are the final iterate's
     emb = SdpEmbedding(vectors=v)
-    # the multipliers fold into A' = A + 2 sum_t lam_t e_t = 2 K(lam) (module
-    # docstring); with the step the next round would take, the final iterate
-    # is stationary for A' up to the inner tolerance
-    lam = np.maximum(0.0, active.lam - mu * active.cvals(emb.vectors))
-    y, shift = active.certified_shift(lam, emb.vectors, _first_shift(obj or unit, n))
-    upper = _upper_bound(w_tot, float(np.sum(lam)), y, shift)
+    # the multipliers fold into A' = A + 2 sum_t lam_t e_t = 2 K(lam)
+    # (cutflip.certify); with the step the next round would take, the final
+    # iterate is stationary for A' up to the inner tolerance
+    lam = np.maximum(0.0, active.lam - mu * active.cvals(v))
+    active.refill(lam)
+    a_lam = 2.0 * active.matrix
+    y = _rowdot(active._product(a_lam, v), v)
+    upper = certify.upper_bound(a_lam, y, w_tot, obj, float(np.sum(lam)), active.stored)
     report = SdpReport(
         objective=obj,
         max_violation=viol,

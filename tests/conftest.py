@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -57,3 +58,26 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def also_at(module, *settings: dict):
+    """Run a test at the default values of module's constants, then once with
+    each of settings, a dict from constant names to values."""
+
+    def wrap(test):
+        @functools.wraps(test)
+        def each(*args, **kwargs):
+            test(*args, **kwargs)
+            for values in settings:
+                with pytest.MonkeyPatch.context() as mp:
+                    for constant, value in values.items():
+                        mp.setattr(module, constant, value)
+                    test(*args, **kwargs)
+
+        return each
+
+    return wrap
+
+
+def no_factorization(*args):
+    raise AssertionError("factored above _FACTOR_MAX_N")

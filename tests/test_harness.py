@@ -71,6 +71,9 @@ class TestSolveCommand:
         assert main(["solve", triangle_file, "--trials", "10", "--seed", "3", "--json", str(a)]) == 0
         assert main(["solve", triangle_file, "--trials", "10", "--seed", "3", "--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        # a re-run over the first output leaves the same bytes
+        assert main(["solve", triangle_file, "--trials", "10", "--seed", "3", "--json", str(a)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unconverged_ratio_vs_sdp_is_none(self, triangle_file, tmp_path, capsys, monkeypatch):
         # an unconverged iterate's value bounds nothing, so no ratio is printed
@@ -216,6 +219,39 @@ class TestGenCommand:
         assert main(["gen", "--n", "8", "--d", "3", "--weights", law, "--out", str(out)]) == 3
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputFiles:
+    """Every output file (solve, oracle and verify --json, experiment --csv,
+    gen --out) is written by one helper that unlinks an existing regular file
+    first instead of truncating it."""
+
+    @staticmethod
+    def run(command: str, out: Path, seed: int, instance: str) -> bytes:
+        argv = {
+            "gen": ["gen", "--n", "10", "--d", "3", "--seed", str(seed), "--out", str(out)],
+            "solve": ["solve", instance, "--trials", "3", "--seed", str(seed), "--json", str(out)],
+        }[command]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen", "solve"])
+    def test_hard_link_keeps_the_first_output(self, tmp_path, triangle_file, capsys, command):
+        out, link = tmp_path / "out", tmp_path / "link"
+        first = self.run(command, out, 4, triangle_file)
+        os.link(out, link)
+        second = self.run(command, out, 5, triangle_file)
+        assert second != first
+        assert link.read_bytes() == first
+
+    def test_symlink_is_written_through(self, tmp_path, triangle_file, capsys):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("stale " * 10_000, encoding="utf-8")
+        link.symlink_to(real)
+        written = self.run("solve", link, 3, triangle_file)
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert real.read_bytes() == written
+        assert json.loads(written)["base_seed"] == 3
 
 
 class TestVerifyCommand:
@@ -657,9 +693,9 @@ IMPORT_GUARDS = {
     "import": ("", {"scipy.optimize", "scipy.sparse"}, set()),
     "neighborhood_n12": (_solve(12, 3, "neighborhood", "rep.n_active > 0", "rep.iterations > 0"),
                          {"scipy.optimize"}, set()),
-    # the certificate is numpy's Cholesky at every n: of S itself up to
-    # _DENSE_MAX_N vertices, and above it of what is left after eliminating
-    # independent sets
+    # the certificate (cutflip.certify) is numpy's Cholesky at every n: of S
+    # itself up to certify._DENSE_MAX_N vertices, and above it of what is
+    # left after eliminating independent sets
     "neighborhood_n12_none_n50": (_solve(12, 3, "neighborhood") + _solve(50, 3, "none"),
                                   {"scipy.sparse.linalg"}, set()),
     "none_n600": (_solve(600, 3, "none"), {"scipy.sparse.linalg"}, set()),

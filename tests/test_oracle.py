@@ -24,11 +24,15 @@ def naive_opt(inst):
     return best
 
 
-def in_mask_order(n):
-    """Every assignment with x_0 = +1, in the oracle's mask order: x_v = +1
-    iff bit v-1 of the mask is set."""
-    for mask in range(1 << (n - 1)):
-        yield np.array([1] + [1 if mask >> b & 1 else -1 for b in range(n - 1)], dtype=np.int8)
+def in_mask_order(inst):
+    """Every assignment the oracle enumerates, in its mask order: vertices
+    without edges at +1, and of the k others the first at +1 and the b-th,
+    b >= 1, at +1 iff bit b-1 of the mask is set."""
+    live = np.flatnonzero(np.diff(inst.indptr))
+    for mask in range(1 << max(len(live) - 1, 0)):
+        x = np.ones(inst.n, dtype=np.int8)
+        x[live[1:]] = [1 if mask >> b & 1 else -1 for b in range(len(live) - 1)]
+        yield x
 
 
 DYADIC = (0.25, 0.5, 1.0, 1.75)
@@ -90,6 +94,9 @@ def test_agrees_with_naive_enumeration(seed):
 @example(case=(Max2LinInstance.from_edges(13, [(0, 12, 1, 0.3)]), 2, None))
 # every assignment ties at 0: the candidates overflow the retie limit
 @example(case=(Max2LinInstance.from_edges(13, []), 6, 5))
+# isolated vertices, vertex 0 among them, take +1 and are not enumerated
+@example(case=(Max2LinInstance.from_edges(13, [(2, 9, -1, 0.3), (4, 9, 1, 0.7), (9, 12, -1, 1 / 3)]), 2, None))
+@example(case=(Max2LinInstance.from_edges(12, [(1, 5, -1, 1.0), (5, 11, -1, 1.0), (3, 8, 1, 0.25)]), 2, 1))
 @settings(max_examples=60, deadline=None)
 def test_split_enumeration_matches_naive(case):
     inst, block_bits, retie = case
@@ -100,8 +107,8 @@ def test_split_enumeration_matches_naive(case):
             mp.setattr(oracle, "_RETIE_LIMIT", retie)
         res = brute_force_opt(inst)
     assert res.opt == naive_opt(inst)
-    assert res.enumerated == 1 << (inst.n - 1)
-    first = next(x for x in in_mask_order(inst.n) if evaluate(inst, x) == res.opt)
+    assert res.enumerated == len(list(in_mask_order(inst)))
+    first = next(x for x in in_mask_order(inst) if evaluate(inst, x) == res.opt)
     assert res.argmax.tolist() == first.tolist()
 
 
@@ -116,14 +123,19 @@ def test_bipartite_cycle_at_the_cap():
 
 
 def test_all_ties_at_the_cap_stay_in_bounded_memory(monkeypatch):
-    # all 2^25 assignments tie at 0; near-maximal candidates are kept as mask
-    # integers, not as one +-1 row of n bytes (and wider temporaries) per tie
-    inst = Max2LinInstance.from_edges(oracle.DEFAULT_CAP, [])
+    # a unit cut edge and a star of 2^-40 cut edges, far below the re-tie
+    # slack: the 2^24 assignments that cut the unit edge tie (vertices
+    # without edges would not be enumerated); near-maximal candidates are
+    # kept as mask integers, not as one +-1 row of n bytes (and wider
+    # temporaries) per tie
+    n = oracle.DEFAULT_CAP
+    inst = Max2LinInstance.from_edges(n, [(0, 1, -1, 1.0)] + [(1, v, -1, 2.0**-40) for v in range(2, n)])
     rescored = []
     monkeypatch.setattr(oracle, "evaluate", lambda i, x: rescored.append(x) or evaluate(i, x))
     res, peak = traced_peak(lambda: brute_force_opt(inst))
-    assert res.opt == 0.0
-    assert res.argmax.tolist() == [1] + [-1] * (inst.n - 1)
+    assert res.enumerated == 1 << (n - 1)
+    assert res.opt == inst.total_weight
+    assert res.argmax.tolist() == [1, -1] + [1] * (n - 2)
     # once the ties overflow _RETIE_LIMIT, each block keeps only its best row
     assert len(rescored) <= (1 << (inst.n - 1)) // oracle._BLOCK
     # eight blocks of float64, and the retie list: _RETIE_LIMIT int64 masks
@@ -132,15 +144,30 @@ def test_all_ties_at_the_cap_stay_in_bounded_memory(monkeypatch):
 
 
 def test_ties_are_rescored_in_stacked_chunks(monkeypatch):
-    # one edge on n=20 leaves 2^18 exact ties at OPT, all kept for re-scoring
-    inst = Max2LinInstance.from_edges(20, [(0, 1, -1, 1.0)])
+    # a unit cut edge and a star of 2^-40 cut edges on n=20 leave 2^18 ties
+    # within the re-tie slack, all kept for re-scoring
+    inst = Max2LinInstance.from_edges(20, [(0, 1, -1, 1.0)] + [(1, v, -1, 2.0**-40) for v in range(2, 20)])
     calls = []
     monkeypatch.setattr(oracle, "evaluate", lambda i, x: calls.append(len(x)) or evaluate(i, x))
     res = brute_force_opt(inst)
-    assert res.opt == 1.0
-    assert res.argmax.tolist() == [1, -1] + [-1] * 18  # the first maximizer in mask order
+    assert res.opt == inst.total_weight
+    assert res.argmax.tolist() == [1, -1] + [1] * 18  # the one maximizer
     assert sum(calls) == 1 << 18
     assert len(calls) == (1 << 18) // oracle._RETIE_CHUNK
+
+
+def test_isolated_vertices_are_not_enumerated(monkeypatch):
+    # 18 of 24 vertices have no edges: 2^5 assignments of the other six are
+    # scored, not 2^23, of which 2^20 tie at OPT
+    inst = Max2LinInstance.from_edges(24, [(0, 5, -1, 1.0), (3, 20, 1, 0.5), (7, 11, -1, 2.0)])
+    calls = []
+    monkeypatch.setattr(oracle, "evaluate", lambda i, x: calls.append(len(x)) or evaluate(i, x))
+    res = brute_force_opt(inst)
+    assert len(calls) <= 2 and sum(calls) <= 1 << 5
+    assert res.enumerated == 1 << 5
+    assert res.opt == inst.total_weight == evaluate(inst, res.argmax)
+    isolated = np.diff(inst.indptr) == 0
+    assert isolated.sum() == 18 and np.all(res.argmax[isolated] == 1)
 
 
 def test_desk_size_stays_in_a_few_blocks():

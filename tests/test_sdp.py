@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
@@ -15,22 +14,21 @@ from scipy.optimize import minimize
 
 from cutflip.instance import Max2LinInstance, gen_random_regular, parse_instance
 from cutflip.oracle import brute_force_opt
+from cutflip import certify
+from cutflip.certify import _SHIFT_RTOL, _certified_shift, _shift_certificate, _upper_bound
 import cutflip.sdp as sdp_module
 from cutflip.sdp import (
     _PATTERNS,
     _RANK_START,
-    _SHIFT_RTOL,
     SdpConfig,
     SdpEmbedding,
     _LBFGS_MEMORY,
     _LS_FTOL,
     _ActiveSet,
     _InverseHessian,
-    _certified_shift,
     _lbfgs,
-    _shift_certificate,
+    _rowdot,
     _signed_adjacency,
-    _upper_bound,
     default_rank,
     enumerate_triples,
     max_triangle_violation,
@@ -38,7 +36,7 @@ from cutflip.sdp import (
     solve_sdp,
 )
 
-from conftest import random_instance, traced_peak
+from conftest import also_at, no_factorization, random_instance, traced_peak
 
 
 @st.composite
@@ -166,35 +164,16 @@ class TestTriangleViolation:
         assert got == max_triangle_violation(emb, triples) > 0.0
 
 
-def also_at(*settings: dict):
-    """Run a test at the default values of sdp's constants, then once with
-    each of settings, a dict from constant names to values."""
-
-    def wrap(test):
-        @functools.wraps(test)
-        def each(*args, **kwargs):
-            test(*args, **kwargs)
-            for values in settings:
-                with pytest.MonkeyPatch.context() as mp:
-                    for constant, value in values.items():
-                        mp.setattr(sdp_module, constant, value)
-                    test(*args, **kwargs)
-
-        return each
-
-    return wrap
-
-
 # small graphs take the dense Cholesky of S at the default; with
 # _DENSE_MAX_N and _ELIMINATE_COST at 0 every row of S is eliminated, one
 # independent set at a time, and no rows are left to factor; with blocks of
 # 2 rows the block Cholesky runs its Schur-complement updates on every S of
 # more than 2 rows
-on_both_paths = also_at({"_DENSE_MAX_N": 0, "_ELIMINATE_COST": 0}, {"_CHOLESKY_BLOCK": 2})
+on_both_paths = also_at(certify, {"_DENSE_MAX_N": 0, "_ELIMINATE_COST": 0}, {"_CHOLESKY_BLOCK": 2})
 # the same updates inside whole solves, with blocks of one row
-in_one_row_blocks = also_at({"_CHOLESKY_BLOCK": 1})
+in_one_row_blocks = also_at(certify, {"_CHOLESKY_BLOCK": 1})
 # small graphs take the dense constraint layer at the default, CSR at 0
-on_both_layers = also_at({"_DENSE_LAYER_MAX_N": 0})
+on_both_layers = also_at(sdp_module, {"_DENSE_LAYER_MAX_N": 0})
 
 
 def as_array(matrix) -> np.ndarray:
@@ -304,7 +283,7 @@ class TestConstraintLayer:
         pattern = active.matrix.copy()
         values = pattern.reshape(-1) if isinstance(pattern, np.ndarray) else pattern.data
         values[:] = 0.0
-        values[active._place] = 1.0
+        values[slice(None) if active.stored is None else active.stored] = 1.0
         dense = as_array(pattern)
         assert np.all(dense[adj != 0.0] == 1.0)
         assert np.all(dense[active.pair_i, active.pair_j] == 1.0)
@@ -347,8 +326,9 @@ class TestConstraintLayer:
     @settings(max_examples=60, deadline=None)
     def test_dense_layer_gives_the_csr_bits(self, n, seed, mu):
         # einsum sums over j in order, as the CSR product does: on any active
-        # set, the dense layer's value, gradient and certificate inputs equal
-        # the CSR layer's bit for bit (weights not dyadic, so order shows)
+        # set, the dense layer's value, gradient, certificate inputs and
+        # bound equal the CSR layer's bit for bit (weights not dyadic, so
+        # order shows)
         rng = np.random.default_rng(seed)
         edges = [(i, j, int(rng.choice([-1, 1])), float(rng.uniform(0.3, 2.0)))
                  for i, j in itertools.combinations(range(n), 2) if rng.random() < 6.0 / n]
@@ -371,7 +351,18 @@ class TestConstraintLayer:
 
         assert bits(*dense.augmented(v, mu)) == bits(*csr.augmented(v, mu))
         v = v / np.linalg.norm(v, axis=1, keepdims=True)
-        assert bits(*dense.certified_shift(dense.lam, v, 1e-3)) == bits(*csr.certified_shift(csr.lam, v, 1e-3))
+
+        def certificate(layer):
+            # what _solve_alm hands certify.upper_bound, at A' = 2 K(lam)
+            layer.refill(layer.lam)
+            a_lam = 2.0 * layer.matrix
+            y = _rowdot(layer._product(a_lam, v), v)
+            shift = _certified_shift(a_lam, y, 1e-3, layer.stored)
+            bound = certify.upper_bound(a_lam, y, inst.total_weight, sdp_objective(inst, SdpEmbedding(v)),
+                                        float(np.sum(layer.lam)), layer.stored)
+            return y, shift, bound
+
+        assert bits(*certificate(dense)) == bits(*certificate(csr))
 
     @on_both_layers
     def test_empty_active_set(self):
@@ -887,10 +878,11 @@ class TestCertificate:
         # which no comparison passes, so it must not return delta unfactored
         adj, _ = dominant_dual(3, [(0, 1), (1, 2)])
         calls = []
-        monkeypatch.setattr(sdp_module, "_shift_certificate", lambda *args: calls.append(args) or True)
+        monkeypatch.setattr(certify, "_shift_certificate", lambda *args: calls.append(args) or True)
         for bad in (math.nan, math.inf, -math.inf):
             assert _certified_shift(adj, np.array([1.0, bad, 1.0]), 0.01) == math.inf
-        assert _certified_shift(adj, np.ones(3), 0.01, radius=np.array([1.0, math.nan, 1.0])) == math.inf
+        adj.data[0] = math.nan  # a radius that is not finite
+        assert _certified_shift(adj, np.ones(3), 0.01) == math.inf
         assert calls == []
 
     def test_upper_bound_is_w_unless_finite_and_below(self):
@@ -938,17 +930,17 @@ class TestElimination:
     def test_independent_set_is_maximal_and_repeatable(self, graph, order):
         n, edges = graph
         rows, cols = symmetric_pattern(edges)
-        chosen = sdp_module._independent_set(rows, cols, n)
+        chosen = certify._independent_set(rows, cols, n)
         assert chosen.dtype == bool and chosen.shape == (n,)
         assert not np.any(chosen[rows] & chosen[cols])  # independent
         covered = chosen.copy()
         covered[cols[chosen[rows]]] = True
         assert covered.all()  # maximal: every vertex left out has a neighbour in
-        np.testing.assert_array_equal(sdp_module._independent_set(rows, cols, n), chosen)
+        np.testing.assert_array_equal(certify._independent_set(rows, cols, n), chosen)
         # the set depends on the pattern, not on the order of its entries
         perm = np.arange(len(rows))
         order.shuffle(perm)
-        np.testing.assert_array_equal(sdp_module._independent_set(rows[perm], cols[perm], n), chosen)
+        np.testing.assert_array_equal(certify._independent_set(rows[perm], cols[perm], n), chosen)
 
     @pytest.mark.parametrize("n", [600, 1000])
     @pytest.mark.parametrize("d", [3, 6])
@@ -1010,7 +1002,7 @@ class TestBlockCholesky:
         for delta, definite in ((-lam + 1e-6 * abs(lam), True), (-lam - 1e-6 * abs(lam), False)):
             s = np.diag(y + delta) - adj.toarray()
             s[upper] = noise
-            assert sdp_module._positive_definite(s) == definite
+            assert certify._positive_definite(s) == definite
 
     @pytest.mark.parametrize("pivot", [-1.0, -1e-6, math.nan])
     def test_bad_pivot_in_the_last_block_refused(self, pivot, monkeypatch):
@@ -1020,11 +1012,11 @@ class TestBlockCholesky:
         s = chol @ chol.T
         s[-1, -1] += pivot - chol[-1, -1] ** 2
         factored = counted_choleskys(monkeypatch)
-        assert not sdp_module._positive_definite(s)
+        assert not certify._positive_definite(s)
         assert factored == [256, 256, 88]
         s = chol @ chol.T
         s[-1, -1] += 1e-6 - chol[-1, -1] ** 2
-        assert sdp_module._positive_definite(s)
+        assert certify._positive_definite(s)
 
     def test_nan_reaching_only_a_later_pivot_refused(self, monkeypatch):
         # the NaN lies below the first block, which factors; the Schur
@@ -1033,21 +1025,21 @@ class TestBlockCholesky:
         s = chol @ chol.T
         s[300, 5] = s[5, 300] = math.nan
         factored = counted_choleskys(monkeypatch)
-        assert not sdp_module._positive_definite(s)
+        assert not certify._positive_definite(s)
         assert factored[0] == 256 and len(factored) >= 2
         s = chol @ chol.T
         s[5, 300] = math.nan  # above the diagonal only
-        assert sdp_module._positive_definite(s)
+        assert certify._positive_definite(s)
 
     def test_factors_in_place(self):
         # beside s the routine holds X and one block of rows of X^T X, at
         # most b x (r - b) each, and the block's factor, its inverse and
         # LAPACK's working copy, b x b each: under half of one r x r copy
-        r, b = 1500, sdp_module._CHOLESKY_BLOCK
+        r, b = 1500, certify._CHOLESKY_BLOCK
         chol = spd_factor(r, 2)
         s = chol @ chol.T
         bound = 8 * (2 * b * (r - b) + 3 * b * b)
-        definite, peak = traced_peak(lambda: sdp_module._positive_definite(s))
+        definite, peak = traced_peak(lambda: certify._positive_definite(s))
         assert definite and peak <= bound < 8 * r * r / 2
 
 
@@ -1176,6 +1168,34 @@ class TestUpperBound:
         assert rep.upper_bound - rep.objective <= 1e-5 * rep.objective
         assert abs(rep.objective - rep_default.objective) <= 1e-5 * rep.objective
 
+    def test_alm_certificate_is_the_same_on_both_layers(self, monkeypatch):
+        # the dense layer hands certify its pattern, explicit zeros included,
+        # so both layers' certificates sum the same radii to the same bits
+        n, d, bias, law, gen_seed = DESK_LIKE[0]
+        inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
+        radii, reports = [], []
+        upper_bound = certify.upper_bound
+
+        def recording(*args):
+            radii.append(certify._radii(args[0], *args[5:]).view(np.int64).tolist())
+            return upper_bound(*args)
+
+        monkeypatch.setattr(certify, "upper_bound", recording)
+        for cutoff in (sdp_module._DENSE_LAYER_MAX_N, 0):
+            monkeypatch.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
+            reports.append(solve_sdp(inst, SdpConfig(triangle_mode="neighborhood"))[1])
+        assert radii[0] == radii[1]
+        assert reports[0] == reports[1]
+
+    def test_each_rank_is_factored_once(self, monkeypatch):
+        # one Cholesky (S of 200 rows is one block) per rank climbed from 4,
+        # and the first shift that certifies is not factored again
+        inst = gen_random_regular(200, 4, 1.0, "unit", seed=0)
+        factored = counted_choleskys(monkeypatch)
+        emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
+        assert rep.converged and emb.rank < default_rank(inst.n)
+        assert factored == [inst.n] * (emb.rank - 4 + 1)
+
     def test_embedding_validated_at_the_boundary(self, monkeypatch):
         inst = random_instance(np.random.default_rng(1), 8)
         mixing = sdp_module._solve_mixing
@@ -1190,10 +1210,6 @@ class TestUpperBound:
             solve_sdp(inst, SdpConfig(triangle_mode="none"))
 
 
-def _no_factorization(*args):
-    raise AssertionError("factored above _FACTOR_MAX_N")
-
-
 class TestAboveFactorLimit:
     """Above _FACTOR_MAX_N vertices nothing is factored (the limit is lowered
     here so that small graphs cross it)."""
@@ -1206,8 +1222,8 @@ class TestAboveFactorLimit:
         _, certified = solve_sdp(inst, SdpConfig(triangle_mode="none", seed=1))
         assert certified.converged
         assert certified.upper_bound - certified.objective <= 1e-5 * certified.objective
-        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", inst.n - 1)
-        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        monkeypatch.setattr(certify, "_FACTOR_MAX_N", inst.n - 1)
+        monkeypatch.setattr(certify, "_shift_certificate", no_factorization)
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
         # the same trajectory as a fixed-rank run, stopped by the stop rule
         assert emb.rank == rank
@@ -1223,8 +1239,8 @@ class TestAboveFactorLimit:
         # rank it starts at, _RANK_START, and the bound is W
         inst = gen_random_regular(600, 4, 1.0, "unit", seed=0)
         assert default_rank(inst.n) == 36
-        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", inst.n - 1)
-        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        monkeypatch.setattr(certify, "_FACTOR_MAX_N", inst.n - 1)
+        monkeypatch.setattr(certify, "_shift_certificate", no_factorization)
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none"))
         assert emb.rank == _RANK_START
         assert rep.converged
@@ -1233,8 +1249,8 @@ class TestAboveFactorLimit:
     def test_alm_bound_without_factoring(self, monkeypatch):
         n, d, bias, law, gen_seed = DESK_LIKE[1]
         inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
-        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", n - 1)
-        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        monkeypatch.setattr(certify, "_FACTOR_MAX_N", n - 1)
+        monkeypatch.setattr(certify, "_shift_certificate", no_factorization)
         _, rep = solve_sdp(inst, SdpConfig(triangle_mode="neighborhood"))
         assert rep.converged
         assert rep.upper_bound >= brute_force_opt(inst).opt
@@ -1242,8 +1258,8 @@ class TestAboveFactorLimit:
     def test_certified_shift_is_the_gershgorin_cap(self, monkeypatch):
         adj, radius = dominant_dual(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
         y = np.full(6, 0.5)
-        monkeypatch.setattr(sdp_module, "_FACTOR_MAX_N", 5)
-        monkeypatch.setattr(sdp_module, "_shift_certificate", _no_factorization)
+        monkeypatch.setattr(certify, "_FACTOR_MAX_N", 5)
+        monkeypatch.setattr(certify, "_shift_certificate", no_factorization)
         assert _certified_shift(adj, y, 1e-6) == float(np.max(radius - y))
 
 
