@@ -7,16 +7,17 @@ lam >= 0 of the triangle constraints into the signed adjacency A (A' = A
 without them; with them, A' = 2 K(lam), the ALM's matrix K = A/2 + M refilled
 with the multipliers). y_i = <(A' V)_i, v_i> makes the bound equal the
 objective plus n delta / 4 at a stationary iterate V.
-Positive definiteness is certified by one dense block Cholesky
-(_shift_certificate, _positive_definite: numpy's Cholesky of one block of
-rows at a time, each overwriting the rest with its Schur complement): of S
-itself up to _DENSE_MAX_N vertices, and above it of the Schur complement
-left once independent sets of S's pattern are eliminated, each with
-positive pivots (_eliminated). Above _FACTOR_MAX_N vertices, where that
-remainder costs too much, the Gershgorin shift certifies instead; it needs
-no factorization but gives a loose bound, and the mixing method stays at
-its start rank. The bound is capped by W, which no objective exceeds; in none
-mode the Gershgorin bound is never below W, so there the cap is the bound.
+Positive definiteness is certified by one path (_shift_certificate): the
+matrix is read as its stored entries (_entries), independent sets of S's
+pattern are eliminated while each pays for itself, each with positive pivots
+(_eliminated), and the dense remainder takes one block Cholesky
+(_positive_definite: numpy's Cholesky of one block of rows at a time, each
+overwriting the rest with its Schur complement). Above _FACTOR_MAX_N
+vertices, where that remainder costs too much, the Gershgorin shift
+certifies instead; it needs no factorization but gives a loose bound, and
+the mixing method stays at its start rank. The bound is capped by W, which
+no objective exceeds; in none mode the Gershgorin bound is never below W, so
+there the cap is the bound.
 The entries: upper_bound, and the mixing method's first_shift_bound.
 """
 
@@ -40,18 +41,12 @@ __all__ = ["first_shift_bound", "upper_bound"]
 _GAP_TOL = 1e-5
 _SHIFT_RTOL = 0.01
 
-# the certificate factors S itself (numpy's Cholesky) up to this many rows,
-# and above it what is left after eliminating independent sets (_eliminated),
-# near where the two cross. One certificate at the final none-mode iterate of
-# random regular graphs, S itself vs eliminated, on a 2-vCPU Xeon box: n=200
-# d=4 0.18 vs 0.20 ms, n=500 d=4 1.4 vs 1.1 ms, n=1000 d=4 8.1 vs 4.1 ms,
-# n=1000 d=6 7.3 vs 6.3 ms, n=2000 d=4 36 vs 10 ms
-_DENSE_MAX_N = 512
-
 # the certificate eliminates an independent set of k of the m rows left only
 # if k m^2, about the flops that takes off the final Cholesky, is at least
 # this many times the entries the elimination handles: the stored ones and
-# the fill products (the sum of the set's squared degrees). A larger value
+# the fill products (the sum of the set's squared degrees). This rule alone
+# decides at every size; at desk sizes (m^3 below this many times the stored
+# entries) no set can pay, and S itself is factored. A larger value
 # stops sooner and leaves a larger dense remainder; a smaller one holds more
 # fill at once. One certificate at the final none-mode iterate, at 256 /
 # 1024 / 4096, on a 2-vCPU AMD EPYC box: n=2000 d=4 11.7 / 10.5 / 10.2 ms,
@@ -84,13 +79,12 @@ _CHOLESKY_BLOCK = 256
 
 
 def upper_bound(matrix: sp.csr_matrix | np.ndarray, y: np.ndarray, w_tot: float, objective: float,
-                lam_sum: float = 0.0, stored: np.ndarray | None = None) -> float:
+                lam_sum: float = 0.0) -> float:
     """The bound for A' = matrix, y and lam_sum = sum(lam), at the least shift
     _certified_shift accepts from the first shift of objective (of W when it
     is 0, of 1 on an edgeless graph). matrix is CSR, or up to
-    sdp._DENSE_LAYER_MAX_N rows a dense array storing the entries at the flat
-    indices stored (_radii)."""
-    shift = _certified_shift(matrix, y, _first_shift(objective or w_tot or 1.0, len(y)), stored)
+    sdp._DENSE_LAYER_MAX_N rows a dense array (_entries)."""
+    shift = _certified_shift(matrix, y, _first_shift(objective or w_tot or 1.0, len(y)))
     return _upper_bound(w_tot, lam_sum, y, shift)
 
 
@@ -105,22 +99,24 @@ def first_shift_bound(matrix: sp.csr_matrix | np.ndarray, y: np.ndarray, w_tot: 
     return _upper_bound(w_tot, 0.0, y, delta) if _shift_certificate(matrix, y, delta) else None
 
 
-def _radii(adj: sp.csr_matrix | np.ndarray, stored: np.ndarray | None = None) -> np.ndarray:
-    """The Gershgorin radii sum_j |adj_ij|, over each row's stored entries in
-    column order, as scipy's abs(adj).sum(axis=1) sums a CSR adj: numpy sums
-    9 or more terms pairwise, so which entries a row sums, explicit zeros
-    among them, sets its bits. A dense adj stores the entries at the sorted
-    flat indices stored, or else its nonzeros."""
+def _entries(adj: sp.csr_matrix | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of adj's stored entries, row by row: a dense
+    array's nonzeros, or a CSR matrix's entries in their stored order. The
+    one place the certificate tells the two forms apart."""
     if isinstance(adj, np.ndarray):
-        stored = np.flatnonzero(adj) if stored is None else stored
-        values, indptr = adj.reshape(-1)[stored], np.searchsorted(stored, np.arange(len(adj) + 1) * len(adj))
-    else:
-        adj = adj if adj.has_sorted_indices else adj.sorted_indices()
-        values, indptr = adj.data, adj.indptr
-    rows = np.flatnonzero(np.diff(indptr))
-    radius = np.zeros(len(indptr) - 1)
-    radius[rows] = np.add.reduceat(np.abs(values), indptr[rows])
-    return radius
+        rows, cols = np.nonzero(adj)
+        return rows, cols, adj[rows, cols]
+    return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr)), adj.indices, adj.data
+
+
+def _radii(adj: sp.csr_matrix | np.ndarray) -> np.ndarray:
+    """The Gershgorin radii sum_j |adj_ij| over each row's stored entries
+    (_entries), summed one term at a time in that order. An explicit zero
+    adds 0 to a partial sum and leaves its bits alone, so the dense and CSR
+    forms of a matrix whose rows list their entries in column order give
+    the same bits."""
+    rows, _, values = _entries(adj)
+    return np.bincount(rows, np.abs(values), adj.shape[0])
 
 
 def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
@@ -149,29 +145,31 @@ def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
             return chosen
 
 
-def _eliminated(adj: sp.csr_matrix, diag: np.ndarray) -> np.ndarray | None:
+def _eliminated(adj: sp.csr_matrix | np.ndarray, diag: np.ndarray) -> np.ndarray | None:
     """S = Diag(diag) - adj as a dense array, after eliminating independent
-    sets of its stored off-diagonal pattern; None once a pivot of an
-    eliminated row is not positive (a NaN pivot is not). adj is CSR, as
-    every matrix above sdp._DENSE_LAYER_MAX_N rows is.
+    sets of its stored off-diagonal pattern (_entries); None once a pivot of
+    an eliminated row is not positive (a NaN pivot is not).
 
     For an independent set I of the pattern S_II is diagonal, so S is
     positive definite exactly when every pivot S_ii, i in I, is positive and
     the Schur complement S_RR - S_RI diag(1 / S_II) S_IR over the other rows
     R is (Haynsworth's inertia additivity). Eliminating row k adds
     -S_ik S_kj / S_kk to S_ij for every pair of k's neighbours i, j. While
-    more than _DENSE_MAX_N rows are left, each set (_independent_set) is
-    eliminated if that saves more than it costs (_ELIMINATE_COST). The
-    remainder of r rows is returned dense: r^2 * 8 bytes, which
-    _positive_definite factors in place.
+    rows are left, each set (_independent_set) is eliminated if that saves
+    more than it costs (_ELIMINATE_COST); a pattern without entries is
+    eliminated whole, and decided by its pivots alone. The remainder of r
+    rows is returned dense: r^2 * 8 bytes, which _positive_definite factors
+    in place.
     """
     m = len(diag)
-    rows = np.repeat(np.arange(m), np.diff(adj.indptr))
-    cols, vals = adj.indices, -adj.data
+    rows, cols, vals = _entries(adj)
+    vals = -vals
     on = rows == cols
     diag = diag + np.bincount(rows[on], weights=vals[on], minlength=m)
     rows, cols, vals = rows[~on], cols[~on], vals[~on]
-    while m > _DENSE_MAX_N:
+    while m:
+        if m**3 < _ELIMINATE_COST * len(rows):
+            break  # no set of k <= m rows pays: k m^2 <= m^3
         chosen = _independent_set(rows, cols, m)
         deg = np.bincount(rows, minlength=m)
         picked = deg[chosen]
@@ -207,23 +205,14 @@ def _eliminated(adj: sp.csr_matrix, diag: np.ndarray) -> np.ndarray | None:
 
 def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
     """Is S = Diag(y) - adj + delta I positive definite? One dense block
-    Cholesky (_positive_definite).
-
-    adj is a CSR matrix or, up to sdp._DENSE_LAYER_MAX_N rows, a dense array.
-    Up to _DENSE_MAX_N rows S itself is factored; above it, the Schur
-    complement left after eliminating independent sets of S's pattern
-    (_eliminated), which refuses at once on a pivot that is not positive.
-    Either array belongs to this call, so the factorization overwrites it.
+    Cholesky (_positive_definite) of the Schur complement left after
+    eliminating independent sets of S's pattern (_eliminated), which refuses
+    at once on a pivot that is not positive. adj is a CSR matrix or, up to
+    sdp._DENSE_LAYER_MAX_N rows, a dense array; the remainder belongs to
+    this call, so the factorization overwrites it.
     """
-    n = len(y)
-    if n <= _DENSE_MAX_N:
-        s = -adj if isinstance(adj, np.ndarray) else -adj.toarray()
-        s.flat[:: n + 1] += y + delta
-    else:
-        s = _eliminated(adj, y + delta)
-        if s is None:
-            return False
-    return _positive_definite(s)
+    s = _eliminated(adj, y + delta)
+    return s is not None and _positive_definite(s)
 
 
 def _positive_definite(s: np.ndarray) -> bool:
@@ -259,8 +248,7 @@ def _positive_definite(s: np.ndarray) -> bool:
     return True
 
 
-def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float,
-                     stored: np.ndarray | None = None) -> float:
+def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> float:
     """The least shift _shift_certificate accepts, to within _SHIFT_RTOL.
 
     It tries delta, 2 delta, 4 delta, ... up to the Gershgorin shift
@@ -269,11 +257,10 @@ def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: floa
     above it becomes it, unfactored. After a refusal it bisects between the
     last refused shift and the first accepted one until they lie within
     _SHIFT_RTOL of the accepted one. A first shift accepted is returned as it
-    is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. The radii are
-    _radii(adj, stored); no finite shift certifies a y or radius that is not
-    finite: that gives inf.
+    is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. No finite shift
+    certifies a y or radius (_radii) that is not finite: that gives inf.
     """
-    radius = _radii(adj, stored)
+    radius = _radii(adj)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(radius))):
         return math.inf
     cap = float(np.max(radius - y, initial=0.0))

@@ -323,8 +323,9 @@ class _ActiveSet:
     M(f)_ij = M(f)_ji is the sum of f_t e_t over the constraints reading
     r_ij; refill(f) only rewrites K's values, from A/2 as fixed base values,
     and explicit zeros stay. K is a CSR matrix, or up to _DENSE_LAYER_MAX_N
-    vertices a dense array, zero off the pattern, with the same bits (_product);
-    stored lists a dense K's pattern as flat indices, in CSR order (None for CSR).
+    vertices a dense array, zero off the pattern, with the same bits (_product)
+    and the same certificate radii (certify._radii sums one term at a time,
+    so the CSR layer's explicit zeros change no bits).
     """
 
     def __init__(self, triples: np.ndarray, inst: Max2LinInstance) -> None:
@@ -373,7 +374,6 @@ class _ActiveSet:
         )
         # an entry's place among K's values: its key in a dense K, its rank in CSR
         place = entry_keys if self.dense else np.arange(len(entry_keys))
-        self.stored = entry_keys if self.dense else None
         self._base = np.zeros(n * n if self.dense else len(entry_keys))
         self._base[place[where[: len(adj_keys)]]] = 0.5 * (inst.nbr_sign * inst.nbr_weight)
         self._entry_pair = np.full(len(self._base), n_pairs)
@@ -842,7 +842,7 @@ def _solve_alm(
     active.refill(lam)
     a_lam = 2.0 * active.matrix
     y = _rowdot(active._product(a_lam, v), v)
-    upper = certify.upper_bound(a_lam, y, w_tot, obj, float(np.sum(lam)), active.stored)
+    upper = certify.upper_bound(a_lam, y, w_tot, obj, float(np.sum(lam)))
     report = SdpReport(
         objective=obj,
         max_violation=viol,

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cutflip.instance import Max2LinInstance, parse_instance
 
@@ -81,3 +83,22 @@ def also_at(module, *settings: dict):
 
 def no_factorization(*args):
     raise AssertionError("factored above _FACTOR_MAX_N")
+
+
+@st.composite
+def simple_graphs(draw, max_n: int = 12):
+    """(n, edges): any simple graph on 1 to max_n vertices, edges in any
+    stored order and orientation, so some vertices may be isolated."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return n, [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
+
+
+def counted_choleskys(monkeypatch) -> list:
+    """The row counts of every numpy Cholesky from now on, in call order."""
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(len(s)) or cholesky(s))
+    return factored

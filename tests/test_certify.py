@@ -1,8 +1,6 @@
-"""cutflip.certify: its two entries and its one Gershgorin radius function.
-
-The factorization, the elimination and the shift ladder behind them are
-tested in test_sdp.py (TestCertificate, TestElimination, TestBlockCholesky,
-TestAboveFactorLimit).
+"""cutflip.certify: its two entries, its one reader of matrices (_entries)
+and the Gershgorin radii, the shift ladder, the elimination of independent
+sets and the block Cholesky behind them.
 """
 
 from __future__ import annotations
@@ -13,14 +11,40 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cutflip import certify
-from cutflip.certify import _certified_shift, _first_shift, _radii, _upper_bound, first_shift_bound, upper_bound
+from cutflip.certify import (
+    _SHIFT_RTOL,
+    _certified_shift,
+    _first_shift,
+    _radii,
+    _shift_certificate,
+    _upper_bound,
+    first_shift_bound,
+    upper_bound,
+)
 import cutflip.sdp as sdp_module
-from cutflip.instance import Max2LinInstance
-from cutflip.sdp import _PATTERNS, _ActiveSet, _colour_classes, _signed_adjacency, enumerate_triples
+from cutflip.instance import Max2LinInstance, gen_random_regular
+from cutflip.sdp import (
+    _PATTERNS,
+    SdpConfig,
+    _ActiveSet,
+    _colour_classes,
+    _signed_adjacency,
+    enumerate_triples,
+    solve_sdp,
+)
 
-from conftest import no_factorization
+from conftest import also_at, counted_choleskys, no_factorization, simple_graphs, traced_peak
+
+# small graphs take S itself to the Cholesky at the default (no independent
+# set pays); with _ELIMINATE_COST at 0 every row of S is eliminated, one
+# independent set at a time, and no rows are left to factor; with blocks of
+# 2 rows the block Cholesky runs its Schur-complement updates on every S of
+# more than 2 rows
+on_both_paths = also_at(certify, {"_ELIMINATE_COST": 0}, {"_CHOLESKY_BLOCK": 2})
 
 
 def bits(x) -> list:
@@ -37,16 +61,18 @@ def dense_graph(n: int, seed: int) -> Max2LinInstance:
     return Max2LinInstance.from_edges(n, edges)
 
 
-def scipy_radii(adj: sp.csr_matrix) -> np.ndarray:
-    """scipy's abs(adj).sum(axis=1), on a copy: abs sorts the indices in place."""
-    return np.asarray(abs(adj.copy()).sum(axis=1)).ravel()
+def stored_order_radii(adj: sp.csr_matrix) -> np.ndarray:
+    """sum_j |adj_ij| over each row's stored entries, one term at a time in
+    their stored order."""
+    return np.array([sum(abs(x) for x in adj.data[lo:hi]) for lo, hi in itertools.pairwise(adj.indptr)])
 
 
 class TestRadii:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_mixing_adjacency_dense_and_csr_give_the_same_bits(self, seed):
+    def test_mixing_adjacency_sums_in_stored_order(self, seed):
         # A permuted into colour classes, as _solve_mixing reads it: the
-        # permuted CSR matrix holds its indices out of order
+        # permuted CSR matrix holds its indices out of order, and sums them
+        # in that order; in column order it gives the dense form's bits
         inst = dense_graph(24, seed)
         order = _colour_classes(inst)[0]
         forms = []
@@ -57,12 +83,15 @@ class TestRadii:
         dense, csr = forms
         assert isinstance(dense, np.ndarray) and not csr.has_sorted_indices
         assert np.diff(csr.indptr).max() >= 9
-        assert bits(_radii(dense)) == bits(_radii(csr)) == bits(scipy_radii(csr))
+        assert bits(_radii(csr)) == bits(stored_order_radii(csr))
+        assert bits(_radii(dense)) == bits(_radii(csr.sorted_indices()))
+        np.testing.assert_allclose(_radii(csr), _radii(dense), rtol=inst.n * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_alm_layer_dense_and_csr_give_the_same_bits(self, seed):
         # 2 K(lam) of the same active set on both layers; half the
-        # multipliers are 0, so pairs off A's edges hold explicit zeros
+        # multipliers are 0, so pairs off A's edges hold explicit zeros,
+        # which the CSR layer stores and the dense layer's nonzeros do not
         inst = dense_graph(20, seed)
         rng = np.random.default_rng(seed)
         triples = enumerate_triples(inst, "all")
@@ -79,10 +108,23 @@ class TestRadii:
         dense, csr = (2.0 * layer.matrix for layer in layers)
         zero_rows = np.repeat(np.arange(inst.n), np.diff(csr.indptr))[csr.data == 0.0]
         assert np.any(np.diff(csr.indptr)[zero_rows] >= 9)
-        stored = layers[0].stored
-        assert bits(_radii(dense, stored)) == bits(_radii(csr)) == bits(scipy_radii(csr))
-        # the zeros set bits: the dense array's nonzeros alone sum otherwise
-        assert bits(_radii(dense)) != bits(_radii(dense, stored))
+        assert bits(_radii(dense)) == bits(_radii(csr)) == bits(stored_order_radii(csr))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_explicit_zeros_leave_the_bits_alone(self, seed):
+        # a zero stored among 9 or more entries of a row, where a pairwise
+        # sum would pair the terms otherwise
+        inst = dense_graph(24, seed)
+        n = inst.n
+        adj = sp.csr_matrix((inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n))
+        # the same entries and a zero on the diagonal of every row, in column order
+        rows = np.concatenate([np.repeat(np.arange(n), np.diff(adj.indptr)), np.arange(n)])
+        cols = np.concatenate([adj.indices, np.arange(n)])
+        order = np.lexsort((cols, rows))
+        padded = sp.csr_matrix((np.concatenate([adj.data, np.zeros(n)])[order], cols[order],
+                                np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])), shape=(n, n))
+        assert adj.has_sorted_indices and padded.nnz == adj.nnz + n and np.diff(adj.indptr).max() >= 9
+        assert bits(_radii(padded)) == bits(_radii(adj)) == bits(_radii(adj.toarray()))
 
 
 def diagonal_dual(seed: int, n: int = 30):
@@ -125,7 +167,7 @@ class TestEntries:
         starts = []
         certified_shift = certify._certified_shift
         monkeypatch.setattr(certify, "_certified_shift",
-                            lambda adj, y, delta, stored=None: starts.append(delta) or certified_shift(adj, y, delta))
+                            lambda adj, y, delta: starts.append(delta) or certified_shift(adj, y, delta))
         got = upper_bound(adj, y, w_tot, objective, lam_sum=0.75)
         delta = _first_shift(first, len(y))
         assert starts == [delta]
@@ -137,3 +179,297 @@ class TestEntries:
         adj, y, _ = diagonal_dual(2)
         y[3] = math.nan
         assert upper_bound(adj, y, 50.0, 20.0) == 50.0
+
+
+def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(adj, y) for a signed weighted graph with y_i = sum_j |adj_ij|, so
+    that Diag(y) - adj is diagonally dominant: positive semidefinite. adj is
+    CSR at any n, which the certificate takes with or without elimination."""
+    inst = Max2LinInstance.from_edges(
+        n, [(i, j, 1 if k % 2 else -1, 1.0 + 0.25 * (k % 3)) for k, (i, j) in enumerate(edges)]
+    )
+    adj = sp.csr_matrix((inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n))
+    return adj, _radii(adj)
+
+
+class TestCertificate:
+    """_shift_certificate (one factorization) and _certified_shift (its ladder),
+    each test with S itself factored and with every row eliminated."""
+
+    @given(
+        graph=simple_graphs(),
+        margin=st.floats(1e-3, 2.0),
+        eta=st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    @on_both_paths
+    def test_known_negative_eigenvalue_refused(self, graph, margin, eta, seed):
+        n, edges = graph
+        adj, y = dominant_dual(n, edges)
+        s = np.diag(y + margin) - adj.toarray()  # strictly dominant: definite
+        assert _shift_certificate(adj, y, margin)
+        # S - eps u u^T with u^T S u - eps = -eta: lambda_min <= -eta
+        u = np.random.default_rng(seed).standard_normal(n)
+        u /= np.linalg.norm(u)
+        eps = float(u @ s @ u) + eta
+        lowered = s - eps * np.outer(u, u)
+        # eigvalsh is backward stable: it may read a few ulps of ||lowered||
+        # high (edgeless n=9, margin 2, eta 1e-6, seed 0: -eta + 1.1e-15)
+        roundoff = 8 * n * np.finfo(float).eps * float(np.abs(lowered).max())
+        assert np.linalg.eigvalsh(lowered)[0] <= -eta * (1 - 1e-9) + roundoff
+        adj_lowered = sp.csr_matrix(adj.toarray() + eps * np.outer(u, u))
+        assert not _shift_certificate(adj_lowered, y, margin)
+
+    @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
+    @settings(max_examples=100, deadline=None)
+    @on_both_paths
+    def test_certified_shift_is_psd_and_capped(self, graph, seed, delta):
+        # y anywhere: the ladder ends at a shift that makes S positive
+        # semidefinite, at most the Gershgorin shift
+        n, edges = graph
+        adj, radius = dominant_dual(n, edges)
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
+        shift = _certified_shift(adj, y, delta)
+        assert 0.0 <= shift <= max(0.0, float(np.max(radius - y)))
+        s = np.diag(y + shift) - adj.toarray()
+        assert np.linalg.eigvalsh(s)[0] >= -1e-9 * (1.0 + np.abs(s).max())
+
+
+    @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
+    @settings(max_examples=100, deadline=None)
+    @on_both_paths
+    def test_refused_first_shift_is_bisected_to_the_least(self, graph, seed, delta):
+        # the least certifying shift is -lambda_min(Diag(y) - adj); after a
+        # refusal the shift lands within _SHIFT_RTOL above it, and a first
+        # shift that certifies comes back as it is
+        n, edges = graph
+        adj, radius = dominant_dual(n, edges)
+        y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
+        least = max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0]))
+        shift = _certified_shift(adj, y, delta)
+        slack = 1e-9 * (1.0 + float(np.abs(y).max()) + float(radius.max(initial=0.0)))
+        assert shift >= least - slack
+        if delta < least - slack:
+            assert shift <= least / (1.0 - _SHIFT_RTOL) + slack
+        elif delta > least + slack:
+            assert shift == min(delta, max(0.0, float(np.max(radius - y))))
+
+    @on_both_paths
+    def test_nan_dual_refused(self):
+        # LAPACK's Cholesky lets a NaN pivot through; the certificate must not
+        adj, y = dominant_dual(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert _shift_certificate(adj, y, 1.0)
+        y[2] = math.nan
+        assert not _shift_certificate(adj, y, 1.0)
+
+    def test_non_finite_dual_takes_no_shift(self, monkeypatch):
+        # no finite shift certifies a y with a NaN: the ladder's cap is NaN,
+        # which no comparison passes, so it must not return delta unfactored
+        adj, _ = dominant_dual(3, [(0, 1), (1, 2)])
+        calls = []
+        monkeypatch.setattr(certify, "_shift_certificate", lambda *args: calls.append(args) or True)
+        for bad in (math.nan, math.inf, -math.inf):
+            assert _certified_shift(adj, np.array([1.0, bad, 1.0]), 0.01) == math.inf
+        adj.data[0] = math.nan  # a radius that is not finite
+        assert _certified_shift(adj, np.ones(3), 0.01) == math.inf
+        assert calls == []
+
+    def test_certified_shift_is_the_gershgorin_cap(self, monkeypatch):
+        adj, radius = dominant_dual(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+        y = np.full(6, 0.5)
+        monkeypatch.setattr(certify, "_FACTOR_MAX_N", 5)
+        monkeypatch.setattr(certify, "_shift_certificate", no_factorization)
+        assert _certified_shift(adj, y, 1e-6) == float(np.max(radius - y))
+
+    def test_upper_bound_is_w_unless_finite_and_below(self):
+        y = np.array([1.0, 2.0, 3.0])
+        assert _upper_bound(10.0, 0.5, y, 0.4) == 5.0 + 0.5 + 0.25 * (6.0 + 3 * 0.4) < 10.0
+        assert _upper_bound(10.0, 0.5, y, 40.0) == 10.0
+        for y_bad, shift in [([1.0, -math.inf, 3.0], 0.4), ([1.0, math.nan, 3.0], 0.4),
+                             ([1.0, 2.0, 3.0], math.inf), ([1.0, -math.inf, 3.0], math.inf)]:
+            assert _upper_bound(10.0, 0.5, np.array(y_bad), shift) == 10.0
+        assert _upper_bound(10.0, math.nan, y, 0.4) == 10.0
+
+
+def symmetric_pattern(edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of a graph's entries in both directions, sorted by row."""
+    pairs = sorted({(i, j) for a, b in edges for i, j in ((a, b), (b, a))})
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return rows, cols
+
+
+def indefinite_dual(n: int, d: int) -> tuple[sp.csr_matrix, np.ndarray, float]:
+    """(adj, y, lambda_min(Diag(y) - adj)) for a signed U(0.3, 2) d-regular
+    graph on n vertices and y uniform in [0, radius]; lambda_min < -0.1."""
+    inst = gen_random_regular(n, d, 0.5, ("uniform", 0.3, 2.0), seed=n + d)
+    adj = _signed_adjacency(inst)
+    radius = np.asarray(abs(adj).sum(axis=1)).ravel()
+    y = np.random.default_rng(d).uniform(0.0, 1.0, n) * radius
+    lam = float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
+    assert lam < -0.1
+    return adj, y, lam
+
+
+class TestElimination:
+    """_eliminated: the independent sets and the certificate decisions they give."""
+
+    @given(graph=simple_graphs(max_n=40), order=st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_independent_set_is_maximal_and_repeatable(self, graph, order):
+        n, edges = graph
+        rows, cols = symmetric_pattern(edges)
+        chosen = certify._independent_set(rows, cols, n)
+        assert chosen.dtype == bool and chosen.shape == (n,)
+        assert not np.any(chosen[rows] & chosen[cols])  # independent
+        covered = chosen.copy()
+        covered[cols[chosen[rows]]] = True
+        assert covered.all()  # maximal: every vertex left out has a neighbour in
+        np.testing.assert_array_equal(certify._independent_set(rows, cols, n), chosen)
+        # the set depends on the pattern, not on the order of its entries
+        perm = np.arange(len(rows))
+        order.shuffle(perm)
+        np.testing.assert_array_equal(certify._independent_set(rows[perm], cols[perm], n), chosen)
+
+    @pytest.mark.parametrize("n", [600, 1000])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_decisions_agree_with_eigvalsh(self, n, d, monkeypatch):
+        adj, y, lam = indefinite_dual(n, d)
+        factored = counted_choleskys(monkeypatch)
+        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
+        rows = sum(factored)
+        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
+        # the elimination ran: the accepted call's Cholesky blocks cover
+        # fewer than n rows
+        assert 0 < factored[0] <= rows < n
+
+    @pytest.mark.parametrize("pivot", [-1.0, 0.0, math.nan])
+    def test_bad_pivot_refuses_before_any_cholesky(self, pivot, monkeypatch):
+        # vertex 0 has the least (degree, index) key of a regular graph, so
+        # the first independent set eliminates it, and its pivot y_0 + delta
+        inst = gen_random_regular(600, 4, 0.5, ("uniform", 0.3, 2.0), seed=0)
+        adj = _signed_adjacency(inst)
+        y = np.asarray(abs(adj).sum(axis=1)).ravel()
+        factored = counted_choleskys(monkeypatch)
+        assert _shift_certificate(adj, y, 1.0)
+        accepted = len(factored)  # one Cholesky per block of the remainder
+        assert accepted > 0
+        y[0] = pivot - 1.0
+        assert not _shift_certificate(adj, y, 1.0)
+        assert len(factored) == accepted
+
+    @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
+    def test_pattern_without_entries_is_decided_by_its_pivots(self, form, monkeypatch):
+        # no off-diagonal entries: one independent set holds every row, so
+        # nothing is left to factor, and the pivots y_i - adj_ii + delta decide
+        n = 40
+        diag = np.arange(n) % 3 - 1.0
+        adj, y = form(np.diag(diag)), diag + 1.0
+        factored = counted_choleskys(monkeypatch)
+        assert certify._eliminated(adj, y).shape == (0, 0)
+        assert _shift_certificate(adj, y, 0.0)
+        for pivot in (-1.0, 0.0, math.nan):
+            low = y.copy()
+            low[n // 2] += pivot - 1.0
+            assert not _shift_certificate(adj, low, 0.0)
+        assert factored == []
+
+    def test_none_mode_solve_factors_fewer_rows_than_n(self, monkeypatch):
+        # at n = 300, below any size cut-off, the mixing method's
+        # certificates eliminate before they factor: each hands its Cholesky
+        # blocks fewer than n rows. Climbing from rank 4 they refuse and then
+        # accept, as eigvalsh decides
+        inst = gen_random_regular(300, 4, 0.5, "unit", seed=0)
+        factored = counted_choleskys(monkeypatch)
+        decisions = []
+        shift_certificate = certify._shift_certificate
+
+        def recording(adj, y, delta):
+            before = len(factored)
+            definite = shift_certificate(adj, y, delta)
+            decisions.append((adj, y.copy(), delta, definite, sum(factored[before:])))
+            return definite
+
+        monkeypatch.setattr(certify, "_shift_certificate", recording)
+        _, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
+        assert rep.converged
+        assert [definite for _, _, _, definite, _ in decisions][-2:] == [False, True]
+        for adj, y, delta, definite, rows in decisions:
+            assert 0 < rows < inst.n
+            s = np.diag(y + delta) - adj.toarray()
+            lam = float(np.linalg.eigvalsh(s)[0])
+            assert abs(lam) > 1e-9 * np.abs(s).max()  # decided well away from roundoff
+            assert definite == (lam > 0.0)
+
+
+def spd_factor(r: int, seed: int) -> np.ndarray:
+    """A random lower-triangular L with diagonal in [1, 2]; L L^T is
+    positive definite, and its Cholesky pivots are the diagonal of L."""
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.standard_normal((r, r)), -1) / math.sqrt(r)
+    return lower + np.diag(rng.uniform(1.0, 2.0, r))
+
+
+class TestBlockCholesky:
+    """_positive_definite: blocks of _CHOLESKY_BLOCK rows, each factored
+    once the Schur complement of the blocks before it has overwritten it."""
+
+    @pytest.mark.parametrize("n, d, blocks", [(1000, 3, 2), (2000, 4, 4)])
+    def test_decisions_agree_with_eigvalsh_across_blocks(self, n, d, blocks, monkeypatch):
+        # elimination leaves a remainder of two blocks at n = 1000, of four
+        # at n = 2000
+        adj, y, lam = indefinite_dual(n, d)
+        factored = counted_choleskys(monkeypatch)
+        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
+        assert len(factored) == blocks
+        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
+
+    @pytest.mark.parametrize("fill", [math.nan, math.inf, 1e3])
+    def test_upper_triangle_is_never_read(self, fill):
+        # three blocks: a panel read above the diagonal would see the
+        # fill, not the Schur complements written below it
+        adj, y, lam = indefinite_dual(600, 3)
+        upper = np.triu_indices(600, 1)
+        noise = fill * np.random.default_rng(0).uniform(-1.0, 1.0, len(upper[0]))
+        for delta, definite in ((-lam + 1e-6 * abs(lam), True), (-lam - 1e-6 * abs(lam), False)):
+            s = np.diag(y + delta) - adj.toarray()
+            s[upper] = noise
+            assert certify._positive_definite(s) == definite
+
+    @pytest.mark.parametrize("pivot", [-1.0, -1e-6, math.nan])
+    def test_bad_pivot_in_the_last_block_refused(self, pivot, monkeypatch):
+        # every pivot but the last is in [1, 2]; the last, in the third
+        # block, is sqrt(pivot)
+        chol = spd_factor(600, 0)
+        s = chol @ chol.T
+        s[-1, -1] += pivot - chol[-1, -1] ** 2
+        factored = counted_choleskys(monkeypatch)
+        assert not certify._positive_definite(s)
+        assert factored == [256, 256, 88]
+        s = chol @ chol.T
+        s[-1, -1] += 1e-6 - chol[-1, -1] ** 2
+        assert certify._positive_definite(s)
+
+    def test_nan_reaching_only_a_later_pivot_refused(self, monkeypatch):
+        # the NaN lies below the first block, which factors; the Schur
+        # update carries it to the pivot of row 300, in the second block
+        chol = spd_factor(600, 1)
+        s = chol @ chol.T
+        s[300, 5] = s[5, 300] = math.nan
+        factored = counted_choleskys(monkeypatch)
+        assert not certify._positive_definite(s)
+        assert factored[0] == 256 and len(factored) >= 2
+        s = chol @ chol.T
+        s[5, 300] = math.nan  # above the diagonal only
+        assert certify._positive_definite(s)
+
+    def test_factors_in_place(self):
+        # beside s the routine holds X and one block of rows of X^T X, at
+        # most b x (r - b) each, and the block's factor, its inverse and
+        # LAPACK's working copy, b x b each: under half of one r x r copy
+        r, b = 1500, certify._CHOLESKY_BLOCK
+        chol = spd_factor(r, 2)
+        s = chol @ chol.T
+        bound = 8 * (2 * b * (r - b) + 3 * b * b)
+        definite, peak = traced_peak(lambda: certify._positive_definite(s))
+        assert definite and peak <= bound < 8 * r * r / 2

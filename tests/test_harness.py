@@ -693,14 +693,16 @@ IMPORT_GUARDS = {
     "import": ("", {"scipy.optimize", "scipy.sparse"}, set()),
     "neighborhood_n12": (_solve(12, 3, "neighborhood", "rep.n_active > 0", "rep.iterations > 0"),
                          {"scipy.optimize"}, set()),
-    # the certificate (cutflip.certify) is numpy's Cholesky at every n: of S
-    # itself up to certify._DENSE_MAX_N vertices, and above it of what is
-    # left after eliminating independent sets
+    # the certificate (cutflip.certify) is numpy's Cholesky at every n, of
+    # what is left after eliminating the independent sets that pay (S
+    # itself at n = 12 and 50, fewer rows from n = 300 on)
     "neighborhood_n12_none_n50": (_solve(12, 3, "neighborhood") + _solve(50, 3, "none"),
                                   {"scipy.sparse.linalg"}, set()),
     "none_n600": (_solve(600, 3, "none"), {"scipy.sparse.linalg"}, set()),
-    # and its remainder, several blocks of rows at n = 2000, is factored in
-    # place by numpy's Cholesky and matrix products, not scipy.linalg's
+    # and its remainder, one block of rows at n = 300 and several at
+    # n = 2000, is factored in place by numpy's Cholesky and matrix
+    # products, not scipy.linalg's
+    "none_n300": (_solve(300, 4, "none"), {"scipy.linalg", "scipy.sparse.linalg"}, set()),
     "none_n2000": (_solve(2000, 4, "none"), {"scipy.linalg", "scipy.sparse.linalg"}, set()),
     # up to _DENSE_LAYER_MAX_N vertices the ALM's layer and the mixing
     # method's adjacency are dense arrays

@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 from cutflip.instance import Max2LinInstance, gen_random_regular, parse_instance
 from cutflip.oracle import brute_force_opt
 from cutflip import certify
-from cutflip.certify import _SHIFT_RTOL, _certified_shift, _shift_certificate, _upper_bound
+from cutflip.certify import _certified_shift
 import cutflip.sdp as sdp_module
 from cutflip.sdp import (
     _PATTERNS,
@@ -36,18 +36,7 @@ from cutflip.sdp import (
     solve_sdp,
 )
 
-from conftest import also_at, no_factorization, random_instance, traced_peak
-
-
-@st.composite
-def simple_graphs(draw, max_n: int = 12):
-    """(n, edges): any simple graph on 1 to max_n vertices, edges in any
-    stored order and orientation, so some vertices may be isolated."""
-    n = draw(st.integers(1, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-    return n, [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
+from conftest import also_at, counted_choleskys, no_factorization, random_instance, simple_graphs, traced_peak
 
 
 def planar_120_embedding() -> SdpEmbedding:
@@ -164,13 +153,8 @@ class TestTriangleViolation:
         assert got == max_triangle_violation(emb, triples) > 0.0
 
 
-# small graphs take the dense Cholesky of S at the default; with
-# _DENSE_MAX_N and _ELIMINATE_COST at 0 every row of S is eliminated, one
-# independent set at a time, and no rows are left to factor; with blocks of
-# 2 rows the block Cholesky runs its Schur-complement updates on every S of
-# more than 2 rows
-on_both_paths = also_at(certify, {"_DENSE_MAX_N": 0, "_ELIMINATE_COST": 0}, {"_CHOLESKY_BLOCK": 2})
-# the same updates inside whole solves, with blocks of one row
+# the block Cholesky's Schur-complement updates inside whole solves, with
+# blocks of one row
 in_one_row_blocks = also_at(certify, {"_CHOLESKY_BLOCK": 1})
 # small graphs take the dense constraint layer at the default, CSR at 0
 on_both_layers = also_at(sdp_module, {"_DENSE_LAYER_MAX_N": 0})
@@ -279,11 +263,10 @@ class TestConstraintLayer:
         got = as_array(active.matrix)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # the pattern holds A's entries and both mirrors of every pair:
-        # a copy with 1 at the places of K's stored values, 0 elsewhere
+        # a copy with 1 at the places of K's stored values, 0 elsewhere (a
+        # dense K stores every place)
         pattern = active.matrix.copy()
-        values = pattern.reshape(-1) if isinstance(pattern, np.ndarray) else pattern.data
-        values[:] = 0.0
-        values[slice(None) if active.stored is None else active.stored] = 1.0
+        (pattern.reshape(-1) if isinstance(pattern, np.ndarray) else pattern.data)[:] = 1.0
         dense = as_array(pattern)
         assert np.all(dense[adj != 0.0] == 1.0)
         assert np.all(dense[active.pair_i, active.pair_j] == 1.0)
@@ -357,9 +340,9 @@ class TestConstraintLayer:
             layer.refill(layer.lam)
             a_lam = 2.0 * layer.matrix
             y = _rowdot(layer._product(a_lam, v), v)
-            shift = _certified_shift(a_lam, y, 1e-3, layer.stored)
+            shift = _certified_shift(a_lam, y, 1e-3)
             bound = certify.upper_bound(a_lam, y, inst.total_weight, sdp_objective(inst, SdpEmbedding(v)),
-                                        float(np.sum(layer.lam)), layer.stored)
+                                        float(np.sum(layer.lam)))
             return y, shift, bound
 
         assert bits(*certificate(dense)) == bits(*certificate(csr))
@@ -790,259 +773,6 @@ class TestSolveProperties:
         assert ok.rank == 3 and SdpConfig(rank=None).rank is None
 
 
-
-def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(adj, y) for a signed weighted graph with y_i = sum_j |adj_ij|, so
-    that Diag(y) - adj is diagonally dominant: positive semidefinite. adj is
-    CSR at any n, which the certificate takes with or without elimination."""
-    inst = Max2LinInstance.from_edges(
-        n, [(i, j, 1 if k % 2 else -1, 1.0 + 0.25 * (k % 3)) for k, (i, j) in enumerate(edges)]
-    )
-    adj = sp.csr_matrix((inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n))
-    return adj, np.asarray(abs(adj).sum(axis=1)).ravel()
-
-
-class TestCertificate:
-    """_shift_certificate (one factorization) and _certified_shift (its ladder),
-    each test with and without eliminating independent sets first."""
-
-    @given(
-        graph=simple_graphs(),
-        margin=st.floats(1e-3, 2.0),
-        eta=st.floats(1e-6, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    @on_both_paths
-    def test_known_negative_eigenvalue_refused(self, graph, margin, eta, seed):
-        n, edges = graph
-        adj, y = dominant_dual(n, edges)
-        s = np.diag(y + margin) - adj.toarray()  # strictly dominant: definite
-        assert _shift_certificate(adj, y, margin)
-        # S - eps u u^T with u^T S u - eps = -eta: lambda_min <= -eta
-        u = np.random.default_rng(seed).standard_normal(n)
-        u /= np.linalg.norm(u)
-        eps = float(u @ s @ u) + eta
-        lowered = s - eps * np.outer(u, u)
-        # eigvalsh is backward stable: it may read a few ulps of ||lowered||
-        # high (edgeless n=9, margin 2, eta 1e-6, seed 0: -eta + 1.1e-15)
-        roundoff = 8 * n * np.finfo(float).eps * float(np.abs(lowered).max())
-        assert np.linalg.eigvalsh(lowered)[0] <= -eta * (1 - 1e-9) + roundoff
-        adj_lowered = sp.csr_matrix(adj.toarray() + eps * np.outer(u, u))
-        assert not _shift_certificate(adj_lowered, y, margin)
-
-    @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
-    @settings(max_examples=100, deadline=None)
-    @on_both_paths
-    def test_certified_shift_is_psd_and_capped(self, graph, seed, delta):
-        # y anywhere: the ladder ends at a shift that makes S positive
-        # semidefinite, at most the Gershgorin shift
-        n, edges = graph
-        adj, radius = dominant_dual(n, edges)
-        y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
-        shift = _certified_shift(adj, y, delta)
-        assert 0.0 <= shift <= max(0.0, float(np.max(radius - y)))
-        s = np.diag(y + shift) - adj.toarray()
-        assert np.linalg.eigvalsh(s)[0] >= -1e-9 * (1.0 + np.abs(s).max())
-
-
-    @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
-    @settings(max_examples=100, deadline=None)
-    @on_both_paths
-    def test_refused_first_shift_is_bisected_to_the_least(self, graph, seed, delta):
-        # the least certifying shift is -lambda_min(Diag(y) - adj); after a
-        # refusal the shift lands within _SHIFT_RTOL above it, and a first
-        # shift that certifies comes back as it is
-        n, edges = graph
-        adj, radius = dominant_dual(n, edges)
-        y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
-        least = max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0]))
-        shift = _certified_shift(adj, y, delta)
-        slack = 1e-9 * (1.0 + float(np.abs(y).max()) + float(radius.max(initial=0.0)))
-        assert shift >= least - slack
-        if delta < least - slack:
-            assert shift <= least / (1.0 - _SHIFT_RTOL) + slack
-        elif delta > least + slack:
-            assert shift == min(delta, max(0.0, float(np.max(radius - y))))
-
-    @on_both_paths
-    def test_nan_dual_refused(self):
-        # LAPACK's Cholesky lets a NaN pivot through; the certificate must not
-        adj, y = dominant_dual(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert _shift_certificate(adj, y, 1.0)
-        y[2] = math.nan
-        assert not _shift_certificate(adj, y, 1.0)
-
-    def test_non_finite_dual_takes_no_shift(self, monkeypatch):
-        # no finite shift certifies a y with a NaN: the ladder's cap is NaN,
-        # which no comparison passes, so it must not return delta unfactored
-        adj, _ = dominant_dual(3, [(0, 1), (1, 2)])
-        calls = []
-        monkeypatch.setattr(certify, "_shift_certificate", lambda *args: calls.append(args) or True)
-        for bad in (math.nan, math.inf, -math.inf):
-            assert _certified_shift(adj, np.array([1.0, bad, 1.0]), 0.01) == math.inf
-        adj.data[0] = math.nan  # a radius that is not finite
-        assert _certified_shift(adj, np.ones(3), 0.01) == math.inf
-        assert calls == []
-
-    def test_upper_bound_is_w_unless_finite_and_below(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert _upper_bound(10.0, 0.5, y, 0.4) == 5.0 + 0.5 + 0.25 * (6.0 + 3 * 0.4) < 10.0
-        assert _upper_bound(10.0, 0.5, y, 40.0) == 10.0
-        for y_bad, shift in [([1.0, -math.inf, 3.0], 0.4), ([1.0, math.nan, 3.0], 0.4),
-                             ([1.0, 2.0, 3.0], math.inf), ([1.0, -math.inf, 3.0], math.inf)]:
-            assert _upper_bound(10.0, 0.5, np.array(y_bad), shift) == 10.0
-        assert _upper_bound(10.0, math.nan, y, 0.4) == 10.0
-
-
-def symmetric_pattern(edges: list) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of a graph's entries in both directions, sorted by row."""
-    pairs = sorted({(i, j) for a, b in edges for i, j in ((a, b), (b, a))})
-    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return rows, cols
-
-
-def indefinite_dual(n: int, d: int) -> tuple[sp.csr_matrix, np.ndarray, float]:
-    """(adj, y, lambda_min(Diag(y) - adj)) for a signed U(0.3, 2) d-regular
-    graph on n vertices and y uniform in [0, radius]; lambda_min < -0.1."""
-    inst = gen_random_regular(n, d, 0.5, ("uniform", 0.3, 2.0), seed=n + d)
-    adj = _signed_adjacency(inst)
-    radius = np.asarray(abs(adj).sum(axis=1)).ravel()
-    y = np.random.default_rng(d).uniform(0.0, 1.0, n) * radius
-    lam = float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
-    assert lam < -0.1
-    return adj, y, lam
-
-
-def counted_choleskys(monkeypatch) -> list:
-    """The row counts of every numpy Cholesky from now on, in call order."""
-    factored = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(len(s)) or cholesky(s))
-    return factored
-
-
-class TestElimination:
-    """_eliminated: the independent sets and the certificate decisions they give."""
-
-    @given(graph=simple_graphs(max_n=40), order=st.randoms(use_true_random=False))
-    @settings(max_examples=150, deadline=None)
-    def test_independent_set_is_maximal_and_repeatable(self, graph, order):
-        n, edges = graph
-        rows, cols = symmetric_pattern(edges)
-        chosen = certify._independent_set(rows, cols, n)
-        assert chosen.dtype == bool and chosen.shape == (n,)
-        assert not np.any(chosen[rows] & chosen[cols])  # independent
-        covered = chosen.copy()
-        covered[cols[chosen[rows]]] = True
-        assert covered.all()  # maximal: every vertex left out has a neighbour in
-        np.testing.assert_array_equal(certify._independent_set(rows, cols, n), chosen)
-        # the set depends on the pattern, not on the order of its entries
-        perm = np.arange(len(rows))
-        order.shuffle(perm)
-        np.testing.assert_array_equal(certify._independent_set(rows[perm], cols[perm], n), chosen)
-
-    @pytest.mark.parametrize("n", [600, 1000])
-    @pytest.mark.parametrize("d", [3, 6])
-    def test_decisions_agree_with_eigvalsh(self, n, d, monkeypatch):
-        adj, y, lam = indefinite_dual(n, d)
-        factored = counted_choleskys(monkeypatch)
-        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
-        rows = sum(factored)
-        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
-        # the elimination ran: the accepted call's Cholesky blocks cover
-        # fewer than n rows
-        assert 0 < factored[0] <= rows < n
-
-    @pytest.mark.parametrize("pivot", [-1.0, 0.0, math.nan])
-    def test_bad_pivot_refuses_before_any_cholesky(self, pivot, monkeypatch):
-        # vertex 0 has the least (degree, index) key of a regular graph, so
-        # the first independent set eliminates it, and its pivot y_0 + delta
-        inst = gen_random_regular(600, 4, 0.5, ("uniform", 0.3, 2.0), seed=0)
-        adj = _signed_adjacency(inst)
-        y = np.asarray(abs(adj).sum(axis=1)).ravel()
-        factored = counted_choleskys(monkeypatch)
-        assert _shift_certificate(adj, y, 1.0)
-        accepted = len(factored)  # one Cholesky per block of the remainder
-        assert accepted > 0
-        y[0] = pivot - 1.0
-        assert not _shift_certificate(adj, y, 1.0)
-        assert len(factored) == accepted
-
-
-def spd_factor(r: int, seed: int) -> np.ndarray:
-    """A random lower-triangular L with diagonal in [1, 2]; L L^T is
-    positive definite, and its Cholesky pivots are the diagonal of L."""
-    rng = np.random.default_rng(seed)
-    lower = np.tril(rng.standard_normal((r, r)), -1) / math.sqrt(r)
-    return lower + np.diag(rng.uniform(1.0, 2.0, r))
-
-
-class TestBlockCholesky:
-    """_positive_definite: blocks of _CHOLESKY_BLOCK rows, each factored
-    once the Schur complement of the blocks before it has overwritten it."""
-
-    @pytest.mark.parametrize("n, d, blocks", [(400, 3, 2), (2000, 4, 4)])
-    def test_decisions_agree_with_eigvalsh_across_blocks(self, n, d, blocks, monkeypatch):
-        # n = 400 factors S itself in two blocks; n = 2000 eliminates down
-        # to a remainder of four
-        adj, y, lam = indefinite_dual(n, d)
-        factored = counted_choleskys(monkeypatch)
-        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
-        assert len(factored) == blocks
-        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
-
-    @pytest.mark.parametrize("fill", [math.nan, math.inf, 1e3])
-    def test_upper_triangle_is_never_read(self, fill):
-        # three blocks: a panel read above the diagonal would see the
-        # fill, not the Schur complements written below it
-        adj, y, lam = indefinite_dual(600, 3)
-        upper = np.triu_indices(600, 1)
-        noise = fill * np.random.default_rng(0).uniform(-1.0, 1.0, len(upper[0]))
-        for delta, definite in ((-lam + 1e-6 * abs(lam), True), (-lam - 1e-6 * abs(lam), False)):
-            s = np.diag(y + delta) - adj.toarray()
-            s[upper] = noise
-            assert certify._positive_definite(s) == definite
-
-    @pytest.mark.parametrize("pivot", [-1.0, -1e-6, math.nan])
-    def test_bad_pivot_in_the_last_block_refused(self, pivot, monkeypatch):
-        # every pivot but the last is in [1, 2]; the last, in the third
-        # block, is sqrt(pivot)
-        chol = spd_factor(600, 0)
-        s = chol @ chol.T
-        s[-1, -1] += pivot - chol[-1, -1] ** 2
-        factored = counted_choleskys(monkeypatch)
-        assert not certify._positive_definite(s)
-        assert factored == [256, 256, 88]
-        s = chol @ chol.T
-        s[-1, -1] += 1e-6 - chol[-1, -1] ** 2
-        assert certify._positive_definite(s)
-
-    def test_nan_reaching_only_a_later_pivot_refused(self, monkeypatch):
-        # the NaN lies below the first block, which factors; the Schur
-        # update carries it to the pivot of row 300, in the second block
-        chol = spd_factor(600, 1)
-        s = chol @ chol.T
-        s[300, 5] = s[5, 300] = math.nan
-        factored = counted_choleskys(monkeypatch)
-        assert not certify._positive_definite(s)
-        assert factored[0] == 256 and len(factored) >= 2
-        s = chol @ chol.T
-        s[5, 300] = math.nan  # above the diagonal only
-        assert certify._positive_definite(s)
-
-    def test_factors_in_place(self):
-        # beside s the routine holds X and one block of rows of X^T X, at
-        # most b x (r - b) each, and the block's factor, its inverse and
-        # LAPACK's working copy, b x b each: under half of one r x r copy
-        r, b = 1500, certify._CHOLESKY_BLOCK
-        chol = spd_factor(r, 2)
-        s = chol @ chol.T
-        bound = 8 * (2 * b * (r - b) + 3 * b * b)
-        definite, peak = traced_peak(lambda: certify._positive_definite(s))
-        assert definite and peak <= bound < 8 * r * r / 2
-
-
 @st.composite
 def signed_instances(draw, max_n: int = 10):
     """A simple graph on 1 to max_n vertices with random signs and U(0.3, 2) weights."""
@@ -1169,15 +899,16 @@ class TestUpperBound:
         assert abs(rep.objective - rep_default.objective) <= 1e-5 * rep.objective
 
     def test_alm_certificate_is_the_same_on_both_layers(self, monkeypatch):
-        # the dense layer hands certify its pattern, explicit zeros included,
-        # so both layers' certificates sum the same radii to the same bits
+        # the CSR layer stores explicit zeros that the dense layer does not;
+        # the radii sum one term at a time, so both layers' certificates
+        # give the same bits
         n, d, bias, law, gen_seed = DESK_LIKE[0]
         inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
         radii, reports = [], []
         upper_bound = certify.upper_bound
 
         def recording(*args):
-            radii.append(certify._radii(args[0], *args[5:]).view(np.int64).tolist())
+            radii.append(certify._radii(args[0]).view(np.int64).tolist())
             return upper_bound(*args)
 
         monkeypatch.setattr(certify, "upper_bound", recording)
@@ -1188,13 +919,18 @@ class TestUpperBound:
         assert reports[0] == reports[1]
 
     def test_each_rank_is_factored_once(self, monkeypatch):
-        # one Cholesky (S of 200 rows is one block) per rank climbed from 4,
-        # and the first shift that certifies is not factored again
+        # one Cholesky per rank climbed from 4, of the rows left once
+        # independent sets are eliminated (one block; the sets depend on the
+        # pattern alone, so the remainder keeps its size), and the first
+        # shift that certifies is not factored again
         inst = gen_random_regular(200, 4, 1.0, "unit", seed=0)
         factored = counted_choleskys(monkeypatch)
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
         assert rep.converged and emb.rank < default_rank(inst.n)
-        assert factored == [inst.n] * (emb.rank - 4 + 1)
+        adj = _signed_adjacency(inst)
+        left = len(certify._eliminated(adj, certify._radii(adj) + 1.0))  # dominant: no pivot refuses
+        assert 0 < left < inst.n
+        assert factored == [left] * (emb.rank - 4 + 1)
 
     def test_embedding_validated_at_the_boundary(self, monkeypatch):
         inst = random_instance(np.random.default_rng(1), 8)
@@ -1254,13 +990,6 @@ class TestAboveFactorLimit:
         _, rep = solve_sdp(inst, SdpConfig(triangle_mode="neighborhood"))
         assert rep.converged
         assert rep.upper_bound >= brute_force_opt(inst).opt
-
-    def test_certified_shift_is_the_gershgorin_cap(self, monkeypatch):
-        adj, radius = dominant_dual(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-        y = np.full(6, 0.5)
-        monkeypatch.setattr(certify, "_FACTOR_MAX_N", 5)
-        monkeypatch.setattr(certify, "_shift_certificate", no_factorization)
-        assert _certified_shift(adj, y, 1e-6) == float(np.max(radius - y))
 
 
 class TestWeightScale:
