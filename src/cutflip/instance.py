@@ -330,11 +330,13 @@ def gen_random_regular(
 
     sign_bias is the probability an edge gets b = -1 (1.0 gives Max-Cut).
     weight_law is "unit" or ("uniform", lo, hi). Deterministic given seed;
-    raises InstanceError when n*d is odd, parameters are infeasible, or the
-    rejection budget is exceeded.
+    raises InstanceError when n*d is odd, parameters are infeasible, seed is
+    negative, or the rejection budget is exceeded.
     """
     check_regular_size(n, d)
     bounds = check_generator_laws(sign_bias, weight_law)
+    if seed < 0:
+        raise InstanceError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     edges = None

@@ -557,7 +557,13 @@ def run_verification(
     tail_taus: tuple[int, ...] = (100, 400, 1600),
     samples: int = 100_000,
 ) -> list[CheckResult]:
-    """Run every analytic check; all are hard except recorded constants."""
+    """Run every analytic check; all are hard except recorded constants.
+
+    ValueError before any check runs when seed < 0 or samples < 1000."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if samples < 1000:
+        raise ValueError(f"samples must be >= 1000, got {samples}")
     return [
         check_arcsin_taylor(taus=taus, tail_taus=tail_taus),
         _check_coefficient_asymptotics(),

@@ -4,12 +4,16 @@ Vertices without edges never change the value, so they take +1, and only the
 n' others, renumbered in order, are enumerated (an edgeless graph keeps vertex
 0): all 2^(n'-1) sign classes (x_0 pinned to +1 by global-flip symmetry) by a
 meet-in-the-middle split (Horowitz-Sahni). Assignment mask =
-l + 2^k h sets x_v = +1 iff bit v-1 is set; vertices 0..k form half L, the
-rest half H, and its value is (W + f_L[l] + f_H[h] + x_H(h)^T C x_L(l)) / 2,
-where f_L, f_H sum the signed edges inside each half and C holds those across.
-A block of H rows is one GEMM plus two broadcast adds, in mask order when
-flattened. Block arithmetic reorders float sums, so every near-maximal
-assignment is re-scored with evaluate(): the optimum is exact in its arithmetic.
+l + 2^k (r + 2^b t) sets x_v = +1 iff bit v-1 is set; vertices 0..k form
+part L, the next b part R and the rest part T. A value is W/2 + x^T A x with
+A the halved signed weights, so for a fixed t the values of all (r, l) are
+one small matrix product: the R-L edges as a GEMM of width b + 2, the edges
+inside L and T's edges to L as a column term, and those inside R and T and
+T's edges to R as a row term. That block, flattened, is in mask order; the
+tables it is built from are computed once per call, with 2^k, 2^b or
+2^(n-1-k-b) rows. Block arithmetic reorders float sums, so every
+near-maximal assignment is re-scored with evaluate(): the optimum is exact
+in its arithmetic.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ _RETIE_SLACK = 1e-9
 _RETIE_LIMIT = 1 << 20
 # masks re-scored by one stacked evaluate() call
 _RETIE_CHUNK = 4096
-# float64 entries (2 MB) in one block of assignment values; 2^k <= _BLOCK
-# keeps every block within it. The traced peak at n=22 is 4.6 MB (19.3 MB
-# at 2^22), at n=26 6.0 MB (68.9 MB). A first call in a fresh process
-# takes the same time at n=22 (about 3.6 ms) and less at n=26 (21 ms, 51 ms
-# at 2^22) on a 2-vCPU Xeon box
-_BLOCK = 1 << 18
+# float64 values (512 KB) in one block, 2^(k+b) <= _BLOCK; the tables
+# beside it are tens of KB. The traced peak of a random 4-regular graph is
+# 0.70 MB at n=22 and 0.76 MB at n=26 (4.6 and 6.0 MB with blocks of 2^18
+# values). A first call in a fresh process takes about 1.0 ms at n=22 and
+# 10 ms at n=26 (3.5 and 26 ms) on a 2-vCPU AMD EPYC box
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -45,9 +49,18 @@ class OracleResult:
     enumerated: int
 
 
-def _signs(masks: np.ndarray, nbits: int) -> np.ndarray:
-    """(len(masks), nbits) matrix of +-1.0, column b from bit b of each mask."""
-    return ((masks[:, None] >> np.arange(nbits)) & 1) * 2.0 - 1.0
+def _signs(masks: np.ndarray, nbits: int, dtype=np.float64) -> np.ndarray:
+    """(len(masks), nbits) matrix of +-1, column b from bit b of each mask."""
+    as_bytes = masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+    out = np.unpackbits(as_bytes, axis=1, count=nbits, bitorder="little").astype(dtype)
+    out *= 2
+    out -= 1
+    return out
+
+
+def _inside(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x_i^T a x_i for each row x_i of x."""
+    return np.einsum("ij,ij->i", x @ a, x)
 
 
 def check_oracle_size(n: int, cap: int = DEFAULT_CAP) -> None:
@@ -76,32 +89,36 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
     n = inst.n
     w_tot = inst.total_weight
     slack = _RETIE_SLACK * (w_tot or 1.0)
-    sw, ei, ej = 0.5 * inst.weight * inst.sign, inst.edge_i, inst.edge_j
-
-    # L = {0..k} holds x_0 = +1 as its first column; edges have i < j, so an
-    # edge is inside L, inside H or crosses with i in L and j in H. With the
-    # halved weights sw a value is W/2 + sum of sw_e x_i x_j
-    k = min(n // 2, _BLOCK.bit_length() - 1)
-    h_bits, rows = n - 1 - k, max(1, _BLOCK >> k)
-    x_l = np.hstack([np.ones((1 << k, 1)), _signs(np.arange(1 << k), k)])
-    in_l, in_h = ej <= k, ei > k
-    f_l = 0.5 * w_tot + (x_l[:, ei[in_l]] * x_l[:, ej[in_l]]) @ sw[in_l]
-    ei_h, ej_h = ei[in_h] - k - 1, ej[in_h] - k - 1
-    cross, across = np.zeros((h_bits, k + 1)), ~in_l & ~in_h
-    cross[ej[across] - k - 1, ei[across]] = sw[across]
-    cross_l = cross @ x_l.T
+    # A[i, j], i < j, is edge ij's halved signed weight; L = {0..k} takes
+    # its signs from 2l + 1 (x_0 = +1), R from r and T from t
+    a = np.zeros((n, n))
+    a[inst.edge_i, inst.edge_j] = 0.5 * inst.weight * inst.sign
+    bits = min(n - 1, _BLOCK.bit_length() - 1)
+    k = bits // 2
+    part_l, part_r, part_t = slice(0, k + 1), slice(k + 1, bits + 1), slice(bits + 1, n)
+    x_l = _signs(2 * np.arange(1 << k) + 1, k + 1)
+    x_r = _signs(np.arange(1 << (bits - k)), bits - k)
+    x_t = _signs(np.arange(1 << (n - 1 - bits)), n - 1 - bits)
+    f_l = 0.5 * w_tot + _inside(x_l, a[part_l, part_l])
+    f_r, f_t = _inside(x_r, a[part_r, part_r]), _inside(x_t, a[part_t, part_t])
+    # T's edges to L and R, as a row of its signs times these
+    t_l, t_r = a[part_l, part_t].T @ x_l.T, a[part_r, part_t].T @ x_r.T
+    # a block is one product left @ right, in mask order when flattened:
+    # left = [x_R, 1, the row terms], right = [R-L edge sums, the column
+    # terms, 1]
+    left = np.hstack([x_r, np.ones((len(x_r), 2))])
+    right = np.vstack([a[part_l, part_r].T @ x_l.T, np.ones((2, 1 << k))])
+    block = np.empty((len(x_r), 1 << k))
 
     best_fast = -np.inf
     # (masks, fast values) per block of near-maximal assignments
     candidates: list[tuple[np.ndarray, np.ndarray]] = []
     collapsed = False  # did they overflow _RETIE_LIMIT since the last new maximum?
 
-    for h0 in range(0, 1 << h_bits, rows):
-        x_h = _signs(np.arange(h0, min(h0 + rows, 1 << h_bits)), h_bits)
-        vals = x_h @ cross_l
-        vals += f_l
-        vals += ((x_h[:, ei_h] * x_h[:, ej_h]) @ sw[in_h])[:, None]
-        vals = vals.ravel()
+    for t, s in enumerate(x_t):
+        right[-2] = f_l + s @ t_l
+        left[:, -1] = f_r + (f_t[t] + s @ t_r)
+        vals = np.matmul(left, right, out=block).ravel()
         hi = float(vals.max())
         if hi > best_fast + slack:
             candidates, collapsed = [], False
@@ -111,7 +128,7 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
                 near = vals.argmax(keepdims=True)
             else:
                 near = np.flatnonzero(vals >= best_fast - slack)
-            candidates.append(((h0 << k) + near, vals[near]))
+            candidates.append(((t << bits) + near, vals[near]))
             if not collapsed and sum(len(v) for _, v in candidates) > _RETIE_LIMIT:
                 # from here on keep only the single best row per block;
                 # exactness is then limited to the fast path, which is still
@@ -125,8 +142,7 @@ def brute_force_opt(inst: Max2LinInstance, cap: int = DEFAULT_CAP) -> OracleResu
     for masks, _ in candidates:
         for c0 in range(0, len(masks), _RETIE_CHUNK):
             chunk = masks[c0:c0 + _RETIE_CHUNK]
-            xs = np.ones((len(chunk), n), dtype=np.int8)
-            xs[:, 1:] = _signs(chunk, n - 1)
+            xs = _signs(2 * chunk + 1, n, np.int8)
             vals = evaluate(inst, xs)
             j = int(vals.argmax())
             if vals[j] > opt:

@@ -20,6 +20,7 @@ import pytest
 
 import cutflip
 import cutflip.harness as harness
+import cutflip.numerics as numerics
 from cutflip.harness import ExperimentSpec, derive_seed, main, run_experiment
 from cutflip.instance import InstanceError, parse_instance
 from cutflip.numerics import CheckResult
@@ -207,6 +208,12 @@ class TestGenCommand:
     def test_gen_odd_product(self, capsys):
         assert main(["gen", "--n", "5", "--d", "3"]) == 3
 
+    def test_gen_negative_seed_named(self, capsys):
+        # numpy's "expected non-negative integer" named no flag
+        assert main(["gen", "--n", "10", "--d", "3", "--seed", "-3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "seed must be >= 0, got -3" in err
+
     @pytest.mark.parametrize("law, expected", [
         ("uniform:0.3,inf", "finite 0 < lo <= hi"),  # an OverflowError traceback
         ("uniform:0.3,nan", "finite 0 < lo <= hi"),
@@ -275,6 +282,21 @@ class TestVerifyCommand:
         # the x = 1 tail check compares taus; with one it would pass on nothing
         assert main(["verify", "--samples", "2000", "--taus", taus]) == 3
         assert "two distinct taus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--samples", "0"], "samples must be >= 1000, got 0"),  # a ZeroDivisionError traceback
+        (["--samples", "-5"], "samples must be >= 1000, got -5"),  # "math domain error"
+        (["--samples", "999"], "samples must be >= 1000, got 999"),  # after two checks ran
+        (["--seed", "-1"], "seed must be >= 0, got -1"),  # numpy's message, naming no flag
+    ], ids=["samples_0", "samples_negative", "samples_999", "seed_negative"])
+    def test_unrunnable_setting_refused_before_any_check(self, monkeypatch, capsys, flags, expected):
+        calls = []
+        taylor = numerics.check_arcsin_taylor
+        monkeypatch.setattr(numerics, "check_arcsin_taylor", lambda **kw: calls.append(kw) or taylor(**kw))
+        assert main(["verify", *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {expected}\n"
+        assert calls == []
 
     def test_failure_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(

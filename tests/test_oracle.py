@@ -170,13 +170,24 @@ def test_isolated_vertices_are_not_enumerated(monkeypatch):
     assert isolated.sum() == 18 and np.all(res.argmax[isolated] == 1)
 
 
-def test_desk_size_stays_in_a_few_blocks():
-    # n=22 enumerates 2^21 assignments in blocks of _BLOCK values, so the
-    # peak is a few blocks, not one block of them all (16 MB of float64)
-    inst = gen_random_regular(22, 4, 0.5, ("uniform", 0.3, 2.0), seed=3)
+def assert_peak_within_two_blocks(n):
+    # the peak is one block of _BLOCK float64 values and tables of tens of
+    # KB beside it, whatever n (4.6 MB at n=22 and 6.0 MB at n=26 with
+    # blocks of 2^18 values)
+    inst = gen_random_regular(n, 4, 0.5, ("uniform", 0.3, 2.0), seed=3)
     res, peak = traced_peak(lambda: brute_force_opt(inst))
     assert evaluate(inst, res.argmax) == res.opt
-    assert peak <= 8e6
+    assert peak <= 2 * 8 * oracle._BLOCK
+
+
+def test_desk_size_stays_in_a_few_blocks():
+    # n=22 enumerates 2^21 assignments, 32 blocks
+    assert_peak_within_two_blocks(22)
+
+
+def test_cap_size_stays_in_a_few_blocks():
+    # n=26 enumerates 2^25 assignments, 512 blocks
+    assert_peak_within_two_blocks(oracle.DEFAULT_CAP)
 
 
 @pytest.mark.parametrize("seed", range(6))
