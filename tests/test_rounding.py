@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cutflip.instance import evaluate, gen_random_regular
+from cutflip.localsearch import best_of
 from cutflip.numerics import alpha_gw
 from cutflip.rounding import GENERATOR_NAME, SEED_LIMIT, hyperplane_round, sample_gaussian
-from cutflip.sdp import SdpEmbedding, solve_sdp
+from cutflip.sdp import SdpConfig, SdpEmbedding, solve_sdp
 
 
 def edge_embedding(rho: float) -> SdpEmbedding:
@@ -103,3 +104,22 @@ def test_expected_value_beats_gw_factor():
         vals[s] = evaluate(inst, hyperplane_round(emb, sample_gaussian(emb.rank, s)))
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert vals.mean() >= alpha_gw() * rep.objective - 3 * se
+
+
+@pytest.mark.parametrize("n", [20, 200, 2000])
+@pytest.mark.parametrize("sign_bias, weights", [(1.0, "unit"), (0.5, ("uniform", 0.3, 2.0))])
+def test_stacked_trials_have_the_expected_rounded_value(n, sign_bias, weights):
+    # hyperplane rounding satisfies edge e with probability
+    # 1 - arccos(b_e <v_i, v_j>)/pi (Goemans-Williamson), so the mean rounded
+    # value of best_of's stacked trials estimates the weighted sum of those
+    # probabilities; checked at 4 standard errors, with fixed seeds
+    inst = gen_random_regular(n, 4, sign_bias, weights, seed=n)
+    emb, _ = solve_sdp(inst, SdpConfig(triangle_mode="none", seed=1))
+    v = emb.vectors
+    rho = np.clip(inst.sign * np.einsum("ij,ij->i", v[inst.edge_i], v[inst.edge_j]), -1.0, 1.0)
+    expected = float(inst.weight @ (1.0 - np.arccos(rho) / math.pi))
+    _, _, reports = best_of(inst, emb, trials=400, base_seed=n)
+    vals = np.array([r.rounded_value for r in reports])
+    se = vals.std(ddof=1) / math.sqrt(len(vals))
+    assert se > 0.0
+    assert abs(vals.mean() - expected) <= 4.0 * se

@@ -27,6 +27,7 @@ from cutflip.sdp import (
     _ActiveSet,
     _InverseHessian,
     _lbfgs,
+    _normalize_rows,
     _rowdot,
     _signed_adjacency,
     default_rank,
@@ -158,6 +159,11 @@ class TestTriangleViolation:
 in_one_row_blocks = also_at(certify, {"_CHOLESKY_BLOCK": 1})
 # small graphs take the dense constraint layer at the default, CSR at 0
 on_both_layers = also_at(sdp_module, {"_DENSE_LAYER_MAX_N": 0})
+
+
+def bits(*values):
+    """Each value's float64 bit patterns, as lists of int64."""
+    return [np.asarray(x, dtype=np.float64).view(np.int64).tolist() for x in values]
 
 
 def as_array(matrix) -> np.ndarray:
@@ -328,10 +334,6 @@ class TestConstraintLayer:
         assert isinstance(dense.matrix, np.ndarray) and not isinstance(csr.matrix, np.ndarray)
         dense.lam = csr.lam = rng.uniform(0.0, 2.0, len(dense)) * (rng.random(len(dense)) < 0.5)
         v = rng.standard_normal((n, int(rng.integers(1, 8))))
-
-        def bits(*values):
-            return [np.asarray(x, dtype=np.float64).view(np.int64).tolist() for x in values]
-
         assert bits(*dense.augmented(v, mu)) == bits(*csr.augmented(v, mu))
         v = v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -367,6 +369,83 @@ class TestConstraintLayer:
         assert active.add(np.array([1, 0, 1, 0]), np.array([2, 3, 2, 1])) == 2
         assert active.idx.tolist() == [[0, 1, 2], [0, 1, 3], [0, 1, 2]]
         assert active.pattern.tolist() == _PATTERNS[[1, 2, 3]].tolist()
+
+
+def reference_negative_al(active: _ActiveSet, mu: float):
+    """fg of the ALM's inner subproblem written out plainly, one temporary
+    per step: lam / mu at every evaluation, fancy-index gathers, nothing in
+    place. _ActiveSet.negative_al must give its bits."""
+    n, w_tot = active.inst.n, active.inst.total_weight
+
+    def fg(u_flat):
+        u = u_flat.reshape(n, -1)
+        norms = np.maximum(np.sqrt(_rowdot(u, u)), 1e-30)[:, None]
+        v = u / norms
+        r = _rowdot(np.take(v, active.pair_i, axis=0), np.take(v, active.pair_j, axis=0))
+        c = 1.0 + _rowdot(active.pattern, r[active.slot])
+        q = np.maximum(0.0, active.lam / mu - c)
+        f = mu * q
+        m = np.bincount(active.slot.ravel(), weights=(f[:, None] * active.pattern).ravel(),
+                        minlength=len(active.pair_i) + 1)
+        np.add(active._base, m[active._entry_pair], out=active._values)
+        kv = active._product(active.matrix, v)
+        val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1] @ r) - 0.5 * mu * float(q @ q)
+        g_neg = (_rowdot(kv, v)[:, None] * v - kv) / norms
+        return -(0.5 * w_tot + val), g_neg.ravel()
+
+    return fg
+
+
+class TestInnerEvaluation:
+    """_ActiveSet.negative_al, the evaluation L-BFGS calls, gives the bits of
+    reference_negative_al on both layers, across the changes between two
+    calls that _solve_alm makes: a multiplier step, a penalty step and new
+    constraints."""
+
+    @staticmethod
+    def assert_same_bits(active, u, mu):
+        want = reference_negative_al(active, mu)(u)
+        assert bits(*active.negative_al(u, mu)) == bits(*want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @on_both_layers
+    def test_keeps_the_reference_bits(self, seed):
+        inst, active, _, rng = TestConstraintLayer.grown_active_set(seed)
+        rank, mu = 2, 0.7
+        u = rng.standard_normal(inst.n * rank)
+        # lam = 0: only violated constraints (c < 0) have q > 0
+        assert not np.any(active.lam)
+        self.assert_same_bits(active, u, mu)
+        # a multiplier step, as _solve_alm takes it, between two calls
+        active.lam = np.maximum(0.0, active.lam - mu * active.cvals(_normalize_rows(u.reshape(inst.n, rank))))
+        assert np.any(active.lam > 0.0) and not np.all(active.lam > 0.0)
+        self.assert_same_bits(active, u, mu)
+        self.assert_same_bits(active, rng.standard_normal(u.shape), mu)
+        # a penalty step
+        mu *= sdp_module._PENALTY_GROWTH
+        self.assert_same_bits(active, u, mu)
+        # constraints added: lam grows by zeros
+        before = len(active)
+        t_new = rng.integers(len(active.triples), size=40)
+        assert active.add(t_new, rng.integers(len(_PATTERNS), size=40)) > 0
+        assert len(active) > before and not np.any(active.lam[before:])
+        self.assert_same_bits(active, u, mu)
+        # and a multiplier step at a fresh point
+        u = rng.standard_normal(u.shape)
+        active.lam = np.maximum(0.0, active.lam - mu * active.cvals(_normalize_rows(u.reshape(inst.n, rank))))
+        self.assert_same_bits(active, u, mu)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @on_both_layers
+    def test_lbfgs_takes_the_reference_iterates(self, seed):
+        inst, active, _, rng = TestConstraintLayer.grown_active_set(seed)
+        TestConstraintLayer.set_multipliers(active, rng)
+        mu = 1.5
+        u0 = rng.standard_normal(inst.n * 3)
+        want = _lbfgs(reference_negative_al(active, mu), u0.copy(), 0.0, 50)
+        got = _lbfgs(lambda x: active.negative_al(x, mu), u0.copy(), 0.0, 50)
+        assert want[2] == got[2] == 50
+        assert bits(got[0], got[1]) == bits(want[0], want[1])
 
 
 def quartic(c: np.ndarray, b: np.ndarray, a: float, offset: float = 0.0):
