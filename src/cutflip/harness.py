@@ -5,12 +5,12 @@ parses its instance files and checks every instance's size before it solves
 any; a spec that cannot run, or a solve that fails, exits 3 and writes no
 CSV. Rows are computed in a worker pool (one task per instance, deterministic
 derived seeds) and kept in task order, so output bytes do not depend on the
-worker count. Every ratio printed names its denominator: ratio_vs_sdp
-divides by sdp_upper_bound, the solver's certified upper bound on the
-relaxation's optimum (sdp_value is the objective of its iterate, a lower
-bound), and is None when the solve did not converge; the experiment
-summaries' mean_*_ratio columns divide by it too, over converged solves
-only; ratio_vs_opt divides by the brute-force optimum.
+worker count. Both commands take their per-solve facts from _solve_record.
+Every ratio printed names its denominator: ratio_vs_sdp and the experiment
+summaries' mean_*_ratio divide by sdp_upper_bound, the solver's certified
+upper bound on the relaxation's optimum (sdp_value, its iterate's objective,
+is a lower bound), under _ratio's rule; ratio_vs_opt divides by the
+brute-force optimum.
 """
 
 from __future__ import annotations
@@ -77,6 +77,34 @@ def _write(path: str, data) -> None:
     if p.is_file() and not p.is_symlink():
         p.unlink()
     p.write_text(text, encoding="utf-8")
+
+
+# solve record (solve --json) key -> CSV column, for the facts a trial row repeats
+_CSV_COLUMNS = {"n": "n", "max_degree": "d", "sdp_value": "sdp_value",
+                "sdp_upper_bound": "sdp_upper_bound",
+                "rho_window_fraction": "rho_window_fraction", "sdp_converged": "converged"}
+
+
+def _ratio(value: float, converged: bool, bound: float) -> float | None:
+    """value / bound, or None unless the solve converged and its certified
+    bound is > 0: an unconverged bound can sit far above the optimum."""
+    return value / bound if converged and bound > 0 else None
+
+
+def _solve_record(inst, cfg: SdpConfig, seeds, eps: float) -> tuple[dict, np.ndarray, list]:
+    """Solve, then one rounding trial per seed: (the solve's facts by their
+    solve --json names, the best assignment, the RunReports). solve_sdp and
+    best_of are called here only, once each, by this module's names."""
+    emb, rep = solve_sdp(inst, cfg)
+    best_x, best_val, reports = best_of(inst, emb, seeds, eps=eps)
+    facts = {
+        "n": inst.n, "m": inst.m, "max_degree": inst.max_degree, "epsilon": eps,
+        "sdp_value": rep.objective, "sdp_upper_bound": rep.upper_bound,
+        "sdp_converged": rep.converged, "sdp_max_violation": rep.max_violation,
+        "rho_window_fraction": rho_window_fraction(inst, emb), "best_value": best_val,
+        "ratio_vs_sdp": _ratio(best_val, rep.converged, rep.upper_bound),
+    }
+    return facts, best_x, reports
 
 
 # ---------------------------------------------------------------------------
@@ -212,41 +240,32 @@ def _experiment_task(spec: ExperimentSpec, task: tuple) -> list[dict]:
     if isinstance(inst, tuple):
         inst = gen_random_regular(*inst, spec.sign_bias, spec.weight_law,
                                   seed=derive_seed(spec.seed, 1, idx))
-    emb, rep = solve_sdp(inst, replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx)))
+    cfg = replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx))
     eps = default_epsilon(max(inst.max_degree, 1), spec.epsilon_c)
     seeds = [derive_seed(spec.seed, 2, idx, t) for t in range(spec.trials)]
-    _, _, reports = best_of(inst, emb, seeds, eps=eps)
-    solve = {
-        "kind": "trial", "instance_id": idx, "source": source, "n": inst.n,
-        "d": inst.max_degree, "sdp_value": rep.objective, "sdp_upper_bound": rep.upper_bound,
-        "rho_window_fraction": rho_window_fraction(inst, emb), "converged": rep.converged,
-    }
+    facts, _, reports = _solve_record(inst, cfg, seeds, eps)
+    solve = {"kind": "trial", "instance_id": idx, "source": source,
+             **{column: facts[key] for key, column in _CSV_COLUMNS.items()}}
     return [{**solve, "trial": t, **r.to_dict()} for t, r in enumerate(reports)]
 
 
+def _mean_std(ratios: list) -> tuple:
+    """Mean and sample stdev of the ratios that are not None; "" if none is."""
+    xs = [x for x in ratios if x is not None]
+    if not xs:
+        return "", ""
+    return statistics.fmean(xs), statistics.stdev(xs) if len(xs) > 1 else 0.0
+
+
 def _summaries(rows: list[dict]) -> list[dict]:
-    by_d: dict[int, list[dict]] = {}
-    for r in rows:
-        by_d.setdefault(r["d"], []).append(r)
     out = []
-    for d in sorted(by_d):
-        grp = by_d[d]
-        # like ratio_vs_sdp: against the bound, over converged solves only
-        ub = [g for g in grp if g["converged"] and g["sdp_upper_bound"] > 0]
-        r_ratio = [g["rounded_value"] / g["sdp_upper_bound"] for g in ub]
-        f_ratio = [g["flipped_value"] / g["sdp_upper_bound"] for g in ub]
-        gains = [g["gain"] for g in grp]
-        out.append(
-            {
-                "kind": "summary",
-                "d": d,
-                "mean_rounded_ratio": statistics.fmean(r_ratio) if r_ratio else "",
-                "std_rounded_ratio": statistics.stdev(r_ratio) if len(r_ratio) > 1 else 0.0,
-                "mean_flipped_ratio": statistics.fmean(f_ratio) if f_ratio else "",
-                "std_flipped_ratio": statistics.stdev(f_ratio) if len(f_ratio) > 1 else 0.0,
-                "mean_gain": statistics.fmean(gains) if gains else "",
-            }
-        )
+    for d in sorted({r["d"] for r in rows}):
+        grp = [r for r in rows if r["d"] == d]
+        row = {"kind": "summary", "d": d, "mean_gain": statistics.fmean(g["gain"] for g in grp)}
+        for name in ("rounded", "flipped"):
+            row[f"mean_{name}_ratio"], row[f"std_{name}_ratio"] = _mean_std(
+                [_ratio(g[f"{name}_value"], g["converged"], g["sdp_upper_bound"]) for g in grp])
+        out.append(row)
     return out
 
 
@@ -255,8 +274,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
     buf.write(CSV_HEADER_LINE + "\n")
     writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n", restval="")
     writer.writeheader()
-    for r in rows:
-        writer.writerow(r)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -315,19 +333,15 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
 # Subcommands
 
 
-def _sdp_config_from_args(args) -> SdpConfig:
+def _cmd_solve(args) -> int:
+    inst = _read_instance(args.instance)
     kwargs = {"triangle_mode": args.triangle_mode, "seed": args.seed}
     if args.rank is not None:
         kwargs["rank"] = args.rank
     if args.tol is not None:
         kwargs["objective_tol"] = args.tol
         kwargs["constraint_tol"] = max(args.tol, 1e-9)
-    return SdpConfig(**kwargs)
-
-
-def _cmd_solve(args) -> int:
-    inst = _read_instance(args.instance)
-    cfg = _sdp_config_from_args(args)
+    cfg = SdpConfig(**kwargs)
     # whatever would refuse the run after the solve refuses it before
     eps = default_epsilon(max(inst.max_degree, 1), args.epsilon_c)
     seeds = range(args.seed, args.seed + args.trials)
@@ -336,35 +350,19 @@ def _cmd_solve(args) -> int:
     check_seed(seeds[-1])  # cfg refused a negative first seed
     if args.oracle:
         check_oracle_size(inst.n, args.cap)
-    emb, rep = solve_sdp(inst, cfg)
-    best_x, best_val, reports = best_of(inst, emb, seeds, eps=eps)
-    sdp_val, sdp_ub = rep.objective, rep.upper_bound
+    facts, best_x, reports = _solve_record(inst, cfg, seeds, eps)
     out = {
-        "instance": args.instance,
-        "n": inst.n,
-        "m": inst.m,
-        "max_degree": inst.max_degree,
-        "trials": args.trials,
-        "base_seed": args.seed,
-        "epsilon": eps,
-        "sdp_value": sdp_val,
-        "sdp_upper_bound": sdp_ub,
-        "sdp_converged": rep.converged,
-        "sdp_max_violation": rep.max_violation,
-        "rho_window_fraction": rho_window_fraction(inst, emb),
-        "rounding_generator": GENERATOR_NAME,
-        "best_value": best_val,
-        # an unconverged solve's bound can sit far above the optimum
-        "ratio_vs_sdp": best_val / sdp_ub if rep.converged and sdp_ub > 0 else None,
+        "instance": args.instance, "trials": args.trials, "base_seed": args.seed,
+        "rounding_generator": GENERATOR_NAME, **facts,
         "best_assignment": [int(v) for v in best_x],
         "reports": [r.to_dict() for r in reports],
     }
-    print(f"best_value={best_val!r}")
-    print(f"sdp_value={sdp_val!r} sdp_upper_bound={sdp_ub!r} ratio_vs_sdp={out['ratio_vs_sdp']!r}")
+    print(f"best_value={facts['best_value']!r}")
+    print(" ".join(f"{k}={facts[k]!r}" for k in ("sdp_value", "sdp_upper_bound", "ratio_vs_sdp")))
     if args.oracle:
         res = brute_force_opt(inst, cap=args.cap)
         out["oracle_opt"] = res.opt
-        out["ratio_vs_opt"] = best_val / res.opt if res.opt > 0 else None
+        out["ratio_vs_opt"] = facts["best_value"] / res.opt if res.opt > 0 else None
         print(f"oracle_opt={res.opt!r} ratio_vs_opt={out['ratio_vs_opt']!r}")
     if args.json:
         _write(args.json, out)

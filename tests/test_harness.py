@@ -669,6 +669,68 @@ class TestExperimentCommand:
         mean_gain = float(summary.split(",")[-1])
         assert mean_gain >= 0.0
 
+    def test_summary_without_ratios_leaves_the_std_empty(self, tmp_path, capsys):
+        # an edgeless graph's bound is 0, so no trial has a ratio to average
+        (tmp_path / "edgeless.txt").write_text("5 0\n")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"instances": {"files": ["edgeless.txt"]}, "trials": 2}))
+        assert main(["experiment", str(spec_path)]) == 0
+        text = capsys.readouterr().out
+        assert text.splitlines()[-1] == "summary,,,,0,,,,,,,,,,,,,,,,0.0"
+        (summary,) = [r for r in csv.DictReader(io.StringIO(text.split("\n", 1)[1]))
+                      if r["kind"] == "summary"]
+        assert all(summary[f"{s}_{v}_ratio"] == "" for s in ("mean", "std")
+                   for v in ("rounded", "flipped"))
+
+
+class TestSolveRecord:
+    """solve --json and the experiment CSV report one solve the same way."""
+
+    @pytest.fixture
+    def graph_file(self, tmp_path, capsys) -> Path:
+        path = tmp_path / "g.txt"
+        assert main(["gen", "--n", "12", "--d", "3", "--sign-bias", "0.5", "--seed", "4",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("mode", ["none", "neighborhood"])
+    def test_solve_and_experiment_agree(self, tmp_path, graph_file, capsys, mode):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"instances": {"files": [graph_file.name]}, "trials": 3,
+                                         "triangle_mode": mode, "seed": 5}))
+        assert main(["experiment", str(spec_path)]) == 0
+        text = capsys.readouterr().out
+        row = next(csv.DictReader(io.StringIO(text.split("\n", 1)[1])))
+        out = tmp_path / "solve.json"
+        # the experiment's SDP seed for instance 0
+        assert main(["solve", str(graph_file), "--triangle-mode", mode,
+                     "--seed", str(derive_seed(5, 0, 0)), "--json", str(out)]) == 0
+        solve = json.loads(out.read_text())
+        assert solve["sdp_converged"] is (row["converged"] == "True")
+        assert (solve["n"], solve["max_degree"]) == (int(row["n"]), int(row["d"]))
+        for key in ("sdp_value", "sdp_upper_bound", "rho_window_fraction"):
+            assert solve[key] == float(row[key]), key
+
+    def test_one_solve_and_one_best_of_per_instance(self, tmp_path, graph_file, capsys,
+                                                     monkeypatch):
+        calls = {"solve_sdp": 0, "best_of": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(harness, name), **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        assert main(["solve", str(graph_file), "--trials", "3", "--oracle"]) == 0
+        assert calls == {"solve_sdp": 1, "best_of": 1}
+        calls.update(solve_sdp=0, best_of=0)
+        (tmp_path / "k3.txt").write_text(TRIANGLE_TEXT + "\n")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"instances": {"files": [graph_file.name, "k3.txt"]},
+                                         "trials": 3}))
+        assert main(["experiment", str(spec_path), "--workers", "1"]) == 0
+        assert calls == {"solve_sdp": 2, "best_of": 2}
+
 
 WATCHED = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.special",
            "concurrent.futures")
