@@ -56,14 +56,16 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _read_instance(path: str):
-    """The parsed instance file; an InstanceError names the file."""
+def _read(path: str, what: str, parse):
+    """parse() of the UTF-8 text of the file at path. An InstanceError names
+    the file: a missing file, text that is not UTF-8, and what parse refuses,
+    its InstanceError or JSON error."""
     p = Path(path)
     if not p.is_file():
-        raise InstanceError(f"instance file not found: {path}")
+        raise InstanceError(f"{what} not found: {path}")
     try:
-        return parse_instance(p.read_text(encoding="utf-8"))
-    except InstanceError as exc:
+        return parse(p.read_text(encoding="utf-8"))
+    except (InstanceError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InstanceError(f"{path}: {exc}") from None
 
 
@@ -213,7 +215,7 @@ class ExperimentSpec:
             raise InstanceError(
                 f"experiment spec: 'instances.files' must be a list of path strings, got {files!r}")
         files = [str(base_dir / f) for f in files]
-        spec.instances = [(f, _read_instance(f)) for f in files] + [
+        spec.instances = [(f, _read(f, "instance file", parse_instance)) for f in files] + [
             (f"gen(n={n},d={d},rep={rep})", (n, d))
             for n in sizes["n"] for d in sizes["d"] for rep in range(count)
         ]
@@ -334,7 +336,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
 
 
 def _cmd_solve(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read(args.instance, "instance file", parse_instance)
     kwargs = {"triangle_mode": args.triangle_mode, "seed": args.seed}
     if args.rank is not None:
         kwargs["rank"] = args.rank
@@ -370,7 +372,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inst = _read_instance(args.instance)
+    inst = _read(args.instance, "instance file", parse_instance)
     res = brute_force_opt(inst, cap=args.cap)
     print(f"opt={res.opt!r}")
     print(f"argmax={''.join('+' if v > 0 else '-' for v in res.argmax)}")
@@ -396,10 +398,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    p = Path(args.spec)
-    if not p.is_file():
-        raise InstanceError(f"experiment spec not found: {args.spec}")
-    spec = ExperimentSpec.from_json(p.read_text(encoding="utf-8"), base_dir=p.parent)
+    base_dir = Path(args.spec).parent
+    spec = _read(args.spec, "experiment spec", lambda text: ExperimentSpec.from_json(text, base_dir))
     if args.csv:
         spec.csv_path = args.csv
     text = run_experiment(spec, workers=args.workers)

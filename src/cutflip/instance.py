@@ -17,24 +17,54 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "InstanceError",
-    "Max2LinInstance",
-    "as_assignment",
-    "check_generator_laws",
-    "check_regular_size",
-    "evaluate",
-    "gen_random_regular",
-    "parse_instance",
-    "write_instance",
-]
+__all__ = ["InstanceError", "Max2LinInstance", "as_assignment", "check_generator_laws",
+           "check_regular_size", "evaluate", "gen_random_regular", "parse_instance",
+           "write_instance"]
 
 
 _GEN_ATTEMPTS = 200  # pairing-model attempts before gen_random_regular gives up
 
 
 class InstanceError(ValueError):
-    """Malformed instance file or invalid instance data."""
+    """Malformed instance file or invalid instance data; an edge that breaks a
+    rule gives its index as edge and the rule's message as reason."""
+
+    def __init__(self, message: str, edge: int | None = None, reason: str | None = None):
+        super().__init__(message)
+        self.edge, self.reason = edge, reason
+
+
+def _edge_arrays(flat) -> tuple[np.ndarray, ...]:
+    """Constructor arrays of the edges (i, j, b, w) laid end to end in flat,
+    read by int() and float(), each edge's endpoints in order."""
+    try:
+        i, j, b = (np.fromiter(map(int, flat[k::4]), np.int64) for k in range(3))
+    except OverflowError:  # beyond int64: its nearer end, which no edge rule accepts
+        ints = np.array([list(map(int, flat[k::4])) for k in range(3)], dtype=object)
+        i, j, b = np.clip(ints, -2**63, 2**63 - 1).astype(np.int64)
+    return np.minimum(i, j), np.maximum(i, j), b, np.fromiter(map(float, flat[3::4]), np.float64)
+
+
+def _first_fault(n: int, ei, ej, b, w) -> tuple[int, str] | None:
+    """(index, reason) of the first edge that breaks a rule, and the first of
+    the rules below, in their order, that it breaks; None if none does."""
+    lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
+    order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first copy
+    dup = np.zeros(len(lo), dtype=bool)
+    dup[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    rules = [
+        ((lo < 0) | (hi >= n), lambda k: f"vertex index out of range [0, {n})"),
+        (ei == ej, lambda k: f"self-loop at vertex {ei[k]}"),
+        (ei > ej, lambda k: f"edges must be stored with i < j, got ({ei[k]}, {ej[k]})"),
+        ((b != 1) & (b != -1), lambda k: "sign must be -1 or +1"),
+        (~(np.isfinite(w) & (w > 0)), lambda k: f"weight must be finite and > 0, got {w[k]}"),
+        (dup, lambda k: f"duplicate edge {{{lo[k]}, {hi[k]}}}"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in rules], axis=0)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    return k, next(reason(k) for mask, reason in rules if mask[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,20 +94,13 @@ class Max2LinInstance:
             raise InstanceError(f"vertex count must be >= 1, got {n}")
         ei = np.asarray(self.edge_i, dtype=np.int64)
         ej = np.asarray(self.edge_j, dtype=np.int64)
-        b = np.asarray(self.sign, dtype=np.int8)
+        b = np.asarray(self.sign)
         w = np.asarray(self.weight, dtype=np.float64)
         if not (len(ei) == len(ej) == len(b) == len(w)):
             raise InstanceError("edge arrays must have equal length")
-        if len(ei) and (ei.min() < 0 or ej.max() >= n):
-            raise InstanceError("edge endpoint out of range")
-        if np.any(ei >= ej):
-            raise InstanceError("edges must satisfy i < j (no self-loops)")
-        if not np.all(np.isin(b, (-1, 1))):
-            raise InstanceError("edge signs must be -1 or +1")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-            raise InstanceError("edge weights must be finite and > 0")
-        if len(np.unique(ei * n + ej)) != len(ei):
-            raise InstanceError("duplicate edge")
+        if (fault := _first_fault(n, ei, ej, b, w)) is not None:
+            raise InstanceError(f"edge {fault[0]}: {fault[1]}", *fault)
+        b = b.astype(np.int8, copy=False)
 
         # each edge appears once under each endpoint; a stable sort by vertex
         # keeps every adjacency list in stored edge order
@@ -100,23 +123,8 @@ class Max2LinInstance:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Max2LinInstance":
         """Build from an iterable of (i, j, b, w); endpoint order is normalized."""
-        ei, ej, sg, wt = [], [], [], []
-        for i, j, b, w in edges:
-            if i == j:
-                raise InstanceError(f"self-loop at vertex {i}")
-            if i > j:
-                i, j = j, i
-            ei.append(i)
-            ej.append(j)
-            sg.append(b)
-            wt.append(w)
-        return cls(
-            n=n,
-            edge_i=np.array(ei, dtype=np.int64),
-            edge_j=np.array(ej, dtype=np.int64),
-            sign=np.array(sg, dtype=np.int8),
-            weight=np.array(wt, dtype=np.float64),
-        )
+        rows = list(edges)
+        return cls(n, *_edge_arrays(np.array(rows, dtype=object).reshape(4 * len(rows))))
 
     @property
     def m(self) -> int:
@@ -133,22 +141,14 @@ class Max2LinInstance:
 
     def edges(self):
         """Iterate (i, j, b, w) in stored order."""
-        for i, j, b, w in zip(
-            self.edge_i.tolist(), self.edge_j.tolist(), self.sign.tolist(), self.weight.tolist()
-        ):
-            yield i, j, b, w
+        return zip(self.edge_i.tolist(), self.edge_j.tolist(), self.sign.tolist(),
+                   self.weight.tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Max2LinInstance):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.m == other.m
-            and np.array_equal(self.edge_i, other.edge_i)
-            and np.array_equal(self.edge_j, other.edge_j)
-            and np.array_equal(self.sign, other.sign)
-            and np.array_equal(self.weight, other.weight)
-        )
+        return self.n == other.n and all(np.array_equal(getattr(self, k), getattr(other, k))
+                                         for k in ("edge_i", "edge_j", "sign", "weight"))
 
 
 def as_assignment(inst: Max2LinInstance, x) -> np.ndarray:
@@ -183,60 +183,58 @@ def evaluate(inst: Max2LinInstance, x) -> float | np.ndarray:
     return _satisfied_weight(inst, as_assignment(inst, x))
 
 
+def _line_fault(line: str) -> str | None:
+    """Why an edge line is not four fields that int() and float() read, or None."""
+    parts = line.split()
+    if len(parts) != 4:
+        return "expected 'i j b w'"
+    try:
+        _edge_arrays(parts)
+    except ValueError:
+        return "malformed edge fields"
+    return None
+
+
 def parse_instance(text: str) -> Max2LinInstance:
     """Parse the text instance format.
 
     First data line is "n m"; then m lines "i j b w" with b in {-1, 1} and
-    w a positive decimal. Lines whose first non-blank character is '#' are
-    comments. Errors name the offending 1-based line number.
+    w a positive decimal, each token read by Python's int() or float().
+    Lines whose first non-blank character is '#' are comments. An error
+    names the first faulty 1-based line: one without four fields that
+    convert, or an edge the constructor refuses, with the constructor's
+    reason; then a count other than m.
     """
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise InstanceError(f"line {lineno}: expected header 'n m'")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InstanceError(f"line {lineno}: header fields must be integers") from None
-            if n < 1 or m < 0:
-                raise InstanceError(f"line {lineno}: need n >= 1 and m >= 0")
-            header = (n, m)
-            continue
-        if len(parts) != 4:
-            raise InstanceError(f"line {lineno}: expected 'i j b w'")
-        try:
-            i, j, b = int(parts[0]), int(parts[1]), int(parts[2])
-            w = float(parts[3])
-        except ValueError:
-            raise InstanceError(f"line {lineno}: malformed edge fields") from None
-        n = header[0]
-        if not (0 <= i < n and 0 <= j < n):
-            raise InstanceError(f"line {lineno}: vertex index out of range [0, {n})")
-        if i == j:
-            raise InstanceError(f"line {lineno}: self-loop at vertex {i}")
-        if b not in (-1, 1):
-            raise InstanceError(f"line {lineno}: sign must be -1 or 1, got {b}")
-        if not math.isfinite(w) or w <= 0.0:
-            raise InstanceError(f"line {lineno}: weight must be finite and > 0, got {parts[3]}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise InstanceError(f"line {lineno}: duplicate edge {{{key[0]}, {key[1]}}}")
-        seen.add(key)
-        edges.append((i, j, b, w))
-
-    if header is None:
+    lines = text.splitlines()
+    lineno = [k for k, line in enumerate(lines, 1) if line.strip()[:1] not in ("", "#")]
+    data = [lines[k - 1] for k in lineno]
+    if not data:
         raise InstanceError("empty instance: no header line")
-    n, m = header
-    if len(edges) != m:
-        raise InstanceError(f"header declares m={m} edges but file has {len(edges)}")
-    return Max2LinInstance.from_edges(n, edges)
+    head, body = data[0].split(), data[1:]
+    if len(head) != 2:
+        raise InstanceError(f"line {lineno[0]}: expected header 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise InstanceError(f"line {lineno[0]}: header fields must be integers") from None
+    if not (1 <= n < 2**63 - 1 and m >= 0):
+        raise InstanceError(f"line {lineno[0]}: need 1 <= n < 2^63 - 1 and m >= 0")
+    try:  # the edges before the first line that is not four fields that convert
+        if set(map(len, map(str.split, body))) - {4}:
+            raise ValueError
+        stop, edges = len(body), _edge_arrays(" ".join(body).split())
+    except ValueError:
+        stop = next(k for k, line in enumerate(body) if _line_fault(line))
+        edges = _edge_arrays(" ".join(body[:stop]).split())
+    try:
+        inst = Max2LinInstance(n, *edges)
+    except InstanceError as exc:
+        raise InstanceError(f"line {lineno[exc.edge + 1]}: {exc.reason}") from None
+    if stop < len(body):
+        raise InstanceError(f"line {lineno[stop + 1]}: {_line_fault(body[stop])}")
+    if len(body) != m:
+        raise InstanceError(f"header declares m={m} edges but file has {len(body)}")
+    return inst
 
 
 def write_instance(inst: Max2LinInstance) -> str:

@@ -182,10 +182,10 @@ def rho_window_fraction(inst: Max2LinInstance, emb: SdpEmbedding) -> float:
 
 @dataclass
 class RunReport:
-    """One trial of best_of: its rounding seed, the rounded and post-flip
-    values, their difference and the candidate and flip counts. Facts of the
-    solve the trials share (SDP value, convergence, rho_window_fraction, the
-    rounding generator) belong to the caller, once per solve."""
+    """One trial of best_of: rounding seed, rounded and post-flip values, their
+    difference, s_size (in-band vertices with an edge, so incident weight > 0)
+    and flip count. Facts the trials share (SDP value, convergence,
+    rho_window_fraction, rounding generator) are the caller's, once per solve."""
 
     rounding_seed: int
     rounded_value: float
@@ -254,7 +254,7 @@ def best_of(
         analysis = analyze_candidates(inst, emb, g, x, eps)
         x_flip, gain = apply_flips(inst, x, analysis, rounded)
         flipped = rounded + gain
-        s_size = np.bincount(analysis.candidates // inst.n, minlength=len(block))
+        s_size = np.count_nonzero(analysis.incident_weight, axis=1)
         flip_count = np.count_nonzero(analysis.flip, axis=1)
         reports += [
             RunReport(seed, float(rounded[t]), float(flipped[t]), float(gain[t]),

@@ -97,6 +97,20 @@ class TestSolveCommand:
         assert main(["solve", "/nonexistent/path.txt"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_file_not_utf8_names_the_file_exit_3(self, tmp_path, capsys):
+        # it exited 3 with only the codec's message, naming no file
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"\xff2 1\n0 1 -1 1.0\n")
+        assert main(["solve", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and "can't decode byte 0xff" in err
+
+    def test_bad_line_names_file_and_line_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text("3 2\n0 1 -1 1.0\n0 " + "9" * 25 + " 1 1.0\n")
+        assert main(["solve", str(p)]) == 3
+        assert capsys.readouterr().err == f"error: {p}: line 3: vertex index out of range [0, 3)\n"
+
     def test_oversized_header_exit_3(self, tmp_path):
         # the header asks for CSR arrays of 745 GiB, which numpy refuses with
         # MemoryError; the address-space limit makes it refuse them also on a
@@ -569,6 +583,18 @@ class TestExperimentCommand:
     def test_missing_spec_exit_3(self):
         assert main(["experiment", "/no/such/spec.json"]) == 3
 
+    @pytest.mark.parametrize("raw, expected", [
+        (b'{"trials": 2, "\xff": 1}', "can't decode byte 0xff"),
+        (b'{"trials": 2, }', "line 1 column 15"),
+    ], ids=["not_utf8", "not_json"])
+    def test_unreadable_spec_names_the_file_exit_3(self, tmp_path, capsys, raw, expected):
+        # both exited 3 with only the decoder's message, naming no file
+        p = tmp_path / "spec.json"
+        p.write_bytes(raw)
+        assert main(["experiment", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and expected in err and err.count("\n") == 1
+
     def test_spec_validation(self, tmp_path):
         p = tmp_path / "spec.json"
         p.write_text(json.dumps({"trials": 2}))
@@ -681,6 +707,17 @@ class TestExperimentCommand:
                       if r["kind"] == "summary"]
         assert all(summary[f"{s}_{v}_ratio"] == "" for s in ("mean", "std")
                    for v in ("rounded", "flipped"))
+
+    def test_edgeless_graph_has_no_candidates(self, tmp_path, capsys):
+        # s_size counted in-band vertices without edges: 2 on the first trial
+        (tmp_path / "edgeless.txt").write_text("5 0\n")
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"instances": {"files": ["edgeless.txt"]}, "trials": 2}))
+        assert main(["experiment", str(spec_path)]) == 0
+        text = capsys.readouterr().out
+        trials = [r for r in csv.DictReader(io.StringIO(text.split("\n", 1)[1]))
+                  if r["kind"] == "trial"]
+        assert [(r["s_size"], r["flip_count"]) for r in trials] == [("0", "0")] * 2
 
 
 class TestSolveRecord:

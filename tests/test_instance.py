@@ -185,6 +185,93 @@ class TestTextRoundTrip:
             parse_instance("\n".join(rows))
 
 
+# a value per edge field that breaks one edge rule, as (field, value) with
+# field 0, 1 an endpoint, 2 the sign, 3 the weight; None puts j = i
+_RULE_BREAKS = st.sampled_from(
+    [(0, "-1"), (1, "-7"), (0, "12"), (1, "40"), (1, None), (2, "0"), (2, "2"), (2, "-3"),
+     (3, "0.0"), (3, "-1.5"), (3, "nan"), (3, "inf"), (3, "-inf"), (3, "1e400")]
+)
+
+
+class TestParserAndConstructorAgree:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 12), data=st.data())
+    def test_one_fault_named_at_its_line_and_edge(self, seed, n, data):
+        # one corrupted field, or one line repeated, in a written instance:
+        # parse_instance names its line, and the constructor, given the same
+        # arrays, the same edge for the same reason
+        rows = write_instance(random_instance(np.random.default_rng(seed), n)).splitlines()
+        edges = [line.split() for line in rows[1:]]
+        k = data.draw(st.integers(0, len(edges) - 1))
+        if data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(edges)))
+            edges.insert(at, list(edges[k]))
+            k = max(at, k + 1)  # the later copy of the pair is the duplicate
+        else:
+            field, value = data.draw(_RULE_BREAKS)
+            edges[k][field] = edges[k][0] if value is None else value
+        text = "\n".join([f"{n} {len(edges)}"] + [" ".join(e) for e in edges])
+        with pytest.raises(InstanceError) as parsed:
+            parse_instance(text)
+        ends = np.array([(int(e[0]), int(e[1])) for e in edges]).reshape(-1, 2)
+        with pytest.raises(InstanceError) as built:
+            Max2LinInstance(n, ends.min(axis=1), ends.max(axis=1),
+                            np.array([int(e[2]) for e in edges]),
+                            np.array([float(e[3]) for e in edges]))
+        assert built.value.edge == k
+        assert str(built.value) == f"edge {k}: {built.value.reason}"
+        assert str(parsed.value) == f"line {k + 2}: {built.value.reason}"
+
+    @pytest.mark.parametrize("line3, line5", [
+        ("0 1 -1 1.0", "0 2 -1"),  # a duplicate before a missing field
+        ("0 2 -1 0", "0 3 x 1.0"),  # a weight before a malformed field
+        ("0 2 -1", "9 3 -1 1.0"),  # a missing field before a range fault
+        ("0 2 2 1.0", "3 3 -1 1.0"),  # a sign before a self-loop
+        ("0 2 -1 1.0 7", "0 1 -1 1.0"),  # an extra field before a duplicate
+    ])
+    def test_first_faulty_line_wins(self, line3, line5):
+        text = f"4 4\n0 1 -1 1.0\n{line3}\n1 2 -1 1.0\n{line5}\n"
+        with pytest.raises(InstanceError, match="^line 3: "):
+            parse_instance(text)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("3 1\n0 " + "9" * 25 + " -1 1.0", "vertex index out of range [0, 3)"),
+        ("3 1\n-" + "9" * 25 + " 1 -1 1.0", "vertex index out of range [0, 3)"),
+        ("3 1\n0 1 " + "9" * 25 + " 1.0", "sign must be -1 or +1"),
+        ("3 1\n2 2 -1 1.0", "self-loop at vertex 2"),
+        ("3 2\n0 1 -1 1.0\n1 0 1 2.0", "duplicate edge {0, 1}"),
+        ("3 1\n0 1 -1 -0.0", "weight must be finite and > 0, got -0.0"),
+        ("3 1\n0 1 -1", "expected 'i j b w'"),
+        ("3 1\n0 1 -1.0 1.0", "malformed edge fields"),
+    ])
+    def test_refusal_messages(self, text, reason):
+        with pytest.raises(InstanceError) as refused:
+            parse_instance(text)
+        assert str(refused.value) == f"line {text.count(chr(10)) + 1}: {reason}"
+
+    def test_tokens_follow_python_int_and_float(self):
+        inst = parse_instance("3 1\n+2 0_0 +1 1_0.5\n")
+        assert list(inst.edges()) == [(0, 2, 1, 10.5)]
+
+    def test_constructor_refuses_a_reversed_pair_as_such(self):
+        with pytest.raises(InstanceError) as refused:
+            Max2LinInstance(3, np.array([0, 2]), np.array([1, 0]), np.array([-1, 1]),
+                            np.array([1.0, 1.0]))
+        assert str(refused.value) == "edge 1: edges must be stored with i < j, got (2, 0)"
+
+    @pytest.mark.parametrize("sign", [257, 1.5, -255])
+    def test_sign_checked_before_the_int8_cast(self, sign):
+        # int8 read 257 and -255 as 1 and 1.5 as 1, and accepted them
+        with pytest.raises(InstanceError, match="^edge 0: sign must be -1 or \\+1$"):
+            Max2LinInstance(2, np.array([0]), np.array([1]), np.array([sign]), np.array([1.0]))
+
+    def test_from_edges_names_the_edge(self):
+        with pytest.raises(InstanceError, match="^edge 2: duplicate edge {0, 2}$"):
+            Max2LinInstance.from_edges(3, [(0, 1, -1, 1.0), (2, 0, 1, 1.0), (0, 2, 1, 1.0)])
+        with pytest.raises(ValueError):
+            Max2LinInstance.from_edges(3, [(0, 1, -1)])
+
+
 class TestGenerator:
     def test_k4_is_unique_cubic_graph(self):
         inst = gen_random_regular(4, 3, sign_bias=1.0, weight_law="unit", seed=7)

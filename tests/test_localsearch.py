@@ -23,7 +23,7 @@ from cutflip.localsearch import (
 )
 from cutflip.numerics import gaussian_band_bounds
 from cutflip.oracle import brute_force_opt
-from cutflip.rounding import hyperplane_round, sample_gaussian
+from cutflip.rounding import hyperplane_round, projections, sample_gaussian
 from cutflip.sdp import SdpConfig, SdpEmbedding, solve_sdp
 
 from conftest import random_instance, traced_peak
@@ -321,6 +321,17 @@ class TestBestOf:
         with pytest.raises(ValueError):
             best_of(triangle, emb, range(0))
 
+    def test_s_size_counts_only_vertices_with_edges(self):
+        # vertex 3 has no edge, so in the band it has no neighbourhood to flip on
+        inst = Max2LinInstance.from_edges(4, [(0, 1, -1, 1.0), (1, 2, -1, 1.0), (0, 2, 1, 0.5)])
+        rows = np.random.default_rng(3).standard_normal((4, 3))
+        emb = SdpEmbedding(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        seeds, eps = range(40), 0.5
+        _, _, reports = best_of(inst, emb, seeds, eps=eps)
+        band = np.abs(projections(emb, np.stack([sample_gaussian(3, s) for s in seeds]))) < eps
+        assert band[:, 3].sum() >= 5  # the isolated vertex is in the band on some trials
+        assert [r.s_size for r in reports] == band[:, :3].sum(axis=1).tolist()
+
 
     def test_trials_shorthand_is_a_seed_range(self, triangle):
         emb, _ = solve_sdp(triangle, SdpConfig(triangle_mode="all"))
@@ -344,7 +355,7 @@ def reference_best_of(inst, emb, seeds, eps):
         flipped = rounded + gain
         reports.append(RunReport(
             rounding_seed=seed, rounded_value=rounded, flipped_value=flipped, gain=gain,
-            s_size=int(len(analysis.candidates)),
+            s_size=int(np.count_nonzero(np.diff(inst.indptr)[analysis.candidates])),
             flip_count=int(np.count_nonzero(analysis.flip)),
         ))
         if flipped > best_val:
