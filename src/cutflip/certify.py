@@ -7,10 +7,11 @@ lam >= 0 of the triangle constraints into the signed adjacency A (A' = A
 without them; with them, A' = 2 K(lam), the ALM's matrix K = A/2 + M refilled
 with the multipliers). y_i = <(A' V)_i, v_i> makes the bound equal the
 objective plus n delta / 4 at a stationary iterate V.
-Positive definiteness is certified by one path (_shift_certificate): the
-matrix is read as its stored entries (_entries), independent sets of S's
-pattern are eliminated while each pays for itself, each with positive pivots
-(_eliminated), and the dense remainder takes one block Cholesky
+A' is read as the entries the solver built it from, (rows, cols, values)
+grouped by row over n = len(y) rows, explicit zeros allowed. One path
+certifies positive definiteness (_shift_certificate): independent sets of
+S's pattern are eliminated while each pays for itself, each with positive
+pivots (_eliminated), and the dense remainder takes one block Cholesky
 (_positive_definite: numpy's Cholesky of one block of rows at a time, each
 overwriting the rest with its Schur complement). Above _FACTOR_MAX_N
 vertices, where that remainder costs too much, the Gershgorin shift
@@ -24,12 +25,8 @@ The entries: upper_bound, and the mixing method's first_shift_bound.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = ["first_shift_bound", "upper_bound"]
 
@@ -78,45 +75,30 @@ _FACTOR_MAX_N = 5000
 _CHOLESKY_BLOCK = 256
 
 
-def upper_bound(matrix: sp.csr_matrix | np.ndarray, y: np.ndarray, w_tot: float, objective: float,
-                lam_sum: float = 0.0) -> float:
-    """The bound for A' = matrix, y and lam_sum = sum(lam), at the least shift
-    _certified_shift accepts from the first shift of objective (of W when it
-    is 0, of 1 on an edgeless graph). matrix is CSR, or up to
-    sdp._DENSE_LAYER_MAX_N rows a dense array (_entries)."""
-    shift = _certified_shift(matrix, y, _first_shift(objective or w_tot or 1.0, len(y)))
+def upper_bound(entries: tuple, y: np.ndarray, w_tot: float, objective: float, lam_sum: float = 0.0) -> float:
+    """The bound for A' with entries (rows, cols, values), y and
+    lam_sum = sum(lam), at the least shift _certified_shift accepts from the
+    first shift of objective (of W when it is 0, of 1 on an edgeless graph)."""
+    shift = _certified_shift(entries, y, _first_shift(objective or w_tot or 1.0, len(y)))
     return _upper_bound(w_tot, lam_sum, y, shift)
 
 
-def first_shift_bound(matrix: sp.csr_matrix | np.ndarray, y: np.ndarray, w_tot: float,
-                      objective: float) -> float | None:
+def first_shift_bound(entries: tuple, y: np.ndarray, w_tot: float, objective: float) -> float | None:
     """upper_bound without multipliers if one factorization accepts the first
     shift, else None; above _FACTOR_MAX_N rows nothing is factored, so
     nothing refuses: the bound at the Gershgorin shift."""
     if len(y) > _FACTOR_MAX_N:
-        return upper_bound(matrix, y, w_tot, objective)
+        return upper_bound(entries, y, w_tot, objective)
     delta = _first_shift(objective or w_tot or 1.0, len(y))
-    return _upper_bound(w_tot, 0.0, y, delta) if _shift_certificate(matrix, y, delta) else None
+    return _upper_bound(w_tot, 0.0, y, delta) if _shift_certificate(entries, y, delta) else None
 
 
-def _entries(adj: sp.csr_matrix | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, values) of adj's stored entries, row by row: a dense
-    array's nonzeros, or a CSR matrix's entries in their stored order. The
-    one place the certificate tells the two forms apart."""
-    if isinstance(adj, np.ndarray):
-        rows, cols = np.nonzero(adj)
-        return rows, cols, adj[rows, cols]
-    return np.repeat(np.arange(adj.shape[0]), np.diff(adj.indptr)), adj.indices, adj.data
-
-
-def _radii(adj: sp.csr_matrix | np.ndarray) -> np.ndarray:
-    """The Gershgorin radii sum_j |adj_ij| over each row's stored entries
-    (_entries), summed one term at a time in that order. An explicit zero
-    adds 0 to a partial sum and leaves its bits alone, so the dense and CSR
-    forms of a matrix whose rows list their entries in column order give
-    the same bits."""
-    rows, _, values = _entries(adj)
-    return np.bincount(rows, np.abs(values), adj.shape[0])
+def _radii(entries: tuple, n: int) -> np.ndarray:
+    """The Gershgorin radii sum_j |A'_ij| of n rows over their entries,
+    summed one term at a time in the entries' order. An explicit zero adds 0
+    to a partial sum and leaves its bits alone."""
+    rows, _, values = entries
+    return np.bincount(rows, np.abs(values), n)
 
 
 def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
@@ -145,10 +127,10 @@ def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
             return chosen
 
 
-def _eliminated(adj: sp.csr_matrix | np.ndarray, diag: np.ndarray) -> np.ndarray | None:
-    """S = Diag(diag) - adj as a dense array, after eliminating independent
-    sets of its stored off-diagonal pattern (_entries); None once a pivot of
-    an eliminated row is not positive (a NaN pivot is not).
+def _eliminated(entries: tuple, diag: np.ndarray) -> np.ndarray | None:
+    """S = Diag(diag) - A' as a dense array, A' given by its entries, after
+    eliminating independent sets of their off-diagonal pattern; None once a
+    pivot of an eliminated row is not positive (a NaN pivot is not).
 
     For an independent set I of the pattern S_II is diagonal, so S is
     positive definite exactly when every pivot S_ii, i in I, is positive and
@@ -162,7 +144,7 @@ def _eliminated(adj: sp.csr_matrix | np.ndarray, diag: np.ndarray) -> np.ndarray
     in place.
     """
     m = len(diag)
-    rows, cols, vals = _entries(adj)
+    rows, cols, vals = entries
     vals = -vals
     on = rows == cols
     diag = diag + np.bincount(rows[on], weights=vals[on], minlength=m)
@@ -203,15 +185,14 @@ def _eliminated(adj: sp.csr_matrix | np.ndarray, diag: np.ndarray) -> np.ndarray
     return s
 
 
-def _shift_certificate(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> bool:
-    """Is S = Diag(y) - adj + delta I positive definite? One dense block
-    Cholesky (_positive_definite) of the Schur complement left after
-    eliminating independent sets of S's pattern (_eliminated), which refuses
-    at once on a pivot that is not positive. adj is a CSR matrix or, up to
-    sdp._DENSE_LAYER_MAX_N rows, a dense array; the remainder belongs to
-    this call, so the factorization overwrites it.
+def _shift_certificate(entries: tuple, y: np.ndarray, delta: float) -> bool:
+    """Is S = Diag(y) - A' + delta I positive definite, A' given by its
+    entries? One dense block Cholesky (_positive_definite) of the Schur
+    complement left after eliminating independent sets of S's pattern
+    (_eliminated), which refuses at once on a pivot that is not positive;
+    the remainder belongs to this call, so the factorization overwrites it.
     """
-    s = _eliminated(adj, y + delta)
+    s = _eliminated(entries, y + delta)
     return s is not None and _positive_definite(s)
 
 
@@ -248,11 +229,11 @@ def _positive_definite(s: np.ndarray) -> bool:
     return True
 
 
-def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: float) -> float:
+def _certified_shift(entries: tuple, y: np.ndarray, delta: float) -> float:
     """The least shift _shift_certificate accepts, to within _SHIFT_RTOL.
 
     It tries delta, 2 delta, 4 delta, ... up to the Gershgorin shift
-    max_i (sum_j |adj_ij| - y_i), with which Diag(y) - adj is diagonally
+    max_i (sum_j |A'_ij| - y_i), with which Diag(y) - A' is diagonally
     dominant, so positive semidefinite without a factorization; a shift at or
     above it becomes it, unfactored. After a refusal it bisects between the
     last refused shift and the first accepted one until they lie within
@@ -260,19 +241,19 @@ def _certified_shift(adj: sp.csr_matrix | np.ndarray, y: np.ndarray, delta: floa
     is. Above _FACTOR_MAX_N rows it is the Gershgorin shift. No finite shift
     certifies a y or radius (_radii) that is not finite: that gives inf.
     """
-    radius = _radii(adj)
+    radius = _radii(entries, len(y))
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(radius))):
         return math.inf
     cap = float(np.max(radius - y, initial=0.0))
     if len(y) > _FACTOR_MAX_N:
         return cap
     refused = None
-    while delta < cap and not _shift_certificate(adj, y, delta):
+    while delta < cap and not _shift_certificate(entries, y, delta):
         refused, delta = delta, 2.0 * delta
     delta = min(delta, cap)
     while refused is not None and delta - refused > _SHIFT_RTOL * delta:
         mid = 0.5 * (refused + delta)
-        if _shift_certificate(adj, y, mid):
+        if _shift_certificate(entries, y, mid):
             delta = mid
         else:
             refused = mid

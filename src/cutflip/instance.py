@@ -45,14 +45,17 @@ def _edge_arrays(flat) -> tuple[np.ndarray, ...]:
     return np.minimum(i, j), np.maximum(i, j), b, np.fromiter(map(float, flat[3::4]), np.float64)
 
 
-def _first_fault(n: int, ei, ej, b, w) -> tuple[int, str] | None:
+def _first_fault(n: int, ends, ei, ej, b, w) -> tuple[int, str] | None:
     """(index, reason) of the first edge that breaks a rule, and the first of
-    the rules below, in their order, that it breaks; None if none does."""
+    the rules below, in their order, that it breaks; None if none does. ends
+    are the endpoints as given, ei and ej their int64 casts."""
+    frac = [x != np.trunc(x) if x.dtype.kind == "f" else np.zeros(len(x), bool) for x in ends]  # NaN too
     lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
     order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first copy
     dup = np.zeros(len(lo), dtype=bool)
     dup[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
     rules = [
+        (frac[0] | frac[1], lambda k: f"vertex index must be an integer, got {ends[not frac[0][k]][k]}"),
         ((lo < 0) | (hi >= n), lambda k: f"vertex index out of range [0, {n})"),
         (ei == ej, lambda k: f"self-loop at vertex {ei[k]}"),
         (ei > ej, lambda k: f"edges must be stored with i < j, got ({ei[k]}, {ej[k]})"),
@@ -92,15 +95,17 @@ class Max2LinInstance:
         n = self.n
         if n < 1:
             raise InstanceError(f"vertex count must be >= 1, got {n}")
-        ei = np.asarray(self.edge_i, dtype=np.int64)
-        ej = np.asarray(self.edge_j, dtype=np.int64)
+        # copies the instance owns: the caller's arrays stay as they were
+        ends = np.asarray(self.edge_i), np.asarray(self.edge_j)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to any int64; refused below
+            ei, ej = (np.array(x, dtype=np.int64) for x in ends)
         b = np.asarray(self.sign)
-        w = np.asarray(self.weight, dtype=np.float64)
+        w = np.array(self.weight, dtype=np.float64)
         if not (len(ei) == len(ej) == len(b) == len(w)):
             raise InstanceError("edge arrays must have equal length")
-        if (fault := _first_fault(n, ei, ej, b, w)) is not None:
+        if (fault := _first_fault(n, ends, ei, ej, b, w)) is not None:
             raise InstanceError(f"edge {fault[0]}: {fault[1]}", *fault)
-        b = b.astype(np.int8, copy=False)
+        b = b.astype(np.int8)
 
         # each edge appears once under each endpoint; a stable sort by vertex
         # keeps every adjacency list in stored edge order
@@ -122,9 +127,15 @@ class Max2LinInstance:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Max2LinInstance":
-        """Build from an iterable of (i, j, b, w); endpoint order is normalized."""
+        """Build from an iterable of (i, j, b, w); endpoint order is normalized.
+        Numbers keep their type, so the constructor refuses a float endpoint or
+        sign that is not whole; strings and ints beyond int64 are read by int()."""
         rows = list(edges)
-        return cls(n, *_edge_arrays(np.array(rows, dtype=object).reshape(4 * len(rows))))
+        flat = np.array(rows, dtype=object).reshape(4 * len(rows))
+        i, j, b, w = (np.array(flat[k::4].tolist()) for k in range(4))
+        if not all(x.dtype.kind in "iuf" for x in (i, j, b, w)):
+            return cls(n, *_edge_arrays(flat))
+        return cls(n, np.minimum(i, j), np.maximum(i, j), b, w)
 
     @property
     def m(self) -> int:

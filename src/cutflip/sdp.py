@@ -13,13 +13,14 @@ collapse into the same family):
     1 + e1 r_ij + e2 r_jk + e3 r_ik >= 0   for e1*e2*e3 = +1.
 
 The iterate is an n x r matrix of unit rows (a Burer-Monteiro factorization).
-Both solvers read one matrix, the signed adjacency A with A_ij = w_ij b_ij,
-a dense array up to _DENSE_LAYER_MAX_N vertices and CSR above, and solve_sdp
-only picks between them, depending on whether the triple family is empty:
+Each solver reads one matrix, built from its entries by _matrix, the one place
+that picks a dense array (up to _DENSE_LAYER_MAX_N vertices) or CSR (above).
+solve_sdp picks the solver by whether the triple family is empty:
 
 - Empty family (triangle_mode="none", or a graph with no triples): the
   mixing method (_solve_mixing), block-coordinate ascent on the product of
-  spheres. A greedy colouring splits the vertices into at most
+  spheres over the signed adjacency A_ij = w_ij b_ij. A greedy colouring
+  splits the vertices into at most
   max_degree + 1 independent sets, and one sweep moves every row of each
   class in turn toward its normalized neighbour sum, the exact maximizer
   over that class, over-relaxed by a factor omega in [1, 2) that rises from
@@ -33,15 +34,15 @@ only picks between them, depending on whether the triple family is empty:
   vanish; no accepted step lowers the augmented objective. Violated triples
   enter the working set lazily; the full family is only scanned between
   inner phases. The active set owns one matrix K = A/2 + M over A's pattern
-  and the vertex pairs its constraints touch, a dense array up to
-  _DENSE_LAYER_MAX_N vertices and CSR above; the pattern is built once per
+  and the vertex pairs its constraints touch; the pattern is built once per
   active-set change, and each evaluation refills K's values and makes one
   product K V, which is the gradient.
 
 Every solve reports a certified upper bound on its relaxation's optimum
-(SdpReport.upper_bound), which cutflip.certify proves: certify.upper_bound
-at the end of each solve, and certify.first_shift_bound at each rank of the
-mixing method's staircase below its cap.
+(SdpReport.upper_bound), which cutflip.certify proves from the entries
+(rows, cols, values) the solver built its matrix from, never the matrix:
+certify.upper_bound at the end of each solve, and certify.first_shift_bound
+at each rank of the mixing method's staircase below its cap.
 
 Independent solves are safe to run concurrently; one solve mutates only its
 own iterate.
@@ -53,15 +54,11 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import certify
 from .instance import Max2LinInstance
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "SdpConfig",
@@ -102,9 +99,9 @@ _OMEGA_MAX = 1.9
 # refuses its converged iterate
 _RANK_START = 24
 
-# both solvers' matrices are dense up to this n, the oracle's DEFAULT_CAP:
-# the mixing method's signed adjacency A (_signed_adjacency) and the ALM's
-# layer K. Small solves in every mode then never import scipy.sparse: a fresh
+# _matrix builds both solvers' matrices dense up to this n, the oracle's
+# DEFAULT_CAP: the mixing method's signed adjacency A and the ALM's layer K.
+# Small solves in every mode then never import scipy.sparse: a fresh
 # `cutflip solve --triangle-mode none --oracle --trials 50` on a 20-vertex
 # 4-regular graph takes about 90 ms and 43 MB instead of 157 ms and 57.5 MB
 # (medians of 11 interleaved runs on a 2-vCPU Xeon box). One K V, dense
@@ -318,14 +315,13 @@ class _ActiveSet:
     triple. Every add() that admits constraints rebuilds the layer: pair_i,
     pair_j list the unique vertex pairs the active constraints touch, slot[t]
     holds the pair indices of constraint t's three inner products, and
-    matrix K is one symmetric matrix stored over the union of the pattern of
-    the signed adjacency A and those pairs. K = A/2 + M(f), where
-    M(f)_ij = M(f)_ji is the sum of f_t e_t over the constraints reading
-    r_ij; refill(f) only rewrites K's values, from A/2 as fixed base values,
-    and explicit zeros stay. K is a CSR matrix, or up to _DENSE_LAYER_MAX_N
-    vertices a dense array, zero off the pattern, with the same bits (_product)
-    and the same certificate radii (certify._radii sums one term at a time,
-    so the CSR layer's explicit zeros change no bits).
+    matrix K is one symmetric matrix (_matrix) whose entries (rows, cols),
+    in row-major order, are the union of the pattern of the signed
+    adjacency A and those pairs. K = A/2 + M(f), where M(f)_ij = M(f)_ji is
+    the sum of f_t e_t over the constraints reading r_ij; refill(f) only
+    rewrites K's values, from A/2 as fixed base values, and explicit zeros
+    stay. Both forms of K give the same bits (_product) and hand the
+    certificate the same entries (dual).
 
     An evaluation (augmented) reads lam / mu, which is computed at most once
     per round: assigning lam (the multiplier step, add) or passing a new mu
@@ -335,7 +331,6 @@ class _ActiveSet:
     def __init__(self, triples: np.ndarray, inst: Max2LinInstance) -> None:
         self.triples = triples
         self.inst = inst
-        self.dense = inst.n <= _DENSE_LAYER_MAX_N
         self._half_w = 0.5 * inst.total_weight
         self.seen = np.zeros((len(triples), len(_PATTERNS)), dtype=bool)
         self.idx = np.empty((0, 3), dtype=np.int64)
@@ -383,25 +378,18 @@ class _ActiveSet:
         # K's entries: A's, then pair p at (i, j) and its mirror (j, i); an
         # edge pair shares its entry with A. Entries off the pairs read the
         # zero that refill's bincount leaves at index n_pairs. unique sorts
-        # the keys, the instance's entries among them, into CSR order
+        # the keys, the instance's entries among them, into row-major order
         adj_keys = np.repeat(np.arange(n), np.diff(inst.indptr)) * n + inst.nbr
         entry_keys, where = np.unique(
             np.concatenate([adj_keys, pair_keys, self.pair_j * n + self.pair_i]), return_inverse=True
         )
-        # an entry's place among K's values: its key in a dense K, its rank in CSR
-        place = entry_keys if self.dense else np.arange(len(entry_keys))
-        self._base = np.zeros(n * n if self.dense else len(entry_keys))
-        self._base[place[where[: len(adj_keys)]]] = 0.5 * (inst.nbr_sign * inst.nbr_weight)
+        base = np.zeros(len(entry_keys))
+        base[where[: len(adj_keys)]] = 0.5 * (inst.nbr_sign * inst.nbr_weight)
+        self.rows, self.cols = np.divmod(entry_keys, n)
+        self.matrix, self._values, self._place = _matrix(n, self.rows, self.cols, base)
+        self._base = self._values.copy()
         self._entry_pair = np.full(len(self._base), n_pairs)
-        self._entry_pair[place[where[len(adj_keys) :]]] = np.tile(np.arange(n_pairs), 2)
-        if self.dense:
-            self.matrix = self._base.reshape(n, n).copy()
-        else:
-            import scipy.sparse as sp  # only the CSR matrices need it
-            rows, cols = np.divmod(entry_keys, n)
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-            self.matrix = sp.csr_matrix((self._base.copy(), cols, indptr), shape=(n, n))
-        self._values = self.matrix.reshape(-1) if self.dense else self.matrix.data
+        self._entry_pair[self._place[where[len(adj_keys) :]]] = np.tile(np.arange(n_pairs), 2)
 
     def _pair_products(self, v: np.ndarray) -> np.ndarray:
         return _rowdot(v.take(self.pair_i, axis=0), v.take(self.pair_j, axis=0))
@@ -421,10 +409,12 @@ class _ActiveSet:
         np.add(self._base, m.take(self._entry_pair), out=self._values)
         return m
 
-    def _product(self, matrix, v: np.ndarray) -> np.ndarray:
-        """matrix V for K or 2K. einsum, unlike BLAS, sums over j in order as CSR does
-        while j is not its inner loop; reading the symmetric K as "ji" keeps it outer at rank 1."""
-        return np.einsum("ji,jk->ik", matrix, v) if self.dense else matrix @ v
+    def dual(self, lam: np.ndarray, v: np.ndarray):
+        """Refill K with lam; what the certificate reads: the entries (rows, cols,
+        values) of A' = 2 K(lam) (cutflip.certify), and y_i = <(A' V)_i, v_i>."""
+        self.refill(lam)
+        y = _rowdot(_product(2.0 * self.matrix, v), v)
+        return (self.rows, self.cols, 2.0 * self._values.take(self._place)), y
 
     def augmented(self, v: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
         """tr(V^T A V)/4 plus the penalty -mu/2 ||max(0, lam/mu - c)||^2, and
@@ -441,7 +431,7 @@ class _ActiveSet:
         np.subtract(self._lam_mu, q, out=q)
         np.maximum(0.0, q, out=q)
         m = self.refill(mu * q)
-        kv = self._product(self.matrix, v)
+        kv = _product(self.matrix, v)
         val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1] @ r) - 0.5 * mu * float(q @ q)
         return val, kv
 
@@ -462,20 +452,39 @@ class _ActiveSet:
         return -(self._half_w + val), g_neg.ravel()
 
 
-def _signed_adjacency(inst: Max2LinInstance) -> np.ndarray | sp.csr_matrix:
-    """A with A_ij = A_ji = w_ij b_ij, from the instance's CSR arrays: a dense
-    array up to _DENSE_LAYER_MAX_N vertices, zero off the edges, and CSR with
-    sorted indices above."""
-    n, values = inst.n, inst.nbr_sign * inst.nbr_weight
+def _matrix(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """The n x n matrix with entries (rows, cols, values), rows grouped in
+    ascending order and each row's entries in the order given: a dense array
+    up to _DENSE_LAYER_MAX_N vertices, zero off the entries, and CSR above.
+    Returns (matrix, its stored values as one flat view, each entry's index
+    in that view). The only place that picks the form."""
     if n <= _DENSE_LAYER_MAX_N:
-        adj = np.zeros((n, n))
-        adj[np.repeat(np.arange(n), np.diff(inst.indptr)), inst.nbr] = values
-        return adj
+        matrix, place = np.zeros((n, n)), rows * n + cols
+        matrix.flat[place] = values
+        return matrix, matrix.reshape(-1), place
     import scipy.sparse as sp  # only the CSR matrices need it
 
-    adj = sp.csr_matrix((values, inst.nbr, inst.indptr), shape=(n, n))
-    adj.sort_indices()
-    return adj
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    matrix = sp.csr_matrix((values, cols, indptr), shape=(n, n))
+    return matrix, matrix.data, np.arange(len(values))
+
+
+def _product(matrix, v: np.ndarray) -> np.ndarray:
+    """matrix V for K or 2K. einsum, unlike BLAS, sums over j in order as CSR does
+    while j is not its inner loop; reading the symmetric K as "ji" keeps it outer at rank 1."""
+    return np.einsum("ji,jk->ik", matrix, v) if isinstance(matrix, np.ndarray) else matrix @ v
+
+
+def _signed_adjacency(inst: Max2LinInstance, order: np.ndarray):
+    """(A, its entries (rows, cols, values)) for A_ij = A_ji = w_ij b_ij with
+    rows and columns permuted into order: row p is vertex order[p]'s. Rows
+    come in that order, and each row's entries in ascending original column,
+    relabelled, as scipy's csr[order][:, order] orders them."""
+    pos = np.argsort(order)
+    rows = pos[np.repeat(np.arange(inst.n), np.diff(inst.indptr))]
+    by = np.lexsort((inst.nbr, rows))
+    entries = rows[by], pos[inst.nbr[by]], (inst.nbr_sign * inst.nbr_weight)[by]
+    return _matrix(inst.n, *entries)[0], entries
 
 
 def _climb(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -575,7 +584,7 @@ def _solve_mixing(
     n = inst.n
     max_rank = max(v.shape[1], default_rank(n))
     order, sizes = _colour_classes(inst)
-    adj = _signed_adjacency(inst)[order][:, order]
+    adj, entries = _signed_adjacency(inst, order)
     bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
     blocks = [(lo, hi, adj[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     u = v[order]
@@ -615,7 +624,7 @@ def _solve_mixing(
         rest = gain * gain / (prev_gain - gain) if gain < prev_gain else math.inf
         if gain <= no_gain or rest <= _MIXING_STOP_SHARE * cfg.objective_tol * abs(obj):
             if u.shape[1] < max_rank:
-                bound = certify.first_shift_bound(adj, _rowdot(adj @ u, u), w_tot, obj)
+                bound = certify.first_shift_bound(entries, _rowdot(adj @ u, u), w_tot, obj)
                 if bound is None:
                     u = _climb(u, rng)
                     obj = 0.5 * w_tot + 0.25 * float(np.vdot(u, adj @ u))
@@ -631,7 +640,7 @@ def _solve_mixing(
         fresh = False
 
     if bound is None:  # at the rank cap, or the sweep budget ran out
-        bound = certify.upper_bound(adj, _rowdot(adj @ u, u), w_tot, obj)
+        bound = certify.upper_bound(entries, _rowdot(adj @ u, u), w_tot, obj)
     v = np.empty_like(u)
     v[order] = u
     emb = SdpEmbedding(vectors=v)
@@ -881,14 +890,11 @@ def _solve_alm(
 
     # the last round's v, obj and viol are the final iterate's
     emb = SdpEmbedding(vectors=v)
-    # the multipliers fold into A' = A + 2 sum_t lam_t e_t = 2 K(lam)
-    # (cutflip.certify); with the step the next round would take, the final
-    # iterate is stationary for A' up to the inner tolerance
+    # the multipliers fold into A' = 2 K(lam) (cutflip.certify); with the
+    # step the next round would take, the final iterate is stationary for A'
+    # up to the inner tolerance
     lam = np.maximum(0.0, active.lam - mu * active.cvals(v))
-    active.refill(lam)
-    a_lam = 2.0 * active.matrix
-    y = _rowdot(active._product(a_lam, v), v)
-    upper = certify.upper_bound(a_lam, y, w_tot, obj, float(np.sum(lam)))
+    upper = certify.upper_bound(*active.dual(lam, v), w_tot, obj, float(np.sum(lam)))
     report = SdpReport(
         objective=obj,
         max_violation=viol,

@@ -96,6 +96,15 @@ def simple_graphs(draw, max_n: int = 12):
     return n, [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
 
 
+def stored_entries(matrix) -> tuple:
+    """(rows, cols, values) of a matrix, in the form cutflip.certify reads: a
+    dense array's nonzeros, or a CSR matrix's entries in their stored order."""
+    if isinstance(matrix, np.ndarray):
+        rows, cols = np.nonzero(matrix)
+        return rows, cols, matrix[rows, cols]
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr)), matrix.indices, matrix.data
+
+
 def counted_choleskys(monkeypatch) -> list:
     """The row counts of every numpy Cholesky from now on, in call order."""
     factored = []

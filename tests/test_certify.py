@@ -1,6 +1,7 @@
-"""cutflip.certify: its two entries, its one reader of matrices (_entries)
-and the Gershgorin radii, the shift ladder, the elimination of independent
-sets and the block Cholesky behind them.
+"""cutflip.certify: its two entries, the Gershgorin radii of the entries
+(rows, cols, values) it reads, the shift ladder, the elimination of
+independent sets and the block Cholesky behind them. A test that starts from
+a matrix hands certify its entries through conftest.stored_entries.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from cutflip.sdp import (
     solve_sdp,
 )
 
-from conftest import also_at, counted_choleskys, no_factorization, simple_graphs, traced_peak
+from conftest import also_at, counted_choleskys, no_factorization, simple_graphs, stored_entries, traced_peak
 
 # small graphs take S itself to the Cholesky at the default (no independent
 # set pays); with _ELIMINATE_COST at 0 every row of S is eliminated, one
@@ -70,28 +71,29 @@ def stored_order_radii(adj: sp.csr_matrix) -> np.ndarray:
 class TestRadii:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixing_adjacency_sums_in_stored_order(self, seed):
-        # A permuted into colour classes, as _solve_mixing reads it: the
-        # permuted CSR matrix holds its indices out of order, and sums them
-        # in that order; in column order it gives the dense form's bits
+        # A permuted into colour classes, as _solve_mixing reads it: its
+        # entries list each row out of column order, the CSR form stores them
+        # so, and both forms hand certify the same entries, summed in that order
         inst = dense_graph(24, seed)
-        order = _colour_classes(inst)[0]
+        n, order = inst.n, _colour_classes(inst)[0]
         forms = []
         for cutoff in (sdp_module._DENSE_LAYER_MAX_N, 0):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
-                forms.append(_signed_adjacency(inst)[order][:, order])
-        dense, csr = forms
+                forms.append(_signed_adjacency(inst, order))
+        (dense, entries), (csr, csr_entries) = forms
         assert isinstance(dense, np.ndarray) and not csr.has_sorted_indices
+        assert [bits(x) for x in entries] == [bits(x) for x in csr_entries]
         assert np.diff(csr.indptr).max() >= 9
-        assert bits(_radii(csr)) == bits(stored_order_radii(csr))
-        assert bits(_radii(dense)) == bits(_radii(csr.sorted_indices()))
-        np.testing.assert_allclose(_radii(csr), _radii(dense), rtol=inst.n * np.finfo(float).eps, atol=0.0)
+        assert bits(_radii(entries, n)) == bits(stored_order_radii(csr))
+        np.testing.assert_allclose(_radii(entries, n), _radii(stored_entries(dense), n),
+                                   rtol=n * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_alm_layer_dense_and_csr_give_the_same_bits(self, seed):
         # 2 K(lam) of the same active set on both layers; half the
         # multipliers are 0, so pairs off A's edges hold explicit zeros,
-        # which the CSR layer stores and the dense layer's nonzeros do not
+        # which both layers hand certify as entries
         inst = dense_graph(20, seed)
         rng = np.random.default_rng(seed)
         triples = enumerate_triples(inst, "all")
@@ -101,14 +103,14 @@ class TestRadii:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
                 layers.append(_ActiveSet(triples, inst))
-            layers[-1].add(*picks)
+                layers[-1].add(*picks)  # a rebuild reads the cut-off too
         lam = rng.uniform(0.0, 2.0, len(layers[0])) * (rng.random(len(layers[0])) < 0.5)
-        for layer in layers:
-            layer.refill(lam)
-        dense, csr = (2.0 * layer.matrix for layer in layers)
-        zero_rows = np.repeat(np.arange(inst.n), np.diff(csr.indptr))[csr.data == 0.0]
-        assert np.any(np.diff(csr.indptr)[zero_rows] >= 9)
-        assert bits(_radii(dense)) == bits(_radii(csr)) == bits(stored_order_radii(csr))
+        v = rng.standard_normal((inst.n, 3))
+        dense, csr = (layer.dual(lam, v)[0] for layer in layers)
+        assert [bits(x) for x in dense] == [bits(x) for x in csr]
+        rows, _, values = csr
+        assert np.any(np.bincount(rows)[rows[values == 0.0]] >= 9)
+        assert bits(_radii(dense, inst.n)) == bits(stored_order_radii(2.0 * layers[1].matrix))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_explicit_zeros_leave_the_bits_alone(self, seed):
@@ -124,16 +126,18 @@ class TestRadii:
         padded = sp.csr_matrix((np.concatenate([adj.data, np.zeros(n)])[order], cols[order],
                                 np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])), shape=(n, n))
         assert adj.has_sorted_indices and padded.nnz == adj.nnz + n and np.diff(adj.indptr).max() >= 9
-        assert bits(_radii(padded)) == bits(_radii(adj)) == bits(_radii(adj.toarray()))
+        radii = (_radii(stored_entries(matrix), n) for matrix in (padded, adj, adj.toarray()))
+        assert bits(next(radii)) == bits(next(radii)) == bits(next(radii))
 
 
 def diagonal_dual(seed: int, n: int = 30):
-    """(adj, y, radius) for a signed graph on n vertices, CSR, with
-    y = radius: Diag(y) - adj is diagonally dominant."""
+    """(entries, y, radius) for a signed graph on n vertices with
+    y = radius: Diag(y) - A is diagonally dominant."""
     inst = dense_graph(n, seed)
     adj = sp.csr_matrix((inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n))
-    radius = _radii(adj)
-    return adj, radius.copy(), radius
+    entries = stored_entries(adj)
+    radius = _radii(entries, n)
+    return entries, radius.copy(), radius
 
 
 class TestEntries:
@@ -167,7 +171,7 @@ class TestEntries:
         starts = []
         certified_shift = certify._certified_shift
         monkeypatch.setattr(certify, "_certified_shift",
-                            lambda adj, y, delta: starts.append(delta) or certified_shift(adj, y, delta))
+                            lambda entries, y, delta: starts.append(delta) or certified_shift(entries, y, delta))
         got = upper_bound(adj, y, w_tot, objective, lam_sum=0.75)
         delta = _first_shift(first, len(y))
         assert starts == [delta]
@@ -189,7 +193,7 @@ def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
         n, [(i, j, 1 if k % 2 else -1, 1.0 + 0.25 * (k % 3)) for k, (i, j) in enumerate(edges)]
     )
     adj = sp.csr_matrix((inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n))
-    return adj, _radii(adj)
+    return adj, _radii(stored_entries(adj), n)
 
 
 class TestCertificate:
@@ -208,7 +212,7 @@ class TestCertificate:
         n, edges = graph
         adj, y = dominant_dual(n, edges)
         s = np.diag(y + margin) - adj.toarray()  # strictly dominant: definite
-        assert _shift_certificate(adj, y, margin)
+        assert _shift_certificate(stored_entries(adj), y, margin)
         # S - eps u u^T with u^T S u - eps = -eta: lambda_min <= -eta
         u = np.random.default_rng(seed).standard_normal(n)
         u /= np.linalg.norm(u)
@@ -219,7 +223,7 @@ class TestCertificate:
         roundoff = 8 * n * np.finfo(float).eps * float(np.abs(lowered).max())
         assert np.linalg.eigvalsh(lowered)[0] <= -eta * (1 - 1e-9) + roundoff
         adj_lowered = sp.csr_matrix(adj.toarray() + eps * np.outer(u, u))
-        assert not _shift_certificate(adj_lowered, y, margin)
+        assert not _shift_certificate(stored_entries(adj_lowered), y, margin)
 
     @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -230,7 +234,7 @@ class TestCertificate:
         n, edges = graph
         adj, radius = dominant_dual(n, edges)
         y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
-        shift = _certified_shift(adj, y, delta)
+        shift = _certified_shift(stored_entries(adj), y, delta)
         assert 0.0 <= shift <= max(0.0, float(np.max(radius - y)))
         s = np.diag(y + shift) - adj.toarray()
         assert np.linalg.eigvalsh(s)[0] >= -1e-9 * (1.0 + np.abs(s).max())
@@ -247,7 +251,7 @@ class TestCertificate:
         adj, radius = dominant_dual(n, edges)
         y = np.random.default_rng(seed).uniform(-1.0, 1.0, n) * (1.0 + radius)
         least = max(0.0, -float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0]))
-        shift = _certified_shift(adj, y, delta)
+        shift = _certified_shift(stored_entries(adj), y, delta)
         slack = 1e-9 * (1.0 + float(np.abs(y).max()) + float(radius.max(initial=0.0)))
         assert shift >= least - slack
         if delta < least - slack:
@@ -259,9 +263,10 @@ class TestCertificate:
     def test_nan_dual_refused(self):
         # LAPACK's Cholesky lets a NaN pivot through; the certificate must not
         adj, y = dominant_dual(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert _shift_certificate(adj, y, 1.0)
+        entries = stored_entries(adj)
+        assert _shift_certificate(entries, y, 1.0)
         y[2] = math.nan
-        assert not _shift_certificate(adj, y, 1.0)
+        assert not _shift_certificate(entries, y, 1.0)
 
     def test_non_finite_dual_takes_no_shift(self, monkeypatch):
         # no finite shift certifies a y with a NaN: the ladder's cap is NaN,
@@ -270,9 +275,9 @@ class TestCertificate:
         calls = []
         monkeypatch.setattr(certify, "_shift_certificate", lambda *args: calls.append(args) or True)
         for bad in (math.nan, math.inf, -math.inf):
-            assert _certified_shift(adj, np.array([1.0, bad, 1.0]), 0.01) == math.inf
+            assert _certified_shift(stored_entries(adj), np.array([1.0, bad, 1.0]), 0.01) == math.inf
         adj.data[0] = math.nan  # a radius that is not finite
-        assert _certified_shift(adj, np.ones(3), 0.01) == math.inf
+        assert _certified_shift(stored_entries(adj), np.ones(3), 0.01) == math.inf
         assert calls == []
 
     def test_certified_shift_is_the_gershgorin_cap(self, monkeypatch):
@@ -280,7 +285,7 @@ class TestCertificate:
         y = np.full(6, 0.5)
         monkeypatch.setattr(certify, "_FACTOR_MAX_N", 5)
         monkeypatch.setattr(certify, "_shift_certificate", no_factorization)
-        assert _certified_shift(adj, y, 1e-6) == float(np.max(radius - y))
+        assert _certified_shift(stored_entries(adj), y, 1e-6) == float(np.max(radius - y))
 
     def test_upper_bound_is_w_unless_finite_and_below(self):
         y = np.array([1.0, 2.0, 3.0])
@@ -303,7 +308,7 @@ def indefinite_dual(n: int, d: int) -> tuple[sp.csr_matrix, np.ndarray, float]:
     """(adj, y, lambda_min(Diag(y) - adj)) for a signed U(0.3, 2) d-regular
     graph on n vertices and y uniform in [0, radius]; lambda_min < -0.1."""
     inst = gen_random_regular(n, d, 0.5, ("uniform", 0.3, 2.0), seed=n + d)
-    adj = _signed_adjacency(inst)
+    adj = _signed_adjacency(inst, np.arange(n))[0]
     radius = np.asarray(abs(adj).sum(axis=1)).ravel()
     y = np.random.default_rng(d).uniform(0.0, 1.0, n) * radius
     lam = float(np.linalg.eigvalsh(np.diag(y) - adj.toarray())[0])
@@ -335,10 +340,11 @@ class TestElimination:
     @pytest.mark.parametrize("d", [3, 6])
     def test_decisions_agree_with_eigvalsh(self, n, d, monkeypatch):
         adj, y, lam = indefinite_dual(n, d)
+        entries = stored_entries(adj)
         factored = counted_choleskys(monkeypatch)
-        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
+        assert _shift_certificate(entries, y, -lam + 1e-6 * abs(lam))
         rows = sum(factored)
-        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
+        assert not _shift_certificate(entries, y, -lam - 1e-6 * abs(lam))
         # the elimination ran: the accepted call's Cholesky blocks cover
         # fewer than n rows
         assert 0 < factored[0] <= rows < n
@@ -348,14 +354,14 @@ class TestElimination:
         # vertex 0 has the least (degree, index) key of a regular graph, so
         # the first independent set eliminates it, and its pivot y_0 + delta
         inst = gen_random_regular(600, 4, 0.5, ("uniform", 0.3, 2.0), seed=0)
-        adj = _signed_adjacency(inst)
+        adj, entries = _signed_adjacency(inst, np.arange(inst.n))
         y = np.asarray(abs(adj).sum(axis=1)).ravel()
         factored = counted_choleskys(monkeypatch)
-        assert _shift_certificate(adj, y, 1.0)
+        assert _shift_certificate(entries, y, 1.0)
         accepted = len(factored)  # one Cholesky per block of the remainder
         assert accepted > 0
         y[0] = pivot - 1.0
-        assert not _shift_certificate(adj, y, 1.0)
+        assert not _shift_certificate(entries, y, 1.0)
         assert len(factored) == accepted
 
     @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
@@ -364,14 +370,14 @@ class TestElimination:
         # nothing is left to factor, and the pivots y_i - adj_ii + delta decide
         n = 40
         diag = np.arange(n) % 3 - 1.0
-        adj, y = form(np.diag(diag)), diag + 1.0
+        entries, y = stored_entries(form(np.diag(diag))), diag + 1.0
         factored = counted_choleskys(monkeypatch)
-        assert certify._eliminated(adj, y).shape == (0, 0)
-        assert _shift_certificate(adj, y, 0.0)
+        assert certify._eliminated(entries, y).shape == (0, 0)
+        assert _shift_certificate(entries, y, 0.0)
         for pivot in (-1.0, 0.0, math.nan):
             low = y.copy()
             low[n // 2] += pivot - 1.0
-            assert not _shift_certificate(adj, low, 0.0)
+            assert not _shift_certificate(entries, low, 0.0)
         assert factored == []
 
     def test_none_mode_solve_factors_fewer_rows_than_n(self, monkeypatch):
@@ -384,19 +390,20 @@ class TestElimination:
         decisions = []
         shift_certificate = certify._shift_certificate
 
-        def recording(adj, y, delta):
+        def recording(entries, y, delta):
             before = len(factored)
-            definite = shift_certificate(adj, y, delta)
-            decisions.append((adj, y.copy(), delta, definite, sum(factored[before:])))
+            definite = shift_certificate(entries, y, delta)
+            decisions.append((entries, y.copy(), delta, definite, sum(factored[before:])))
             return definite
 
         monkeypatch.setattr(certify, "_shift_certificate", recording)
         _, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
         assert rep.converged
         assert [definite for _, _, _, definite, _ in decisions][-2:] == [False, True]
-        for adj, y, delta, definite, rows in decisions:
+        for (i, j, values), y, delta, definite, rows in decisions:
             assert 0 < rows < inst.n
-            s = np.diag(y + delta) - adj.toarray()
+            s = np.diag(y + delta)
+            s[i, j] -= values
             lam = float(np.linalg.eigvalsh(s)[0])
             assert abs(lam) > 1e-9 * np.abs(s).max()  # decided well away from roundoff
             assert definite == (lam > 0.0)
@@ -419,10 +426,11 @@ class TestBlockCholesky:
         # elimination leaves a remainder of two blocks at n = 1000, of four
         # at n = 2000
         adj, y, lam = indefinite_dual(n, d)
+        entries = stored_entries(adj)
         factored = counted_choleskys(monkeypatch)
-        assert _shift_certificate(adj, y, -lam + 1e-6 * abs(lam))
+        assert _shift_certificate(entries, y, -lam + 1e-6 * abs(lam))
         assert len(factored) == blocks
-        assert not _shift_certificate(adj, y, -lam - 1e-6 * abs(lam))
+        assert not _shift_certificate(entries, y, -lam - 1e-6 * abs(lam))
 
     @pytest.mark.parametrize("fill", [math.nan, math.inf, 1e3])
     def test_upper_triangle_is_never_read(self, fill):

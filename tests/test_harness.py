@@ -769,7 +769,7 @@ class TestSolveRecord:
         assert calls == {"solve_sdp": 2, "best_of": 2}
 
 
-WATCHED = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.special",
+WATCHED = ("scipy", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.special",
            "concurrent.futures")
 
 
@@ -834,6 +834,12 @@ IMPORT_GUARDS = {
     # above the cut-off both solvers read CSR matrices
     "neighborhood_and_none_n40": (_solve(40, 3, "neighborhood") + _solve(40, 3, "none"), set(),
                                   {"scipy.sparse"}),
+    # the certificate reads entries, never a matrix: it loads no scipy, also
+    # when it certifies a 40-vertex cycle, above the cut-off
+    "certify_n40": ("import cutflip.certify\nimport numpy as np\n"
+                    "rows, cols = np.repeat(np.arange(40), 2), (np.repeat(np.arange(40), 2) + [-1, 1] * 40) % 40\n"
+                    "assert 0 < cutflip.certify.upper_bound((rows, cols, -np.ones(80)), np.full(40, 2.0), 40.0, 39.0) <= 40\n",
+                    {"scipy", "scipy.sparse"}, set()),
 }
 
 

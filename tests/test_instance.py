@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -264,6 +265,37 @@ class TestParserAndConstructorAgree:
         # int8 read 257 and -255 as 1 and 1.5 as 1, and accepted them
         with pytest.raises(InstanceError, match="^edge 0: sign must be -1 or \\+1$"):
             Max2LinInstance(2, np.array([0]), np.array([1]), np.array([sign]), np.array([1.0]))
+
+    def test_caller_arrays_stay_writeable(self):
+        # the instance copies what it is given and freezes only its copies
+        given = (np.array([0, 1]), np.array([1, 2]), np.array([-1, 1], dtype=np.int8), np.array([1.0, 2.5]))
+        inst = Max2LinInstance(3, *given)
+        owned = (inst.edge_i, inst.edge_j, inst.sign, inst.weight)
+        for theirs, ours in zip(given, owned):
+            assert theirs.flags.writeable and not ours.flags.writeable
+            assert not np.shares_memory(theirs, ours)
+        given[0][0] = 2
+        assert list(inst.edges()) == [(0, 1, -1, 1.0), (1, 2, 1, 2.5)]
+
+    @pytest.mark.parametrize("i, j, got", [(0.5, 1.7, "0.5"), (0, 1.5, "1.5"), (0, float("nan"), "nan")])
+    def test_endpoint_checked_before_the_int64_cast(self, i, j, got):
+        # int64 read 0.5 and 1.7 as 0 and 1, and built the edge (0, 1)
+        message = f"^edge 0: vertex index must be an integer, got {got}$"
+        with pytest.raises(InstanceError, match=message):
+            Max2LinInstance(3, np.array([i]), np.array([j]), np.array([1]), np.array([1.0]))
+        with pytest.raises(InstanceError, match=message):
+            Max2LinInstance.from_edges(3, [(i, j, 1, 1.0)])
+
+    def test_whole_float_endpoints_accepted(self):
+        want = Max2LinInstance(3, np.array([0, 1]), np.array([2, 2]), np.array([1, -1]), np.array([1.0, 2.0]))
+        assert Max2LinInstance(3, np.array([0.0, 1.0]), np.array([2.0, 2.0]), np.array([1, -1]),
+                               np.array([1.0, 2.0])) == want
+        assert Max2LinInstance.from_edges(3, [(2.0, 0.0, 1, 1.0), (1, 2.0, -1, 2)]) == want
+        # an infinite endpoint is out of range, a fault in the first edge wins
+        with pytest.raises(InstanceError, match="^edge 0: vertex index out of range"):
+            Max2LinInstance.from_edges(3, [(0, math.inf, 1, 1.0)])
+        with pytest.raises(InstanceError, match="^edge 0: sign must be -1 or \\+1$"):
+            Max2LinInstance.from_edges(3, [(0, 1, 2, 1.0), (0.5, 2, 1, 1.0)])
 
     def test_from_edges_names_the_edge(self):
         with pytest.raises(InstanceError, match="^edge 2: duplicate edge {0, 2}$"):

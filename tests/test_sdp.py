@@ -27,7 +27,9 @@ from cutflip.sdp import (
     _ActiveSet,
     _InverseHessian,
     _lbfgs,
+    _matrix,
     _normalize_rows,
+    _product,
     _rowdot,
     _signed_adjacency,
     default_rank,
@@ -166,6 +168,11 @@ def bits(*values):
     return [np.asarray(x, dtype=np.float64).view(np.int64).tolist() for x in values]
 
 
+def adjacency(inst: Max2LinInstance):
+    """The signed adjacency A in vertex order, dense or CSR as the cut-off picks."""
+    return _signed_adjacency(inst, np.arange(inst.n))[0]
+
+
 def as_array(matrix) -> np.ndarray:
     """A, the layer's K, or a multiple of either, as an n x n array, dense or CSR."""
     return matrix if isinstance(matrix, np.ndarray) else matrix.toarray()
@@ -189,9 +196,69 @@ def coo_penalty_reference(active: _ActiveSet, v: np.ndarray, mu: float):
     c = 1.0 + e[:, 0] * r[0] + e[:, 1] * r[1] + e[:, 2] * r[2]
     q = np.maximum(0.0, active.lam / mu - c)
     f = mu * q
-    a_v = 0.5 * (_signed_adjacency(active.inst) @ v)
+    a_v = 0.5 * (adjacency(active.inst) @ v)
     val = 0.5 * float(np.sum(v * a_v)) - 0.5 * mu * float(q @ q)
     return val, a_v + coo_pair_matrix(active, f) @ v, f
+
+
+class TestMatrixConstructor:
+    """_matrix, the one builder of both solvers' matrices, at both cut-offs:
+    dense (n <= 26 by default) and CSR (a cut-off of 0)."""
+
+    @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_forms_match_scipy_and_hand_certify_the_same(self, graph, seed):
+        n, edges = graph
+        rng = np.random.default_rng(seed)
+        inst = Max2LinInstance.from_edges(
+            n, [(i, j, int(rng.choice([-1, 1])), float(rng.uniform(0.3, 2.0))) for i, j in edges])
+        order = rng.permutation(n)
+        # the reference: scipy's fancy indexing of the sorted A, as the
+        # mixing method once permuted it into colour order
+        ref = sp.csr_matrix((inst.nbr_sign * inst.nbr_weight, inst.nbr, inst.indptr), shape=(n, n))
+        ref.sort_indices()
+        ref = ref[order][:, order]
+        ref_entries = (np.repeat(np.arange(n), np.diff(ref.indptr)), ref.indices, ref.data)
+        u = _normalize_rows(rng.standard_normal((n, 3)))
+        y = _rowdot(ref @ u, u)
+        w_tot = inst.total_weight
+        v = rng.standard_normal((n, 2))
+        triples = enumerate_triples(inst, "all") if n >= 3 else np.empty((0, 3), dtype=np.int64)
+        picks = rng.integers(max(len(triples), 1), size=3 * n), rng.integers(len(_PATTERNS), size=3 * n)
+        lam = rng.uniform(0.0, 2.0, 3 * n) * (rng.random(3 * n) < 0.5)
+        handed = []
+        for cutoff in (sdp_module._DENSE_LAYER_MAX_N, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
+                adj, entries = _signed_adjacency(inst, order)
+                mixing = (*entries, certify.upper_bound(entries, y, w_tot, w_tot / 2),
+                          certify.first_shift_bound(entries, y, w_tot, w_tot / 2) or 0.0)
+                alm = ()
+                if len(triples):
+                    layer = _ActiveSet(triples, inst)
+                    layer.add(*picks)
+                    layer_entries, layer_y = layer.dual(lam[: len(layer)], v)
+                    alm = (*layer_entries, layer_y,
+                           certify.upper_bound(layer_entries, layer_y, w_tot, w_tot / 2, float(np.sum(lam))))
+            assert bits(*entries) == bits(*ref_entries)
+            if cutoff:
+                assert isinstance(adj, np.ndarray)
+                assert bits(adj) == bits(ref.toarray())
+            else:
+                assert bits(adj.indptr, adj.indices, adj.data) == bits(ref.indptr, ref.indices, ref.data)
+            handed.append(bits(*mixing, *alm))
+        assert handed[0] == handed[1]
+
+    def test_values_view_and_places(self, monkeypatch):
+        # the flat view writes through to the matrix at each entry's place
+        rows, cols, values = np.array([0, 0, 2]), np.array([2, 1, 0]), np.array([1.5, -2.0, 0.0])
+        for cutoff in (sdp_module._DENSE_LAYER_MAX_N, 0):
+            monkeypatch.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
+            matrix, flat, place = _matrix(3, rows, cols, values)
+            assert bits(flat[place]) == bits(values)
+            flat[place] = [4.0, 5.0, 6.0]
+            assert as_array(matrix)[rows, cols].tolist() == [4.0, 5.0, 6.0]
+            assert as_array(matrix).sum() == 15.0
 
 
 class TestConstraintLayer:
@@ -258,7 +325,7 @@ class TestConstraintLayer:
     @on_both_layers
     def test_matrix_is_half_adjacency_plus_pair_matrix(self, seed):
         inst, active, _, rng = self.grown_active_set(seed)
-        adj = as_array(_signed_adjacency(inst))
+        adj = as_array(adjacency(inst))
         # the active pairs include edges, whose entry K shares with A, and
         # non-edges, which A does not have
         on_edge = adj[active.pair_i, active.pair_j] != 0.0
@@ -268,12 +335,11 @@ class TestConstraintLayer:
         want = 0.5 * adj + coo_pair_matrix(active, f).toarray()
         got = as_array(active.matrix)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # the pattern holds A's entries and both mirrors of every pair:
-        # a copy with 1 at the places of K's stored values, 0 elsewhere (a
-        # dense K stores every place)
-        pattern = active.matrix.copy()
-        (pattern.reshape(-1) if isinstance(pattern, np.ndarray) else pattern.data)[:] = 1.0
-        dense = as_array(pattern)
+        # K's entries hold A's and both mirrors of every pair, and their
+        # places hold K's values
+        dense = np.zeros((inst.n, inst.n))
+        dense[active.rows, active.cols] = 1.0
+        assert np.array_equal(got[active.rows, active.cols], active._values[active._place])
         assert np.all(dense[adj != 0.0] == 1.0)
         assert np.all(dense[active.pair_i, active.pair_j] == 1.0)
         assert np.all(dense[active.pair_j, active.pair_i] == 1.0)
@@ -284,9 +350,11 @@ class TestConstraintLayer:
         # the certificate's A' = A + 2 sum_t lam_t e_t is 2 K(lam)
         inst, active, _, rng = self.grown_active_set(seed)
         lam = rng.uniform(0.0, 2.0, len(active)) * (rng.random(len(active)) < 0.5)
-        active.refill(lam)
-        got = as_array(2.0 * active.matrix)
-        want = as_array(_signed_adjacency(inst)) + 2.0 * coo_pair_matrix(active, lam).toarray()
+        (rows, cols, values), _ = active.dual(lam, rng.standard_normal((inst.n, 3)))
+        got = np.zeros((inst.n, inst.n))
+        got[rows, cols] = values
+        assert np.array_equal(got, as_array(2.0 * active.matrix))
+        want = as_array(adjacency(inst)) + 2.0 * coo_pair_matrix(active, lam).toarray()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -329,7 +397,7 @@ class TestConstraintLayer:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
                 layers.append(_ActiveSet(triples, inst))
-            layers[-1].add(*picks)
+                layers[-1].add(*picks)  # a rebuild reads the cut-off too
         dense, csr = layers
         assert isinstance(dense.matrix, np.ndarray) and not isinstance(csr.matrix, np.ndarray)
         dense.lam = csr.lam = rng.uniform(0.0, 2.0, len(dense)) * (rng.random(len(dense)) < 0.5)
@@ -339,13 +407,11 @@ class TestConstraintLayer:
 
         def certificate(layer):
             # what _solve_alm hands certify.upper_bound, at A' = 2 K(lam)
-            layer.refill(layer.lam)
-            a_lam = 2.0 * layer.matrix
-            y = _rowdot(layer._product(a_lam, v), v)
-            shift = _certified_shift(a_lam, y, 1e-3)
-            bound = certify.upper_bound(a_lam, y, inst.total_weight, sdp_objective(inst, SdpEmbedding(v)),
+            entries, y = layer.dual(layer.lam, v)
+            shift = _certified_shift(entries, y, 1e-3)
+            bound = certify.upper_bound(entries, y, inst.total_weight, sdp_objective(inst, SdpEmbedding(v)),
                                         float(np.sum(layer.lam)))
-            return y, shift, bound
+            return *entries, y, shift, bound
 
         assert bits(*certificate(dense)) == bits(*certificate(csr))
 
@@ -388,7 +454,7 @@ def reference_negative_al(active: _ActiveSet, mu: float):
         m = np.bincount(active.slot.ravel(), weights=(f[:, None] * active.pattern).ravel(),
                         minlength=len(active.pair_i) + 1)
         np.add(active._base, m[active._entry_pair], out=active._values)
-        kv = active._product(active.matrix, v)
+        kv = _product(active.matrix, v)
         val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1] @ r) - 0.5 * mu * float(q @ q)
         g_neg = (_rowdot(kv, v)[:, None] * v - kv) / norms
         return -(0.5 * w_tot + val), g_neg.ravel()
@@ -934,7 +1000,7 @@ class TestUpperBound:
         for cutoff, kind in ((sdp_module._DENSE_LAYER_MAX_N, np.ndarray), (0, sp.csr_matrix)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sdp_module, "_DENSE_LAYER_MAX_N", cutoff)
-                assert isinstance(_signed_adjacency(inst), kind)
+                assert isinstance(adjacency(inst), kind)
                 reports.append(solve_sdp(inst, SdpConfig(triangle_mode="none", seed=seed))[1])
         dense, csr = reports
         slack = 1e-12 * inst.total_weight
@@ -978,16 +1044,15 @@ class TestUpperBound:
         assert abs(rep.objective - rep_default.objective) <= 1e-5 * rep.objective
 
     def test_alm_certificate_is_the_same_on_both_layers(self, monkeypatch):
-        # the CSR layer stores explicit zeros that the dense layer does not;
-        # the radii sum one term at a time, so both layers' certificates
-        # give the same bits
+        # both layers hand certify the same entries, explicit zeros
+        # included, so their certificates give the same bits
         n, d, bias, law, gen_seed = DESK_LIKE[0]
         inst = gen_random_regular(n, d, bias, law, seed=gen_seed)
         radii, reports = [], []
         upper_bound = certify.upper_bound
 
         def recording(*args):
-            radii.append(certify._radii(args[0]).view(np.int64).tolist())
+            radii.append(bits(*args[0], certify._radii(args[0], n)))
             return upper_bound(*args)
 
         monkeypatch.setattr(certify, "upper_bound", recording)
@@ -1006,8 +1071,8 @@ class TestUpperBound:
         factored = counted_choleskys(monkeypatch)
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
         assert rep.converged and emb.rank < default_rank(inst.n)
-        adj = _signed_adjacency(inst)
-        left = len(certify._eliminated(adj, certify._radii(adj) + 1.0))  # dominant: no pivot refuses
+        entries = _signed_adjacency(inst, np.arange(inst.n))[1]
+        left = len(certify._eliminated(entries, certify._radii(entries, inst.n) + 1.0))  # dominant: no pivot refuses
         assert 0 < left < inst.n
         assert factored == [left] * (emb.rank - 4 + 1)
 
