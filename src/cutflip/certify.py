@@ -270,7 +270,8 @@ def _first_shift(objective: float, n: int) -> float:
 def _upper_bound(w_tot: float, lam_sum: float, y: np.ndarray, shift: float) -> float:
     """W/2 + sum(lam) + (sum(y) + n shift) / 4, the dual bound of the module
     docstring for y_i = <(A' V)_i, v_i> and a shift that certifies
-    Diag(y) - A', or W if that is smaller or the bound is not finite: no
-    edge term of the objective exceeds its weight."""
+    Diag(y) - A', or W if that is smaller (by n eps W, its sums' roundoff,
+    which in none mode rounds the Gershgorin bound, at least W, an ulp below)
+    or the bound is not finite: no edge term of the objective exceeds its weight."""
     bound = 0.5 * w_tot + lam_sum + 0.25 * (float(np.sum(y)) + len(y) * shift)
-    return bound if math.isfinite(bound) and bound < w_tot else w_tot
+    return bound if math.isfinite(bound) and bound < w_tot * (1.0 - len(y) * np.finfo(float).eps) else w_tot

@@ -295,6 +295,11 @@ class TestCertificate:
                              ([1.0, 2.0, 3.0], math.inf), ([1.0, -math.inf, 3.0], math.inf)]:
             assert _upper_bound(10.0, 0.5, np.array(y_bad), shift) == 10.0
         assert _upper_bound(10.0, math.nan, y, 0.4) == 10.0
+        # a star whose edges all hold: y_i = W, 1, 0.3 sums to 2W, so the bound
+        # is W, but y_0 one ulp low rounds the sum's bound an ulp below W
+        low = np.array([np.nextafter(1.3, 0.0), 1.0, 0.3])
+        assert 0.5 * 1.3 + 0.25 * float(np.sum(low)) < 1.3
+        assert _upper_bound(1.3, 0.0, low, 0.0) == 1.3
 
 
 def symmetric_pattern(edges: list) -> tuple[np.ndarray, np.ndarray]:

@@ -992,6 +992,10 @@ class TestUpperBound:
 
     @given(inst=signed_instances(sdp_module._DENSE_LAYER_MAX_N), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
+    @example(  # every edge holds, and the bound's sums round it an ulp below W
+        inst=Max2LinInstance(5, [0, 0, 0, 0], [1, 2, 3, 4], [-1, -1, -1, -1],
+                             [1.0, 1.9776537147171076, 1.8474467953799791, 0.9549211841366629]),
+        seed=0)
     def test_dense_and_csr_mixing_bound_each_other(self, inst, seed):
         # up to _DENSE_LAYER_MAX_N vertices the mixing method reads a dense A,
         # whose products may sum in another order than CSR's: both paths
