@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -39,17 +40,24 @@ def _edge_arrays(flat) -> tuple[np.ndarray, ...]:
     read by int() and float(), each edge's endpoints in order."""
     try:
         i, j, b = (np.fromiter(map(int, flat[k::4]), np.int64) for k in range(3))
-    except OverflowError:  # beyond int64: its nearer end, which no edge rule accepts
-        ints = np.array([list(map(int, flat[k::4])) for k in range(3)], dtype=object)
-        i, j, b = np.clip(ints, -2**63, 2**63 - 1).astype(np.int64)
+    except OverflowError:  # beyond int64: Python ints, which the constructor refuses
+        i, j, b = (np.array(list(map(int, flat[k::4])), dtype=object) for k in range(3))
     return np.minimum(i, j), np.maximum(i, j), b, np.fromiter(map(float, flat[3::4]), np.float64)
+
+
+def _numbers(x) -> np.ndarray:
+    """x as numbers: strings and objects as float64 (exact below 2^53), after a
+    Python int beyond int64 is moved to its nearer int64 end, which no rule accepts."""
+    a = np.asarray(x)
+    a = np.clip(a, -2**63, 2**63 - 1) if a.dtype.kind == "O" else a
+    return a.astype(np.float64) if a.dtype.kind in "OUS" else a
 
 
 def _first_fault(n: int, ends, ei, ej, b, w) -> tuple[int, str] | None:
     """(index, reason) of the first edge that breaks a rule, and the first of
     the rules below, in their order, that it breaks; None if none does. ends
     are the endpoints as given, ei and ej their int64 casts."""
-    frac = [x != np.trunc(x) if x.dtype.kind == "f" else np.zeros(len(x), bool) for x in ends]  # NaN too
+    frac = [x != np.trunc(x) if x.dtype.kind == "f" else np.broadcast_to(False, len(x)) for x in ends]
     lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
     order = np.lexsort((hi, lo))  # stable: a repeat sorts after its first copy
     dup = np.zeros(len(lo), dtype=bool)
@@ -96,10 +104,10 @@ class Max2LinInstance:
         if n < 1:
             raise InstanceError(f"vertex count must be >= 1, got {n}")
         # copies the instance owns: the caller's arrays stay as they were
-        ends = np.asarray(self.edge_i), np.asarray(self.edge_j)
+        ends = _numbers(self.edge_i), _numbers(self.edge_j)
         with np.errstate(invalid="ignore"):  # NaN and inf cast to any int64; refused below
             ei, ej = (np.array(x, dtype=np.int64) for x in ends)
-        b = np.asarray(self.sign)
+        b = _numbers(self.sign)
         w = np.array(self.weight, dtype=np.float64)
         if not (len(ei) == len(ej) == len(b) == len(w)):
             raise InstanceError("edge arrays must have equal length")
@@ -128,14 +136,11 @@ class Max2LinInstance:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Max2LinInstance":
         """Build from an iterable of (i, j, b, w); endpoint order is normalized.
-        Numbers keep their type, so the constructor refuses a float endpoint or
-        sign that is not whole; strings and ints beyond int64 are read by int()."""
+        Each field keeps its type, so the constructor checks every value."""
         rows = list(edges)
-        flat = np.array(rows, dtype=object).reshape(4 * len(rows))
-        i, j, b, w = (np.array(flat[k::4].tolist()) for k in range(4))
-        if not all(x.dtype.kind in "iuf" for x in (i, j, b, w)):
-            return cls(n, *_edge_arrays(flat))
-        return cls(n, np.minimum(i, j), np.maximum(i, j), b, w)
+        flat = np.array(rows, dtype=object).reshape(4 * len(rows)).tolist()
+        i, j = _numbers(flat[0::4]), _numbers(flat[1::4])
+        return cls(n, np.minimum(i, j), np.maximum(i, j), flat[2::4], flat[3::4])
 
     @property
     def m(self) -> int:
@@ -278,21 +283,10 @@ def _pair_stubs(n: int, d: int, rng: np.random.Generator, max_rounds: int) -> se
             if s1 != s2 and (s1, s2) not in edges:
                 edges.add((s1, s2))
             else:
-                leftover.append(s1)
-                leftover.append(s2)
-        if leftover:
-            # Stall check: if no leftover pair can ever be placed, this attempt is dead.
-            placeable = False
-            uniq = sorted(set(leftover))
-            for a_idx in range(len(uniq)):
-                for b_idx in range(a_idx + 1, len(uniq)):
-                    if (uniq[a_idx], uniq[b_idx]) not in edges:
-                        placeable = True
-                        break
-                if placeable:
-                    break
-            if not placeable:
-                return None
+                leftover += (s1, s2)
+        # stall check: if no leftover pair can ever be placed, this attempt is dead
+        if leftover and all(pair in edges for pair in combinations(sorted(set(leftover)), 2)):
+            return None
         stubs = leftover
     return edges
 

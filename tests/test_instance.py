@@ -239,6 +239,7 @@ class TestParserAndConstructorAgree:
         ("3 1\n0 " + "9" * 25 + " -1 1.0", "vertex index out of range [0, 3)"),
         ("3 1\n-" + "9" * 25 + " 1 -1 1.0", "vertex index out of range [0, 3)"),
         ("3 1\n0 1 " + "9" * 25 + " 1.0", "sign must be -1 or +1"),
+        ("3 1\n0 " + "9" * 400 + " -1 1.0", "vertex index out of range [0, 3)"),
         ("3 1\n2 2 -1 1.0", "self-loop at vertex 2"),
         ("3 2\n0 1 -1 1.0\n1 0 1 2.0", "duplicate edge {0, 1}"),
         ("3 1\n0 1 -1 -0.0", "weight must be finite and > 0, got -0.0"),
@@ -285,6 +286,36 @@ class TestParserAndConstructorAgree:
             Max2LinInstance(3, np.array([i]), np.array([j]), np.array([1]), np.array([1.0]))
         with pytest.raises(InstanceError, match=message):
             Max2LinInstance.from_edges(3, [(i, j, 1, 1.0)])
+
+    @pytest.mark.parametrize("edge, reason", [
+        ((0.5, 1.7, True, 1.0), "vertex index must be an integer, got 0.5"),
+        ((0.5, 1, 1, "1.0"), "vertex index must be an integer, got 0.5"),
+        (("0.5", "1", "1", "1.0"), "vertex index must be an integer, got 0.5"),
+        ((0, 1, 1.5, "1.0"), "sign must be -1 or \\+1"),
+        ((0, 1, "1.5", 1.0), "sign must be -1 or \\+1"),
+    ])
+    def test_from_edges_checks_each_field_whatever_the_others_hold(self, edge, reason):
+        # a bool or a string in one field once sent every field through int()
+        with pytest.raises(InstanceError, match=f"^edge 0: {reason}$"):
+            Max2LinInstance.from_edges(3, [edge])
+
+    def test_number_strings_and_bools_read_as_their_values(self):
+        want = Max2LinInstance(3, np.array([0, 0]), np.array([2, 1]), np.array([-1, 1]), np.array([1.5, 2.0]))
+        assert Max2LinInstance.from_edges(3, [("2", "0", "-1", "1.5"), ("0", 1, "1", 2)]) == want
+        assert Max2LinInstance.from_edges(3, [(2, 0, -1, 1.5), (False, True, True, 2)]) == want
+
+    @pytest.mark.parametrize("field, reason", [(0, "vertex index out of range \\[0, 3\\)"),
+                                               (1, "vertex index out of range \\[0, 3\\)"),
+                                               (2, "sign must be -1 or \\+1")])
+    @pytest.mark.parametrize("big", [10**25, -10**25, 10**400])
+    def test_python_int_beyond_int64_is_refused(self, field, reason, big):
+        # the int64 cast raised OverflowError before any edge rule was checked
+        arrays = [[0], [1], [1], [1.0]]
+        arrays[field] = [big]
+        with pytest.raises(InstanceError, match=f"^edge 0: {reason}$"):
+            Max2LinInstance(3, *arrays)
+        with pytest.raises(InstanceError, match=f"^edge 0: {reason}$"):
+            Max2LinInstance.from_edges(3, [[a[0] for a in arrays]])
 
     def test_whole_float_endpoints_accepted(self):
         want = Max2LinInstance(3, np.array([0, 1]), np.array([2, 2]), np.array([1, -1]), np.array([1.0, 2.0]))
