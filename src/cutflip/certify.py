@@ -8,17 +8,24 @@ without them; with them, A' = 2 K(lam), the ALM's matrix K = A/2 + M refilled
 with the multipliers). y_i = <(A' V)_i, v_i> makes the bound equal the
 objective plus n delta / 4 at a stationary iterate V.
 A' is read as the entries the solver built it from, (rows, cols, values)
-grouped by row over n = len(y) rows, explicit zeros allowed. One path
-certifies positive definiteness (_shift_certificate): independent sets of
-S's pattern are eliminated while each pays for itself, each with positive
-pivots (_eliminated), and the dense remainder takes one block Cholesky
-(_positive_definite: numpy's Cholesky of one block of rows at a time, each
-overwriting the rest with its Schur complement). Above _FACTOR_MAX_N
-vertices, where that remainder costs too much, the Gershgorin shift
-certifies instead; it needs no factorization but gives a loose bound, and
-the mixing method stays at its start rank. The bound is capped by W, which
-no objective exceeds; in none mode the Gershgorin bound is never below W, so
-there the cap is the bound.
+grouped by row over n = len(y) rows, each (row, col) once, explicit zeros
+allowed; A' is symmetric, so an entry off the diagonal comes with its
+mirror, of the same value. One path certifies positive definiteness
+(_shift_certificate): independent sets of S's pattern are eliminated while
+each pays for itself, each with positive pivots (_eliminated), and the
+dense remainder's lower triangle, written once into column blocks
+(_lower_blocks), takes one right-looking block Cholesky
+(_positive_definite: numpy's Cholesky of each block's leading square, whose
+Schur complement then overwrites the blocks after it; a block is dropped
+once factored). Above 2 _CHOLESKY_BLOCK rows left no r x r array is ever
+held: traced by tracemalloc, one certificate at the final none-mode
+iterate peaks at 4.4 MB for the 851 rows left at n = 2000, d = 4 (one
+r x r copy: 5.8 MB), and at 58 MB for 3218 rows at n = 5000, d = 10
+(83 MB). Above _FACTOR_MAX_N vertices, where that remainder costs too
+much, the Gershgorin shift certifies instead; it needs no factorization but
+gives a loose bound, and the mixing method stays at its start rank. The
+bound is capped by W, which no objective exceeds; in none mode the
+Gershgorin bound is never below W, so there the cap is the bound.
 The entries: upper_bound, and the mixing method's first_shift_bound.
 """
 
@@ -33,8 +40,8 @@ __all__ = ["first_shift_bound", "upper_bound"]
 # the certificate's first shift delta gives an upper bound within this share
 # of the objective above it; refused shifts double, and the
 # bracket between the last refused and the first accepted shift is bisected
-# down to _SHIFT_RTOL of the accepted one (each dense factorization at
-# n <= 22 takes about 0.01 ms)
+# down to _SHIFT_RTOL of the accepted one (each certificate at n <= 22
+# takes about 0.02 ms)
 _GAP_TOL = 1e-5
 _SHIFT_RTOL = 0.01
 
@@ -45,34 +52,39 @@ _SHIFT_RTOL = 0.01
 # decides at every size; at desk sizes (m^3 below this many times the stored
 # entries) no set can pay, and S itself is factored. A larger value
 # stops sooner and leaves a larger dense remainder; a smaller one holds more
-# fill at once. One certificate at the final none-mode iterate, at 256 /
-# 1024 / 4096, on a 2-vCPU AMD EPYC box: n=2000 d=4 11.7 / 10.5 / 10.2 ms,
-# n=5000 d=6 196 / 118 / 90 ms; a fresh n=5000 d=10 none-mode solve peaks
-# at about 337 / 225 / 224 MB at 400 / 1024 / 2048
-_ELIMINATE_COST = 1024
+# fill at once. One certificate at the final none-mode iterate (gen seed 1),
+# at 1024 / 2048, on a 2-vCPU Intel Xeon box (medians of alternating calls,
+# two runs): n=5000 d=6 240-290 / 193-203 ms, 2480 / 2644 rows left, and a
+# fresh none-mode solve there peaks at 104 / 96 MB; n=2000 d=4 and n=5000
+# d=10 leave the same 851 and 3218 rows at both, and n=200-1500 moves by at
+# most 10%
+_ELIMINATE_COST = 2048
 
 # the largest n whose certificate is factored. The dense remainder keeps
-# about a third of the rows of random 4-regular graphs at n=10000-20000, so
-# its memory grows as n^2 and its Cholesky as n^3 (one certificate at the
-# final none-mode iterate, d=4, fresh-process peak: 0.04 s and 87 MB at
-# n=4000, 0.22 s and 225 MB at n=10000, 1.2 s and 766 MB at n=20000, on a
-# 2-vCPU AMD EPYC box; above n=4000 the peak is _eliminated's, while it
-# assembles the dense remainder); above it the bound takes the Gershgorin
+# about a third of the rows of random 4-regular graphs at n=10000-20000
+# (3613 and 7042 rows), so its memory grows as n^2 and its Cholesky as n^3
+# (one certificate that accepts at the final none-mode iterate, d=4, gen
+# seed 1, fresh-process peak with the solve's: 0.07 s and 72 MB at n=4000,
+# 0.6 s and 134 MB at n=10000, 3.5 s and 375 MB at n=20000, on a
+# 2-vCPU Intel Xeon box; the last elimination round's arrays peak about as
+# high as the blocks); above it the bound takes the Gershgorin
 # shift, and the mixing method stays at its start rank since nothing
 # refuses its iterate
 _FACTOR_MAX_N = 5000
 
-# the certificate's block Cholesky (_positive_definite) factors this many
-# rows at a time. It holds the r x r remainder once and panels of about
-# 2 * _CHOLESKY_BLOCK * r floats, where one numpy Cholesky of the whole
-# holds S, LAPACK's working copy and the factor. Up to this many rows it is
-# that one Cholesky: at 256, unlike 128, every S of up to 256 vertices is
-# still factored as one block. On a 2-vCPU AMD EPYC box, at 128 / 256 / 512
-# rows / one block: a fresh n=2000 d=4 none-mode solve peaks at 63.8 / 65.3
-# / 71.8 / 75.1 MB, and one certificate at its final iterate (851 rows
-# left) takes 9.9 / 12.1 / 20.4 / 13.5 ms, at n=5000 d=10 (3218 rows left)
-# 195 / 188 / 222 / 198 ms (medians)
-_CHOLESKY_BLOCK = 256
+# the width of the column blocks that hold the remainder's lower triangle
+# (_lower_blocks), each factored as one numpy Cholesky of its leading square
+# (_positive_definite); the last block takes the rest, up to twice this
+# width, so a remainder of up to twice this many rows is one block, S whole.
+# For r rows left and blocks of b columns the blocks hold about r(r + b)/2
+# floats, and the factorization X and one column block of X^T X up to b r
+# floats each. On a 2-vCPU Intel Xeon box (gen seed 1), at 128 / 256: one
+# certificate at the final none-mode iterate takes 15.7 / 19.3 ms at n=2000
+# d=4 (851 rows left; 4.4 / 6.2 MB traced, one r x r copy 5.8 MB), 207 / 199
+# ms at n=5000 d=6 and 473 / 454 ms at n=5000 d=10 (medians of alternating
+# calls); a fresh none-mode solve peaks at 60.6 / 61.6 MB at n=2000 d=4,
+# 96 / 100 MB at n=5000 d=6 and 126 / 130 MB at n=5000 d=10
+_CHOLESKY_BLOCK = 128
 
 
 def upper_bound(entries: tuple, y: np.ndarray, w_tot: float, objective: float, lam_sum: float = 0.0) -> float:
@@ -127,21 +139,21 @@ def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
             return chosen
 
 
-def _eliminated(entries: tuple, diag: np.ndarray) -> np.ndarray | None:
-    """S = Diag(diag) - A' as a dense array, A' given by its entries, after
-    eliminating independent sets of their off-diagonal pattern; None once a
-    pivot of an eliminated row is not positive (a NaN pivot is not).
+def _eliminated(entries: tuple, diag: np.ndarray) -> list | None:
+    """S = Diag(diag) - A', A' given by its entries, after eliminating
+    independent sets of their off-diagonal pattern, as the lower triangle's
+    column blocks (_lower_blocks), or up to 2 _CHOLESKY_BLOCK rows as one
+    block, the whole remainder; None once a pivot of an eliminated row is
+    not positive (a NaN pivot is not).
 
     For an independent set I of the pattern S_II is diagonal, so S is
     positive definite exactly when every pivot S_ii, i in I, is positive and
     the Schur complement S_RR - S_RI diag(1 / S_II) S_IR over the other rows
     R is (Haynsworth's inertia additivity). Eliminating row k adds
-    -S_ik S_kj / S_kk to S_ij for every pair of k's neighbours i, j. While
-    rows are left, each set (_independent_set) is eliminated if that saves
-    more than it costs (_ELIMINATE_COST); a pattern without entries is
-    eliminated whole, and decided by its pivots alone. The remainder of r
-    rows is returned dense: r^2 * 8 bytes, which _positive_definite factors
-    in place.
+    -S_ik S_kj / S_kk to S_ij for every pair of k's neighbours i, j
+    (_eliminate_set). While rows are left, each set (_independent_set) is
+    eliminated if that saves more than it costs (_ELIMINATE_COST); a pattern
+    without entries is eliminated whole, and decided by its pivots alone.
     """
     m = len(diag)
     rows, cols, vals = entries
@@ -159,30 +171,76 @@ def _eliminated(entries: tuple, diag: np.ndarray) -> np.ndarray | None:
             break
         if not np.all(diag[chosen] > 0.0):
             return None
-        # the entries of the eliminated rows, grouped by row (CSR order), and
-        # every ordered pair (a, b) of entries in one row
-        out = chosen[rows]
-        k, nb, sv = rows[out], cols[out], vals[out]
-        count = deg[k]
-        a = np.repeat(np.arange(len(k)), count)
-        b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count) + np.searchsorted(k, k)[a]
-        i, j, fill = nb[a], nb[b], -(sv[a] * sv[b]) / diag[k[a]]
-        on = i == j
-        diag = diag + np.bincount(i[on], weights=fill[on], minlength=m)
-        # renumber the rows left, and sum their entries with the fill
-        keep = ~chosen
-        new = np.cumsum(keep) - 1
-        diag = diag[keep]
+        rows, cols, vals, diag = _eliminate_set(rows, cols, vals, diag, chosen, deg)
         m = len(diag)
-        stay = ~out & keep[cols]
-        keys = np.concatenate([new[rows[stay]] * m + new[cols[stay]], new[i[~on]] * m + new[j[~on]]])
-        keys, where = np.unique(keys, return_inverse=True)
-        vals = np.bincount(where, weights=np.concatenate([vals[stay], fill[~on]]))
-        rows, cols = np.divmod(keys, m)
-    s = np.zeros((m, m))
-    np.add.at(s, (rows, cols), vals)
-    s.flat[:: m + 1] += diag
-    return s
+    if m <= 2 * _CHOLESKY_BLOCK:
+        # one block, S whole: each entry written once (the keys are unique)
+        s = np.zeros((m, m))
+        s[rows, cols] = vals
+        s.flat[:: m + 1] = diag
+        return [s] if m else []
+    # S is symmetric, so the entries above its diagonal, grouped by row, are
+    # those below it grouped by column: the blocks read only those, and the
+    # rest are freed before the blocks are allocated
+    above = rows < cols
+    rows, cols, vals = rows[above], cols[above], vals[above]
+    return _lower_blocks(rows, cols, vals, diag)
+
+
+def _eliminate_set(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, diag: np.ndarray, chosen: np.ndarray,
+                   deg: np.ndarray) -> tuple:
+    """The entries (rows, cols, vals) and diagonal diag of S after
+    eliminating the independent set chosen (a mask) of S's rows, which have
+    degrees deg in the pattern, with the rows left renumbered in order; the
+    entries come grouped by row, and leave it with unique (row, col) keys in
+    row-major order."""
+    m = len(diag)
+    # the entries of the eliminated rows, grouped by row (CSR order), and
+    # every ordered pair (a, b) of entries in one row
+    out = chosen[rows]
+    k, nb, sv = rows[out], cols[out], vals[out]
+    count = deg[k]
+    a = np.repeat(np.arange(len(k)), count)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count) + np.searchsorted(k, k)[a]
+    i, j, fill = nb[a], nb[b], -(sv[a] * sv[b]) / diag[k[a]]
+    # each array of one entry per pair is dropped once used: above about
+    # n = 3000 the last round's pairs set the certificate's peak
+    del a, b
+    on = i == j
+    diag = diag + np.bincount(i[on], weights=fill[on], minlength=m)
+    # renumber the rows left, and sum their entries with the fill
+    keep = ~chosen
+    new = np.cumsum(keep) - 1
+    diag = diag[keep]
+    m = len(diag)
+    stay = ~out & keep[cols]
+    keys = np.concatenate([new[rows[stay]] * m + new[cols[stay]], new[i[~on]] * m + new[j[~on]]])
+    del i, j
+    keys, where = np.unique(keys, return_inverse=True)
+    vals = np.bincount(where, weights=np.concatenate([vals[stay], fill[~on]]))
+    return *np.divmod(keys, m), vals, diag
+
+
+def _lower_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, diag: np.ndarray) -> list:
+    """The lower triangle of the symmetric r x r matrix with diagonal diag
+    and entries (rows, cols, vals) above it, grouped by row in ascending
+    order, as column blocks: block c holds rows lo..r of columns lo..hi,
+    8 (r - lo)(hi - lo) bytes. Each block is _CHOLESKY_BLOCK columns wide
+    but the last, which takes the rest, up to twice that; about r(r + b)/2
+    floats in all for blocks of b columns. Entry (i, j) is written at
+    (j, i): the entries of rows lo..hi fill block c, and no block holds any
+    of the upper triangle.
+    """
+    r, step = len(diag), _CHOLESKY_BLOCK
+    edges = [*range(0, r - step, step), r]
+    starts = np.searchsorted(rows, edges)
+    blocks = []
+    for lo, hi, start, stop in zip(edges, edges[1:], starts, starts[1:]):
+        block = np.zeros((r - lo, hi - lo))
+        block[cols[start:stop] - lo, rows[start:stop] - lo] = vals[start:stop]
+        block.flat[: (hi - lo) ** 2 : hi - lo + 1] = diag[lo:hi]
+        blocks.append(block)
+    return blocks
 
 
 def _shift_certificate(entries: tuple, y: np.ndarray, delta: float) -> bool:
@@ -190,42 +248,48 @@ def _shift_certificate(entries: tuple, y: np.ndarray, delta: float) -> bool:
     entries? One dense block Cholesky (_positive_definite) of the Schur
     complement left after eliminating independent sets of S's pattern
     (_eliminated), which refuses at once on a pivot that is not positive;
-    the remainder belongs to this call, so the factorization overwrites it.
+    the remainder's column blocks belong to this call, so the factorization
+    consumes them.
     """
-    s = _eliminated(entries, y + delta)
-    return s is not None and _positive_definite(s)
+    blocks = _eliminated(entries, y + delta)
+    return blocks is not None and _positive_definite(blocks)
 
 
-def _positive_definite(s: np.ndarray) -> bool:
-    """Is the symmetric array s positive definite? It reads only the lower
-    triangle of s, and overwrites s.
+def _positive_definite(blocks: list) -> bool:
+    """Is the symmetric matrix whose lower triangle blocks holds, in the
+    column blocks of _lower_blocks, positive definite? It reads only the
+    lower triangle of each block's leading square. It empties blocks: each
+    block is dropped once factored, before its Schur complement overwrites
+    the blocks after it.
 
     A right-looking block Cholesky (Golub and Van Loan, Matrix Computations,
-    4.2): with L the Cholesky factor of the leading block S11 of
-    _CHOLESKY_BLOCK rows, S is positive definite exactly when S11 is and so
-    is the Schur complement S22 - X^T X, X = L^-1 S21^T, which overwrites
-    S22; the trailing blocks repeat this. s is held once, plus panels of
-    _CHOLESKY_BLOCK rows; up to that many rows this is one numpy Cholesky of
-    s. numpy's (LAPACK's) Cholesky of a block fails on its first pivot that
-    is not positive, but a NaN pivot passes that test, so every diagonal
-    entry of each block's factor must also be positive.
+    4.2): with L the Cholesky factor of the leading square S11 of the first
+    block, S is positive definite exactly when S11 is and so is the Schur
+    complement S22 - X^T X, X = L^-1 S21^T from the rows below the square,
+    which overwrites the blocks after it; they repeat this. Beside the
+    blocks it holds X and one column block of X^T X, each at most
+    _CHOLESKY_BLOCK x r, and the square's factor and its inverse; one block
+    is one numpy Cholesky. numpy's (LAPACK's) Cholesky of a square fails on
+    its first pivot that is not positive, but a NaN pivot passes that test,
+    so every diagonal entry of each square's factor must also be positive.
     """
-    r, step = len(s), _CHOLESKY_BLOCK
-    for lo in range(0, r, step):
-        hi = min(lo + step, r)
+    while blocks:
+        block = blocks.pop(0)
+        w = block.shape[1]
         try:
-            chol = np.linalg.cholesky(s[lo:hi, lo:hi])
+            chol = np.linalg.cholesky(block[:w])
         except np.linalg.LinAlgError:
             return False
-        if not np.all(chol.diagonal() > 0.0):
+        if not (chol.diagonal() > 0.0).all():
             return False
-        if hi < r:
-            # the panel X from the rows below the block, then S22 -= X^T X
-            # in the blocks on and below its diagonal, one block row at a time
-            x = np.linalg.inv(chol) @ s[hi:, lo:hi].T
-            for a in range(hi, r, step):
-                b = min(a + step, r)
-                s[a:b, hi:b] -= x[:, a - hi : b - hi].T @ x[:, : b - hi]
+        if blocks:
+            x = np.linalg.inv(chol) @ block[w:].T
+            del block  # factored: only X is needed now
+            at = 0
+            for later in blocks:
+                width = later.shape[1]
+                later -= x[:, at:].T @ x[:, at : at + width]
+                at += width
     return True
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -377,7 +378,7 @@ class TestElimination:
         diag = np.arange(n) % 3 - 1.0
         entries, y = stored_entries(form(np.diag(diag))), diag + 1.0
         factored = counted_choleskys(monkeypatch)
-        assert certify._eliminated(entries, y).shape == (0, 0)
+        assert certify._eliminated(entries, y) == []
         assert _shift_certificate(entries, y, 0.0)
         for pivot in (-1.0, 0.0, math.nan):
             low = y.copy()
@@ -414,6 +415,102 @@ class TestElimination:
             assert definite == (lam > 0.0)
 
 
+def block_edges(r: int) -> list:
+    """The first column of each block of an r-row remainder, then r: blocks
+    of _CHOLESKY_BLOCK columns but the last, which takes the rest, up to
+    twice that."""
+    b = certify._CHOLESKY_BLOCK
+    return [*range(0, max(r - b, 1), b), r]
+
+
+def block_widths(r: int) -> list:
+    """The columns of each block of an r-row remainder."""
+    return np.diff(block_edges(r)).tolist()
+
+
+def column_blocks(s: np.ndarray) -> list:
+    """Copies of s's column blocks, as _positive_definite reads them: block
+    c holds rows lo..r of columns lo..hi, with the upper triangle of its
+    leading square as s has it."""
+    return [s[lo:, lo:hi].copy() for lo, hi in itertools.pairwise(block_edges(len(s)))]
+
+
+def recorded_sets(monkeypatch) -> list:
+    """Every independent set _eliminated draws from now on, each a mask over
+    the rows left when it was drawn."""
+    sets = []
+    independent_set = certify._independent_set
+
+    def recording(*args):
+        sets.append(independent_set(*args))
+        return sets[-1]
+
+    monkeypatch.setattr(certify, "_independent_set", recording)
+    return sets
+
+
+def dense_schur(s: np.ndarray, sets: list, r: int) -> np.ndarray:
+    """The reference remainder: S_RR - S_RI diag(1 / S_II) S_IR for each
+    independent set I of sets in turn (R the rows left), by plain dense
+    elimination, until r rows are left."""
+    for chosen in sets:
+        if len(s) == r:
+            break
+        keep = ~chosen
+        s = s[np.ix_(keep, keep)] - s[np.ix_(keep, chosen)] / s.diagonal()[chosen] @ s[np.ix_(chosen, keep)]
+    assert len(s) == r
+    return s
+
+
+class TestRemainder:
+    """What _eliminated hands the block Cholesky: the remainder's lower
+    triangle in column blocks, and the memory the certificate holds for it."""
+
+    @pytest.mark.parametrize("n, d", [(1000, 3), (2000, 4)])
+    def test_blocks_are_the_lower_triangle_of_the_schur_complement(self, n, d, monkeypatch):
+        # block c holds rows lo..r of columns lo..hi of the remainder that a
+        # plain dense elimination of the same independent sets leaves, and
+        # no entry above its diagonal, across every block boundary
+        adj, y, lam = indefinite_dual(n, d)
+        sets = recorded_sets(monkeypatch)
+        blocks = certify._eliminated(stored_entries(adj), y - lam)
+        r = len(blocks[0])
+        edges = block_edges(r)
+        assert [block.shape for block in blocks] == [(r - lo, hi - lo) for lo, hi in itertools.pairwise(edges)]
+        assert len(blocks) >= 3
+        schur = np.tril(dense_schur(np.diag(y - lam) - adj.toarray(), sets, r))
+        scale = float(np.abs(schur).max())
+        for (lo, hi), block in zip(itertools.pairwise(edges), blocks):
+            assert not np.triu(block[: hi - lo], 1).any()
+            np.testing.assert_allclose(block, schur[lo:, lo:hi], rtol=1e-12, atol=1e-12 * scale)
+
+    def test_one_block_is_s_whole(self):
+        # up to twice _CHOLESKY_BLOCK rows left the remainder is one block,
+        # all of S when no set pays, its entries written where they are
+        entries, y, _ = diagonal_dual(0, n=40)
+        rows, cols, values = entries
+        s = np.diag(y)
+        s[rows, cols] -= values
+        blocks = certify._eliminated(entries, y)
+        assert len(blocks) == 1 and np.array_equal(blocks[0], s)
+
+    def test_certificate_holds_less_than_one_dense_copy(self, monkeypatch):
+        # the certificate's peak is at most the blocks (r(r + b)/2 floats for
+        # r rows left and blocks of b columns), X and one column block of
+        # X^T X (b r floats each) and 24 bytes per entry above the
+        # remainder's diagonal (row, column and value): below one r x r copy
+        adj, y, lam = indefinite_dual(2000, 4)
+        entries = stored_entries(adj)
+        sets = recorded_sets(monkeypatch)
+        factored = counted_choleskys(monkeypatch)
+        definite, peak = traced_peak(lambda: _shift_certificate(entries, y, -lam + 1e-6 * abs(lam)))
+        r, b = sum(factored), certify._CHOLESKY_BLOCK
+        assert definite and len(factored) >= 3
+        stored = np.count_nonzero(np.triu(dense_schur(np.diag(y - lam) - adj.toarray(), sets, r), 1))
+        assert peak <= 8 * (r * (r + b) / 2 + 2 * b * r) + 24 * stored
+        assert peak < 8 * r * r
+
+
 def spd_factor(r: int, seed: int) -> np.ndarray:
     """A random lower-triangular L with diagonal in [1, 2]; L L^T is
     positive definite, and its Cholesky pivots are the diagonal of L."""
@@ -423,66 +520,83 @@ def spd_factor(r: int, seed: int) -> np.ndarray:
 
 
 class TestBlockCholesky:
-    """_positive_definite: blocks of _CHOLESKY_BLOCK rows, each factored
-    once the Schur complement of the blocks before it has overwritten it."""
+    """_positive_definite: column blocks of _CHOLESKY_BLOCK columns, each
+    factored once the Schur complement of the blocks before it has
+    overwritten it, and dropped once factored."""
 
-    @pytest.mark.parametrize("n, d, blocks", [(1000, 3, 2), (2000, 4, 4)])
+    @pytest.mark.parametrize("n, d, blocks", [(1000, 3, 3), (2000, 4, 6)])
     def test_decisions_agree_with_eigvalsh_across_blocks(self, n, d, blocks, monkeypatch):
-        # elimination leaves a remainder of two blocks at n = 1000, of four
+        # elimination leaves a remainder of three blocks at n = 1000, of six
         # at n = 2000
         adj, y, lam = indefinite_dual(n, d)
         entries = stored_entries(adj)
         factored = counted_choleskys(monkeypatch)
         assert _shift_certificate(entries, y, -lam + 1e-6 * abs(lam))
-        assert len(factored) == blocks
+        assert len(factored) == blocks and factored == block_widths(sum(factored))
         assert not _shift_certificate(entries, y, -lam - 1e-6 * abs(lam))
 
     @pytest.mark.parametrize("fill", [math.nan, math.inf, 1e3])
-    def test_upper_triangle_is_never_read(self, fill):
-        # three blocks: a panel read above the diagonal would see the
-        # fill, not the Schur complements written below it
+    def test_upper_triangle_of_each_square_is_never_read(self, fill):
+        # the only entries above the diagonal a block can hold are those of
+        # its leading square, which numpy's Cholesky does not read: fill
+        # there changes no decision
         adj, y, lam = indefinite_dual(600, 3)
-        upper = np.triu_indices(600, 1)
-        noise = fill * np.random.default_rng(0).uniform(-1.0, 1.0, len(upper[0]))
+        rng = np.random.default_rng(0)
         for delta, definite in ((-lam + 1e-6 * abs(lam), True), (-lam - 1e-6 * abs(lam), False)):
-            s = np.diag(y + delta) - adj.toarray()
-            s[upper] = noise
-            assert certify._positive_definite(s) == definite
+            blocks = column_blocks(np.diag(y + delta) - adj.toarray())
+            assert len(blocks) >= 3
+            for block in blocks:
+                upper = np.triu_indices(block.shape[1], 1)
+                block[upper] = fill * rng.uniform(-1.0, 1.0, len(upper[0]))
+            assert certify._positive_definite(blocks) == definite
 
     @pytest.mark.parametrize("pivot", [-1.0, -1e-6, math.nan])
     def test_bad_pivot_in_the_last_block_refused(self, pivot, monkeypatch):
-        # every pivot but the last is in [1, 2]; the last, in the third
+        # every pivot but the last is in [1, 2]; the last, in the last
         # block, is sqrt(pivot)
         chol = spd_factor(600, 0)
         s = chol @ chol.T
         s[-1, -1] += pivot - chol[-1, -1] ** 2
         factored = counted_choleskys(monkeypatch)
-        assert not certify._positive_definite(s)
-        assert factored == [256, 256, 88]
+        assert not certify._positive_definite(column_blocks(s))
+        assert len(factored) >= 3 and factored == block_widths(600)
         s = chol @ chol.T
         s[-1, -1] += 1e-6 - chol[-1, -1] ** 2
-        assert certify._positive_definite(s)
+        assert certify._positive_definite(column_blocks(s))
 
     def test_nan_reaching_only_a_later_pivot_refused(self, monkeypatch):
-        # the NaN lies below the first block, which factors; the Schur
-        # update carries it to the pivot of row 300, in the second block
+        # the NaN lies below the first block's square, which factors; the
+        # Schur updates carry it to the pivot of row 300, in the block that
+        # holds that row, which refuses
         chol = spd_factor(600, 1)
         s = chol @ chol.T
-        s[300, 5] = s[5, 300] = math.nan
+        s[300, 5] = math.nan
         factored = counted_choleskys(monkeypatch)
-        assert not certify._positive_definite(s)
-        assert factored[0] == 256 and len(factored) >= 2
+        assert not certify._positive_definite(column_blocks(s))
+        assert len(factored) >= 2 and factored == block_widths(600)[: 300 // certify._CHOLESKY_BLOCK + 1]
         s = chol @ chol.T
-        s[5, 300] = math.nan  # above the diagonal only
-        assert certify._positive_definite(s)
+        s[5, 300] = math.nan  # above the diagonal, outside every block
+        assert certify._positive_definite(column_blocks(s))
 
-    def test_factors_in_place(self):
-        # beside s the routine holds X and one block of rows of X^T X, at
-        # most b x (r - b) each, and the block's factor, its inverse and
-        # LAPACK's working copy, b x b each: under half of one r x r copy
+    def test_drops_each_block_once_factored(self):
+        # beside the blocks the routine holds X and one column block of
+        # X^T X, at most b x (r - b) each, and the square's factor, its
+        # inverse and LAPACK's working copy, b x b each; when the blocks
+        # after a block take its Schur complement, that block is gone
         r, b = 1500, certify._CHOLESKY_BLOCK
         chol = spd_factor(r, 2)
-        s = chol @ chol.T
+        held, alive = [], []
+
+        class Watched(np.ndarray):
+            def __isub__(self, other):
+                alive.append(sum(ref() is not None for ref in held))
+                return super().__isub__(other)
+
+        blocks = [block.view(Watched) for block in column_blocks(chol @ chol.T)]
+        held.extend(weakref.ref(block) for block in blocks)
         bound = 8 * (2 * b * (r - b) + 3 * b * b)
-        definite, peak = traced_peak(lambda: certify._positive_definite(s))
-        assert definite and peak <= bound < 8 * r * r / 2
+        definite, peak = traced_peak(lambda: certify._positive_definite(blocks))
+        k = len(held)
+        assert definite and blocks == [] and k >= 3
+        assert alive == [k - 1 - c for c in range(k) for _ in range(k - 1 - c)]
+        assert peak <= bound < 8 * r * r / 2

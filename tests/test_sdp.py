@@ -39,7 +39,7 @@ from cutflip.sdp import (
     solve_sdp,
 )
 
-from conftest import also_at, counted_choleskys, no_factorization, random_instance, simple_graphs, traced_peak
+from conftest import also_at, no_factorization, random_instance, simple_graphs, traced_peak
 
 
 def planar_120_embedding() -> SdpEmbedding:
@@ -1067,16 +1067,20 @@ class TestUpperBound:
         assert reports[0] == reports[1]
 
     def test_each_rank_is_factored_once(self, monkeypatch):
-        # one Cholesky per rank climbed from 4, of the rows left once
-        # independent sets are eliminated (one block; the sets depend on the
-        # pattern alone, so the remainder keeps its size), and the first
-        # shift that certifies is not factored again
-        inst = gen_random_regular(200, 4, 1.0, "unit", seed=0)
-        factored = counted_choleskys(monkeypatch)
+        # one factorization per rank climbed from 4, of the rows left once
+        # independent sets are eliminated (the sets depend on the pattern
+        # alone, so the remainder keeps its size), and the first shift that
+        # certifies is not factored again
+        inst = gen_random_regular(300, 4, 1.0, "unit", seed=0)
+        factored = []
+        positive_definite = certify._positive_definite
+        monkeypatch.setattr(certify, "_positive_definite", lambda blocks: factored.append(
+            sum(block.shape[1] for block in blocks)) or positive_definite(blocks))
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", rank=4))
         assert rep.converged and emb.rank < default_rank(inst.n)
         entries = _signed_adjacency(inst, np.arange(inst.n))[1]
-        left = len(certify._eliminated(entries, certify._radii(entries, inst.n) + 1.0))  # dominant: no pivot refuses
+        blocks = certify._eliminated(entries, certify._radii(entries, inst.n) + 1.0)  # dominant: no pivot refuses
+        left = sum(block.shape[1] for block in blocks)
         assert 0 < left < inst.n
         assert factored == [left] * (emb.rank - 4 + 1)
 
