@@ -8,17 +8,18 @@ without them; with them, A' = 2 K(lam), the ALM's matrix K = A/2 + M refilled
 with the multipliers). y_i = <(A' V)_i, v_i> makes the bound equal the
 objective plus n delta / 4 at a stationary iterate V.
 A' is read as the entries the solver built it from, (rows, cols, values)
-grouped by row over n = len(y) rows, each (row, col) once, explicit zeros
-allowed; A' is symmetric, so an entry off the diagonal comes with its
-mirror, of the same value. One path certifies positive definiteness
+grouped by row over n = len(y) rows: those off its diagonal only (a
+diagonal one raises ValueError, so S's diagonal is y + delta), each
+(row, col) once, explicit zeros allowed, each with its mirror, of the same
+value, since A' is symmetric. One path certifies positive definiteness
 (_shift_certificate): independent sets of S's pattern are eliminated while
 each pays for itself, each with positive pivots (_eliminated), and the
 dense remainder's lower triangle, written once into column blocks
-(_lower_blocks), takes one right-looking block Cholesky
-(_positive_definite: numpy's Cholesky of each block's leading square, whose
-Schur complement then overwrites the blocks after it; a block is dropped
-once factored). Above 2 _CHOLESKY_BLOCK rows left no r x r array is ever
-held: traced by tracemalloc, one certificate at the final none-mode
+(_lower_blocks), the one layout at every size, takes one right-looking
+block Cholesky (_positive_definite: numpy's Cholesky of each block's
+leading square, whose Schur complement then overwrites the blocks after
+it; a block is dropped once factored). No r x r array is ever held: traced
+by tracemalloc, one certificate at the final none-mode
 iterate peaks at 4.4 MB for the 851 rows left at n = 2000, d = 4 (one
 r x r copy: 5.8 MB), and at 58 MB for 3218 rows at n = 5000, d = 10
 (83 MB). Above _FACTOR_MAX_N vertices, where that remainder costs too
@@ -75,7 +76,8 @@ _FACTOR_MAX_N = 5000
 # the width of the column blocks that hold the remainder's lower triangle
 # (_lower_blocks), each factored as one numpy Cholesky of its leading square
 # (_positive_definite); the last block takes the rest, up to twice this
-# width, so a remainder of up to twice this many rows is one block, S whole.
+# width, so a remainder of up to twice this many rows is one block, its
+# lower triangle.
 # For r rows left and blocks of b columns the blocks hold about r(r + b)/2
 # floats, and the factorization X and one column block of X^T X up to b r
 # floats each. On a 2-vCPU Intel Xeon box (gen seed 1), at 128 / 256: one
@@ -88,10 +90,10 @@ _CHOLESKY_BLOCK = 128
 
 
 def upper_bound(entries: tuple, y: np.ndarray, w_tot: float, objective: float, lam_sum: float = 0.0) -> float:
-    """The bound for A' with entries (rows, cols, values), y and
-    lam_sum = sum(lam), at the least shift _certified_shift accepts from the
-    first shift of objective (of W when it is 0, of 1 on an edgeless graph)."""
-    shift = _certified_shift(entries, y, _first_shift(objective or w_tot or 1.0, len(y)))
+    """The bound for A' with entries (rows, cols, values) off its diagonal,
+    y and lam_sum = sum(lam), at the least shift _certified_shift accepts
+    from the first shift of objective (of W if it is 0, of 1 without edges)."""
+    shift = _certified_shift(_off_diagonal(entries), y, _first_shift(objective or w_tot or 1.0, len(y)))
     return _upper_bound(w_tot, lam_sum, y, shift)
 
 
@@ -102,7 +104,14 @@ def first_shift_bound(entries: tuple, y: np.ndarray, w_tot: float, objective: fl
     if len(y) > _FACTOR_MAX_N:
         return upper_bound(entries, y, w_tot, objective)
     delta = _first_shift(objective or w_tot or 1.0, len(y))
-    return _upper_bound(w_tot, 0.0, y, delta) if _shift_certificate(entries, y, delta) else None
+    return _upper_bound(w_tot, 0.0, y, delta) if _shift_certificate(_off_diagonal(entries), y, delta) else None
+
+
+def _off_diagonal(entries: tuple) -> tuple:
+    """entries, refused with ValueError if one lies on the diagonal."""
+    if (entries[0] == entries[1]).any():
+        raise ValueError("A' must come as its entries off the diagonal")
+    return entries
 
 
 def _radii(entries: tuple, n: int) -> np.ndarray:
@@ -140,10 +149,9 @@ def _independent_set(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
 
 
 def _eliminated(entries: tuple, diag: np.ndarray) -> list | None:
-    """S = Diag(diag) - A', A' given by its entries, after eliminating
-    independent sets of their off-diagonal pattern, as the lower triangle's
-    column blocks (_lower_blocks), or up to 2 _CHOLESKY_BLOCK rows as one
-    block, the whole remainder; None once a pivot of an eliminated row is
+    """S = Diag(diag) - A', A' given by its entries off the diagonal, after
+    eliminating independent sets of their pattern, as the lower triangle's
+    column blocks (_lower_blocks); None once a pivot of an eliminated row is
     not positive (a NaN pivot is not).
 
     For an independent set I of the pattern S_II is diagonal, so S is
@@ -158,9 +166,6 @@ def _eliminated(entries: tuple, diag: np.ndarray) -> list | None:
     m = len(diag)
     rows, cols, vals = entries
     vals = -vals
-    on = rows == cols
-    diag = diag + np.bincount(rows[on], weights=vals[on], minlength=m)
-    rows, cols, vals = rows[~on], cols[~on], vals[~on]
     while m:
         if m**3 < _ELIMINATE_COST * len(rows):
             break  # no set of k <= m rows pays: k m^2 <= m^3
@@ -173,12 +178,6 @@ def _eliminated(entries: tuple, diag: np.ndarray) -> list | None:
             return None
         rows, cols, vals, diag = _eliminate_set(rows, cols, vals, diag, chosen, deg)
         m = len(diag)
-    if m <= 2 * _CHOLESKY_BLOCK:
-        # one block, S whole: each entry written once (the keys are unique)
-        s = np.zeros((m, m))
-        s[rows, cols] = vals
-        s.flat[:: m + 1] = diag
-        return [s] if m else []
     # S is symmetric, so the entries above its diagonal, grouped by row, are
     # those below it grouped by column: the blocks read only those, and the
     # rest are freed before the blocks are allocated
@@ -225,14 +224,14 @@ def _lower_blocks(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, diag: np
     """The lower triangle of the symmetric r x r matrix with diagonal diag
     and entries (rows, cols, vals) above it, grouped by row in ascending
     order, as column blocks: block c holds rows lo..r of columns lo..hi,
-    8 (r - lo)(hi - lo) bytes. Each block is _CHOLESKY_BLOCK columns wide
-    but the last, which takes the rest, up to twice that; about r(r + b)/2
-    floats in all for blocks of b columns. Entry (i, j) is written at
-    (j, i): the entries of rows lo..hi fill block c, and no block holds any
-    of the upper triangle.
+    8 (r - lo)(hi - lo) bytes. The edges are 0, b, 2b, ..., r for blocks of
+    b = _CHOLESKY_BLOCK columns but the last, which takes the rest, up to
+    2b: one block up to 2b rows, none for r = 0, about r(r + b)/2 floats in
+    all. Entry (i, j) is written at (j, i): the entries of rows lo..hi fill
+    block c, and no block holds any of the upper triangle.
     """
     r, step = len(diag), _CHOLESKY_BLOCK
-    edges = [*range(0, r - step, step), r]
+    edges = [*range(0, max(r - step, 1), step), r] if r else []
     starts = np.searchsorted(rows, edges)
     blocks = []
     for lo, hi, start, stop in zip(edges, edges[1:], starts, starts[1:]):

@@ -385,6 +385,22 @@ class LocalGainEstimate:
     samples: int
 
 
+def _truncated_normal(rng: np.random.Generator, eps: float, size: int) -> np.ndarray:
+    """size draws of N(0, 1) conditioned on (-eps, eps), by rejection: a
+    uniform proposal g on (-eps, eps) is accepted with probability
+    exp(-g^2/2), at least exp(-eps^2/2). The acceptance rate is the band's
+    mass Pr[|N(0,1)| < eps] over 2 eps / sqrt(2 pi), and each round proposes
+    as many as that rate needs for the draws still missing."""
+    rate = (1.0 - math.erfc(eps / math.sqrt(2.0))) * math.sqrt(0.5 * math.pi) / eps
+    drawn, missing = [], size
+    while missing > 0:
+        g = rng.uniform(-eps, eps, math.ceil(missing / rate))
+        kept = g[rng.random(len(g)) < np.exp(-0.5 * g * g)][:missing]
+        drawn.append(kept)
+        missing -= len(kept)
+    return np.concatenate(drawn)
+
+
 def estimate_local_gain(
     d: int,
     neighbor_gram: np.ndarray,
@@ -398,11 +414,11 @@ def estimate_local_gain(
 
     The star puts the center at e_1 and neighbor j at
     rho * e_1 + sqrt(1 - rho^2) * vhat_j with Gram(vhat) = neighbor_gram.
-    The center's projection g_1 is drawn directly from the normal truncated
-    to (-eps, eps) with eps = 1/(constant * d * sqrt(ln d)); the per-sample
-    gain applies the exact band / violated / satisfied margin rule to the
-    full neighbor projections. Also returns an independent Monte-Carlo
-    estimate of the unconditioned band-membership rate.
+    The center's projection g_1 is drawn from the normal truncated to
+    (-eps, eps) with eps = 1/(constant * d * sqrt(ln d)) (_truncated_normal);
+    the per-sample gain applies the exact band / violated / satisfied margin
+    rule to the full neighbor projections. Also returns an independent
+    Monte-Carlo estimate of the unconditioned band-membership rate.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -417,8 +433,6 @@ def estimate_local_gain(
     if gram.shape != (d, d):
         raise ValueError("neighbor Gram matrix must be d x d")
 
-    from scipy.special import ndtr, ndtri  # only this estimate needs them; slow to import
-
     eps = 1.0 / (constant * d * math.sqrt(math.log(d)))
     total = float(w.sum())
 
@@ -428,8 +442,7 @@ def estimate_local_gain(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((trials, d))
     h = z @ factor.T
-    lo, hi = ndtr(-eps), ndtr(eps)
-    g1 = ndtri(rng.uniform(lo, hi, trials))
+    g1 = _truncated_normal(rng, eps, trials)
     x_center = np.where(g1 >= 0.0, 1.0, -1.0)
 
     proj = rho * g1[:, None] + math.sqrt(1.0 - rho * rho) * h

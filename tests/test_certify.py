@@ -185,6 +185,24 @@ class TestEntries:
         y[3] = math.nan
         assert upper_bound(adj, y, 50.0, 20.0) == 50.0
 
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_diagonal_entry_refused(self, monkeypatch, value):
+        # A' comes as its entries off the diagonal, so S's diagonal is
+        # y + delta: an entry on it, an explicit zero too, is an error in
+        # both entries, also where nothing is factored (a y at or above the
+        # radii, or above _FACTOR_MAX_N rows)
+        adj, y = dominant_dual(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        rows, cols, values = stored_entries(adj)
+        entries = np.append(rows, 2), np.append(cols, 2), np.append(values, value)
+        for dual in (np.zeros(5), y + 1.0):
+            for entry in (upper_bound, first_shift_bound):
+                with pytest.raises(ValueError, match="off the diagonal"):
+                    entry(entries, dual, 10.0, 4.0)
+        monkeypatch.setattr(certify, "_FACTOR_MAX_N", 4)
+        for entry in (upper_bound, first_shift_bound):
+            with pytest.raises(ValueError, match="off the diagonal"):
+                entry(entries, y, 10.0, 4.0)
+
 
 def dominant_dual(n: int, edges: list) -> tuple[sp.csr_matrix, np.ndarray]:
     """(adj, y) for a signed weighted graph with y_i = sum_j |adj_ij|, so
@@ -223,8 +241,11 @@ class TestCertificate:
         # high (edgeless n=9, margin 2, eta 1e-6, seed 0: -eta + 1.1e-15)
         roundoff = 8 * n * np.finfo(float).eps * float(np.abs(lowered).max())
         assert np.linalg.eigvalsh(lowered)[0] <= -eta * (1 - 1e-9) + roundoff
-        adj_lowered = sp.csr_matrix(adj.toarray() + eps * np.outer(u, u))
-        assert not _shift_certificate(stored_entries(adj_lowered), y, margin)
+        # the same S with A' off its diagonal: eps u_i^2 moves into y
+        full = adj.toarray() + eps * np.outer(u, u)
+        y_lowered = y - full.diagonal()
+        np.fill_diagonal(full, 0.0)
+        assert not _shift_certificate(stored_entries(sp.csr_matrix(full)), y_lowered, margin)
 
     @given(graph=simple_graphs(), seed=st.integers(0, 2**32 - 1), delta=st.floats(1e-6, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -372,11 +393,10 @@ class TestElimination:
 
     @pytest.mark.parametrize("form", [np.asarray, sp.csr_matrix])
     def test_pattern_without_entries_is_decided_by_its_pivots(self, form, monkeypatch):
-        # no off-diagonal entries: one independent set holds every row, so
-        # nothing is left to factor, and the pivots y_i - adj_ii + delta decide
+        # no entries: one independent set holds every row, so nothing is
+        # left to factor, and the pivots y_i + delta decide
         n = 40
-        diag = np.arange(n) % 3 - 1.0
-        entries, y = stored_entries(form(np.diag(diag))), diag + 1.0
+        entries, y = stored_entries(form(np.zeros((n, n)))), np.ones(n)
         factored = counted_choleskys(monkeypatch)
         assert certify._eliminated(entries, y) == []
         assert _shift_certificate(entries, y, 0.0)
@@ -484,15 +504,41 @@ class TestRemainder:
             assert not np.triu(block[: hi - lo], 1).any()
             np.testing.assert_allclose(block, schur[lo:, lo:hi], rtol=1e-12, atol=1e-12 * scale)
 
-    def test_one_block_is_s_whole(self):
+    def test_one_block_is_the_lower_triangle_of_s(self):
         # up to twice _CHOLESKY_BLOCK rows left the remainder is one block,
-        # all of S when no set pays, its entries written where they are
+        # all of S's lower triangle when no set pays, and nothing above it
         entries, y, _ = diagonal_dual(0, n=40)
         rows, cols, values = entries
         s = np.diag(y)
         s[rows, cols] -= values
+        assert np.count_nonzero(np.triu(s, 1)) > 40
         blocks = certify._eliminated(entries, y)
-        assert len(blocks) == 1 and np.array_equal(blocks[0], s)
+        assert len(blocks) == 1 and np.array_equal(blocks[0], np.tril(s))
+
+    @pytest.mark.parametrize("r", [1, 2, 127, 128, 129, 255, 256, 257])
+    @on_both_paths
+    def test_decisions_agree_with_eigvalsh_at_every_size(self, r):
+        # one layout at every size: the blocks of an r-row remainder are cut
+        # at 0, b, 2b, ..., r, one block up to 2b rows, and the certificate
+        # of S = Diag(y) - A' + delta I, of the blocks alone too, decides as
+        # eigvalsh does just above and below -lambda_min(Diag(y) - A')
+        rng = np.random.default_rng(r)
+        adj = rng.standard_normal((r, r)) * (rng.random((r, r)) < 0.3)
+        adj = np.triu(adj, 1) + np.triu(adj, 1).T
+        y = rng.uniform(0.0, 1.0, r)
+        lam = float(np.linalg.eigvalsh(np.diag(y) - adj)[0])
+        entries, upper = stored_entries(adj), np.triu_indices(r, 1)
+        for delta, definite in ((-lam + 1e-6 * (1.0 + abs(lam)), True), (-lam - 1e-6 * (1.0 + abs(lam)), False)):
+            assert _shift_certificate(entries, y, delta) == definite
+            blocks = certify._lower_blocks(*upper, -adj[upper], y + delta)
+            assert [block.shape[1] for block in blocks] == block_widths(r)
+            assert certify._positive_definite(blocks) == definite
+
+    def test_empty_remainder_certifies(self):
+        empty = np.array([], dtype=np.int64)
+        assert certify._lower_blocks(empty, empty, np.array([]), np.array([])) == []
+        assert certify._positive_definite([])
+        assert _shift_certificate((empty, empty, np.array([])), np.array([]), 0.0)
 
     def test_certificate_holds_less_than_one_dense_copy(self, monkeypatch):
         # the certificate's peak is at most the blocks (r(r + b)/2 floats for

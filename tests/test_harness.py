@@ -860,9 +860,11 @@ def test_import_leaves_out_the_worker_pool():
     assert "concurrent.futures" not in modules_loaded()
 
 
-def test_import_leaves_out_scipy_special():
-    # only estimate_local_gain (verify) needs scipy.special, slow to import
-    assert "scipy.special" not in modules_loaded()
+def test_verify_loads_no_scipy():
+    # estimate_local_gain draws its truncated normal by rejection and takes
+    # the band's mass from math.erfc, so verify loads no scipy module
+    loaded = modules_loaded('assert cutflip.harness.main(["verify", "--samples", "1000"]) == 0')
+    assert not loaded & {m for m in WATCHED if m.startswith("scipy")}
 
 
 class TestCliSurface:

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from cutflip.numerics import (
     _gw_root,
+    _truncated_normal,
     alpha_gw,
     arcsin_coeff,
     arcsin_coeffs,
@@ -281,6 +282,22 @@ class TestLocalGain:
         est = estimate_local_gain(d, np.eye(d), 0.689, np.ones(d), trials=50_000, seed=4)
         lower, upper = gaussian_band_bounds(est.epsilon)
         assert lower - 3 * est.membership_se <= est.membership_rate <= upper + 3 * est.membership_se
+
+    @pytest.mark.parametrize("eps", [0.05, 1.0, 2.5])
+    def test_truncated_normal_follows_its_cdf(self, eps):
+        # the rejection draws are N(0, 1) conditioned on (-eps, eps), the same
+        # for the same generator state: their Kolmogorov-Smirnov distance to
+        # (erf(x / sqrt 2) + erf(eps / sqrt 2)) / (2 erf(eps / sqrt 2)) stays
+        # below its critical value at level 1e-6
+        size = 20_000
+        g = _truncated_normal(np.random.default_rng(7), eps, size)
+        np.testing.assert_array_equal(g, _truncated_normal(np.random.default_rng(7), eps, size))
+        g = np.sort(g)
+        assert len(g) == size and -eps <= g[0] and g[-1] < eps
+        mass = math.erf(eps / math.sqrt(2.0))
+        cdf = (np.array([math.erf(x / math.sqrt(2.0)) for x in g]) + mass) / (2.0 * mass)
+        above = np.arange(1, size + 1) / size - cdf
+        assert max(above.max(), (cdf - np.arange(size) / size).max()) < math.sqrt(math.log(2e6) / (2 * size))
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

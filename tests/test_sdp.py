@@ -1169,6 +1169,25 @@ class TestWeightScale:
         if mode == "neighborhood":  # the triangle inequalities hold on integral points
             assert rep.objective >= brute_force_opt(inst).opt * (1 - 1e-6)
 
+    @pytest.mark.parametrize("n, d, law", [(22, 5, ("uniform", 0.3, 2.0)), (60, 7, ("uniform", 0.3, 2.0)),
+                                           (300, 4, ("uniform", 0.3, 2.0)), (300, 3, "unit"), (2000, 4, "unit")])
+    def test_none_mode_answers_are_unit_free(self, n, d, law):
+        # a power of two scales every product and sum exactly, and no
+        # constant of the mixing method or the certificate is absolute, so
+        # weights times 2^k give the same vectors, sweeps and flags, and
+        # values exactly 2^k times; the certificates factor one block up to
+        # n = 300 and several at n = 2000
+        inst = gen_random_regular(n, d, 0.5, law, seed=1)
+        emb, ref = solve_sdp(inst, SdpConfig(triangle_mode="none"))
+        for k in (-20, 20):
+            scaled = Max2LinInstance(n, inst.edge_i, inst.edge_j, inst.sign, inst.weight * 2.0**k)
+            emb_k, rep = solve_sdp(scaled, SdpConfig(triangle_mode="none"))
+            assert np.array_equal(emb_k.vectors, emb.vectors)
+            assert rep.objective == 2.0**k * ref.objective and rep.upper_bound == 2.0**k * ref.upper_bound
+            assert rep.objective_history == [2.0**k * x for x in ref.objective_history]
+            assert (rep.iterations, rep.converged, rep.max_violation, rep.n_active) == (
+                ref.iterations, ref.converged, ref.max_violation, ref.n_active)
+
     @pytest.mark.parametrize("mode", ["none", "neighborhood", "all"])
     def test_edgeless_graphs_solve_in_every_mode(self, mode):
         for n in (1, 3, 6):
