@@ -1,16 +1,16 @@
 """Command-line harness: solve, oracle, verify, experiment, gen.
 
 Exit codes: 0 success, 2 verification failure, 3 input error. An experiment
-parses its instance files and checks every instance's size before it solves
-any; a spec that cannot run, or a solve that fails, exits 3 and writes no
-CSV. Rows are computed in a worker pool (one task per instance, deterministic
-derived seeds) and kept in task order, so output bytes do not depend on the
-worker count. Both commands take their per-solve facts from _solve_record.
-Every ratio printed names its denominator: ratio_vs_sdp and the experiment
-summaries' mean_*_ratio divide by sdp_upper_bound, the solver's certified
-upper bound on the relaxation's optimum (sdp_value, its iterate's objective,
-is a lower bound), under _ratio's rule; ratio_vs_opt divides by the
-brute-force optimum.
+builds every instance, parsing its files and generating its graphs, and
+checks each one before it solves any; a spec that cannot run, or a solve that
+fails, exits 3 and writes no CSV. Rows are computed in a worker pool (one
+task per instance, deterministic derived seeds) and kept in task order, so
+output bytes do not depend on the worker count. Both commands take their
+per-solve facts from _solve_record. Every ratio printed names its
+denominator: ratio_vs_sdp and the experiment summaries' mean_*_ratio divide
+by sdp_upper_bound, the solver's certified upper bound on the relaxation's
+optimum (sdp_value, its iterate's objective, is a lower bound), under
+_ratio's rule; ratio_vs_opt divides by the brute-force optimum.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .instance import (InstanceError, check_generator_laws, check_regular_size,
-                       gen_random_regular, parse_instance, write_instance)
+from .instance import (InstanceError, check_generator_laws, gen_random_regular, parse_instance,
+                       write_instance)
 # run_once has no caller here; perfbench/tracing.py wraps it under this name
-from .localsearch import best_of, default_epsilon, rho_window_fraction, run_once
-from .numerics import run_verification
+from .localsearch import best_of, rho_window_fraction, run_once
+from .numerics import default_epsilon, run_verification
 from .oracle import DEFAULT_CAP, brute_force_opt, check_oracle_size
 from .rounding import GENERATOR_NAME, check_seed
 from .sdp import SdpConfig, check_solvable, solve_sdp
@@ -156,10 +156,7 @@ def _spec_path(value, key: str) -> str | None:
 
 @dataclass
 class ExperimentSpec:
-    # (source, parsed instance or generated (n, d)) per instance, in task order
-    instances: list
-    sign_bias: float
-    weight_law: object
+    instances: list  # (source, Max2LinInstance) per instance, in task order
     trials: int
     epsilon_c: float
     seed: int
@@ -168,13 +165,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str, base_dir: Path) -> "ExperimentSpec":
-        """The spec, refused (InstanceError) unless every instance can run:
-        files are parsed and every instance's n and total weight are checked
-        here, by sdp.check_solvable, and the band half-width at its degree by
-        default_epsilon."""
+        """The spec, refused (InstanceError) unless every instance can run.
+        Every instance is built here, files parsed and graphs generated at
+        the seed their task index derives, and each is checked as soon as it
+        exists: by sdp.check_solvable, the rule solve_sdp applies, and by
+        default_epsilon for the band half-width at its degree."""
         raw = _checked(json.loads(text), "spec")
         inst = _checked(raw.get("instances", {}), "instances")
         gen = _checked(inst.get("generator", {}), "generator")
+        sign_bias = _spec_float(gen.get("sign_bias", 1.0), "generator.sign_bias")
         weight_law = gen.get("weight_law", "unit")
         if isinstance(weight_law, list):
             weight_law = tuple(weight_law)
@@ -193,55 +192,50 @@ class ExperimentSpec:
         count = _spec_int(gen.get("count", 1), "generator.count", minimum=1)
         spec = cls(
             instances=[],
-            sign_bias=_spec_float(gen.get("sign_bias", 1.0), "generator.sign_bias"),
-            weight_law=weight_law,
             trials=_spec_int(raw.get("trials", 1), "trials", minimum=1),
             epsilon_c=_spec_float(raw.get("epsilon_c", 2.0), "epsilon_c"),
             seed=_spec_int(raw.get("seed", 0), "seed", minimum=0),
             csv_path=_spec_path(raw.get("csv"), "csv"),
             sdp=sdp,
         )
-        # settings every instance shares are checked once, here, by the
-        # functions that use them
         try:
-            lo, hi = check_generator_laws(spec.sign_bias, spec.weight_law) or (1.0, 1.0)
-            for n in sizes["n"]:
-                for d in sizes["d"]:
-                    check_regular_size(n, d)
+            # refused even where the spec names no generated size
+            check_generator_laws(sign_bias, weight_law)
         except ValueError as exc:
             raise InstanceError(f"experiment spec: {exc}") from None
         files = inst.get("files", [])
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
             raise InstanceError(
                 f"experiment spec: 'instances.files' must be a list of path strings, got {files!r}")
-        files = [str(base_dir / f) for f in files]
-        spec.instances = [(f, _read(f, "instance file", parse_instance)) for f in files] + [
-            (f"gen(n={n},d={d},rep={rep})", (n, d))
-            for n in sizes["n"] for d in sizes["d"] for rep in range(count)
-        ]
-        if not spec.instances:
-            raise InstanceError("experiment spec names no instance source")
-        for source, where in spec.instances:
-            if isinstance(where, tuple):
-                n, d = where
-                m = n * d // 2
-                totals = (m * lo, m * hi)  # a generated graph's W lies between
-            else:
-                n, d, totals = where.n, where.max_degree, (where.total_weight,) if where.m else ()
+
+        def admit(source: str, build) -> None:
+            """Append (source, build()), refused unless that instance can run."""
             try:
-                check_solvable(sdp, n, *totals)
-                default_epsilon(max(d, 1), spec.epsilon_c)
+                built = build()
+                check_solvable(sdp, built)
+                default_epsilon(max(built.max_degree, 1), spec.epsilon_c)
             except ValueError as exc:
                 raise InstanceError(f"experiment spec: {source}: {exc}") from None
+            spec.instances.append((source, built))
+
+        for f in files:
+            path = str(base_dir / f)
+            parsed = _read(path, "instance file", parse_instance)  # its errors name the file
+            admit(path, lambda: parsed)
+        for n in sizes["n"]:
+            for d in sizes["d"]:
+                for rep in range(count):
+                    seed = derive_seed(spec.seed, 1, len(spec.instances))
+                    admit(f"gen(n={n},d={d},rep={rep})",
+                          lambda: gen_random_regular(n, d, sign_bias, weight_law, seed=seed))
+        if not spec.instances:
+            raise InstanceError("experiment spec names no instance source")
         return spec
 
 
 def _experiment_task(spec: ExperimentSpec, task: tuple) -> list[dict]:
     """Trial rows for one instance; every seed derives from spec.seed and idx."""
     idx, (source, inst) = task
-    if isinstance(inst, tuple):
-        inst = gen_random_regular(*inst, spec.sign_bias, spec.weight_law,
-                                  seed=derive_seed(spec.seed, 1, idx))
     cfg = replace(spec.sdp, seed=derive_seed(spec.seed, 0, idx))
     eps = default_epsilon(max(inst.max_degree, 1), spec.epsilon_c)
     seeds = [derive_seed(spec.seed, 2, idx, t) for t in range(spec.trials)]

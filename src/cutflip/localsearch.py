@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Max2LinInstance, _satisfied_weight, as_assignment, evaluate
-from .numerics import rho_star
+from .numerics import default_epsilon, rho_star
 from .rounding import hyperplane_round, projections, sample_gaussian
 # sdp_objective has no caller here; perfbench/tracing.py wraps it under this name
 from .sdp import SdpEmbedding, SdpReport, sdp_objective
@@ -53,23 +53,6 @@ _RHO_WINDOW = 0.01  # half-width of rho_window_fraction's window around rho*
 # chunks of 1, 4, 65 and 262 trials take 67, 52, 32 and 39 ms with peaks of
 # 1.6, 1.6, 11 and 33 MB (2-vCPU Xeon box), so the budget is set for memory
 _CHUNK_ELEMENTS = 1 << 16
-
-
-def default_epsilon(d: int, constant: float = 2.0) -> float:
-    """Candidate band half-width 1/(C * d' * sqrt(ln d')) for max degree d and
-    C = constant, with d' = max(d, 2) guarding ln(1) = 0. A constant or a
-    width that is not finite and > 0 is refused (ValueError): a huge C makes
-    the width 0, a tiny one makes it inf."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    if not (constant > 0 and math.isfinite(constant)):  # NaN too
-        raise ValueError(f"constant must be > 0 and finite, got {constant}")
-    d_eff = max(d, 2)
-    eps = 1.0 / (constant * d_eff * math.sqrt(math.log(d_eff)))
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"epsilon_C={constant!r} at degree {d} gives band half-width {eps!r}; "
-                         "it must be finite and > 0")
-    return eps
 
 
 @dataclass

@@ -26,6 +26,7 @@ __all__ = [
     "arcsin_partial",
     "check_arcsin_form_bound",
     "check_arcsin_taylor",
+    "default_epsilon",
     "entrywise_arcsin_min_eig",
     "entrywise_power_psd",
     "estimate_local_gain",
@@ -70,6 +71,23 @@ def alpha_gw() -> float:
 def rho_star() -> float:
     """Correlation achieving the worst rounding ratio: argmin (1 + (2/pi) asin r)/(1 + r)."""
     return -math.cos(_gw_root())
+
+
+def default_epsilon(d: int, constant: float = 2.0) -> float:
+    """Candidate band half-width 1/(C * d' * sqrt(ln d')) for max degree d and
+    C = constant, with d' = max(d, 2) guarding ln(1) = 0. A constant or a
+    width that is not finite and > 0 is refused (ValueError): a huge C makes
+    the width 0, a tiny one makes it inf."""
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    if not (constant > 0 and math.isfinite(constant)):  # NaN too
+        raise ValueError(f"constant must be > 0 and finite, got {constant}")
+    d_eff = max(d, 2)
+    eps = 1.0 / (constant * d_eff * math.sqrt(math.log(d_eff)))
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"epsilon_C={constant!r} at degree {d} gives band half-width {eps!r}; "
+                         "it must be finite and > 0")
+    return eps
 
 
 def gaussian_band_bounds(eps: float) -> tuple[float, float]:
@@ -415,7 +433,7 @@ def estimate_local_gain(
     The star puts the center at e_1 and neighbor j at
     rho * e_1 + sqrt(1 - rho^2) * vhat_j with Gram(vhat) = neighbor_gram.
     The center's projection g_1 is drawn from the normal truncated to
-    (-eps, eps) with eps = 1/(constant * d * sqrt(ln d)) (_truncated_normal);
+    (-eps, eps) with eps = default_epsilon(d, constant) (_truncated_normal);
     the per-sample gain applies the exact band / violated / satisfied margin
     rule to the full neighbor projections. Also returns an independent
     Monte-Carlo estimate of the unconditioned band-membership rate.
@@ -433,7 +451,7 @@ def estimate_local_gain(
     if gram.shape != (d, d):
         raise ValueError("neighbor Gram matrix must be d x d")
 
-    eps = 1.0 / (constant * d * math.sqrt(math.log(d)))
+    eps = default_epsilon(d, constant)
     total = float(w.sum())
 
     evals, evecs = np.linalg.eigh(gram)

@@ -227,21 +227,24 @@ def sdp_objective(inst: Max2LinInstance, emb: SdpEmbedding) -> float:
     return float(0.5 * (inst.total_weight + (inst.weight * inst.sign) @ r))
 
 
-def check_solvable(cfg: SdpConfig, n: int, *w_totals: float) -> int:
-    """The start rank of solve_sdp on an n-vertex graph whose total weight W is
-    each of w_totals (none for a graph without edges), or the ValueError it
-    raises: a start rank outside [1, n], mode "all" above _ALL_TRIPLES_CAP
-    triples, or a W outside _WEIGHT_RANGE (NaN is too)."""
+def check_solvable(cfg: SdpConfig, inst: Max2LinInstance) -> int:
+    """The start rank of solve_sdp on inst, or the ValueError it raises: a
+    start rank outside [1, n], mode "all" above _ALL_TRIPLES_CAP triples, or a
+    total weight W outside _WEIGHT_RANGE (NaN is too; a graph without edges
+    has no W to check). It is the one rule solve_sdp and an experiment spec
+    apply before anything is allocated, and it reads the instance, not only
+    its n and W, so that a rule on m or the triple family can join it."""
+    n = inst.n
     rank = default_rank(n) if cfg.rank is None else cfg.rank
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, n]=[1, {n}], got {rank}")
     if cfg.triangle_mode == "all":
         check_all_triples(n)
     lo, hi = _WEIGHT_RANGE
-    for w_tot in w_totals:
-        if not lo <= w_tot <= hi:
-            raise ValueError(f"total weight W={w_tot!r} lies outside [{lo:g}, {hi:g}], "
-                             "the range the SDP solver can represent")
+    w_tot = inst.total_weight
+    if inst.m and not lo <= w_tot <= hi:
+        raise ValueError(f"total weight W={w_tot!r} lies outside [{lo:g}, {hi:g}], "
+                         "the range the SDP solver can represent")
     return rank
 
 
@@ -921,7 +924,7 @@ def solve_sdp(inst: Max2LinInstance, cfg: SdpConfig | None = None) -> tuple[SdpE
     """
     cfg = cfg or SdpConfig()
     n = inst.n
-    rank = check_solvable(cfg, n, *([inst.total_weight] if inst.m else []))
+    rank = check_solvable(cfg, inst)
 
     rng = np.random.default_rng(cfg.seed)
     mode = cfg.triangle_mode

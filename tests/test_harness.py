@@ -20,6 +20,7 @@ import pytest
 
 import cutflip
 import cutflip.harness as harness
+import cutflip.instance as instance
 import cutflip.numerics as numerics
 from cutflip.harness import ExperimentSpec, derive_seed, main, run_experiment
 from cutflip.instance import InstanceError, parse_instance
@@ -626,13 +627,14 @@ class TestExperimentCommand:
         "bad", ["all_triples", "rank", "epsilon_c", "sign_bias", "weight_law", "degree", "integers",
                 "numbers", "paths", "sdp_settings", "total_weight"]
     )
-    def test_unrunnable_spec_exit_3(self, tmp_path, capsys, monkeypatch, bad):
+    def test_unrunnable_spec_exit_3(self, tmp_path, capsys, monkeypatch, triangle_file, bad):
         # refused up front, not as one error row per instance
         calls = []
         monkeypatch.setattr(harness, "solve_sdp", lambda *a: calls.append(a))
         spec = self.spec_dict(tmp_path / "out.csv")
         spec["instances"]["generator"]["n"] = [12, 300]
         gen = spec["instances"]["generator"]
+        files_only = {"instances": {"files": [triangle_file]}}
         variants = {  # (spec edits, expected stderr text) per variant
             "all_triples": [({"triangle_mode": "all"}, {}, "refused")],  # C(300, 3) > cap
             # above the smallest n
@@ -646,8 +648,11 @@ class TestExperimentCommand:
                           # fine at d = 1, where alone the spec was checked: eps = 0 at d = 3
                           ({"epsilon_c": 7e307}, {}, "gen(n=12,d=3,rep=0): epsilon_C=7e+307 at degree 3")],
             "sign_bias": [({}, {"sign_bias": 1.5}, "sign_bias"),
-                          ({}, {"sign_bias": -0.1}, "sign_bias")],
+                          ({}, {"sign_bias": -0.1}, "sign_bias"),
+                          # a spec that generates no graph
+                          (files_only, {"n": [], "sign_bias": 1.5}, "sign_bias must be in [0, 1]")],
             "weight_law": [({}, {"weight_law": ["uniform", 2, 1]}, "lo <= hi"),
+                           (files_only, {"n": [], "weight_law": "bogus"}, "unknown weight law"),
                            ({}, {"weight_law": "bogus"}, "unknown weight law"),
                            ({}, {"weight_law": ["uniform", "a", 1]}, "unknown weight law"),
                            # passed, then an OverflowError traceback; JSON Infinity
@@ -672,9 +677,12 @@ class TestExperimentCommand:
                              ({"sdp": {"max_inner": 2.5}}, {}, "max_inner"),  # ran silently
                              ({"sdp": {"max_outer": True}}, {}, "max_outer"),
                              ({"sdp": {"objective_tol": math.nan}}, {}, "objective_tol")],
-            # n * d / 2 * hi for n = 300 (n = 12 gives 5.4e98), n * d / 2 * lo for n = 12
-            "total_weight": [({}, {"weight_law": ["uniform", 1.0, 3e97]}, "n=300,d=3,rep=0): total weight"),
-                             ({}, {"weight_law": ["uniform", 1e-102, 1.0]}, "W=1.8e-101")],
+            # each generated graph's own W: at least 450 * 5e97 at n = 300 (at
+            # most 18 * 6e97 at n = 12), at most 18 * 2e-102 at n = 12
+            "total_weight": [({}, {"weight_law": ["uniform", 5e97, 6e97]},
+                              "n=300,d=3,rep=0): total weight W="),
+                             ({}, {"weight_law": ["uniform", 1e-102, 2e-102]},
+                              "n=12,d=3,rep=0): total weight W=")],
         }[bad]
         for top, generator, expected in variants:
             case = json.loads(json.dumps(spec))
@@ -685,6 +693,33 @@ class TestExperimentCommand:
             assert main(["experiment", str(p)]) == 3
             assert expected in capsys.readouterr().err
             assert not (tmp_path / "out.csv").exists() and calls == []
+
+    def test_generated_weight_is_checked_as_drawn(self, tmp_path, monkeypatch):
+        # W = 450 * U(1, 3e97) lies near 6.8e99, inside the range, although
+        # n * d / 2 * hi = 1.35e100 does not
+        monkeypatch.setattr(harness, "solve_sdp", lambda *a: pytest.fail("solved"))
+        spec = self.spec_dict(tmp_path / "out.csv")
+        spec["instances"]["generator"].update(n=[12, 300], weight_law=["uniform", 1.0, 3e97])
+        parsed = ExperimentSpec.from_json(json.dumps(spec), tmp_path)
+        assert [g.n for _, g in parsed.instances] == [12, 12, 300, 300]
+        assert all(g.total_weight <= 1e100 for _, g in parsed.instances)
+
+    def test_generator_failure_refuses_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                        triangle_file):
+        # every instance exists before the first solve, so a graph the
+        # generator cannot draw stops the files before it from running too
+        calls = []
+        monkeypatch.setattr(harness, "solve_sdp", lambda *a: calls.append(a))
+        monkeypatch.setattr(instance, "_GEN_ATTEMPTS", 0)
+        spec = self.spec_dict(tmp_path / "out.csv")
+        spec["instances"]["files"] = [triangle_file, triangle_file]
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        for workers in (1, 2):
+            assert main(["experiment", str(p), "--workers", str(workers)]) == 3
+            err = capsys.readouterr().err
+            assert "gen(n=12,d=3,rep=0): rejection budget exceeded" in err
+            assert calls == [] and not (tmp_path / "out.csv").exists()
 
     def test_mean_gain_nonnegative_in_summary(self, tmp_path):
         spec_path = tmp_path / "spec.json"

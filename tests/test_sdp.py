@@ -32,6 +32,7 @@ from cutflip.sdp import (
     _product,
     _rowdot,
     _signed_adjacency,
+    check_solvable,
     default_rank,
     enumerate_triples,
     max_triangle_violation,
@@ -1203,3 +1204,28 @@ class TestWeightScale:
             w_tot = inst.total_weight
             with pytest.raises(ValueError, match=re.escape(f"total weight W={w_tot!r}")):
                 solve_sdp(inst, SdpConfig(triangle_mode=mode))
+
+
+class TestCheckSolvable:
+    """check_solvable(cfg, inst), the rule solve_sdp and an experiment spec
+    apply before anything is allocated."""
+
+    @pytest.mark.parametrize("mode", ["none", "neighborhood", "all"])
+    def test_edgeless_graph_passes(self, mode):
+        for n in (1, 3, 6):
+            inst = Max2LinInstance.from_edges(n, [])
+            for rank in (None, 1, n):
+                expected = default_rank(n) if rank is None else rank
+                assert check_solvable(SdpConfig(rank=rank, triangle_mode=mode), inst) == expected
+
+    @pytest.mark.parametrize("weight, text", [(1e-170, "W=2e-170"), (1e101, "W=2e+101")])
+    def test_total_weight_outside_the_range_refused(self, weight, text):
+        inst = Max2LinInstance.from_edges(3, [(0, 1, -1, weight), (1, 2, -1, weight)])
+        with pytest.raises(ValueError, match=re.escape(f"total weight {text} lies outside")):
+            check_solvable(SdpConfig(), inst)
+
+    def test_rank_above_n_refused(self):
+        inst = Max2LinInstance.from_edges(3, [(0, 1, -1, 1.0)])
+        assert check_solvable(SdpConfig(rank=3), inst) == 3
+        with pytest.raises(ValueError, match=re.escape("rank must lie in [1, n]=[1, 3], got 4")):
+            check_solvable(SdpConfig(rank=4), inst)
