@@ -29,8 +29,9 @@ import numpy as np
 
 from .instance import Max2LinInstance, _satisfied_weight, as_assignment, evaluate
 from .numerics import default_epsilon, rho_star
-from .rounding import hyperplane_round, projections, sample_gaussian
-# sdp_objective has no caller here; perfbench/tracing.py wraps it under this name
+from .rounding import _signs, hyperplane_round, projections, sample_gaussian
+# evaluate, hyperplane_round and sdp_objective have no caller here;
+# perfbench/tracing.py wraps them under these names
 from .sdp import SdpEmbedding, SdpReport, sdp_objective
 
 __all__ = [
@@ -90,12 +91,21 @@ def analyze_candidates(
     configurations. Only its shape is checked here: evaluate() validates
     assignments.
     """
-    if emb.n != inst.n:
-        raise ValueError(f"embedding has {emb.n} rows but instance has n={inst.n}")
+    _check_rows(inst, emb)
     proj = projections(emb, g)
     xs = np.asarray(x)
     if xs.shape != proj.shape:
         raise ValueError(f"assignment has shape {xs.shape}, directions give {proj.shape}")
+    return _analysis(inst, proj, xs, eps)
+
+
+def _check_rows(inst: Max2LinInstance, emb: SdpEmbedding) -> None:
+    if emb.n != inst.n:
+        raise ValueError(f"embedding has {emb.n} rows but instance has n={inst.n}")
+
+
+def _analysis(inst: Max2LinInstance, proj: np.ndarray, xs: np.ndarray, eps: float) -> CandidateAnalysis:
+    """analyze_candidates from the projections <g, v_i>, for an x of their shape."""
     n, slots_per_trial = inst.n, len(inst.nbr)
     trials = proj.size // n
     lead = proj.shape[:-1]  # () for one direction, (T,) for a stack
@@ -135,8 +145,9 @@ def apply_flips(
     """Flip every candidate whose violated weight strictly dominates.
 
     Returns (x', evaluate(x') - evaluate(x)), per row for a (T, n) stack.
-    rounded, when given, is evaluate(inst, x), which has validated x; it is
-    then neither validated nor scored again. The gain is never negative:
+    rounded, when given, is evaluate(inst, x) for an x known to be valid
+    (evaluate validated it, or best_of's rounding built it); x is then
+    neither validated nor scored again. The gain is never negative:
     violated/satisfied neighbors sit outside the band so they do not move,
     and an in-band edge is double-counted as a loss on both endpoints.
     """
@@ -210,8 +221,10 @@ def best_of(
     defaults to default_epsilon's band for the instance's max degree.
 
     Trials run in chunks of about _CHUNK_ELEMENTS / max(n, m): each chunk
-    samples one direction per seed, rounds, scores, analyses and flips its
-    stack of trials in single calls. Each trial's sums keep evaluate's
+    samples one direction per seed, projects the embedding on them once,
+    then rounds, scores, analyses and flips its stack of trials in single
+    calls, scoring the rounding it built without evaluate's validation.
+    Each trial's sums keep evaluate's
     order, so every value equals that of the trial run alone, unless one of
     its projections lies within rounding of 0 or of the band edge (see
     rounding.projections).
@@ -223,6 +236,7 @@ def best_of(
     seeds = [] if seeds is None else [operator.index(seed) for seed in seeds]
     if not seeds:
         raise ValueError("best_of needs at least one rounding seed (trials >= 1)")
+    _check_rows(inst, emb)
     if eps is None:
         eps = default_epsilon(max(inst.max_degree, 1))
     chunk = max(1, _CHUNK_ELEMENTS // max(inst.n, inst.m))
@@ -232,9 +246,10 @@ def best_of(
     for start in range(0, len(seeds), chunk):
         block = seeds[start : start + chunk]
         g = np.stack([sample_gaussian(emb.rank, seed) for seed in block])
-        x = hyperplane_round(emb, g)
-        rounded = evaluate(inst, x)
-        analysis = analyze_candidates(inst, emb, g, x, eps)
+        proj = projections(emb, g)
+        x = _signs(proj)
+        rounded = _satisfied_weight(inst, x)
+        analysis = _analysis(inst, proj, x, eps)
         x_flip, gain = apply_flips(inst, x, analysis, rounded)
         flipped = rounded + gain
         s_size = np.count_nonzero(analysis.incident_weight, axis=1)

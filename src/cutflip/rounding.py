@@ -59,7 +59,12 @@ def projections(emb: SdpEmbedding, g: np.ndarray) -> np.ndarray:
 def hyperplane_round(emb: SdpEmbedding, g: np.ndarray) -> np.ndarray:
     """x_i = sign(<g, v_i>) with sign(0) := +1, as an int8 array; a (T, rank)
     stack of directions gives a (T, n) array, one row per direction."""
-    x = (projections(emb, g) >= 0.0).astype(np.int8)
+    return _signs(projections(emb, g))
+
+
+def _signs(proj: np.ndarray) -> np.ndarray:
+    """hyperplane_round from the projections <g, v_i>: sign with sign(0) := +1, int8."""
+    x = (proj >= 0.0).astype(np.int8)
     x *= 2
     x -= 1  # True -> +1, False -> -1; np.where is ten times slower here
     return x

@@ -209,8 +209,14 @@ class SdpReport:
     objective_history: list = field(default_factory=list)
 
 
+# np.einsum without its __array_function__ dispatch, the same C routine, so
+# the same bits: the dispatch costs about 0.6 of a 2.1 us row-dot at n = 22,
+# rank 8 (2-vCPU Xeon box), and every ALM evaluation makes five einsum calls
+_einsum = getattr(np.einsum, "_implementation", np.einsum)
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+    return _einsum("ij,ij->i", a, b)
 
 
 def _normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -326,9 +332,10 @@ class _ActiveSet:
     stay. Both forms of K give the same bits (_product) and hand the
     certificate the same entries (dual).
 
-    An evaluation (augmented) reads lam / mu, which is computed at most once
-    per round: assigning lam (the multiplier step, add) or passing a new mu
-    drops it, and the next evaluation computes it again.
+    An evaluation (augmented) reads lam / mu and mu times the constraints'
+    signs, which are computed at most once per round: assigning lam (the
+    multiplier step, add) or passing a new mu drops them, and the next
+    evaluation computes them again.
     """
 
     def __init__(self, triples: np.ndarray, inst: Max2LinInstance) -> None:
@@ -375,6 +382,12 @@ class _ActiveSet:
         pair_keys, slot = np.unique(keys.ravel(), return_inverse=True)
         self._slot_flat = slot.ravel()
         self.slot = self._slot_flat.reshape(-1, 3)
+        # per slot in that flat order: its constraint and its sign
+        self._owner = np.repeat(np.arange(len(self.idx)), 3)
+        self._signs = self.pattern.ravel()
+        # slots and signs by column, r_ij, r_ik, r_jk, for _cvals
+        self._slot_cols = self.slot.T[[0, 2, 1]].copy()
+        self._sign_cols = self.pattern.T[[0, 2, 1]].copy()
         self.pair_i, self.pair_j = np.divmod(pair_keys, n)
         n_pairs = len(pair_keys)
         self._bins = n_pairs + 1
@@ -398,7 +411,10 @@ class _ActiveSet:
         return _rowdot(v.take(self.pair_i, axis=0), v.take(self.pair_j, axis=0))
 
     def _cvals(self, r: np.ndarray) -> np.ndarray:
-        c = _rowdot(self.pattern, r.take(self.slot))
+        # by column, einsum adds each constraint's three terms in row order:
+        # (e1 r_ij + e3 r_ik) + e2 r_jk, the order in which its row-dot over
+        # a (T, 3) array sums on two-lane SIMD, here in loops T long, not 3
+        c = _einsum("ij,ij->j", self._sign_cols, r.take(self._slot_cols))
         c += 1.0
         return c
 
@@ -406,16 +422,19 @@ class _ActiveSet:
         """c[t] = 1 + e1 r_ij + e2 r_jk + e3 r_ik, one row-dot per active pair."""
         return self._cvals(self._pair_products(v))
 
-    def refill(self, f: np.ndarray) -> np.ndarray:
-        """Refill K = A/2 + M(f) in place; M's value per pair, then a zero."""
-        m = np.bincount(self._slot_flat, weights=(f[:, None] * self.pattern).ravel(), minlength=self._bins)
+    def refill(self, f: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """Refill K = A/2 + M in place, M_ij the sum of f_t s over the
+        constraints t that read r_ij, s the sign of that slot in signs (one
+        per slot, in slot order: the constraints' signs, or mu times them);
+        M's value per pair, then a zero."""
+        m = np.bincount(self._slot_flat, weights=np.multiply(f.take(self._owner), signs), minlength=self._bins)
         np.add(self._base, m.take(self._entry_pair), out=self._values)
         return m
 
     def dual(self, lam: np.ndarray, v: np.ndarray):
         """Refill K with lam; what the certificate reads: the entries (rows, cols,
         values) of A' = 2 K(lam) (cutflip.certify), and y_i = <(A' V)_i, v_i>."""
-        self.refill(lam)
+        self.refill(lam, self._signs)
         y = _rowdot(_product(2.0 * self.matrix, v), v)
         return (self.rows, self.cols, 2.0 * self._values.take(self._place)), y
 
@@ -428,14 +447,15 @@ class _ActiveSet:
         is <V, K V>/2 - sum_p m_p r_p.
         """
         if self._lam_mu is None or mu != self._mu:
-            self._lam_mu, self._mu = self._lam / mu, mu
+            # (mu q) e is q (mu e) bit for bit: e is +-1
+            self._lam_mu, self._mu_signs, self._mu = self._lam / mu, mu * self._signs, mu
         r = self._pair_products(v)
         q = self._cvals(r)
         np.subtract(self._lam_mu, q, out=q)
         np.maximum(0.0, q, out=q)
-        m = self.refill(mu * q)
+        m = self.refill(q, self._mu_signs)
         kv = _product(self.matrix, v)
-        val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1] @ r) - 0.5 * mu * float(q @ q)
+        val = 0.5 * float(np.vdot(v, kv)) - float(m[:-1].dot(r)) - 0.5 * mu * float(q.dot(q))
         return val, kv
 
     def negative_al(self, u_flat: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
@@ -444,8 +464,8 @@ class _ActiveSet:
         u_flat: the ALM's inner subproblem, over which the sphere constraints
         vanish and L-BFGS runs unconstrained."""
         u = u_flat.reshape(self.inst.n, -1)
-        norms = np.sqrt(_rowdot(u, u))
-        norms = np.maximum(norms, 1e-30, out=norms)[:, None]
+        norms = _rowdot(u, u)
+        norms = np.maximum(np.sqrt(norms, out=norms), 1e-30, out=norms)[:, None]
         mat = u / norms
         val, g = self.augmented(mat, mu)
         # minus the gradient in u: the part of g across each row, over its norm
@@ -475,7 +495,7 @@ def _matrix(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
 def _product(matrix, v: np.ndarray) -> np.ndarray:
     """matrix V for K or 2K. einsum, unlike BLAS, sums over j in order as CSR does
     while j is not its inner loop; reading the symmetric K as "ji" keeps it outer at rank 1."""
-    return np.einsum("ji,jk->ik", matrix, v) if isinstance(matrix, np.ndarray) else matrix @ v
+    return _einsum("ji,jk->ik", matrix, v) if isinstance(matrix, np.ndarray) else matrix @ v
 
 
 def _signed_adjacency(inst: Max2LinInstance, order: np.ndarray):
@@ -673,7 +693,7 @@ def _backtrack(fg, x: np.ndarray, f0: float, d: np.ndarray, gd0: float, stp: flo
         xt = x + d if stp == 1.0 else x + stp * d  # 1.0 * d is d, bit for bit
         f, g = fg(xt)
         if f <= f0 + _LS_FTOL * stp * gd0:
-            return stp, xt, f, g, float(g @ d)
+            return stp, xt, f, g, float(g.dot(d))
         stp *= max(0.1, min(0.5, -0.5 * gd0 * stp / (f - f0 - gd0 * stp)))
     return None
 
@@ -706,6 +726,10 @@ class _InverseHessian:
         self.r_inv = np.zeros((m, m))
         self.yy = np.zeros((m, m))  # Y^T Y
         self.sy = np.zeros((m, m))  # D
+        self._inner = np.empty((m, m))  # D + gamma Y^T Y
+        # s_u^T y and y_u^T y for every slot u, interleaved as w's rows
+        self._prods = np.empty(2 * m)
+        self._r_col, self._y_row = self._prods[0::2], self._prods[1::2]
         # M with gamma folded into its blocks, rows and columns in w's order
         self.middle = np.zeros((2 * m, 2 * m))
         # views of its blocks: R^-T (D + gamma Y^T Y) R^-1 at (s, s) and
@@ -725,7 +749,7 @@ class _InverseHessian:
         """-H g."""
         if self.k == 0:
             return -g
-        d = (self.middle @ (self.w @ g)) @ self.w
+        d = self.middle.dot(self.w.dot(g)).dot(self.w)
         d += self.gamma * g
         return np.negative(d, out=d)
 
@@ -734,24 +758,25 @@ class _InverseHessian:
         t = self.next
         self.next = (t + 1) % _LBFGS_MEMORY
         self.k = min(self.k + 1, _LBFGS_MEMORY)
-        self.w[2 * t] = s
-        self.w[2 * t + 1] = y
-        prods = self.w @ y  # s_u^T y and y_u^T y for every slot u
-        r_col, y_row = prods[0::2], prods[1::2]
+        w = self.w
+        w[2 * t] = s
+        w[2 * t + 1] = y
+        w.dot(y, out=self._prods)
+        r_col, y_row = self._r_col, self._y_row
         # R^-1 of [[R, r], [0, sy]] is [[R^-1, -R^-1 r / sy], [0, 1 / sy]];
         # slot t's old row and r's entry for slot t drop out
         r_inv = self.r_inv
         r_inv[t] = 0.0
         r_col[t] = 0.0
-        r_inv[:, t] = r_inv @ r_col * (-1.0 / sy)
+        np.multiply(r_inv.dot(r_col), -1.0 / sy, out=r_inv[:, t])
         r_inv[t, t] = 1.0 / sy
         self.yy[t] = self.yy[:, t] = y_row
         self.sy[t, t] = sy
         self.gamma = gamma = sy / float(y_row[t])
 
-        inner = self.yy * gamma
+        inner = np.multiply(self.yy, gamma, out=self._inner)
         inner += self.sy
-        self._m_ss[...] = r_inv.T @ inner @ r_inv
+        self._m_ss[...] = r_inv.T.dot(inner).dot(r_inv)
         np.multiply(r_inv, -gamma, out=self._m_ys)
         self._m_sy[...] = self._m_ys.T
 
@@ -772,18 +797,22 @@ def _lbfgs(fg, x: np.ndarray, gtol: float, max_iter: int) -> tuple[np.ndarray, f
     pairs, one with the 2k x 2k middle matrix), calls fg once per trial step
     of the search (x + d at a unit step, the common case, since 1.0 * d is d
     bit for bit) and makes one update, which writes the middle matrix's
-    blocks through views made once per run.
+    blocks through views made once per run. Every product here and in
+    _InverseHessian is ndarray.dot: it calls the BLAS routine that @ calls
+    (ddot, dgemv or dgemm, so the same bits) without the matmul ufunc's
+    overhead, 0.3-0.4 us a call at desk sizes.
     """
     f, g = fg(x)
     memory = _InverseHessian(len(x))
     eps = np.finfo(float).eps
     nit = 0
-    while nit < max_iter and np.abs(g).max() > gtol:
+    # max|g| > gtol, without the temporary |g| (a NaN stops it, as it did)
+    while nit < max_iter and (g.max() > gtol or g.min() < -gtol):
         d = memory.direction(g)
-        gd0 = float(g @ d)
+        gd0 = float(g.dot(d))
         step = None
         if gd0 < 0.0:
-            stp = 1.0 / math.sqrt(float(d @ d)) if nit == 0 else 1.0
+            stp = 1.0 / math.sqrt(float(d.dot(d))) if nit == 0 else 1.0
             step = _backtrack(fg, x, f, d, gd0, stp)
         if step is None:
             if memory.k == 0:
@@ -827,9 +856,13 @@ def _solve_alm(
     constraints, computed by the round's first evaluation. Per evaluation
     (_ActiveSet.negative_al): the row norms of U, one inner product per
     pair, the penalty terms and K's values in place, one product K V and the
-    gradient in U in place. None of it changes a bit of the iterates; an
-    L-BFGS iteration takes about 35 us at desk sizes (n = 14-22, rank <= 8)
-    and 115 us at nbhd sizes (n = 150-200) on a 2-vCPU Xeon box.
+    gradient in U in place. None of it changes a bit of the iterates. At
+    desk sizes (n = 14-22, rank <= 8) an L-BFGS iteration is mostly the
+    fixed cost of its numpy calls, about 63 of them, on arrays of 8 to 933
+    entries. Solve time per iteration, in one process on a 2-vCPU Xeon box
+    whose speed varies by up to 2x from hour to hour: 59-70 us at desk
+    sizes (105-110 us at a slow hour) and 350-420 us at nbhd sizes
+    (n = 150-200).
     """
     n, rank = v.shape
     w_tot = inst.total_weight

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -332,7 +336,7 @@ class TestConstraintLayer:
         on_edge = adj[active.pair_i, active.pair_j] != 0.0
         assert np.any(on_edge) and not np.all(on_edge)
         f = rng.uniform(-1.0, 2.0, len(active))
-        active.refill(f)
+        active.refill(f, active.pattern.ravel())
         want = 0.5 * adj + coo_pair_matrix(active, f).toarray()
         got = as_array(active.matrix)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -463,6 +467,66 @@ def reference_negative_al(active: _ActiveSet, mu: float):
     return fg
 
 
+class ReferenceInverseHessian:
+    """_InverseHessian written plainly, with @ products and a temporary per
+    step: the production class must give its directions bit for bit."""
+
+    def __init__(self, n: int) -> None:
+        m = _LBFGS_MEMORY
+        self.w = np.zeros((2 * m, n))
+        self.r_inv = np.zeros((m, m))
+        self.yy = np.zeros((m, m))  # Y^T Y
+        self.sy = np.zeros((m, m))  # D
+        # M with gamma folded into its blocks, rows and columns in w's order
+        self.middle = np.zeros((2 * m, 2 * m))
+        # views of its blocks: R^-T (D + gamma Y^T Y) R^-1 at (s, s) and
+        # -gamma R^-1 at (y, s), transposed at (s, y)
+        blocks = self.middle.reshape(m, 2, m, 2)
+        self._m_ss, self._m_ys, self._m_sy = blocks[:, 0, :, 0], blocks[:, 1, :, 0], blocks[:, 0, :, 1]
+        self.reset()
+
+    def reset(self) -> None:
+        self.k = 0
+        self.next = 0  # the slot the next pair fills
+        self.gamma = 1.0
+        self.r_inv[:] = 0.0
+        self.middle[:] = 0.0
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """-H g."""
+        if self.k == 0:
+            return -g
+        d = (self.middle @ (self.w @ g)) @ self.w
+        d += self.gamma * g
+        return np.negative(d, out=d)
+
+    def update(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        """Add the pair (s, y), with s^T y = sy > 0."""
+        t = self.next
+        self.next = (t + 1) % _LBFGS_MEMORY
+        self.k = min(self.k + 1, _LBFGS_MEMORY)
+        self.w[2 * t] = s
+        self.w[2 * t + 1] = y
+        prods = self.w @ y  # s_u^T y and y_u^T y for every slot u
+        r_col, y_row = prods[0::2], prods[1::2]
+        # R^-1 of [[R, r], [0, sy]] is [[R^-1, -R^-1 r / sy], [0, 1 / sy]];
+        # slot t's old row and r's entry for slot t drop out
+        r_inv = self.r_inv
+        r_inv[t] = 0.0
+        r_col[t] = 0.0
+        r_inv[:, t] = r_inv @ r_col * (-1.0 / sy)
+        r_inv[t, t] = 1.0 / sy
+        self.yy[t] = self.yy[:, t] = y_row
+        self.sy[t, t] = sy
+        self.gamma = gamma = sy / float(y_row[t])
+
+        inner = self.yy * gamma
+        inner += self.sy
+        self._m_ss[...] = r_inv.T @ inner @ r_inv
+        np.multiply(r_inv, -gamma, out=self._m_ys)
+        self._m_sy[...] = self._m_ys.T
+
+
 class TestInnerEvaluation:
     """_ActiveSet.negative_al, the evaluation L-BFGS calls, gives the bits of
     reference_negative_al on both layers, across the changes between two
@@ -513,6 +577,63 @@ class TestInnerEvaluation:
         got = _lbfgs(lambda x: active.negative_al(x, mu), u0.copy(), 0.0, 50)
         assert want[2] == got[2] == 50
         assert bits(got[0], got[1]) == bits(want[0], want[1])
+
+
+class TestWholeSolveBits:
+    """Neighborhood-mode solve_sdp takes the same iterates with production's
+    evaluation and L-BFGS memory as with the references above: every byte
+    of the embedding and every SdpReport field, on desk-sized graphs (the
+    dense layer) and on one n = 40 graph (the CSR layer)."""
+
+    @pytest.mark.parametrize("n, d, law, gen_seed", [
+        (14, 3, "unit", 0), (18, 4, ("uniform", 0.3, 2.0), 1), (20, 5, "unit", 2),
+        (22, 6, ("uniform", 0.3, 2.0), 3), (40, 4, ("uniform", 0.3, 2.0), 4),
+    ])
+    def test_solve_keeps_the_reference_bits(self, monkeypatch, n, d, law, gen_seed):
+        inst = gen_random_regular(n, d, 0.5, law, seed=gen_seed)
+        cfg = SdpConfig(seed=gen_seed)
+        emb, rep = solve_sdp(inst, cfg)
+        monkeypatch.setattr(_ActiveSet, "negative_al",
+                            lambda self, u_flat, mu: reference_negative_al(self, mu)(u_flat))
+        monkeypatch.setattr(sdp_module, "_InverseHessian", ReferenceInverseHessian)
+        ref_emb, ref_rep = solve_sdp(inst, cfg)
+        assert rep.n_active > 0 and rep.iterations > 2 * _LBFGS_MEMORY
+        assert emb.vectors.tobytes() == ref_emb.vectors.tobytes()
+        assert bits(rep.objective, rep.max_violation, rep.upper_bound, rep.objective_history) == bits(
+            ref_rep.objective, ref_rep.max_violation, ref_rep.upper_bound, ref_rep.objective_history)
+        assert rep == ref_rep
+
+
+class TestEinsumEntry:
+    """_rowdot and _product call np.einsum's undispatched implementation,
+    which must give np.einsum's bits, and np.einsum itself where numpy has
+    no such attribute."""
+
+    @pytest.mark.parametrize("rows, cols", [(14, 3), (22, 8), (26, 8), (40, 10), (5000, 21)])
+    def test_same_bits_as_np_einsum(self, rows, cols):
+        rng = np.random.default_rng(rows)
+        a, b = rng.standard_normal((rows, cols)), rng.standard_normal((rows, cols))
+        assert bits(_rowdot(a, b)) == bits(np.einsum("ij,ij->i", a, b))
+        k = rng.standard_normal((rows, rows)) if rows <= 40 else rng.standard_normal((40, 40))
+        k = k + k.T
+        v = rng.standard_normal((len(k), cols))
+        assert bits(_product(k, v)) == bits(np.einsum("ji,jk->ik", k, v))
+
+    def test_falls_back_to_np_einsum(self):
+        # a fresh interpreter whose np.einsum has no _implementation attribute
+        code = (
+            "import numpy as np\n"
+            "einsum = np.einsum\n"
+            "np.einsum = lambda *args, **kwargs: einsum(*args, **kwargs)\n"
+            "import cutflip.sdp as sdp\n"
+            "assert sdp._einsum is np.einsum\n"
+            "a = np.arange(6.0).reshape(3, 2)\n"
+            "assert sdp._rowdot(a, a).tolist() == [1.0, 13.0, 41.0]\n"
+        )
+        src = str(Path(sdp_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+        assert sdp_module._einsum is np.einsum._implementation
 
 
 def quartic(c: np.ndarray, b: np.ndarray, a: float, offset: float = 0.0):
@@ -651,6 +772,28 @@ class TestLbfgs:
         assert all(np.array_equal(d, c) for d, *_ in searches)
         # the Armijo test holds at every first trial step
         assert [out[0] for *_, out in searches] == [1.0 / np.linalg.norm(c), 1.0, 1.0, 1.0, 1.0]
+
+    def test_direction_keeps_the_reference_bits(self):
+        # the same directions as ReferenceInverseHessian, bit for bit, after
+        # each update, across the ring's wrap and a reset, at a unit step's
+        # pair and a cut step's (s = stp d)
+        rng = np.random.default_rng(1)
+        n = 40
+        memory, reference = _InverseHessian(n), ReferenceInverseHessian(n)
+        for step in range(2 * _LBFGS_MEMORY + 5):
+            if step == _LBFGS_MEMORY + 7:
+                memory.reset()
+                reference.reset()
+            d = rng.standard_normal(n)
+            s = d if step % 3 else 0.25 * d
+            y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
+            sy = float(s @ y)
+            memory.update(s, y, sy)
+            reference.update(s, y, sy)
+            assert memory.k == reference.k and memory.gamma == reference.gamma
+            g = rng.standard_normal(n)
+            assert bits(memory.direction(g)) == bits(reference.direction(g))
+            assert bits(memory.middle) == bits(reference.middle)
 
     def test_compact_form_matches_recursion(self):
         # -H g against the BFGS recursion over the last _LBFGS_MEMORY pairs,
