@@ -11,6 +11,9 @@ denominator: ratio_vs_sdp and the experiment summaries' mean_*_ratio divide
 by sdp_upper_bound, the solver's certified upper bound on the relaxation's
 optimum (sdp_value, its iterate's objective, is a lower bound), under
 _ratio's rule; ratio_vs_opt divides by the brute-force optimum.
+
+An output path that is a directory or lies in a missing one exits 3
+before any work (_check_output).
 """
 
 from __future__ import annotations
@@ -79,6 +82,13 @@ def _write(path: str, data) -> None:
     if p.is_file() and not p.is_symlink():
         p.unlink()
     p.write_text(text, encoding="utf-8")
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse (InstanceError) a path given to _write that is an existing
+    directory or whose parent directory is missing, before any work."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise InstanceError(f"output path {path} is a directory or lies in a missing directory")
 
 
 # solve record (solve --json) key -> CSV column, for the facts a trial row repeats
@@ -310,6 +320,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_output(spec.csv_path)
     tasks = list(enumerate(spec.instances))
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     # the spec is pickled with every task, so it goes without the instances;
@@ -330,6 +341,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> str:
 
 
 def _cmd_solve(args) -> int:
+    _check_output(args.json)
     inst = _read(args.instance, "instance file", parse_instance)
     kwargs = {"triangle_mode": args.triangle_mode, "seed": args.seed}
     if args.rank is not None:
@@ -366,6 +378,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_output(args.json)
     inst = _read(args.instance, "instance file", parse_instance)
     res = brute_force_opt(inst, cap=args.cap)
     print(f"opt={res.opt!r}")
@@ -379,6 +392,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_output(args.json)
     taus = tuple(int(t) for t in args.taus.split(",")) if args.taus else None
     kwargs = {"taus": taus, "tail_taus": taus} if taus else {}
     checks = run_verification(seed=args.seed, samples=args.samples, **kwargs)
@@ -405,6 +419,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_output(args.out)
     law = args.weights
     if law.startswith("uniform:"):
         try:

@@ -300,42 +300,38 @@ def check_arcsin_taylor(
         raise ValueError(f"the x = 1 tail check needs at least two distinct taus, got {sorted(set(tail_taus))}")
 
     details: dict = {"taus": list(taus), "tail_taus": list(tail_taus)}
-    ok = True
 
     violations = []
     worst_margin = -math.inf
+    # max |gap| over 0 < |x| <= 1/2 per tau: asin and the partial sums are odd
+    # bit for bit on the grid, so the gap at -x is minus the gap at x
+    half_range = []
     for tau in taus:
         c = arcsin_coeffs(tau)
+        worst = 0.0
         for x in _X_GRID:
             gap = math.asin(x) - arcsin_partial(float(x), tau, c)
             worst_margin = max(worst_margin, -gap)
             if gap < -_ULP_SLACK:
                 violations.append({"tau": tau, "x": float(x), "gap": gap})
+            if x <= 0.5:
+                worst = max(worst, abs(gap))
+        half_range.append(worst)
     details["lower_bound_violations"] = violations
     details["lower_bound_worst_overshoot"] = worst_margin
-    ok = ok and not violations
 
     fitted_k = {}
     noise_fail = []
-    for tau in taus:
-        c = arcsin_coeffs(tau)
+    for tau, worst in zip(taus, half_range):
         scale = tau ** -0.5 * 4.0 ** -float(tau)
-        worst = 0.0
-        for x in _X_GRID:
-            if x > 0.5:
-                continue
-            for sx in (x, -x):
-                worst = max(worst, abs(math.asin(sx) - arcsin_partial(float(sx), tau, c)))
         if scale > _FIT_SCALE_FLOOR:
             k_fit = worst / scale
             fitted_k[tau] = k_fit
             if k_fit > 1.0:
-                ok = False
                 noise_fail.append({"tau": tau, "fitted_k": k_fit})
         else:
             fitted_k[tau] = None
             if worst > 5e-15:
-                ok = False
                 noise_fail.append({"tau": tau, "gap": worst})
     details["half_range_fitted_k"] = {str(t): v for t, v in fitted_k.items()}
     details["half_range_failures"] = noise_fail
@@ -344,16 +340,12 @@ def check_arcsin_taylor(
     for tau in tail_taus:
         gap = math.pi / 2.0 - math.fsum(arcsin_coeffs(tau).tolist())
         norm_gaps[tau] = gap * math.sqrt(tau)
-    ratios = []
     ts = sorted(norm_gaps)
-    for a, b in zip(ts, ts[1:]):
-        ratios.append(norm_gaps[b] / norm_gaps[a])
+    ratios = [norm_gaps[b] / norm_gaps[a] for a, b in zip(ts, ts[1:])]
     details["tail_normalized_gaps"] = {str(t): norm_gaps[t] for t in ts}
     details["tail_ratios"] = ratios
     tail_ok = all(0.5 <= r <= 2.0 for r in ratios) and all(v > 0 for v in norm_gaps.values())
-    ok = ok and tail_ok
-
-    return CheckResult("arcsin_taylor", ok, details)
+    return CheckResult("arcsin_taylor", not violations and not noise_fail and tail_ok, details)
 
 
 def check_arcsin_form_bound(trials: int, d_list: tuple[int, ...], seed: int = 0) -> CheckResult:

@@ -840,15 +840,20 @@ def _solve_alm(
 ) -> tuple[SdpEmbedding, SdpReport]:
     """Augmented Lagrangian over the signed triangle inequalities of triples.
 
-    Converges once the relative objective change over an outer round falls
-    below objective_tol while the max norm-form violation over the family is
-    below constraint_tol; otherwise it stops after max_outer rounds. The
-    penalty starts at W/m (1 on an edgeless graph) and grows by
-    _PENALTY_GROWTH whenever a round leaves the violation above
-    constraint_tol without halving it; it has no ceiling. rng nudges the
-    iterate off stationary but infeasible points. Each round's inner
-    subproblem maximizes the augmented objective over the unnormalized
-    factor with _lbfgs, for at most max_inner iterations.
+    Each round admits the constraints the last scan found violated, nudges
+    the iterate (rng) off a stationary point the scan found infeasible, then
+    takes the inner solve (_lbfgs on the augmented objective over the
+    unnormalized factor, at most max_inner iterations), the scan over the
+    family, the multiplier step lam <- max(0, lam - mu c), the stop test and
+    penalty growth. The step runs every round, as the inexact ALM's dual
+    proximal update tolerates inexact subproblems at moderate mu; the
+    certificate reads the last step's multipliers, for which the final
+    iterate is stationary up to the inner tolerance. Converges once the
+    relative objective change over a round falls below objective_tol while
+    the max norm-form violation is below constraint_tol; otherwise stops
+    after max_outer rounds. The penalty starts at W/m (1 on an edgeless
+    graph) and grows by _PENALTY_GROWTH whenever a round leaves the
+    violation above constraint_tol without halving it; it has no ceiling.
 
     Work per active-set change: the layer's pattern, its map from K's
     entries to the pairs and the constraints' pair slots (_ActiveSet.add).
@@ -888,7 +893,7 @@ def _solve_alm(
     for _ in range(cfg.max_outer):
         active.add(*hits)
 
-        if len(active) and float(active.cvals(v).min()) < -c_tol:
+        if cmin < -c_tol:  # below -act_thresh, so the constraint at cmin is active
             g = active.augmented(v, mu)[1]
             gt = g - _rowdot(g, v)[:, None] * v
             if float(np.sum(gt * gt)) <= gtol_floor * gtol_floor * 1e4:
@@ -909,28 +914,19 @@ def _solve_alm(
 
         cmin, hits = _scan(v, triples, -act_thresh)
         viol = max(0.0, -2.0 * cmin)
+        active.lam = np.maximum(0.0, active.lam - mu * active.cvals(v))
         rel_change = abs(obj - prev_obj) / (abs(obj) or unit)
         if rel_change <= cfg.objective_tol and viol <= cfg.constraint_tol:
             converged = True
             break
-
-        # inexact ALM: multiplier step every round (the dual proximal update
-        # tolerates inexact subproblems at moderate mu); penalty growth when
-        # feasibility stalls
-        if len(active):
-            active.lam = np.maximum(0.0, active.lam - mu * active.cvals(v))
-            if viol > cfg.constraint_tol and viol > 0.5 * prev_viol:
-                mu *= _PENALTY_GROWTH
-
+        if len(active) and viol > cfg.constraint_tol and viol > 0.5 * prev_viol:
+            mu *= _PENALTY_GROWTH
         prev_obj, prev_viol = obj, viol
 
-    # the last round's v, obj and viol are the final iterate's
+    # the last round's v, obj, viol and multipliers are the final iterate's;
+    # the multipliers fold into A' = 2 K(lam) (cutflip.certify)
     emb = SdpEmbedding(vectors=v)
-    # the multipliers fold into A' = 2 K(lam) (cutflip.certify); with the
-    # step the next round would take, the final iterate is stationary for A'
-    # up to the inner tolerance
-    lam = np.maximum(0.0, active.lam - mu * active.cvals(v))
-    upper = certify.upper_bound(*active.dual(lam, v), w_tot, obj, float(np.sum(lam)))
+    upper = certify.upper_bound(*active.dual(active.lam, v), w_tot, obj, float(np.sum(active.lam)))
     report = SdpReport(
         objective=obj,
         max_violation=viol,

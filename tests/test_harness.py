@@ -275,6 +275,45 @@ class TestOutputFiles:
         assert real.read_bytes() == written
         assert json.loads(written)["base_seed"] == 3
 
+    @pytest.mark.parametrize("fault", ["directory", "missing_parent"])
+    @pytest.mark.parametrize("command, stub", [
+        ("solve", "solve_sdp"), ("oracle", "brute_force_opt"), ("verify", "run_verification"),
+        ("gen", "gen_random_regular"), ("experiment", "solve_sdp"),
+    ])
+    def test_unwritable_output_refused_before_any_work(self, tmp_path, triangle_file, capsys,
+                                                        monkeypatch, command, stub, fault):
+        calls = []
+        monkeypatch.setattr(harness, stub, lambda *a, **kw: calls.append(a))
+        out = tmp_path / "adir"
+        if fault == "directory":
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "out"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"instances": {"files": ["triangle.txt"]}, "csv": str(out)}))
+        argv = {
+            "solve": ["solve", triangle_file, "--json", str(out)],
+            "oracle": ["oracle", triangle_file, "--json", str(out)],
+            "verify": ["verify", "--json", str(out)],
+            "gen": ["gen", "--n", "10", "--d", "3", "--out", str(out)],
+            "experiment": ["experiment", str(spec)],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 3
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == f"error: output path {out} is a directory or lies in a missing directory\n"
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_dev_stdout_is_written(self, capfd):
+        # capfd's file under fd 1 is reopened at offset 0, so the two writes
+        # overlap there; on a terminal or pipe they follow each other
+        assert main(["gen", "--n", "10", "--d", "3", "--out", "/dev/stdout"]) == 0
+        out, err = capfd.readouterr()
+        assert "wrote /dev/stdout" in out and err == ""
+
 
 class TestVerifyCommand:
     def test_quick_run_passes(self, tmp_path, capsys):

@@ -7,7 +7,9 @@ import pytest
 
 from scipy.optimize import brentq
 
+from cutflip import numerics
 from cutflip.numerics import (
+    _X_GRID,
     _gw_root,
     _truncated_normal,
     alpha_gw,
@@ -111,7 +113,29 @@ class TestArcsinPartial:
             assert gap <= bound
 
 
+def reference_half_range_worst(tau: int) -> float:
+    """max |asin(x) - partial sum| over x and -x for every grid x <= 1/2,
+    one partial sum at each: the half-range pass as a loop of its own."""
+    c = arcsin_coeffs(tau)
+    worst = 0.0
+    for x in _X_GRID:
+        if x > 0.5:
+            continue
+        for sx in (x, -x):
+            worst = max(worst, abs(math.asin(sx) - arcsin_partial(float(sx), tau, c)))
+    return worst
+
+
 class TestTaylorCheck:
+    @pytest.mark.parametrize("taus", [(16, 64, 256), (17, 30, 100, 400)])
+    def test_half_range_keeps_the_two_sided_bits(self, taus, monkeypatch):
+        # a zero floor reports worst / scale at every tau, so each worst is seen
+        monkeypatch.setattr(numerics, "_FIT_SCALE_FLOOR", 0.0)
+        fitted = check_arcsin_taylor(taus=taus).details["half_range_fitted_k"]
+        for tau in taus:
+            scale = tau**-0.5 * 4.0 ** -float(tau)
+            assert fitted[str(tau)] == reference_half_range_worst(tau) / scale
+
     def test_default_run_passes(self):
         res = check_arcsin_taylor()
         assert res.passed

@@ -991,6 +991,24 @@ class TestSolveProperties:
             triples = enumerate_triples(inst, "all")
             assert max_triangle_violation(emb, triples) <= cfg.constraint_tol
 
+    @pytest.mark.parametrize("max_outer, converged", [(2, False), (60, True)])
+    def test_bound_reads_the_last_steps_multipliers(self, monkeypatch, max_outer, converged):
+        # the certificate folds in the multipliers of the last round's step,
+        # not a step taken again after the loop
+        seen = []
+        dual = _ActiveSet.dual
+
+        def spy(self, lam, v):
+            seen.append((lam.copy(), self.lam.copy()))
+            return dual(self, lam, v)
+
+        monkeypatch.setattr(_ActiveSet, "dual", spy)
+        inst = gen_random_regular(16, 5, 0.5, "unit", seed=0)
+        _, rep = solve_sdp(inst, SdpConfig(seed=0, max_outer=max_outer))
+        assert rep.converged == converged
+        [(lam, own)] = seen
+        assert lam.sum() > 0 and np.array_equal(lam, own)
+
     def test_determinism(self):
         inst = random_instance(np.random.default_rng(12), 14)
         for mode in ("neighborhood", "none"):
@@ -999,15 +1017,23 @@ class TestSolveProperties:
             assert np.array_equal(emb1.vectors, emb2.vectors)
             assert rep1.objective == rep2.objective
 
-    def test_budget_exhaustion_is_soft(self):
-        inst = random_instance(np.random.default_rng(13), 16)
-        emb, rep = solve_sdp(inst, SdpConfig(max_outer=1, max_inner=5))
-        assert not rep.converged
+    @pytest.mark.parametrize("max_outer", [1, 2, 4])
+    @pytest.mark.parametrize("n, d, law, gen_seed", [
+        (16, 5, "unit", 0), (22, 3, ("uniform", 0.3, 2.0), 3), (22, 5, "unit", 4),
+        (21, 6, "unit", 8), (16, 3, ("uniform", 0.3, 2.0), 13),
+    ])
+    def test_budget_exhaustion_is_soft(self, max_outer, n, d, law, gen_seed):
+        inst = gen_random_regular(n, d, 0.5, law, seed=gen_seed)
+        emb, rep = solve_sdp(inst, SdpConfig(seed=gen_seed, max_outer=max_outer))
+        assert not rep.converged and len(rep.objective_history) == max_outer
         emb.validate()  # best iterate still a valid embedding
         # the bound holds whether or not the solve converged (above the
         # value of a feasible iterate; this one need not be feasible)
         assert rep.upper_bound >= brute_force_opt(inst).opt
+
+    def test_mixing_budget_is_sweeps(self):
         # the mixing method's budget is max_outer * max_inner sweeps
+        inst = random_instance(np.random.default_rng(13), 16)
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", max_outer=1, max_inner=5))
         assert not rep.converged and rep.iterations == 5
         assert rep.upper_bound >= rep.objective
