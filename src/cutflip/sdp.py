@@ -893,7 +893,10 @@ def _solve_alm(
     for _ in range(cfg.max_outer):
         active.add(*hits)
 
-        if cmin < -c_tol:  # below -act_thresh, so the constraint at cmin is active
+        # the scan's cmin, below -act_thresh, so the constraint at it is
+        # active; the test follows the scan's arithmetic, which also decides
+        # admission (active.cvals(v) may differ from it in the last bits)
+        if cmin < -c_tol:
             g = active.augmented(v, mu)[1]
             gt = g - _rowdot(g, v)[:, None] * v
             if float(np.sum(gt * gt)) <= gtol_floor * gtol_floor * 1e4:

@@ -307,12 +307,18 @@ class TestOutputFiles:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
-    def test_dev_stdout_is_written(self, capfd):
-        # capfd's file under fd 1 is reopened at offset 0, so the two writes
-        # overlap there; on a terminal or pipe they follow each other
-        assert main(["gen", "--n", "10", "--d", "3", "--out", "/dev/stdout"]) == 0
-        out, err = capfd.readouterr()
-        assert "wrote /dev/stdout" in out and err == ""
+    def test_dev_stdout_is_written(self, capsys):
+        # through a pipe, so the instance text and the line after it follow
+        # each other (a file under fd 1 would be reopened at offset 0)
+        argv = ["gen", "--n", "10", "--d", "3"]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        src = str(Path(cutflip.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = f"import sys\nfrom cutflip.harness import main\nsys.exit(main({argv + ['--out', '/dev/stdout']!r}))\n"
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert res.returncode == 0 and res.stderr == ""
+        assert text.startswith("10 15\n") and res.stdout == text + "wrote /dev/stdout\n"
 
 
 class TestVerifyCommand:

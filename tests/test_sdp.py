@@ -1031,9 +1031,15 @@ class TestSolveProperties:
         # value of a feasible iterate; this one need not be feasible)
         assert rep.upper_bound >= brute_force_opt(inst).opt
 
-    def test_mixing_budget_is_sweeps(self):
-        # the mixing method's budget is max_outer * max_inner sweeps
+    def test_truncated_inner_solve_is_soft(self):
+        # a non-regular graph with dyadic weights, its one round cut off
+        # after 5 L-BFGS iterations
         inst = random_instance(np.random.default_rng(13), 16)
+        emb, rep = solve_sdp(inst, SdpConfig(max_outer=1, max_inner=5))
+        assert not rep.converged
+        emb.validate()
+        assert rep.upper_bound >= brute_force_opt(inst).opt
+        # the mixing method's budget is max_outer * max_inner sweeps
         emb, rep = solve_sdp(inst, SdpConfig(triangle_mode="none", max_outer=1, max_inner=5))
         assert not rep.converged and rep.iterations == 5
         assert rep.upper_bound >= rep.objective
